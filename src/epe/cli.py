@@ -39,6 +39,7 @@ EXIT_GRID = 5
 EXIT_TRUNCATION = 6
 
 _FMT = "%.17g"
+DEFAULT_ENERGY_WINDOW = (0.0, 2.0)
 
 
 def _fmt_row(values):
@@ -49,6 +50,8 @@ def _fmt_row(values):
 
 
 def worker_count() -> int:
+    """Sampling workers: EPE_THREADS (default: all cores), capped at the core count."""
+    cores = os.cpu_count() or 1
     raw = os.environ.get("EPE_THREADS", "")
     if raw.strip():
         try:
@@ -57,8 +60,8 @@ def worker_count() -> int:
             raise ConfigurationError(f"EPE_THREADS must be an integer, got {raw!r}") from exc
         if n < 1:
             raise ConfigurationError("EPE_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
+        return min(n, cores)
+    return cores
 
 
 def parse_grid(spec: str) -> list:
@@ -147,6 +150,11 @@ def _sample_chunk_gaussian(task):
 
 
 def cmd_sample(args) -> int:
+    if args.energy_window is None:
+        args.energy_window = DEFAULT_ENERGY_WINDOW
+    elif args.system == "qubit":
+        print("error: --energy-window applies to --system gaussian only", file=sys.stderr)
+        return EXIT_USAGE
     try:
         cfg = sampling.SamplerConfig(
             seed=args.seed,
@@ -353,9 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--energy-window",
         type=float,
         nargs=2,
-        default=(0.0, 2.0),
         metavar=("LO", "HI"),
-        help="energy acceptance window (gaussian)",
+        help="energy acceptance window, gaussian only (default: 0 2)",
     )
     p.add_argument("--out", help="output path; stdout when omitted")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -74,20 +74,22 @@ class LocalUnitaryParams:
 
 
 def validate_state(rho) -> np.ndarray:
-    """Check hermiticity, unit trace and positivity of a 4x4 density matrix.
+    """Check hermiticity, unit trace and positivity of 4x4 density matrices.
 
-    Returns the validated array.  Raises InvalidStateError when any
-    tolerance (1e-12 hermitian/trace, -1e-10 least eigenvalue) is
-    exceeded; inputs are rejected rather than projected back.
+    Accepts one matrix or a (..., 4, 4) stack and returns the validated
+    array.  Raises InvalidStateError when any matrix exceeds a tolerance
+    (1e-12 hermitian/trace, -1e-10 least eigenvalue); inputs are
+    rejected rather than projected back.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+    if rho.shape[-2:] != (4, 4):
+        raise InvalidStateError(f"expected 4x4 matrices, got shape {rho.shape}")
+    if np.any(np.abs(rho - rho.conj().swapaxes(-1, -2)) > HERMITICITY_TOL):
         raise InvalidStateError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    if np.any(np.abs(trace.real - 1.0) > TRACE_TOL) or np.any(np.abs(trace.imag) > TRACE_TOL):
         raise InvalidStateError("density matrix does not have unit trace")
-    if np.linalg.eigvalsh(rho).min() < -PSD_TOL:
+    if np.any(np.linalg.eigvalsh(rho) < -PSD_TOL):
         raise InvalidStateError("density matrix is not positive semidefinite")
     return rho
 
@@ -117,19 +119,21 @@ def pure_concurrence(psi) -> float:
     return min(2.0 * a * b, 1.0)
 
 
-def concurrence(rho, check=True) -> float:
+def concurrence(rho, check=True):
     """Concurrence C(rho) = max(0, mu_1 - mu_2 - mu_3 - mu_4).
 
     The mu_j are the decreasingly ordered square roots of the
     eigenvalues of R = rho (sy x sy) rho* (sy x sy).  Tiny negative
     eigenvalues from roundoff are clamped to zero before the square
-    root, and the result is clamped to [0, 1].
+    root, and the result is clamped to [0, 1].  A (..., 4, 4) stack
+    gives an array of its leading shape; one 4x4 matrix gives a float.
     """
     rho = validate_state(rho) if check else np.asarray(rho, dtype=complex)
     R = rho @ _YY @ rho.conj() @ _YY
     mu = np.sqrt(np.clip(np.linalg.eigvals(R).real, 0.0, None))
-    mu.sort()
-    return float(min(max(mu[3] - mu[2] - mu[1] - mu[0], 0.0), 1.0))
+    mu.sort(axis=-1)
+    c = np.clip(mu[..., 3] - mu[..., 2] - mu[..., 1] - mu[..., 0], 0.0, 1.0)
+    return float(c) if c.ndim == 0 else c
 
 
 def tangle(rho, check=True) -> float:

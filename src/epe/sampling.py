@@ -31,8 +31,6 @@ CHUNK = 4096
 QUBIT_MEASURES = ("concurrence", "negativity", "logneg", "eof")
 GAUSSIAN_MEASURES = ("logneg", "negativity")
 
-_YY = np.kron(qubit.SIGMA_Y, qubit.SIGMA_Y)
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -119,13 +117,6 @@ def _qubit_states_chunk(seed, start, count, rank):
     return rhos
 
 
-def batch_concurrence(rhos) -> np.ndarray:
-    R = rhos @ _YY @ rhos.conj() @ _YY
-    mu = np.sqrt(np.clip(np.linalg.eigvals(R).real, 0.0, None))
-    mu.sort(axis=-1)
-    return np.clip(mu[:, 3] - mu[:, 2] - mu[:, 1] - mu[:, 0], 0.0, 1.0)
-
-
 def batch_negativity(rhos) -> np.ndarray:
     pt = rhos.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
     trace_norm = np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1)
@@ -139,7 +130,7 @@ def qubit_records_chunk(seed, start, count, rank=4, measure="concurrence"):
     entanglement and purity columns and a (count, 3) boolean flag array.
     """
     rhos = _qubit_states_chunk(seed, start, count, rank)
-    conc = batch_concurrence(rhos)
+    conc = qubit.concurrence(rhos, check=False)
     pur = np.clip(np.einsum("bij,bji->b", rhos, rhos).real, 0.0, 1.0)
     en = np.einsum("bii,i->b", rhos, np.diag(qubit.EXCITATION_NUMBER).astype(complex)).real
 

@@ -111,6 +111,19 @@ class TestSample:
         assert rows.shape == (50, 3)
         assert np.all(rows[:, 0] <= 2.0 + 1e-12)
 
+    def test_energy_window_rejected_for_qubits(self, capsys):
+        assert run_cli(["sample", "--system", "qubit", "--count", "5", "--seed", "1",
+                        "--energy-window", "1.5", "2"]) == 2
+        assert "gaussian only" in capsys.readouterr().err
+
+    def test_default_energy_window_in_manifest(self, tmp_path):
+        for system in ("qubit", "gaussian"):
+            out = tmp_path / f"{system}.csv"
+            assert run_cli(["sample", "--system", system, "--count", "5", "--seed", "1",
+                            "--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"{system}.csv.manifest.json").read_text())
+            assert manifest["config"]["energy_window"] == [0.0, 2.0]
+
     def test_count_zero_exit_2(self, capsys):
         assert run_cli(["sample", "--system", "qubit", "--count", "0", "--seed", "1"]) == 2
 
@@ -204,6 +217,18 @@ class TestJc:
         assert max(devs) < 1e-8
 
 
+def test_cli_import_loads_no_scipy():
+    import epe
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(epe.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import epe.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestWorkers:
     def test_thread_count_determinism(self, tmp_path):
         # the acceptance suite rechecks this via the installed entry point;
@@ -221,6 +246,17 @@ class TestWorkers:
             assert proc.returncode == 0, proc.stderr
             outputs.append(read(out))
         assert outputs[0] == outputs[1]
+
+    def test_worker_count_capped_at_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("EPE_THREADS", "5000")
+        assert cli.worker_count() == 3
+        monkeypatch.setenv("EPE_THREADS", "2")
+        assert cli.worker_count() == 2
+        monkeypatch.delenv("EPE_THREADS")
+        assert cli.worker_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli.worker_count() == 1
 
     def test_worker_env_validation(self):
         os.environ["EPE_THREADS"] = "zero"

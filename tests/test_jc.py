@@ -229,6 +229,45 @@ class TestAnalyticForms:
             assert abs(c1 - c2) < 1e-10
 
 
+_INPUT_SPECS = st.one_of(
+    st.just(jc.SinglePhoton()),
+    st.integers(1, 6).map(lambda n: jc.NPhoton(n=n)),
+    st.builds(
+        lambda r, phi: jc.EntangledCoherent(alpha=r * np.exp(1j * phi)),
+        st.floats(0.0, 2.0),
+        st.floats(0.0, 2.0 * np.pi),
+    ),
+    st.floats(0.0, 0.8).map(lambda g: jc.TwoModeSqueezed(gamma=g)),
+)
+
+
+class TestReducedStates:
+    @given(
+        _INPUT_SPECS,
+        st.integers(0, 6),
+        st.lists(st.floats(0.0, 30.0), max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_evolve_oracle(self, spec, extra, times):
+        n_max = jc.required_n_max(spec) + extra
+        state = jc.build_input(spec, n_max)
+        times = [0.0, 4.0 * np.pi + 0.3, *times]
+        rhos = jc.reduced_states(state, times)
+        assert rhos.shape == (len(times), 4, 4)
+        for t, rho in zip(times, rhos):
+            oracle = jc.reduce_to_qubits(jc.evolve(state, t))
+            assert np.abs(rho - oracle).max() <= 1e-13
+
+    def test_rejects_excited_atom(self):
+        state = jc.build_input(jc.SinglePhoton())
+        state.amps[0, 0, 1, 0] = 0.1
+        with pytest.raises(DomainError):
+            jc.reduced_states(state, [0.0, 1.0])
+        evolved = jc.evolve(jc.build_input(jc.SinglePhoton()), 0.5)
+        with pytest.raises(DomainError):
+            jc.reduced_states(evolved, [0.0])
+
+
 class TestMaxTransfer:
     def test_single_photon(self):
         result = jc.max_transfer(jc.SinglePhoton(), np.linspace(0.0, 4.0 * np.pi, 500))
@@ -241,6 +280,21 @@ class TestMaxTransfer:
         result = jc.max_transfer(jc.NPhoton(n=3), np.linspace(0.0, 4.0 * np.pi, 300))
         assert result.concurrence == 0.0
         assert result.lambda_t == 0.0  # earliest tie wins
+
+    def test_flat_run_is_one_refinement_candidate(self, monkeypatch):
+        # C vanishes on the whole grid, which must not refine every point
+        calls = []
+        real = jc.minimize_scalar
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["bounds"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(jc, "minimize_scalar", counting)
+        result = jc.max_transfer(jc.NPhoton(n=3), np.linspace(0.0, 4.0 * np.pi, 300))
+        assert len(calls) <= 2
+        assert result.concurrence == 0.0
+        assert result.lambda_t == 0.0
 
     def test_empty_grid(self):
         with pytest.raises(DomainError):

@@ -78,6 +78,31 @@ class TestConcurrence:
             qubit.concurrence(neg)
 
 
+class TestStackedConcurrence:
+    def test_matches_scalar_calls_bitwise(self):
+        rhos = np.stack([random_state(seed, rank=1 + seed % 4) for seed in range(200)])
+        rhos = np.concatenate([rhos, [PHI_PLUS, MIXED, GROUND]])
+        stacked = qubit.concurrence(rhos)
+        assert stacked.shape == (len(rhos),)
+        for rho, value in zip(rhos, stacked):
+            assert value == qubit.concurrence(rho)
+        grid = qubit.concurrence(rhos[:200].reshape(10, 20, 4, 4))
+        assert grid.shape == (10, 20)
+        assert np.array_equal(grid.ravel(), stacked[:200])
+
+    def test_single_matrix_gives_float(self):
+        assert type(qubit.concurrence(PHI_PLUS)) is float
+        assert type(qubit.concurrence(PHI_PLUS, check=False)) is float
+
+    def test_stack_validation_rejects_any_bad_member(self):
+        bad = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
+        with pytest.raises(InvalidStateError):
+            qubit.concurrence(np.stack([PHI_PLUS, bad, MIXED]))
+        with pytest.raises(InvalidStateError):
+            qubit.validate_state(np.zeros((3, 4, 3)))
+        assert qubit.validate_state(np.stack([PHI_PLUS, MIXED])).shape == (2, 4, 4)
+
+
 class TestDerivedMeasures:
     def test_tangle_is_squared_concurrence(self):
         for seed in range(20):
