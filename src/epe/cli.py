@@ -12,7 +12,9 @@ violation detected in sampler output, 5 grid outside a curve domain,
 6 insufficient Fock truncation.
 
 Every file written is paired with a sidecar `<out>.manifest.json`
-recording the command line, configuration, seed, version and timestamp.
+recording the command line, configuration, seed, version and timestamp;
+`sample` manifests also name the RNG stream (`sampling.STREAM`), and
+`rerun` refuses a `sample` manifest written with another stream.
 Data files themselves contain no timestamps, so identical invocations
 are byte-identical regardless of EPE_THREADS.
 """
@@ -39,7 +41,6 @@ EXIT_GRID = 5
 EXIT_TRUNCATION = 6
 
 _FMT = "%.17g"
-DEFAULT_ENERGY_WINDOW = (0.0, 2.0)
 
 
 def _fmt_row(values):
@@ -92,7 +93,7 @@ def parse_grid(spec: str) -> list:
 
 def _manifest(args, outputs):
     config = {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")}
-    return {
+    manifest = {
         "command": args.command,
         "argv": list(getattr(args, "_argv", sys.argv[1:])),
         "config": config,
@@ -100,6 +101,9 @@ def _manifest(args, outputs):
         "version": __version__,
         "outputs": [str(p) for p in outputs],
     }
+    if args.command == "sample":
+        manifest["stream"] = sampling.STREAM
+    return manifest
 
 
 def _write_output(args, header, rows, records_json=None):
@@ -150,23 +154,21 @@ def _sample_chunk_gaussian(task):
 
 
 def cmd_sample(args) -> int:
-    if args.energy_window is None:
-        args.energy_window = DEFAULT_ENERGY_WINDOW
-    elif args.system == "qubit":
-        print("error: --energy-window applies to --system gaussian only", file=sys.stderr)
-        return EXIT_USAGE
     try:
         cfg = sampling.SamplerConfig(
             seed=args.seed,
             count=args.count,
             system=args.system,
             rank_filter=args.rank,
-            energy_window=tuple(args.energy_window),
+            energy_window=None if args.energy_window is None else tuple(args.energy_window),
             measure=args.measure,
         )
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.energy_window is None:
+        # manifests of either system record the default window
+        args.energy_window = sampling.DEFAULT_ENERGY_WINDOW
 
     starts = list(range(0, cfg.count, sampling.CHUNK))
     if cfg.system == "qubit":
@@ -339,6 +341,14 @@ def cmd_rerun(args) -> int:
     argv = manifest.get("argv")
     if not isinstance(argv, list) or not argv:
         print("error: manifest carries no argv to replay", file=sys.stderr)
+        return EXIT_USAGE
+    recorded = manifest.get("stream")
+    if argv[0] == "sample" and recorded != sampling.STREAM:
+        print(
+            f"error: the manifest's RNG stream is {recorded!r}, this epe's is "
+            f"{sampling.STREAM!r}; a rerun would not reproduce its outputs",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     return main(argv)
 

@@ -1,17 +1,26 @@
 """Seeded Monte-Carlo sampling of two-qubit states and two-mode Gaussian CMs.
 
 Determinism contract: every sample is a pure function of (seed, index).
-Each index owns an independent RNG stream derived through
-numpy.random.SeedSequence(seed, spawn_key=(index,)), so chunked or
-parallel generation emits byte-identical records in index order no
-matter how the work is split.
+All randomness comes from one counter-based Philox4x64 stream per system
+(Salmon et al., SC'11, "Parallel random numbers: as easy as 1, 2, 3"),
+named STREAM and stamped into every sample manifest.  Its 128-bit key
+is the seed in the low 64 bits and a system tag in the high 64 bits.
+The stream is cut into blocks of W uint64 words; attempt k of index i
+owns block k * 2**40 + i, i.e. words [block * W, (block + 1) * W).  A
+chunk of consecutive indices is therefore one contiguous `random_raw`
+call per attempt, and chunked or parallel generation emits byte-identical
+records in index order no matter how the work is split.  Words become
+uniforms in [0, 1) as (word >> 11) * 2**-53 and normals by Box-Muller,
+which consumes a fixed number of words, so every offset is exact.
 
-Two-qubit states are drawn from the Ginibre construction
+Two-qubit states (W = 32) are drawn from the Ginibre construction
 rho = G G^dag / Tr(G G^dag) with G a 4 x k standard complex normal
-matrix (k = rank filter, default 4), i.e. the Hilbert-Schmidt measure
-at full rank.  Gaussian states are built as S^T diag(nu-, nu-, nu+, nu+) S
+matrix (k = rank filter, default 4: the first k columns of a 4 x 4
+draw), i.e. the Hilbert-Schmidt measure at full rank.  Gaussian states
+(W = 16, 15 uniforms used) are built as S^T diag(nu-, nu-, nu+, nu+) S
 from random local squeezes, local rotations and a beam-splitter mix,
-then reduced to standard form and filtered to an energy window.
+accepted when their standard-form energy lies in the energy window,
+and reduced to standard form.
 """
 
 from __future__ import annotations
@@ -30,29 +39,58 @@ CHUNK = 4096
 
 QUBIT_MEASURES = ("concurrence", "negativity", "logneg", "eof")
 GAUSSIAN_MEASURES = ("logneg", "negativity")
+DEFAULT_ENERGY_WINDOW = (0.0, 2.0)
+
+STREAM = "philox-v1"
+# high 64 bits of the Philox key, so each system draws its own stream
+_SYSTEM_TAG = {"qubit": 1, "gaussian": 2}
+# indices per stream; attempt k of index i owns block k * INDEX_LIMIT + i
+INDEX_LIMIT = 1 << 40
+QUBIT_WORDS = 32
+GAUSSIAN_WORDS = 16
+MAX_ATTEMPTS = 1000
+
+
+def _check_stream_range(seed, stop):
+    """Reject a seed outside [0, 2**64) or sample indices reaching 2**40."""
+    if not 0 <= seed < 1 << 64:
+        raise ConfigurationError("seed must lie in [0, 2**64)")
+    if stop >= INDEX_LIMIT:
+        raise ConfigurationError("count must be below 2**40")
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Configuration of one sampling run."""
+    """Configuration of one sampling run.
+
+    `energy_window` applies to the gaussian system only; None means
+    DEFAULT_ENERGY_WINDOW there.
+    """
 
     seed: int
     count: int
     system: str = "qubit"
     rank_filter: int | None = None
-    energy_window: tuple = (0.0, 2.0)
+    energy_window: tuple | None = None
     measure: str | None = None
 
     def __post_init__(self):
         if self.count < 1:
             raise ConfigurationError("count must be a positive integer")
+        _check_stream_range(self.seed, self.count)
         if self.system not in ("qubit", "gaussian"):
             raise ConfigurationError(f"unknown system {self.system!r}")
         if self.rank_filter is not None and self.rank_filter not in (1, 2, 3, 4):
             raise ConfigurationError("rank filter must be in 1..4")
-        lo, hi = self.energy_window
-        if not 0.0 <= lo < hi < np.inf:
-            raise ConfigurationError("energy window must satisfy 0 <= lo < hi < inf")
+        if self.energy_window is None:
+            if self.system == "gaussian":
+                object.__setattr__(self, "energy_window", DEFAULT_ENERGY_WINDOW)
+        elif self.system == "qubit":
+            raise ConfigurationError("the energy window applies to system gaussian only")
+        else:
+            lo, hi = self.energy_window
+            if not 0.0 <= lo < hi < np.inf:
+                raise ConfigurationError("energy window must satisfy 0 <= lo < hi < inf")
         measure = self.measure or self.default_measure()
         allowed = QUBIT_MEASURES if self.system == "qubit" else GAUSSIAN_MEASURES
         if measure not in allowed:
@@ -95,26 +133,55 @@ class EPERecord:
         )
 
 
-def index_rng(seed, index) -> np.random.Generator:
-    """Independent generator for one sample index."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def _epe_records(values, flags):
+    """EPERecords from the (N, 3) value and flag arrays of a chunk."""
+    for (en, ent, pur), (on_circle, below, in_band) in zip(values.tolist(), flags.tolist()):
+        yield EPERecord(en, ent, pur, on_circle, below, in_band)
+
+
+# --- the Philox stream ---
+
+
+def stream_words(seed, system, start, count, width, attempt=0) -> np.ndarray:
+    """(count, width) uint64 words of attempt `attempt` for indices [start, start + count)."""
+    _check_stream_range(seed, start + count)
+    block = attempt * INDEX_LIMIT + start
+    # Philox steps its counter before each 4-word output, so block b
+    # occupies counters b * width / 4 + 1 .. (b + 1) * width / 4
+    bits = np.random.Philox(key=int(seed) | _SYSTEM_TAG[system] << 64, counter=block * width // 4)
+    return bits.random_raw(count * width).reshape(count, width)
+
+
+def uniforms(words) -> np.ndarray:
+    """Uniforms in [0, 1) with 53 random bits, the same map numpy's Generator.random uses."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def box_muller(u) -> np.ndarray:
+    """As many standard normals as uniforms along the (even) last axis.
+
+    The first half of the uniforms sets the radii, the second half the
+    angles; normal j is r_j cos(theta_j), normal m + j is r_j sin(theta_j).
+    """
+    m = u.shape[-1] // 2
+    r = np.sqrt(-2.0 * np.log1p(-u[..., :m]))
+    theta = 2.0 * np.pi * u[..., m:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
 # --- two-qubit sampling ---
 
 
-def ginibre_state(rng, rank=4) -> np.ndarray:
-    """One Hilbert-Schmidt random state of the given rank."""
-    G = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
-    M = G @ G.conj().T
-    return M / np.trace(M).real
+def qubit_normals(seed, start, count) -> np.ndarray:
+    """The 32 standard normals of each index in [start, start + count)."""
+    return box_muller(uniforms(stream_words(seed, "qubit", start, count, QUBIT_WORDS)))
 
 
 def _qubit_states_chunk(seed, start, count, rank):
-    rhos = np.empty((count, 4, 4), dtype=complex)
-    for i in range(count):
-        rhos[i] = ginibre_state(index_rng(seed, start + i), rank)
-    return rhos
+    z = qubit_normals(seed, start, count)
+    G = (z[:, :16] + 1j * z[:, 16:]).reshape(count, 4, 4)[:, :, :rank]
+    M = G @ G.conj().transpose(0, 2, 1)
+    return M / np.trace(M, axis1=1, axis2=2).real[:, None, None]
 
 
 def batch_negativity(rhos) -> np.ndarray:
@@ -123,13 +190,12 @@ def batch_negativity(rhos) -> np.ndarray:
     return np.clip((trace_norm - 1.0) / 2.0, 0.0, None)
 
 
-def qubit_records_chunk(seed, start, count, rank=4, measure="concurrence"):
-    """Vectorized records for indices [start, start + count).
+def qubit_records(rhos, measure="concurrence"):
+    """Vectorized records for an (N, 4, 4) stack of states.
 
-    Returns (values, flags): a (count, 3) float array of energy,
-    entanglement and purity columns and a (count, 3) boolean flag array.
+    Returns (values, flags): an (N, 3) float array of energy,
+    entanglement and purity columns and an (N, 3) boolean flag array.
     """
-    rhos = _qubit_states_chunk(seed, start, count, rank)
     conc = qubit.concurrence(rhos, check=False)
     pur = np.clip(np.einsum("bij,bji->b", rhos, rhos).real, 0.0, 1.0)
     en = np.einsum("bii,i->b", rhos, np.diag(qubit.EXCITATION_NUMBER).astype(complex)).real
@@ -156,100 +222,138 @@ def qubit_records_chunk(seed, start, count, rank=4, measure="concurrence"):
     return values, flags
 
 
+def qubit_records_chunk(seed, start, count, rank=4, measure="concurrence"):
+    """(values, flags) of `qubit_records` for indices [start, start + count)."""
+    return qubit_records(_qubit_states_chunk(seed, start, count, rank), measure)
+
+
 def sample_qubit_states(cfg: SamplerConfig):
     """Yield (rho, EPERecord) pairs in index order."""
     if cfg.system != "qubit":
         raise ConfigurationError("config is not for the qubit system")
     rank = cfg.rank_filter or 4
     for start in range(0, cfg.count, CHUNK):
-        n = min(CHUNK, cfg.count - start)
-        rhos = _qubit_states_chunk(cfg.seed, start, n, rank)
-        values, flags = qubit_records_chunk(cfg.seed, start, n, rank, cfg.measure)
-        for i in range(n):
-            yield rhos[i], EPERecord(
-                energy=values[i, 0],
-                entanglement=values[i, 1],
-                purity=values[i, 2],
-                on_pure_circle=bool(flags[i, 0]),
-                below_mems=bool(flags[i, 1]),
-                in_separable_band=bool(flags[i, 2]),
-            )
+        rhos = _qubit_states_chunk(cfg.seed, start, min(CHUNK, cfg.count - start), rank)
+        yield from zip(rhos, _epe_records(*qubit_records(rhos, cfg.measure)))
 
 
 # --- two-mode Gaussian sampling ---
 
 
-def _rot2(theta):
+def _rotations(theta):
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]])
+    return np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
 
 
-def _squeeze2(r):
-    return np.diag([np.exp(r), np.exp(-r)])
+def _mode_symplectics(u, r_max):
+    """(N, 2, 2) rotation-squeeze-rotation Euler samples of one mode's symplectic
+    group from (N, 3) uniforms: angle, squeeze in [-r_max, r_max), angle."""
+    r = r_max * (2.0 * u[:, 1] - 1.0)
+    squeeze = np.stack([np.exp(r), np.exp(-r)], -1)
+    return (_rotations(2.0 * np.pi * u[:, 0]) * squeeze[:, None, :]) @ _rotations(
+        2.0 * np.pi * u[:, 2]
+    )
 
 
-def _local4(S1, S2):
-    out = np.zeros((4, 4))
-    out[:2, :2] = S1
-    out[2:, 2:] = S2
+def _local(S1, S2):
+    out = np.zeros(S1.shape[:-2] + (4, 4))
+    out[..., :2, :2] = S1
+    out[..., 2:, 2:] = S2
     return out
 
 
 def beam_splitter(theta) -> np.ndarray:
-    """Passive mixing symplectic that rotates the two modes into each other."""
-    c, s = np.cos(theta), np.sin(theta)
-    eye = np.eye(2)
-    return np.block([[c * eye, s * eye], [-s * eye, c * eye]])
+    """Passive mixing symplectic that rotates the two modes into each other.
+
+    Takes a scalar or an array of angles; the 4 x 4 axes come last.
+    """
+    return np.kron(_rotations(theta), np.eye(2))
 
 
-def random_local_symplectic(rng, r_max) -> np.ndarray:
-    """Rotation-squeeze-rotation Euler sample of one mode's symplectic group."""
-    return (
-        _rot2(rng.uniform(0.0, 2.0 * np.pi))
-        @ _squeeze2(rng.uniform(-r_max, r_max))
-        @ _rot2(rng.uniform(0.0, 2.0 * np.pi))
-    )
-
-
-def _draw_inverse_square(rng, lo, hi):
+def _inverse_square(u, lo, hi):
     # density proportional to 1/nu^2 on [lo, hi]
-    u = rng.uniform()
     return 1.0 / (1.0 / lo - u * (1.0 / lo - 1.0 / hi))
+
+
+def _det2(block):
+    return block[:, 0, 0] * block[:, 1, 1] - block[:, 0, 1] * block[:, 1, 0]
+
 
 # symplectic eigenvalues are capped so sampled purities stay above ~1e-3
 _NU_PRODUCT_CAP = 1.0e3
 
 
-def random_covariance(rng, energy_window=(0.0, 2.0), max_attempts=1000):
-    """One random physical covariance matrix inside the energy window.
+def candidate_covariances(u, energy_window=DEFAULT_ENERGY_WINDOW):
+    """Candidate covariance matrices from (N, 16) uniforms, and which are accepted.
 
-    nu_- and nu_+ are drawn with density ~ 1/nu^2 (favoring nearly pure
-    spectra) within ranges compatible with the window, conjugated by
-    random local symplectics around a beam splitter, and rejected until
-    the energy lands inside the window.
+    Uniform 0 draws nu_- and uniform 1 nu_+, each with density ~ 1/nu^2
+    (favoring nearly pure spectra) within ranges compatible with the
+    window; uniforms 2-7 draw the two local symplectics on the left of a
+    beam splitter at angle 2 pi u_8, uniforms 9-14 the two on its right,
+    and uniform 15 is unused.  A candidate is accepted when its spectrum
+    range is nonempty and its standard-form energy
+    (sqrt(Det alpha) + sqrt(Det beta))/2 - 1, the energy its record
+    reports, lies inside the window.  Returns ((N, 4, 4) CMs, (N,) bools).
     """
     e_lo, e_hi = energy_window
     nu_hi = min(2.0 * (e_hi + 1.0) - 1.0, _NU_PRODUCT_CAP)
     r_max = 0.5 * np.arccosh(e_hi + 1.0)
-    for _ in range(max_attempts):
-        nu_m = _draw_inverse_square(rng, 1.0, nu_hi)
-        top = min(2.0 * (e_hi + 1.0) - nu_m, _NU_PRODUCT_CAP / nu_m)
-        if top <= nu_m:
-            continue
-        nu_p = _draw_inverse_square(rng, nu_m, top)
-        nu = np.diag([nu_m, nu_m, nu_p, nu_p])
-        S = (
-            _local4(random_local_symplectic(rng, r_max), random_local_symplectic(rng, r_max))
-            @ beam_splitter(rng.uniform(0.0, 2.0 * np.pi))
-            @ _local4(random_local_symplectic(rng, r_max), random_local_symplectic(rng, r_max))
-        )
-        sigma = S.T @ nu @ S
-        if e_lo <= np.trace(sigma) / 4.0 - 1.0 <= e_hi:
-            return sigma
-    raise ConfigurationError(
+    nu_m = _inverse_square(u[:, 0], 1.0, nu_hi)
+    top = np.minimum(2.0 * (e_hi + 1.0) - nu_m, _NU_PRODUCT_CAP / nu_m)
+    nu_p = _inverse_square(u[:, 1], nu_m, top)
+    S = (
+        _local(_mode_symplectics(u[:, 2:5], r_max), _mode_symplectics(u[:, 5:8], r_max))
+        @ beam_splitter(2.0 * np.pi * u[:, 8])
+        @ _local(_mode_symplectics(u[:, 9:12], r_max), _mode_symplectics(u[:, 12:15], r_max))
+    )
+    nu = np.stack([nu_m, nu_m, nu_p, nu_p], -1)
+    sigma = S.transpose(0, 2, 1) @ (nu[:, :, None] * S)
+    energy = (np.sqrt(_det2(sigma[:, :2, :2])) + np.sqrt(_det2(sigma[:, 2:, 2:]))) / 2.0 - 1.0
+    return sigma, (top > nu_m) & (e_lo <= energy) & (energy <= e_hi)
+
+
+def _window_error(energy_window, max_attempts):
+    return ConfigurationError(
         f"rejection rate above {100 * (1 - 1 / max_attempts):.1f}% for window {energy_window}; "
         "widen the energy window"
     )
+
+
+def random_covariance(rng, energy_window=DEFAULT_ENERGY_WINDOW, max_attempts=MAX_ATTEMPTS):
+    """One random physical covariance matrix inside the energy window.
+
+    Draws 16 uniforms from `rng` per attempt and rejects candidates of
+    `candidate_covariances` until one is accepted.
+    """
+    for _ in range(max_attempts):
+        sigma, ok = candidate_covariances(rng.random((1, GAUSSIAN_WORDS)), energy_window)
+        if ok[0]:
+            return sigma[0]
+    raise _window_error(energy_window, max_attempts)
+
+
+def gaussian_covariances_chunk(seed, start, count, energy_window=DEFAULT_ENERGY_WINDOW):
+    """(count, 4, 4) accepted CMs for indices [start, start + count).
+
+    Rejection runs in rounds: round k draws attempt k of every index still
+    pending, so each index keeps its first accepted attempt (at most
+    MAX_ATTEMPTS of them).
+    """
+    sigmas = np.empty((count, 4, 4))
+    pending = np.arange(count)
+    for attempt in range(MAX_ATTEMPTS):
+        if not pending.size:
+            break
+        first = int(pending[0])
+        words = stream_words(
+            seed, "gaussian", start + first, int(pending[-1]) + 1 - first, GAUSSIAN_WORDS, attempt
+        )
+        sigma, ok = candidate_covariances(uniforms(words[pending - first]), energy_window)
+        sigmas[pending[ok]] = sigma[ok]
+        pending = pending[~ok]
+    if pending.size:
+        raise _window_error(energy_window, MAX_ATTEMPTS)
+    return sigmas
 
 
 def gaussian_record(sf, measure="logneg") -> EPERecord:
@@ -280,14 +384,13 @@ def gaussian_record(sf, measure="logneg") -> EPERecord:
     )
 
 
-def gaussian_records_chunk(seed, start, count, energy_window=(0.0, 2.0), measure="logneg"):
+def gaussian_records_chunk(seed, start, count, energy_window=DEFAULT_ENERGY_WINDOW,
+                           measure="logneg"):
     """Records plus standard forms for indices [start, start + count)."""
     sfs = []
     values = np.empty((count, 3))
     flags = np.empty((count, 3), dtype=bool)
-    for i in range(count):
-        rng = index_rng(seed, start + i)
-        sigma = random_covariance(rng, energy_window)
+    for i, sigma in enumerate(gaussian_covariances_chunk(seed, start, count, energy_window)):
         sf = gaussian.reduce_to_standard_form(sigma)
         rec = gaussian_record(sf, measure)
         sfs.append(sf)
@@ -305,19 +408,7 @@ def sample_gaussian_states(cfg: SamplerConfig):
         sfs, values, flags = gaussian_records_chunk(
             cfg.seed, start, n, cfg.energy_window, cfg.measure
         )
-        for i in range(n):
-            yield sfs[i], EPERecord(
-                energy=values[i, 0],
-                entanglement=values[i, 1],
-                purity=values[i, 2],
-                on_pure_circle=bool(flags[i, 0]),
-                below_mems=bool(flags[i, 1]),
-                in_separable_band=bool(flags[i, 2]),
-            )
-
-
-def sample_states(cfg: SamplerConfig):
-    return sample_qubit_states(cfg) if cfg.system == "qubit" else sample_gaussian_states(cfg)
+        yield from zip(sfs, _epe_records(values, flags))
 
 
 # --- conditioned samplers used by the extremality suites ---

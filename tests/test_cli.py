@@ -124,6 +124,42 @@ class TestSample:
             manifest = json.loads((tmp_path / f"{system}.csv.manifest.json").read_text())
             assert manifest["config"]["energy_window"] == [0.0, 2.0]
 
+    def test_sample_manifests_name_the_stream(self, tmp_path):
+        from epe import sampling
+
+        assert sampling.STREAM == "philox-v1"
+        for system in ("qubit", "gaussian"):
+            out = tmp_path / f"{system}.json"
+            assert run_cli(["sample", "--system", system, "--count", "3", "--seed", "1",
+                            "--format", "json", "--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"{system}.json.manifest.json").read_text())
+            assert manifest["stream"] == "philox-v1"
+            assert json.loads(out.read_text())["manifest"]["stream"] == "philox-v1"
+        out = tmp_path / "band.csv"
+        assert run_cli(["boundary", "--system", "gaussian", "--curve", "band", "--grid", "1:1:1",
+                        "--out", str(out)]) == 0
+        assert "stream" not in json.loads((tmp_path / "band.csv.manifest.json").read_text())
+
+    def test_gaussian_window_above_zero(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert run_cli(["sample", "--system", "gaussian", "--count", "200", "--seed", "3",
+                        "--energy-window", "1", "2", "--out", str(out)]) == 0
+        energy = np.loadtxt(out, delimiter=",", skiprows=1, usecols=0)
+        assert np.all((1.0 - 1e-12 <= energy) & (energy <= 2.0 + 1e-12))
+
+    def test_unreachable_window_exit_2(self, capsys):
+        assert run_cli(["sample", "--system", "gaussian", "--count", "2", "--seed", "1",
+                        "--energy-window", "1.9999999", "2"]) == 2
+        assert "rejection rate above 99.9%" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--seed", str(2**64)),
+                                            ("--count", str(2**40))])
+    def test_seed_and_count_out_of_range_exit_2(self, capsys, flag, value):
+        argv = ["sample", "--system", "qubit", "--count", "3", "--seed", "1"]
+        argv[argv.index(flag) + 1] = value
+        assert run_cli(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_count_zero_exit_2(self, capsys):
         assert run_cli(["sample", "--system", "qubit", "--count", "0", "--seed", "1"]) == 2
 
@@ -171,6 +207,35 @@ class TestSample:
     def test_rerun_from_manifest(self, tmp_path):
         out = tmp_path / "q.csv"
         run_cli(["sample", "--system", "qubit", "--count", "50", "--seed", "2",
+                 "--out", str(out)])
+        first = read(out)
+        out.unlink()
+        assert run_cli(["rerun", str(out) + ".manifest.json"]) == 0
+        assert read(out) == first
+
+
+    @pytest.mark.parametrize("stream", [None, "seedsequence"])
+    def test_rerun_refuses_another_stream(self, tmp_path, capsys, stream):
+        out = tmp_path / "q.csv"
+        run_cli(["sample", "--system", "qubit", "--count", "50", "--seed", "2",
+                 "--out", str(out)])
+        manifest_path = tmp_path / "q.csv.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if stream is None:
+            del manifest["stream"]
+        else:
+            manifest["stream"] = stream
+        manifest_path.write_text(json.dumps(manifest))
+        out.unlink()
+        capsys.readouterr()
+        assert run_cli(["rerun", str(manifest_path)]) == 2
+        err = capsys.readouterr().err
+        assert repr(stream) in err and "'philox-v1'" in err
+        assert not out.exists()
+
+    def test_rerun_of_a_boundary_manifest_needs_no_stream(self, tmp_path):
+        out = tmp_path / "sep.csv"
+        run_cli(["boundary", "--system", "qubit", "--curve", "separable", "--grid", "0:2:0.5",
                  "--out", str(out)])
         first = read(out)
         out.unlink()
@@ -246,6 +311,22 @@ class TestWorkers:
             assert proc.returncode == 0, proc.stderr
             outputs.append(read(out))
         assert outputs[0] == outputs[1]
+
+    def test_gaussian_thread_count_determinism(self, tmp_path):
+        env = dict(os.environ)
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"g{workers}.csv"
+            env["EPE_THREADS"] = workers
+            proc = subprocess.run(
+                [sys.executable, "-m", "epe.cli", "sample", "--system", "gaussian",
+                 "--count", "8192", "--seed", "77", "--out", str(out)],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(read(out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 8193
 
     def test_worker_count_capped_at_cores(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)

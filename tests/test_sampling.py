@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epe import gaussian, qubit, sampling
 from epe.errors import ConfigurationError, DomainError
@@ -23,6 +25,25 @@ class TestConfig:
     def test_default_measures(self):
         assert sampling.SamplerConfig(seed=1, count=1).measure == "concurrence"
         assert sampling.SamplerConfig(seed=1, count=1, system="gaussian").measure == "logneg"
+
+    def test_seed_and_count_ranges(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigurationError, match="seed"):
+                sampling.SamplerConfig(seed=seed, count=3)
+        with pytest.raises(ConfigurationError, match="count"):
+            sampling.SamplerConfig(seed=1, count=2**40, system="gaussian")
+        sampling.SamplerConfig(seed=2**64 - 1, count=2**40 - 1)
+        with pytest.raises(ConfigurationError):
+            sampling.qubit_records_chunk(-1, 0, 3)
+        with pytest.raises(ConfigurationError):
+            sampling.qubit_normals(1, 2**40 - 2, 2)
+
+    def test_energy_window_is_gaussian_only(self):
+        with pytest.raises(ConfigurationError, match="gaussian only"):
+            sampling.SamplerConfig(seed=1, count=5, system="qubit", energy_window=(1.5, 2.0))
+        assert sampling.SamplerConfig(seed=1, count=5).energy_window is None
+        cfg = sampling.SamplerConfig(seed=1, count=5, system="gaussian")
+        assert cfg.energy_window == sampling.DEFAULT_ENERGY_WINDOW == (0.0, 2.0)
 
 
 class TestQubitSampler:
@@ -103,11 +124,112 @@ class TestGaussianSampler:
         assert np.all(P[entangled] > 1.0 / (2.0 * E[entangled] + 1.0) - 1e-9)
         assert 0.05 < entangled.mean() < 0.95  # both populations present
 
+    @pytest.mark.parametrize("window", [(1.0, 2.0), (0.5, 0.8), (3.0, 3.5)])
+    def test_records_honour_a_window_above_zero(self, window):
+        lo, hi = window
+        cfg = sampling.SamplerConfig(seed=3, count=300, system="gaussian", energy_window=window)
+        energies = np.array([rec.energy for _, rec in sampling.sample_gaussian_states(cfg)])
+        assert np.all((lo - 1e-12 <= energies) & (energies <= hi + 1e-12))
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            sf = gaussian.reduce_to_standard_form(sampling.random_covariance(rng, window))
+            assert lo - 1e-12 <= gaussian.energy(sf) <= hi + 1e-12
+
     def test_narrow_window_raises_configuration_error(self):
         # a sliver at the top of the window is essentially never hit
-        rng = sampling.index_rng(0, 0)
+        rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError):
             sampling.random_covariance(rng, energy_window=(2.0 - 1e-7, 2.0), max_attempts=200)
+
+
+@st.composite
+def chunk_splits(draw, max_count):
+    """(count, [(start, n), ...]): a split of [0, count) into consecutive chunks."""
+    count = draw(st.integers(1, max_count))
+    cuts = sorted(draw(st.sets(st.integers(1, count - 1), max_size=6))) if count > 1 else []
+    bounds = [0, *cuts, count]
+    return count, [(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+class TestPhiloxStream:
+    @given(SEEDS, chunk_splits(300), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_qubit_chunking_is_bit_identical(self, seed, split, rank):
+        count, chunks = split
+        values, flags = sampling.qubit_records_chunk(seed, 0, count, rank)
+        parts = [sampling.qubit_records_chunk(seed, start, n, rank) for start, n in chunks]
+        assert np.array_equal(values, np.concatenate([v for v, _ in parts]))
+        assert np.array_equal(flags, np.concatenate([f for _, f in parts]))
+
+    @given(SEEDS, chunk_splits(40))
+    @settings(max_examples=20, deadline=None)
+    def test_gaussian_chunking_is_bit_identical(self, seed, split):
+        count, chunks = split
+        _, values, flags = sampling.gaussian_records_chunk(seed, 0, count)
+        parts = [sampling.gaussian_records_chunk(seed, start, n) for start, n in chunks]
+        assert np.array_equal(values, np.concatenate([v for _, v, _ in parts]))
+        assert np.array_equal(flags, np.concatenate([f for _, _, f in parts]))
+
+    @pytest.mark.parametrize("start,count", [(0, 50), (7, 1), (3, 4096), (40, 11)])
+    def test_normals_of_an_index_ignore_start_and_count(self, start, count):
+        chunk = sampling.qubit_normals(17, start, count)
+        for i in (start, start + count // 2, start + count - 1):
+            assert np.array_equal(chunk[i - start], sampling.qubit_normals(17, i, 1)[0])
+
+    def test_words_sit_at_their_counter_block(self):
+        # attempt k of index i starts at word (k * 2**40 + i) * W of the keyed stream,
+        # and the uniform map is the one numpy's Generator.random applies
+        seed, i, k, width = 5, 9, 3, sampling.GAUSSIAN_WORDS
+        words = sampling.stream_words(seed, "gaussian", i, 2, width, attempt=k)
+        bits = np.random.Philox(key=[seed, 2])
+        bits.advance((k * 2**40 + i) * width // 4)
+        assert np.array_equal(sampling.uniforms(words).ravel(), np.random.Generator(bits).random(2 * width))
+
+    def test_systems_draw_distinct_streams(self):
+        qubit_words = sampling.stream_words(3, "qubit", 0, 4, 16)
+        gaussian_words = sampling.stream_words(3, "gaussian", 0, 4, 16)
+        assert not np.any(qubit_words == gaussian_words)
+
+    def test_box_muller_moments(self):
+        z = sampling.qubit_normals(2024, 0, 625).ravel()  # 20k normals
+        n = z.size
+        assert abs(z.mean()) <= 5.0 * z.std(ddof=1) / np.sqrt(n)
+        sq = (z - z.mean()) ** 2
+        assert abs(sq.mean() - 1.0) <= 5.0 * sq.std(ddof=1) / np.sqrt(n)
+
+    def test_mean_purity_is_hilbert_schmidt(self):
+        purity = sampling.qubit_records_chunk(31, 0, 20_000)[0][:, 2]
+        se = purity.std(ddof=1) / np.sqrt(purity.size)
+        assert abs(purity.mean() - 8.0 / 17.0) <= 5.0 * se
+
+    def test_rejection_rounds_keep_each_index_first_accepted_attempt(self):
+        window = (1.0, 2.0)
+        sigmas = sampling.gaussian_covariances_chunk(8, 100, 30, window)
+        for i, sigma in enumerate(sigmas):
+            for k in range(sampling.MAX_ATTEMPTS):
+                u = sampling.uniforms(
+                    sampling.stream_words(8, "gaussian", 100 + i, 1, sampling.GAUSSIAN_WORDS, k)
+                )
+                candidate, ok = sampling.candidate_covariances(u, window)
+                if ok[0]:
+                    break
+            assert np.array_equal(sigma, candidate[0])
+
+    def test_qubit_states_are_drawn_once(self, monkeypatch):
+        drawn = []
+        real = sampling.stream_words
+
+        def counting(seed, system, start, count, *args, **kwargs):
+            drawn.append(count)
+            return real(seed, system, start, count, *args, **kwargs)
+
+        monkeypatch.setattr(sampling, "stream_words", counting)
+        cfg = sampling.SamplerConfig(seed=4, count=sampling.CHUNK + 5)
+        assert sum(1 for _ in sampling.sample_qubit_states(cfg)) == cfg.count
+        assert sum(drawn) == cfg.count
 
 
 class TestConditionedSamplers:
