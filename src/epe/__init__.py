@@ -1,6 +1,6 @@
 """Entanglement-purity-energy toolkit for two qubits and two-mode Gaussian states."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import errors, gaussian, jc, qubit, sampling  # noqa: E402,F401
 

@@ -14,7 +14,9 @@ violation detected in sampler output, 5 grid outside a curve domain,
 Every file written is paired with a sidecar `<out>.manifest.json`
 recording the command line, configuration, seed, version and timestamp;
 `sample` manifests also name the RNG stream (`sampling.STREAM`), and
-`rerun` refuses a `sample` manifest written with another stream.
+`rerun` refuses a `sample` manifest written with another stream.  A
+rerun reproduces bytes only under the same version; `rerun` of a
+manifest from another version notes both versions on stderr and replays.
 Data files themselves contain no timestamps, so identical invocations
 are byte-identical regardless of EPE_THREADS.
 """
@@ -350,6 +352,12 @@ def cmd_rerun(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if manifest.get("version") != __version__:
+        print(
+            f"note: the manifest was written by epe {manifest.get('version')}, this is epe "
+            f"{__version__}; output bytes may differ",
+            file=sys.stderr,
+        )
     return main(argv)
 
 
@@ -366,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--measure", choices=sorted(set(sampling.QUBIT_MEASURES) | set(sampling.GAUSSIAN_MEASURES)))
-    p.add_argument("--rank", type=int, choices=(1, 2, 3, 4), help="Ginibre rank filter (qubit)")
+    p.add_argument("--rank", type=int, choices=(1, 2, 3, 4), help="Ginibre rank filter, qubit only")
     p.add_argument(
         "--energy-window",
         type=float,

@@ -83,19 +83,24 @@ def ppt_seralian(sf: StandardFormCM) -> float:
     return sf.a**2 + sf.b**2 - 2.0 * sf.c_plus * sf.c_minus
 
 
-def _nu_from_invariants(delta, det):
+def nu_from_invariants(delta, det):
+    """(nu_-, nu_+) from 2 nu_+-^2 = Delta -+ sqrt(Delta^2 - 4 Det sigma).
+
+    Accepts scalars or arrays; raises UnphysicalCovarianceError when any
+    radicand lies below -RADICAND_TOL.
+    """
     radicand = delta**2 - 4.0 * det
-    if radicand < -RADICAND_TOL:
+    if np.any(radicand < -RADICAND_TOL):
         raise UnphysicalCovarianceError("symplectic invariants admit no real spectrum")
-    root = np.sqrt(max(radicand, 0.0))
-    nu_minus = np.sqrt(max((delta - root) / 2.0, 0.0))
-    nu_plus = np.sqrt(max((delta + root) / 2.0, 0.0))
+    root = np.sqrt(np.maximum(radicand, 0.0))
+    nu_minus = np.sqrt(np.maximum((delta - root) / 2.0, 0.0))
+    nu_plus = np.sqrt(np.maximum((delta + root) / 2.0, 0.0))
     return nu_minus, nu_plus
 
 
 def symplectic_eigenvalues(sf: StandardFormCM) -> SymplecticSpectrum:
     """Symplectic eigenvalues from 2 nu_+-^2 = Delta -+ sqrt(Delta^2 - 4 Det sigma)."""
-    nm, npl = _nu_from_invariants(seralian(sf), det_sigma(sf))
+    nm, npl = nu_from_invariants(seralian(sf), det_sigma(sf))
     return SymplecticSpectrum(nu_minus=nm, nu_plus=npl)
 
 
@@ -150,7 +155,7 @@ def ppt_nu_minus(sf: StandardFormCM) -> float:
     Det sigma while sending Delta to a^2 + b^2 - 2 c+ c-.
     """
     require_physical(sf)
-    nm, _ = _nu_from_invariants(ppt_seralian(sf), det_sigma(sf))
+    nm, _ = nu_from_invariants(ppt_seralian(sf), det_sigma(sf))
     return nm
 
 
@@ -304,13 +309,17 @@ def band_width(E) -> float:
 # --- operations on raw 4x4 covariance matrices ---
 
 
+def _check_symmetric(cm):
+    if np.any(np.abs(cm - cm.swapaxes(-1, -2)) > 1e-12):
+        raise UnphysicalCovarianceError("covariance matrix is not symmetric")
+    return cm
+
+
 def cm_validate(cm) -> np.ndarray:
     cm = np.asarray(cm, dtype=float)
     if cm.shape != (4, 4):
         raise UnphysicalCovarianceError(f"expected a 4x4 matrix, got shape {cm.shape}")
-    if np.max(np.abs(cm - cm.T)) > 1e-12:
-        raise UnphysicalCovarianceError("covariance matrix is not symmetric")
-    return cm
+    return _check_symmetric(cm)
 
 
 def cm_symplectic_eigenvalues(cm) -> SymplecticSpectrum:
@@ -322,11 +331,15 @@ def cm_symplectic_eigenvalues(cm) -> SymplecticSpectrum:
     return SymplecticSpectrum(nu_minus=float(ev[0]), nu_plus=float(ev[2]))
 
 
+def _physical(cms, tol):
+    """Which matrices of an (N, 4, 4) stack satisfy sigma >= 0 and nu_- >= 1 - tol."""
+    positive = np.linalg.eigvalsh(cms).min(axis=-1) >= -tol
+    nu_minus = np.abs(np.linalg.eigvals(1j * OMEGA @ cms).real).min(axis=-1)
+    return positive & (nu_minus >= 1.0 - tol)
+
+
 def cm_is_physical(cm, tol=PHYSICALITY_TOL) -> bool:
-    cm = cm_validate(cm)
-    if np.linalg.eigvalsh(cm).min() < -tol:
-        return False
-    return cm_symplectic_eigenvalues(cm).nu_minus >= 1.0 - tol
+    return bool(_physical(cm_validate(cm)[None], tol)[0])
 
 
 def cm_energy(cm) -> float:
@@ -346,57 +359,75 @@ def cm_ppt_nu_minus(cm) -> float:
 
 def cm_block_invariants(cm):
     """Local and global invariants (Det alpha, Det beta, Det gamma, Det sigma, Delta)."""
-    cm = cm_validate(cm)
-    da = np.linalg.det(cm[:2, :2])
-    db = np.linalg.det(cm[2:, 2:])
-    dg = np.linalg.det(cm[:2, 2:])
+    return _block_invariants(cm_validate(cm))
+
+
+def _block_invariants(cm):
+    da = np.linalg.det(cm[..., :2, :2])
+    db = np.linalg.det(cm[..., 2:, 2:])
+    dg = np.linalg.det(cm[..., :2, 2:])
     return da, db, dg, np.linalg.det(cm), da + db + 2.0 * dg
 
 
-def _single_mode_williamson(block):
-    """Symplectic S with S block S^T = sqrt(det block) I, for one mode."""
-    d = np.linalg.det(block)
-    if d <= 0.0:
+def _single_mode_williamson(blocks):
+    """Symplectics S with S block S^T = sqrt(det block) I, for a stack of one-mode blocks.
+
+    Returns the (N, 2, 2) symplectics and the (N,) values sqrt(det block).
+    """
+    d = np.linalg.det(blocks)
+    if np.any(d <= 0.0):
         raise UnphysicalCovarianceError("local covariance block is not positive definite")
-    w, V = np.linalg.eigh(block / np.sqrt(d))
-    if w.min() <= 0.0:
+    w, V = np.linalg.eigh(blocks / np.sqrt(d)[:, None, None])
+    if np.any(w <= 0.0):
         raise UnphysicalCovarianceError("local covariance block is not positive definite")
-    S = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
-    return S, float(np.sqrt(d))
+    return (V * (1.0 / np.sqrt(w))[:, None, :]) @ V.swapaxes(-1, -2), np.sqrt(d)
 
 
-def reduce_to_standard_form(cm) -> StandardFormCM:
-    """Bring a physical covariance matrix to standard form by local symplectics.
+def reduce_to_standard_form(cm):
+    """Bring physical covariance matrices to standard form by local symplectics.
 
     Each local block is Williamson-diagonalized to a multiple of the
     identity by a single-mode squeeze-and-rotate, then residual phase
     rotations diagonalize the off-diagonal block.  The signs are
     canonicalized to c+ >= |c-| with c+ >= 0 using pi/2 and pi local
     rotations, which preserve the diagonal blocks.
+
+    One 4x4 matrix gives a StandardFormCM.  An (N, 4, 4) stack gives an
+    (N, 4) array of (a, b, c+, c-) rows, each bit-identical to the
+    reduction of its matrix alone; it raises if any matrix is not
+    symmetric or not physical.
     """
-    cm = cm_validate(cm)
-    if not cm_is_physical(cm):
+    cms = np.asarray(cm, dtype=float)
+    if cms.shape == (4, 4):
+        a, b, c_plus, c_minus = reduce_to_standard_form(cms[None])[0].tolist()
+        return StandardFormCM(a=a, b=b, c_plus=c_plus, c_minus=c_minus)
+    if cms.ndim != 3 or cms.shape[1:] != (4, 4):
+        raise UnphysicalCovarianceError(
+            f"expected a 4x4 matrix or an (N, 4, 4) stack, got shape {cms.shape}"
+        )
+    _check_symmetric(cms)
+    if not np.all(_physical(cms, PHYSICALITY_TOL)):
         raise UnphysicalCovarianceError("covariance matrix violates nu_- >= 1")
-    S1, a = _single_mode_williamson(cm[:2, :2])
-    S2, b = _single_mode_williamson(cm[2:, 2:])
-    C = S1 @ cm[:2, 2:] @ S2.T
-    U, sv, Vt = np.linalg.svd(C)
+    S1, a = _single_mode_williamson(cms[:, :2, :2])
+    S2, b = _single_mode_williamson(cms[:, 2:, 2:])
+    U, sv, Vt = np.linalg.svd(S1 @ cms[:, :2, 2:] @ S2.swapaxes(-1, -2))
     # restrict to proper rotations; determinant signs move into the singular values
-    d1 = np.linalg.det(U)
-    d2 = np.linalg.det(Vt)
-    D = np.diag([1.0, d1]) @ np.diag(sv) @ np.diag([1.0, d2])
-    c_plus, c_minus = float(D[0, 0]), float(D[1, 1])
-    if abs(c_minus) > abs(c_plus):
-        # pi/2 rotation on both modes swaps the two entries
-        c_plus, c_minus = c_minus, c_plus
-    if c_plus < 0.0:
-        # pi rotation on one mode flips both signs
-        c_plus, c_minus = -c_plus, -c_minus
-    sf = StandardFormCM(a=a, b=b, c_plus=c_plus, c_minus=c_minus)
-    da, db_, dg, ds, delta = cm_block_invariants(cm)
-    if (
-        abs(det_sigma(sf) - ds) > 1e-9 * max(1.0, abs(ds))
-        or abs(seralian(sf) - delta) > 1e-9 * max(1.0, abs(delta))
+    c_plus = sv[:, 0]
+    c_minus = np.linalg.det(U) * sv[:, 1] * np.linalg.det(Vt)
+    # a pi/2 rotation on both modes swaps the two entries
+    swap = np.abs(c_minus) > np.abs(c_plus)
+    c_plus, c_minus = np.where(swap, c_minus, c_plus), np.where(swap, c_plus, c_minus)
+    # a pi rotation on one mode flips both signs
+    sign = np.where(c_plus < 0.0, -1.0, 1.0)
+    params = np.stack([a, b, sign * c_plus, sign * c_minus], axis=-1)
+
+    _, _, _, ds, delta = _block_invariants(cms)
+    ab = a * b
+    det_sf = (ab - params[:, 2] ** 2) * (ab - params[:, 3] ** 2)
+    seralian_sf = a**2 + b**2 + 2.0 * params[:, 2] * params[:, 3]
+    if np.any(
+        (np.abs(det_sf - ds) > 1e-9 * np.maximum(1.0, np.abs(ds)))
+        | (np.abs(seralian_sf - delta) > 1e-9 * np.maximum(1.0, np.abs(delta)))
     ):
         raise RuntimeError("standard-form reduction failed to preserve invariants")
-    return sf
+    return params

@@ -19,8 +19,14 @@ matrix (k = rank filter, default 4: the first k columns of a 4 x 4
 draw), i.e. the Hilbert-Schmidt measure at full rank.  Gaussian states
 (W = 16, 15 uniforms used) are built as S^T diag(nu-, nu-, nu+, nu+) S
 from random local squeezes, local rotations and a beam-splitter mix,
-accepted when their standard-form energy lies in the energy window,
-and reduced to standard form.
+accepted when their standard-form energy lies in the energy window.
+
+Records are computed a chunk at a time: `qubit_records` takes the
+(N, 4, 4) stack of states, and each Gaussian chunk is reduced to
+standard form in one stacked `gaussian.reduce_to_standard_form` call
+whose (N, 4) rows `gaussian_records` turns into energy, entanglement and
+purity columns by closed-form block invariants.  Both return an (N, 3)
+value array and an (N, 3) array of containment flags.
 """
 
 from __future__ import annotations
@@ -63,7 +69,8 @@ def _check_stream_range(seed, stop):
 class SamplerConfig:
     """Configuration of one sampling run.
 
-    `energy_window` applies to the gaussian system only; None means
+    `rank_filter` applies to the qubit system only and `energy_window`
+    to the gaussian system only; a window of None means
     DEFAULT_ENERGY_WINDOW there.
     """
 
@@ -80,8 +87,11 @@ class SamplerConfig:
         _check_stream_range(self.seed, self.count)
         if self.system not in ("qubit", "gaussian"):
             raise ConfigurationError(f"unknown system {self.system!r}")
-        if self.rank_filter is not None and self.rank_filter not in (1, 2, 3, 4):
-            raise ConfigurationError("rank filter must be in 1..4")
+        if self.rank_filter is not None:
+            if self.system != "qubit":
+                raise ConfigurationError("the rank filter applies to system qubit only")
+            if self.rank_filter not in (1, 2, 3, 4):
+                raise ConfigurationError("rank filter must be in 1..4")
         if self.energy_window is None:
             if self.system == "gaussian":
                 object.__setattr__(self, "energy_window", DEFAULT_ENERGY_WINDOW)
@@ -356,47 +366,58 @@ def gaussian_covariances_chunk(seed, start, count, energy_window=DEFAULT_ENERGY_
     return sigmas
 
 
-def gaussian_record(sf, measure="logneg") -> EPERecord:
-    """EPE record with containment flags for a standard-form CM."""
-    en = gaussian.energy(sf)
-    pur = gaussian.purity(sf)
-    logneg = gaussian.log_negativity(sf)
-    ent = logneg if measure == "logneg" else gaussian.negativity(sf)
+def gaussian_records(params, measure="logneg"):
+    """Vectorized records for an (N, 4) array of standard forms (a, b, c+, c-).
 
-    tmsv_ln = float(np.arccosh(max(en + 1.0, 1.0)))  # -ln((E+1) - sqrt((E+1)^2 - 1))
-    on_curve = pur < 1.0 - PURE_TOL or abs(logneg - tmsv_ln) <= 1e-6
-    if en > 0.0:
-        # clamp into the gmems domain; reduction roundoff can sit a hair
-        # below the purity floor 1/(E+1)^2
-        p_ref = min(max(pur, 1.0 / (en + 1.0) ** 2), 1.0)
-        bound = gaussian.log_negativity(gaussian.gmems(en, p_ref))
+    Returns (values, flags) like `qubit_records`.  Each column is the
+    closed form of a scalar `gaussian` measure: energy (a + b)/2 - 1,
+    purity 1/sqrt(Det sigma), and the entanglement from the PPT
+    symplectic eigenvalue nu~_- of (a^2 + b^2 - 2 c+ c-, Det sigma).
+    The flags compare the log-negativity with the squeezed-vacuum value
+    arccosh(E + 1) for pure rows, with the GMEMS bound
+    -ln(A - sqrt(A^2 - 1/P)), A = E + 1, at the row's energy and purity,
+    and require P > 1/(2E + 1) for entangled rows.
+    """
+    a, b, c_plus, c_minus = params.T
+    ab = a * b
+    det = (ab - c_plus**2) * (ab - c_minus**2)
+    en = (a + b) / 2.0 - 1.0
+    pur = np.minimum(1.0 / np.sqrt(det), 1.0)
+    nu, _ = gaussian.nu_from_invariants(a**2 + b**2 - 2.0 * c_plus * c_minus, det)
+    logneg = np.maximum(0.0, -np.log(nu))
+    if measure == "logneg":
+        ent = logneg
+    elif measure == "negativity":
+        ent = np.maximum(0.0, (1.0 - nu) / (2.0 * nu))
     else:
-        bound = 0.0
+        raise ConfigurationError(f"measure {measure!r} not valid for gaussian sampling")
+
+    A = en + 1.0
+    on_curve = (pur < 1.0 - PURE_TOL) | (np.abs(logneg - np.arccosh(np.maximum(A, 1.0))) <= 1e-6)
+    # clamp into the GMEMS domain; reduction roundoff can sit a hair
+    # below the purity floor 1/(E+1)^2
+    p_ref = np.clip(pur, 1.0 / A**2, 1.0)
+    gmems = np.maximum(0.0, -np.log(A - np.sqrt(np.maximum(A**2 - 1.0 / p_ref, 0.0))))
+    bound = np.where(en > 0.0, gmems, 0.0)
     below = logneg <= bound + FLAG_TOL
-    in_band = logneg <= 0.0 or pur > 1.0 / (2.0 * en + 1.0) - FLAG_TOL
-    return EPERecord(
-        energy=en,
-        entanglement=ent,
-        purity=pur,
-        on_pure_circle=bool(on_curve),
-        below_mems=bool(below),
-        in_separable_band=bool(in_band),
-    )
+    in_band = (logneg <= 0.0) | (pur > 1.0 / (2.0 * en + 1.0) - FLAG_TOL)
+
+    values = np.column_stack([en, ent, pur])
+    flags = np.column_stack([on_curve, below, in_band])
+    return values, flags
 
 
 def gaussian_records_chunk(seed, start, count, energy_window=DEFAULT_ENERGY_WINDOW,
                            measure="logneg"):
-    """Records plus standard forms for indices [start, start + count)."""
-    sfs = []
-    values = np.empty((count, 3))
-    flags = np.empty((count, 3), dtype=bool)
-    for i, sigma in enumerate(gaussian_covariances_chunk(seed, start, count, energy_window)):
-        sf = gaussian.reduce_to_standard_form(sigma)
-        rec = gaussian_record(sf, measure)
-        sfs.append(sf)
-        values[i] = (rec.energy, rec.entanglement, rec.purity)
-        flags[i] = (rec.on_pure_circle, rec.below_mems, rec.in_separable_band)
-    return sfs, values, flags
+    """(params, values, flags) for indices [start, start + count).
+
+    `params` is the (count, 4) array of standard forms (a, b, c+, c-),
+    reduced in one stacked call; values and flags are their `gaussian_records`.
+    """
+    params = gaussian.reduce_to_standard_form(
+        gaussian_covariances_chunk(seed, start, count, energy_window)
+    )
+    return (params, *gaussian_records(params, measure))
 
 
 def sample_gaussian_states(cfg: SamplerConfig):
@@ -405,9 +426,10 @@ def sample_gaussian_states(cfg: SamplerConfig):
         raise ConfigurationError("config is not for the gaussian system")
     for start in range(0, cfg.count, CHUNK):
         n = min(CHUNK, cfg.count - start)
-        sfs, values, flags = gaussian_records_chunk(
+        params, values, flags = gaussian_records_chunk(
             cfg.seed, start, n, cfg.energy_window, cfg.measure
         )
+        sfs = (gaussian.StandardFormCM(*row) for row in params.tolist())
         yield from zip(sfs, _epe_records(values, flags))
 
 

@@ -2,13 +2,15 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epe import cli
+from epe import __version__, cli
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -115,6 +117,11 @@ class TestSample:
         assert run_cli(["sample", "--system", "qubit", "--count", "5", "--seed", "1",
                         "--energy-window", "1.5", "2"]) == 2
         assert "gaussian only" in capsys.readouterr().err
+
+    def test_rank_rejected_for_gaussian(self, capsys):
+        assert run_cli(["sample", "--system", "gaussian", "--count", "3", "--seed", "1",
+                        "--rank", "2"]) == 2
+        assert "qubit only" in capsys.readouterr().err
 
     def test_default_energy_window_in_manifest(self, tmp_path):
         for system in ("qubit", "gaussian"):
@@ -233,6 +240,26 @@ class TestSample:
         assert repr(stream) in err and "'philox-v1'" in err
         assert not out.exists()
 
+    def test_rerun_notes_another_version_and_replays(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        run_cli(["sample", "--system", "gaussian", "--count", "20", "--seed", "2",
+                 "--out", str(out)])
+        first = read(out)
+        manifest_path = tmp_path / "g.csv.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["version"] == __version__
+        capsys.readouterr()
+        assert run_cli(["rerun", str(manifest_path)]) == 0
+        assert capsys.readouterr().err == ""
+        manifest["version"] = "0.1.0"
+        manifest_path.write_text(json.dumps(manifest))
+        out.unlink()
+        assert run_cli(["rerun", str(manifest_path)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("note:") and err.count("\n") == 1
+        assert "0.1.0" in err and __version__ in err
+        assert read(out) == first
+
     def test_rerun_of_a_boundary_manifest_needs_no_stream(self, tmp_path):
         out = tmp_path / "sep.csv"
         run_cli(["boundary", "--system", "qubit", "--curve", "separable", "--grid", "0:2:0.5",
@@ -280,6 +307,13 @@ class TestJc:
         assert len(lines) == 4
         devs = [float(line.split(",")[6]) for line in lines[1:]]
         assert max(devs) < 1e-8
+
+
+def test_pyproject_reads_the_package_version():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^dynamic = \["version"\]$', text, re.M)
+    assert 'version = {attr = "epe.__version__"}' in text
+    assert not re.search(r'^version = "', text, re.M)
 
 
 def test_cli_import_loads_no_scipy():

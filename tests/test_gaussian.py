@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 
 from epe import gaussian
 from epe.errors import DomainError, UnphysicalCovarianceError
-from epe.sampling import random_covariance, random_standard_form_at
+from epe.sampling import gaussian_covariances_chunk, random_covariance, random_standard_form_at
 
 VACUUM = gaussian.StandardFormCM(1.0, 1.0, 0.0, 0.0)
 TMSV3 = gaussian.StandardFormCM(3.0, 3.0, np.sqrt(8.0), -np.sqrt(8.0))
@@ -359,6 +359,42 @@ class TestStandardFormReduction:
             bad = np.eye(4)
             bad[0, 1] = 0.3  # asymmetric
             gaussian.reduce_to_standard_form(bad)
+
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 64),
+        st.sampled_from([(0.0, 2.0), (1.0, 2.0), (3.0, 3.5), (0.0, 0.05)]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_stack_matches_scalar_calls_bit_for_bit(self, seed, count, window):
+        rotated = np.eye(4)
+        rotated[:2, :2] = [[np.cos(0.77), np.sin(0.77)], [-np.sin(0.77), np.cos(0.77)]]
+        special = [
+            gaussian.expand(gaussian.StandardFormCM(2.0, 1.5, -0.7, 0.3)),  # sign flip
+            2.5 * np.eye(4),
+            rotated @ gaussian.expand(TMSV3) @ rotated.T,
+        ]
+        cms = np.concatenate([gaussian_covariances_chunk(seed, 0, count, window), special])
+        params = gaussian.reduce_to_standard_form(cms)
+        assert params.shape == (count + 3, 4)
+        for cm, row in zip(cms, params):
+            sf = gaussian.reduce_to_standard_form(cm)
+            assert isinstance(sf, gaussian.StandardFormCM)
+            assert np.array_equal([sf.a, sf.b, sf.c_plus, sf.c_minus], row)
+
+    @given(st.integers(0, 9))
+    @settings(max_examples=10, deadline=None)
+    def test_stack_with_one_bad_matrix_raises(self, k):
+        cms = gaussian_covariances_chunk(3, 0, 10)
+        unphysical = cms.copy()
+        unphysical[k] = 0.5 * np.eye(4)
+        asymmetric = cms.copy()
+        asymmetric[k, 0, 1] += 0.3
+        for bad in (unphysical, asymmetric):
+            with pytest.raises(UnphysicalCovarianceError):
+                gaussian.reduce_to_standard_form(bad)
+        with pytest.raises(UnphysicalCovarianceError):
+            gaussian.reduce_to_standard_form(cms.reshape(2, 5, 4, 4))
 
 
 class TestContainment:

@@ -38,6 +38,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             sampling.qubit_normals(1, 2**40 - 2, 2)
 
+    def test_rank_filter_is_qubit_only(self):
+        with pytest.raises(ConfigurationError, match="qubit only"):
+            sampling.SamplerConfig(seed=1, count=5, system="gaussian", rank_filter=2)
+        assert sampling.SamplerConfig(seed=1, count=5, rank_filter=2).rank_filter == 2
+
     def test_energy_window_is_gaussian_only(self):
         with pytest.raises(ConfigurationError, match="gaussian only"):
             sampling.SamplerConfig(seed=1, count=5, system="qubit", energy_window=(1.5, 2.0))
@@ -140,6 +145,82 @@ class TestGaussianSampler:
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError):
             sampling.random_covariance(rng, energy_window=(2.0 - 1e-7, 2.0), max_attempts=200)
+
+
+WINDOWS = [(0.0, 2.0), (1.0, 2.0), (3.0, 3.5), (0.0, 0.05)]
+
+
+def scalar_record(sf, measure):
+    """((E, entanglement, P), flags) of one standard form from the scalar measures.
+
+    The per-record logic that `sampling.gaussian_records` vectorizes, kept
+    as its oracle.
+    """
+    en = gaussian.energy(sf)
+    pur = gaussian.purity(sf)
+    logneg = gaussian.log_negativity(sf)
+    ent = logneg if measure == "logneg" else gaussian.negativity(sf)
+    tmsv_ln = float(np.arccosh(max(en + 1.0, 1.0)))
+    on_curve = pur < 1.0 - sampling.PURE_TOL or abs(logneg - tmsv_ln) <= 1e-6
+    if en > 0.0:
+        p_ref = min(max(pur, 1.0 / (en + 1.0) ** 2), 1.0)
+        bound = gaussian.log_negativity(gaussian.gmems(en, p_ref))
+    else:
+        bound = 0.0
+    below = logneg <= bound + sampling.FLAG_TOL
+    in_band = logneg <= 0.0 or pur > 1.0 / (2.0 * en + 1.0) - sampling.FLAG_TOL
+    return (en, ent, pur), (on_curve, below, in_band)
+
+
+class TestGaussianRecords:
+    @given(st.integers(0, 2**64 - 1), st.sampled_from(WINDOWS),
+           st.sampled_from(sampling.GAUSSIAN_MEASURES))
+    @settings(max_examples=25, deadline=None)
+    def test_values_match_block_invariants(self, seed, window, measure):
+        cms = sampling.gaussian_covariances_chunk(seed, 0, 64, window)
+        _, values, _ = sampling.gaussian_records_chunk(seed, 0, 64, window, measure)
+        for cm, (en, ent, pur) in zip(cms, values):
+            da, db, dg, ds, _ = gaussian.cm_block_invariants(cm)
+            ppt_delta = da + db - 2.0 * dg
+            nu = np.sqrt((ppt_delta - np.sqrt(max(ppt_delta**2 - 4.0 * ds, 0.0))) / 2.0)
+            want = max(0.0, -np.log(nu)) if measure == "logneg" else max(0.0, (1 - nu) / (2 * nu))
+            assert abs(en - ((np.sqrt(da) + np.sqrt(db)) / 2.0 - 1.0)) <= 1e-12
+            assert abs(pur - min(1.0 / np.sqrt(ds), 1.0)) <= 1e-12
+            assert abs(ent - want) <= 1e-12
+
+    @given(st.integers(0, 2**64 - 1), st.sampled_from(WINDOWS),
+           st.sampled_from(sampling.GAUSSIAN_MEASURES))
+    @settings(max_examples=25, deadline=None)
+    def test_sampled_records_match_the_scalar_logic(self, seed, window, measure):
+        params, values, flags = sampling.gaussian_records_chunk(seed, 0, 64, window, measure)
+        for row, got_values, got_flags in zip(params.tolist(), values, flags):
+            want_values, want_flags = scalar_record(gaussian.StandardFormCM(*row), measure)
+            assert tuple(got_flags) == want_flags
+            assert np.allclose(got_values, want_values, rtol=0.0, atol=1e-12)
+
+    @given(st.floats(0.01, 3.0), st.floats(0.0, 1.0), st.sampled_from(sampling.GAUSSIAN_MEASURES))
+    @settings(max_examples=50, deadline=None)
+    def test_extremal_records_match_the_scalar_logic(self, E, t, measure):
+        # states on the frontiers the flags test: pure, GMEMS, GLEMS and separable ones
+        P = 1.0 / (E + 1.0) ** 2 + t * (1.0 - 1.0 / (E + 1.0) ** 2)
+        sfs = [
+            gaussian.two_mode_squeezed_vacuum(E),
+            gaussian.gmems(E, P),
+            gaussian.maximally_mixed(E),
+            gaussian.thermal_product(E, 0.0),
+            gaussian.StandardFormCM(1.0, 1.0, 0.0, 0.0),
+        ]
+        if P >= 1.0 / (2.0 * E + 1.0):
+            sfs.append(gaussian.glems(E, P))
+        # the scalar measures reject a few exactly pure states, whose nu_- from
+        # the invariants rounds below 1 - 1e-10
+        sfs = [sf for sf in sfs if gaussian.is_physical(sf)]
+        params = np.array([[sf.a, sf.b, sf.c_plus, sf.c_minus] for sf in sfs])
+        values, flags = sampling.gaussian_records(params, measure)
+        for sf, got_values, got_flags in zip(sfs, values, flags):
+            want_values, want_flags = scalar_record(sf, measure)
+            assert tuple(got_flags) == want_flags
+            assert np.allclose(got_values, want_values, rtol=0.0, atol=1e-12)
 
 
 @st.composite
