@@ -43,6 +43,8 @@ EXIT_GRID = 5
 EXIT_TRUNCATION = 6
 
 _FMT = "%.17g"
+# most points a start:stop:step grid spec may expand to
+MAX_GRID_POINTS = 1_000_000
 
 
 def _fmt_row(values):
@@ -83,9 +85,13 @@ def parse_grid(spec: str) -> list:
     start, stop, step = numbers
     if step <= 0.0:
         raise ConfigurationError("grid step must be positive")
+    tol = 1e-9 * max(1.0, abs(stop))
+    # the loop below yields floor(span) + 1 points; count them before building
+    span = (stop - start + tol) / step
+    if span >= MAX_GRID_POINTS:
+        raise ConfigurationError(f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points")
     values = []
     k = 0
-    tol = 1e-9 * max(1.0, abs(stop))
     while True:
         v = start + k * step
         if v > stop + tol:
@@ -257,6 +263,8 @@ def cmd_jc(args) -> int:
         raise ConfigurationError("--tsteps must be at least 1")
     if not 0.0 < args.tmax < np.inf:
         raise ConfigurationError("--tmax must be positive and finite")
+    if args.nmax is not None and args.nmax < 1:
+        raise ConfigurationError("--nmax must be at least 1")
     try:
         specs = _jc_specs(args)
     except DomainError as exc:

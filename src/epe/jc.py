@@ -17,6 +17,7 @@ is exact up to the input tail beyond n_max.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -28,6 +29,8 @@ from .errors import DomainError, TruncationError
 DEFAULT_N_MAX = 40
 TAIL_TOL = 1e-12
 GAMMA_CAP = 0.95
+# largest truncation the coherent-input search will try
+MAX_COHERENT_N_MAX = 100_000
 # times per reduced_states call in the max_transfer grid scan; bounds the
 # (block, n_max + 1) work arrays whatever the grid length
 GRID_BLOCK = 128
@@ -96,20 +99,134 @@ class TransferResult:
     input_entropy: float
 
 
-def minimize_scalar(fun, **kwargs):
-    """scipy.optimize.minimize_scalar, imported on first call to keep scipy out of start-up."""
-    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+def minimize_scalar(fun, bounds, xatol=1e-5, maxiter=500):
+    """Bounded Brent minimization of `fun` on [lo, hi]; returns (x, fun(x)).
 
-    return scipy_minimize_scalar(fun, **kwargs)
+    Golden-section search with parabolic interpolation (Brent 1973,
+    Algorithms for Minimization without Derivatives, ch. 5), stopping
+    when x is known to within `xatol` or after `maxiter` evaluations.
+    The arithmetic follows scipy.optimize.minimize_scalar(method="bounded")
+    step for step, so both return the same x and f(x) to the bit after
+    the same evaluations.
+    """
+    a, b = bounds
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise DomainError(f"bounds must be finite with lo <= hi, got {bounds!r}")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    # xf: best point so far; nfc, fulc: the second best and the one before it
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = fun(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = fun(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf, fx
 
 
-def _poisson_tail(mean, n_max):
-    from scipy.special import gammaln
+# Cephes lgam (S. Moshier): ln sqrt(2 pi) and the coefficients, highest
+# power first, of the Stirling correction series in 1/x^2 below x = 1000
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
 
+
+def _lgamma(x: float) -> float:
+    """ln Gamma(x) for integer-valued 1 <= x <= 1e8, ported from Cephes lgam.
+
+    On these arguments it equals scipy.special.gammaln bit for bit;
+    math.lgamma differs from both in the last place on about half of
+    them, which moves the coherent-input outputs in their 8th digit.
+    """
+    if x < 13.0:
+        # (x - 1)! as a product, exact in floating point
+        z, u = 1.0, x
+        while u >= 3.0:
+            u -= 1.0
+            z *= u
+        return math.log(z)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    s = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        s = s * p + c
+    return q + s / x
+
+
+def log_factorials(n_max) -> np.ndarray:
+    """ln k! for k = 0..n_max, equal to scipy.special.gammaln(k + 1)."""
+    return np.array([_lgamma(k + 1.0) for k in range(n_max + 1)])
+
+
+def _poisson_tail(mean, log_fact):
+    """Poisson(mean) weight above n = len(log_fact) - 1, given ln n! below it."""
     if mean == 0.0:
         return 0.0
-    n = np.arange(n_max + 1)
-    logp = -mean + n * np.log(mean) - gammaln(n + 1)
+    n = np.arange(log_fact.size)
+    logp = -mean + n * np.log(mean) - log_fact
     return max(0.0, 1.0 - np.exp(logp).sum())
 
 
@@ -127,11 +244,15 @@ def required_n_max(spec: InputFieldSpec, tail=TAIL_TOL) -> int:
         return max(1, int(np.ceil(np.log(tail) / (2.0 * np.log(g)) - 1.0)))
     if isinstance(spec, EntangledCoherent):
         mean = abs(spec.alpha) ** 2
+        # one table for the whole search, doubled when m outgrows it
+        log_fact = log_factorials(64)
         m = 1
-        while _poisson_tail(mean, m) > tail:
+        while _poisson_tail(mean, log_fact[: m + 1]) > tail:
             m += 1
-            if m > 100_000:
+            if m > MAX_COHERENT_N_MAX:
                 raise DomainError("coherent amplitude too large to truncate")
+            if m >= log_fact.size:
+                log_fact = log_factorials(2 * m)
         return m
     raise DomainError(f"unknown input specification {spec!r}")
 
@@ -155,10 +276,9 @@ def resolve_n_max(spec: InputFieldSpec, n_max=None) -> int:
 
 
 def _coherent_amplitudes(alpha, n_max):
-    from scipy.special import gammaln
-
     n = np.arange(n_max + 1)
-    mag = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha) + 1e-300) - gammaln(n + 1) / 2.0)
+    log_mag = -abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha) + 1e-300) - log_factorials(n_max) / 2.0
+    mag = np.exp(log_mag)
     return mag * np.exp(1j * np.angle(alpha) * n)
 
 
@@ -495,11 +615,8 @@ def max_transfer(spec: InputFieldSpec, time_grid=None, n_max=None) -> TransferRe
         lo = grid[i - 1] if i > 0 else grid[i]
         hi = grid[i + 1] if i + 1 < grid.size else grid[i]
         if hi > lo:
-            res = minimize_scalar(
-                lambda t: -conc_at(t), bounds=(lo, hi), method="bounded",
-                options={"xatol": 1e-8},
-            )
-            t_ref, c_ref = float(res.x), float(-res.fun)
+            t_ref, neg_c = minimize_scalar(lambda t: -conc_at(t), bounds=(lo, hi), xatol=1e-8)
+            t_ref, c_ref = float(t_ref), float(-neg_c)
         else:
             t_ref, c_ref = float(grid[i]), float(vals[i])
         if c_ref > best_c + 1e-10 or (abs(c_ref - best_c) <= 1e-10 and t_ref < best_t):

@@ -52,6 +52,39 @@ class TestGridParsing:
         with pytest.raises(ConfigurationError, match="non-finite"):
             cli.parse_grid(spec)
 
+    def test_point_cap(self):
+        from epe.errors import ConfigurationError
+
+        top = cli.MAX_GRID_POINTS - 1
+        assert len(cli.parse_grid(f"0:{top}:1")) == cli.MAX_GRID_POINTS
+        with pytest.raises(ConfigurationError, match="points"):
+            cli.parse_grid(f"0:{top + 1}:1")
+
+    @pytest.mark.parametrize("call", [
+        "cli.parse_grid('0:1e6:1e-9')",
+        "sys.exit(cli.main(['boundary', '--system', 'qubit', '--curve', 'separable',"
+        " '--grid', '0:1e6:1e-9']))",
+    ])
+    def test_huge_grid_refused_before_it_is_built(self, call):
+        # 1e15 points: a regression runs out of a 1 GB address space or the
+        # timeout instead of growing until the machine does
+        code = (
+            "import resource, sys\n"
+            "from epe import cli\n"
+            "from epe.errors import ConfigurationError\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "try:\n"
+            f"    {call}\n"
+            "except ConfigurationError as exc:\n"
+            "    print(f'error: {exc}', file=sys.stderr)\n"
+            "    sys.exit(2)\n"
+        )
+        env = dict(_src_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "more than 1000000 points" in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ["boundary", "--system", "gaussian", "--curve", "band", "--grid", "0:nan:0.1"],
         ["boundary", "--system", "qubit", "--curve", "separable", "--grid", "0:inf:0.1"],
@@ -315,6 +348,14 @@ class TestJc:
                         "--tsteps", "50"]) == 6
         assert "--nmax" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--input", "single-photon", "--nmax", "-5"],
+        ["--input", "squeezed", "--gamma", "0.5", "--nmax", "0"],
+    ])
+    def test_nonpositive_nmax_exit_2(self, capsys, argv):
+        assert run_cli(["jc", *argv, "--tsteps", "50"]) == 2
+        assert capsys.readouterr().err == "error: --nmax must be at least 1\n"
+
     @pytest.mark.parametrize("flag,value", [("--tsteps", "0"), ("--tsteps", "-3"),
                                             ("--tmax", "0"), ("--tmax", "-1"),
                                             ("--tmax", "nan")])
@@ -346,16 +387,57 @@ def test_pyproject_reads_the_package_version():
     assert not re.search(r'^version = "', text, re.M)
 
 
-def test_cli_import_loads_no_scipy():
+def _src_env():
     import epe
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(epe.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_loads_no_scipy():
     code = "import epe.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                          text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Imports every epe module and runs `epe` on argv[2:]; with argv[1] == "block"
+# every scipy import fails. The scipy modules loaded by the end go to stderr.
+_JC_WITHOUT_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, BlockScipy())
+import epe.cli, epe.gaussian, epe.jc, epe.qubit, epe.sampling
+code = epe.cli.main(sys.argv[2:])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["jc", "--input", "coherent", "--alpha", "1.0"],
+    ["jc", "--input", "squeezed", "--gamma", "0.4"],
+])
+def test_jc_runs_without_scipy(argv):
+    outputs = []
+    for mode in ("block", "open"):
+        proc = subprocess.run([sys.executable, "-c", _JC_WITHOUT_SCIPY, mode, *argv],
+                              env=_src_env(), capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == b"[]"
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 2
 
 
 class TestWorkers:

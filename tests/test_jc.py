@@ -1,5 +1,7 @@
 """Jaynes-Cummings transfer: inputs, exact evolution and analytic cross-checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,3 +305,107 @@ class TestMaxTransfer:
     def test_non_monotone_grid(self):
         with pytest.raises(DomainError):
             jc.max_transfer(jc.SinglePhoton(), [0.0, 1.0, 0.5])
+
+
+class TestScipyPorts:
+    """The log-factorials and the bounded Brent minimizer against scipy, exactly."""
+
+    def test_log_factorials_equal_gammaln(self):
+        from scipy.special import gammaln
+
+        k = np.arange(jc.MAX_COHERENT_N_MAX + 1)
+        assert np.array_equal(jc.log_factorials(jc.MAX_COHERENT_N_MAX), gammaln(k + 1.0))
+
+    @pytest.mark.parametrize("alpha,n_max", [(1, 14), (3, 37), (10, 178), (30, 1118), (60, 4032)])
+    def test_coherent_truncation_pinned(self, alpha, n_max):
+        assert jc.required_n_max(jc.EntangledCoherent(alpha=alpha)) == n_max
+
+    def test_truncation_search_builds_its_table_once(self, monkeypatch):
+        calls = []
+        real = jc._lgamma
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(jc, "_lgamma", counting)
+        m = jc.required_n_max(jc.EntangledCoherent(alpha=30))
+        assert m == 1118
+        # a table per trial m would cost about m^2 / 2 = 625k calls
+        assert len(calls) <= 8 * m
+
+    @staticmethod
+    def _assert_matches_scipy(fun, bounds, xatol, minimize=jc.minimize_scalar):
+        # `minimize` is bound at import, so it stays the port when a test
+        # monkeypatches jc.minimize_scalar
+        from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+
+        evals = []
+
+        def counted(x):
+            evals.append(x)
+            return fun(x)
+
+        x, f = minimize(counted, bounds=bounds, xatol=xatol)
+        ours = list(evals)
+        evals.clear()
+        res = scipy_minimize_scalar(
+            counted, bounds=bounds, method="bounded", options={"xatol": xatol}
+        )
+        assert x == res.x
+        assert f == res.fun
+        assert ours == evals
+        return x, f
+
+    @given(
+        st.sampled_from(["quadratic", "quartic", "cosh", "abs", "two-lines", "flat"]),
+        st.floats(-5.0, 5.0),
+        st.floats(0.1, 10.0),
+        st.floats(-3.0, 3.0),
+        st.floats(-10.0, 10.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+        st.sampled_from([1e-5, 1e-8, 1e-12]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_minimizer_matches_scipy(self, kind, c, w, offset, lo, width, xatol):
+        funs = {
+            "quadratic": lambda x: w * (x - c) ** 2 + offset,
+            "quartic": lambda x: (x - c) ** 4 + w * (x - c) ** 2,
+            "cosh": lambda x: math.cosh(w * (x - c)) + offset,
+            "abs": lambda x: abs(x - c),
+            "two-lines": lambda x: max(w * (x - c), -(x - c) / w) + offset,
+            "flat": lambda x: offset,
+        }
+        self._assert_matches_scipy(funs[kind], (lo, lo + width), xatol)
+
+    def test_degenerate_bracket(self):
+        x, f = self._assert_matches_scipy(lambda x: (x - 1.0) ** 2, (2.5, 2.5), 1e-8)
+        assert (x, f) == (2.5, 2.25)
+
+    def test_bad_bounds(self):
+        with pytest.raises(DomainError):
+            jc.minimize_scalar(abs, bounds=(1.0, 0.0))
+        with pytest.raises(DomainError):
+            jc.minimize_scalar(abs, bounds=(0.0, np.inf))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            jc.SinglePhoton(),
+            jc.EntangledCoherent(alpha=1.0),
+            jc.TwoModeSqueezed(gamma=0.4),
+            jc.TwoModeSqueezed(gamma=0.6),
+            jc.TwoModeSqueezed(gamma=0.8),
+        ],
+    )
+    def test_refinement_matches_scipy_on_scan_inputs(self, spec, monkeypatch):
+        # every refinement candidate of the default scan, minimized both ways
+        seen = []
+
+        def checked(fun, bounds, xatol):
+            seen.append(bounds)
+            return self._assert_matches_scipy(fun, bounds, xatol)
+
+        monkeypatch.setattr(jc, "minimize_scalar", checked)
+        jc.max_transfer(spec)
+        assert seen
