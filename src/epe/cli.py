@@ -19,21 +19,37 @@ rerun reproduces bytes only under the same version; `rerun` of a
 manifest from another version notes both versions on stderr and replays.
 Data files themselves contain no timestamps, so identical invocations
 are byte-identical regardless of EPE_THREADS.
+
+CSV rows of every command are formatted by `csv_lines`, one `%` operation
+per block of rows.  `sample` streams its CSV a chunk at a time into an
+anonymous temporary file and copies it to --out or stdout only after the
+last chunk has passed its containment check, so memory stays bounded at
+any --count and exit 4 writes nothing.  JSON output is built in memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
+import io
 import json
 import os
+import shutil
 import sys
+import tempfile
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__, jc, sampling
-from .errors import ConfigurationError, DomainError, EPEError, TruncationError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    EPEError,
+    InvariantViolation,
+    TruncationError,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,13 +61,25 @@ EXIT_TRUNCATION = 6
 _FMT = "%.17g"
 # most points a start:stop:step grid spec may expand to
 MAX_GRID_POINTS = 1_000_000
+# the "110"-style label of each containment-flag triple, indexed by flags @ _FLAG_WEIGHTS
+_FLAG_LABELS = np.array([format(i, "03b") for i in range(8)], dtype=object)
+_FLAG_WEIGHTS = np.array([4, 2, 1])
 
 
-def _fmt_row(values):
-    out = []
-    for v in values:
-        out.append(v if isinstance(v, str) else _FMT % float(v))
-    return ",".join(out)
+def csv_lines(values, labels=None) -> str:
+    """CSV lines of an (n, k) float array, every value as %.17g.
+
+    `labels`, an (n,) array of strings, adds a last column written as is.
+    The rows are formatted by one `%` over a repeated line template.
+    """
+    n, k = values.shape
+    cells = np.empty((n, k + (labels is not None)), dtype=object)
+    cells[:, :k] = values
+    line = ",".join([_FMT] * k)
+    if labels is not None:
+        cells[:, k] = labels
+        line += ",%s"
+    return (line + "\n") * n % tuple(cells.ravel().tolist())
 
 
 def worker_count() -> int:
@@ -117,13 +145,36 @@ def _manifest(args, outputs):
     return manifest
 
 
+def _publish(args, data):
+    """Copy the finished output in the text file `data` to --out (or stdout),
+    then write the manifest sidecar.
+
+    Nothing is opened for writing before the output is complete, so a run
+    that fails earlier leaves an existing --out as it was.
+    """
+    data.seek(0)
+    if not args.out:
+        shutil.copyfileobj(data, sys.stdout)
+        return
+    # OSError propagates to main(), which maps it to EXIT_IO
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        shutil.copyfileobj(data, fh)
+    manifest = _manifest(args, [args.out])
+    manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
+    with open(args.out + ".manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_output(args, header, rows):
-    """Write CSV or JSON rows to --out (or stdout) plus the manifest sidecar."""
+    """Write rows as CSV or JSON to --out (or stdout) plus the manifest sidecar.
+
+    CSV rows hold numbers only; JSON rows may also hold strings.
+    """
     fmt = getattr(args, "format", "csv")
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(_fmt_row(r) for r in rows)
-        payload = "\n".join(lines) + "\n"
+        table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+        payload = ",".join(header) + "\n" + csv_lines(table)
     else:
         body = {
             "manifest": _manifest(args, [args.out] if args.out else []),
@@ -134,21 +185,51 @@ def _write_output(args, header, rows):
             ],
         }
         payload = json.dumps(body, indent=1, sort_keys=True) + "\n"
-
-    if not args.out:
-        sys.stdout.write(payload)
-        return
-    # OSError propagates to main(), which maps it to EXIT_IO
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
-    manifest = _manifest(args, [args.out])
-    manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
-    with open(args.out + ".manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _publish(args, io.StringIO(payload))
 
 
 # --- sample ---
+
+
+def _record_chunks(cfg):
+    """Yield the (values, flags) of each chunk of the run `cfg` in index order.
+
+    With several workers, at most 2 x workers chunks are submitted ahead of
+    the one being consumed, so results waiting in memory stay bounded.
+    """
+    starts = range(0, cfg.count, sampling.CHUNK)
+    sizes = [min(sampling.CHUNK, cfg.count - s) for s in starts]
+    workers = min(worker_count(), len(starts))
+    if workers == 1:
+        for start, size in zip(starts, sizes):
+            yield sampling.records_chunk(cfg, start, size)
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = collections.deque()
+        for start, size in zip(starts, sizes):
+            pending.append(pool.submit(sampling.records_chunk, cfg, start, size))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _checked_chunks(cfg):
+    """Yield (values, flag labels) of each chunk in index order.
+
+    Raises InvariantViolation, naming the global index, at the first
+    sample whose containment flags do not all hold.
+    """
+    start = 0
+    for values, flags in _record_chunks(cfg):
+        if not flags.all():
+            bad = int(np.flatnonzero(~flags.all(axis=1))[0])
+            raise InvariantViolation(
+                f"containment flag violated at sample {start + bad}: "
+                f"record={values[bad].tolist()} flags={flags[bad].tolist()}"
+            )
+        yield values, _FLAG_LABELS[flags @ _FLAG_WEIGHTS]
+        start += len(values)
 
 
 def cmd_sample(args) -> int:
@@ -164,30 +245,20 @@ def cmd_sample(args) -> int:
         # manifests of either system record the default window
         args.energy_window = sampling.DEFAULT_ENERGY_WINDOW
 
-    starts = range(0, cfg.count, sampling.CHUNK)
-    counts = [min(sampling.CHUNK, cfg.count - s) for s in starts]
-    workers = min(worker_count(), len(starts))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(sampling.records_chunk, [cfg] * len(starts), starts, counts))
-    else:
-        results = [sampling.records_chunk(cfg, s, n) for s, n in zip(starts, counts)]
-
-    values = np.concatenate([r[0] for r in results])
-    flags = np.concatenate([r[1] for r in results])
-    if not flags.all():
-        bad = int(np.flatnonzero(~flags.all(axis=1))[0])
-        print(
-            f"error: containment flag violated at sample {bad}: "
-            f"record={values[bad].tolist()} flags={flags[bad].tolist()}",
-            file=sys.stderr,
-        )
-        return EXIT_INVARIANT
-
     header = ["energy", "entanglement", "purity", "flags"]
-    flag_strs = [sampling.flag_string(row) for row in flags]
-    rows = [(v[0], v[1], v[2], fs) for v, fs in zip(values, flag_strs)]
-    _write_output(args, header, rows)
+    if args.format == "json":
+        rows = [
+            (*v, label)
+            for values, labels in _checked_chunks(cfg)
+            for v, label in zip(values.tolist(), labels)
+        ]
+        _write_output(args, header, rows)
+        return EXIT_OK
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
+        spool.write(",".join(header) + "\n")
+        for values, labels in _checked_chunks(cfg):
+            spool.write(csv_lines(values, labels))
+        _publish(args, spool)
     return EXIT_OK
 
 
@@ -266,7 +337,8 @@ def cmd_jc(args) -> int:
     if args.nmax is not None and args.nmax < 1:
         raise ConfigurationError("--nmax must be at least 1")
     try:
-        specs = _jc_specs(args)
+        # resolve_n_max raises DomainError for coherent amplitudes too large to truncate
+        specs = [(p, spec, jc.resolve_n_max(spec, args.nmax)) for p, spec in _jc_specs(args)]
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -282,8 +354,7 @@ def cmd_jc(args) -> int:
         "analytic_max_dev",
     ]
     rows = []
-    for param, spec in specs:
-        n_max = jc.resolve_n_max(spec, args.nmax)
+    for param, spec, n_max in specs:
         result = jc.max_transfer(spec, grid, n_max)
         state0 = jc.build_input(spec, n_max)
         dev = _analytic_deviation(spec, state0, grid, result, n_max)
@@ -397,6 +468,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except TruncationError as exc:
         print(f"error: {exc}; rerun with --nmax {exc.required_n_max} or larger", file=sys.stderr)
         return EXIT_TRUNCATION

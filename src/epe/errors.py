@@ -33,3 +33,7 @@ class TruncationError(EPEError):
 
 class ConfigurationError(EPEError):
     """A sampler or CLI configuration is inconsistent or unusable."""
+
+
+class InvariantViolation(EPEError):
+    """A sampled record breaks a containment implication that every valid sample obeys."""

@@ -100,16 +100,22 @@ def nu_from_invariants(delta, det, radicand=None):
     return nu_minus, nu_plus
 
 
-def symplectic_eigenvalues(sf: StandardFormCM) -> SymplecticSpectrum:
-    """Symplectic eigenvalues from 2 nu_+-^2 = Delta -+ sqrt(Delta^2 - 4 Det sigma).
+def _standard_form_nu(a, b, cp, cm):
+    """(nu_-, nu_+) of standard forms (a, b, c+, c-), scalars or arrays.
 
     The radicand is expanded as (a^2 - b^2)^2 + 4 (a c+ + b c-)(a c- + b c+),
     which is exactly 0 for the two-mode squeezed vacuum: Delta^2 - 4 Det sigma
     cancels to roundoff there and put nu_- of pure states about 1e-8 below 1.
     """
-    a, b, cp, cm = sf.a, sf.b, sf.c_plus, sf.c_minus
     radicand = (a**2 - b**2) ** 2 + 4.0 * (a * cp + b * cm) * (a * cm + b * cp)
-    nm, npl = nu_from_invariants(seralian(sf), det_sigma(sf), radicand=radicand)
+    ab = a * b
+    delta = a**2 + b**2 + 2.0 * cp * cm
+    return nu_from_invariants(delta, (ab - cp**2) * (ab - cm**2), radicand=radicand)
+
+
+def symplectic_eigenvalues(sf: StandardFormCM) -> SymplecticSpectrum:
+    """Symplectic eigenvalues from 2 nu_+-^2 = Delta -+ sqrt(Delta^2 - 4 Det sigma)."""
+    nm, npl = _standard_form_nu(sf.a, sf.b, sf.c_plus, sf.c_minus)
     return SymplecticSpectrum(nu_minus=nm, nu_plus=npl)
 
 
@@ -340,15 +346,17 @@ def cm_symplectic_eigenvalues(cm) -> SymplecticSpectrum:
     return SymplecticSpectrum(nu_minus=float(ev[0]), nu_plus=float(ev[2]))
 
 
-def _physical(cms, tol):
-    """Which matrices of an (N, 4, 4) stack satisfy sigma >= 0 and nu_- >= 1 - tol."""
-    positive = np.linalg.eigvalsh(cms).min(axis=-1) >= -tol
-    nu_minus = np.abs(np.linalg.eigvals(1j * OMEGA @ cms).real).min(axis=-1)
-    return positive & (nu_minus >= 1.0 - tol)
-
-
 def cm_is_physical(cm, tol=PHYSICALITY_TOL) -> bool:
-    return bool(_physical(cm_validate(cm)[None], tol)[0])
+    """Whether sigma >= 0 and nu_- >= 1 - tol, with nu_- from the complex
+    eigenvalues of i Omega sigma.
+
+    This is the oracle for the check `reduce_to_standard_form` makes on
+    its reduced rows.
+    """
+    cm = cm_validate(cm)
+    if np.linalg.eigvalsh(cm).min() < -tol:
+        return False
+    return cm_symplectic_eigenvalues(cm).nu_minus >= 1.0 - tol
 
 
 def cm_energy(cm) -> float:
@@ -404,7 +412,9 @@ def reduce_to_standard_form(cm):
     One 4x4 matrix gives a StandardFormCM.  An (N, 4, 4) stack gives an
     (N, 4) array of (a, b, c+, c-) rows, each bit-identical to the
     reduction of its matrix alone; it raises if any matrix is not
-    symmetric or not physical.
+    symmetric or not physical.  Physicality is checked in two steps:
+    sigma >= 0 by `eigvalsh` before the reduction, and nu_- >= 1 from the
+    reduced rows, by the standard-form radicand of `symplectic_eigenvalues`.
     """
     cms = np.asarray(cm, dtype=float)
     if cms.shape == (4, 4):
@@ -415,8 +425,8 @@ def reduce_to_standard_form(cm):
             f"expected a 4x4 matrix or an (N, 4, 4) stack, got shape {cms.shape}"
         )
     _check_symmetric(cms)
-    if not np.all(_physical(cms, PHYSICALITY_TOL)):
-        raise UnphysicalCovarianceError("covariance matrix violates nu_- >= 1")
+    if np.any(np.linalg.eigvalsh(cms).min(axis=-1) < -PHYSICALITY_TOL):
+        raise UnphysicalCovarianceError("covariance matrix is not positive semidefinite")
     S1, a = _single_mode_williamson(cms[:, :2, :2])
     S2, b = _single_mode_williamson(cms[:, 2:, 2:])
     U, sv, Vt = np.linalg.svd(S1 @ cms[:, :2, 2:] @ S2.swapaxes(-1, -2))
@@ -429,6 +439,9 @@ def reduce_to_standard_form(cm):
     # a pi rotation on one mode flips both signs
     sign = np.where(c_plus < 0.0, -1.0, 1.0)
     params = np.stack([a, b, sign * c_plus, sign * c_minus], axis=-1)
+    nu_minus, _ = _standard_form_nu(*params.T)
+    if np.any(nu_minus < 1.0 - PHYSICALITY_TOL):
+        raise UnphysicalCovarianceError("covariance matrix violates nu_- >= 1")
 
     _, _, _, ds, delta = _block_invariants(cms)
     ab = a * b

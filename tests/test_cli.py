@@ -1,16 +1,18 @@
 """CLI subcommands, exit codes, manifests and output determinism."""
 
+import concurrent.futures
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epe import __version__, cli
+from epe import __version__, cli, sampling
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -370,6 +372,15 @@ class TestJc:
         assert run_cli(["jc", "--input", "n-photon"]) == 2
         assert run_cli(["jc", "--input", "coherent"]) == 2
 
+    def test_coherent_amplitude_beyond_truncation_range_exit_2(self, capsys, monkeypatch):
+        from epe import jc
+
+        monkeypatch.setattr(jc, "MAX_COHERENT_N_MAX", 8)
+        assert run_cli(["jc", "--input", "coherent", "--alpha", "1.0", "--tsteps", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: coherent amplitude too large to truncate\n"
+        assert captured.out == ""
+
     def test_coherent_scan(self, tmp_path):
         out = tmp_path / "coh.csv"
         assert run_cli(["jc", "--input", "coherent", "--alpha", "0.6:1.2:0.3",
@@ -378,6 +389,229 @@ class TestJc:
         assert len(lines) == 4
         devs = [float(line.split(",")[6]) for line in lines[1:]]
         assert max(devs) < 1e-8
+
+
+def _fmt_row(values):
+    """The per-value row formatter the CLI used before `csv_lines`, kept as its oracle."""
+    out = []
+    for v in values:
+        out.append(v if isinstance(v, str) else "%.17g" % float(v))
+    return ",".join(out)
+
+
+def _oracle_csv(header, rows):
+    return "\n".join([",".join(header)] + [_fmt_row(r) for r in rows]) + "\n"
+
+
+def _oracle_sample_csv(argv):
+    """The CSV `epe sample` wrote when it built every row in memory first."""
+    args = cli.build_parser().parse_args(argv)
+    cfg = sampling.SamplerConfig(
+        seed=args.seed, count=args.count, system=args.system, rank_filter=args.rank,
+        energy_window=None if args.energy_window is None else tuple(args.energy_window),
+        measure=args.measure,
+    )
+    starts = range(0, cfg.count, sampling.CHUNK)
+    results = [sampling.records_chunk(cfg, s, min(sampling.CHUNK, cfg.count - s)) for s in starts]
+    values = np.concatenate([r[0] for r in results])
+    flags = np.concatenate([r[1] for r in results])
+    rows = [(v[0], v[1], v[2], sampling.flag_string(f)) for v, f in zip(values, flags)]
+    return _oracle_csv(["energy", "entanglement", "purity", "flags"], rows)
+
+
+class TestCsvFormatter:
+    def test_matches_the_row_oracle(self):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([
+            rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-300, 300, size=(50, 3)),
+            [[0.0, -0.0, 1.0], [0.1, 1 / 3, 2.0**-1074], [np.inf, -np.inf, 1e300]],
+        ])
+        labels = cli._FLAG_LABELS[rng.integers(0, 8, size=len(values))]
+        rows = [(*v, label) for v, label in zip(values, labels)]
+        assert cli.csv_lines(values, labels) == _oracle_csv(["x"], rows).split("\n", 1)[1]
+        assert cli.csv_lines(values[:, :2]) == "".join(_fmt_row(v) + "\n" for v in values[:, :2])
+        assert cli.csv_lines(np.empty((0, 3))) == ""
+
+    def test_flag_labels_match_flag_string(self):
+        triples = np.array([[b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(8)], dtype=bool)
+        labels = cli._FLAG_LABELS[triples @ cli._FLAG_WEIGHTS]
+        assert list(labels) == [sampling.flag_string(t) for t in triples]
+
+    @pytest.mark.parametrize("argv", [
+        ["boundary", "--system", "gaussian", "--curve", "band", "--grid", "0:3:0.01"],
+        ["boundary", "--system", "gaussian", "--curve", "tmsv", "--grid", "0:3:0.01"],
+        ["boundary", "--system", "qubit", "--curve", "mems", "--grid", "0:1:0.01"],
+    ])
+    def test_boundary_bytes(self, capsys, argv):
+        args = cli.build_parser().parse_args(argv)
+        header, rows = sampling.boundary_tables(args.system, cli.parse_grid(args.grid), args.curve)
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == _oracle_csv(header, rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["jc", "--input", "single-photon", "--tsteps", "200"],
+        ["jc", "--input", "coherent", "--alpha", "0.5:1:0.5", "--tsteps", "200"],
+    ])
+    def test_jc_bytes(self, capsys, monkeypatch, argv):
+        # capture the rows cmd_jc hands to the writer and format them with the oracle
+        seen = []
+        real = cli._write_output
+
+        def spy(args, header, rows):
+            seen.append((header, rows))
+            real(args, header, rows)
+
+        monkeypatch.setattr(cli, "_write_output", spy)
+        assert run_cli(argv) == 0
+        ((header, rows),) = seen
+        assert capsys.readouterr().out == _oracle_csv(header, rows)
+
+
+_QUBIT = ["sample", "--system", "qubit", "--seed", "13"]
+
+
+@pytest.fixture(scope="module")
+def qubit_oracle_lines():
+    return _oracle_sample_csv([*_QUBIT, "--count", "20481"]).splitlines(keepends=True)
+
+
+class TestStreamedSample:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("measure", sampling.QUBIT_MEASURES)
+    def test_qubit_ranks_and_measures(self, tmp_path, monkeypatch, rank, measure):
+        monkeypatch.setenv("EPE_THREADS", "1")
+        argv = [*_QUBIT, "--count", "4100", "--rank", str(rank), "--measure", measure]
+        out = tmp_path / "q.csv"
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == _oracle_sample_csv(argv)
+
+    @pytest.mark.parametrize("extra", [[], ["--energy-window", "1", "2"],
+                                       ["--measure", "negativity"]])
+    def test_gaussian(self, tmp_path, monkeypatch, extra):
+        monkeypatch.setenv("EPE_THREADS", "1")
+        argv = ["sample", "--system", "gaussian", "--count", "4100", "--seed", "3", *extra]
+        out = tmp_path / "g.csv"
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == _oracle_sample_csv(argv)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 10000, 20481])
+    def test_counts_and_workers(self, tmp_path, capsys, monkeypatch, qubit_oracle_lines,
+                                threads, count):
+        # records depend on (seed, index) only, so each oracle is a prefix of the longest
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("EPE_THREADS", threads)
+        want = "".join(qubit_oracle_lines[: count + 1])
+        argv = [*_QUBIT, "--count", str(count)]
+        out = tmp_path / "q.csv"
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == want
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == want
+
+    def test_pool_runs_at_most_two_chunks_per_worker_ahead(self, monkeypatch):
+        submitted = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                submitted.append(args[1])
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(sampling, "records_chunk", lambda cfg, start, count: start)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("EPE_THREADS", "2")
+        cfg = sampling.SamplerConfig(seed=1, count=10 * sampling.CHUNK + 1)
+        ahead = []
+        for i, start in enumerate(cli._record_chunks(cfg)):
+            assert start == i * sampling.CHUNK
+            ahead.append(len(submitted) - i)
+        assert len(ahead) == 11
+        assert max(ahead) == 4
+
+    @pytest.mark.parametrize("existing", [None, b"earlier bytes\n"])
+    def test_violation_in_a_later_chunk_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                       existing):
+        real = sampling.records_chunk
+
+        def corrupted(cfg, start, count):
+            values, flags = real(cfg, start, count)
+            if start == sampling.CHUNK:
+                flags[2, 0] = False
+            return values, flags
+
+        spool_dir = tmp_path / "spool"
+        spool_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+        monkeypatch.setenv("EPE_THREADS", "1")
+        monkeypatch.setattr(sampling, "records_chunk", corrupted)
+        out = tmp_path / "data" / "q.csv"
+        out.parent.mkdir()
+        if existing is not None:
+            out.write_bytes(existing)
+        assert run_cli([*_QUBIT, "--count", "10000", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert "containment flag violated at sample 4098:" in captured.err
+        assert captured.out == ""
+        assert os.listdir(spool_dir) == []
+        if existing is None:
+            assert os.listdir(out.parent) == []
+        else:
+            assert os.listdir(out.parent) == ["q.csv"]
+            assert out.read_bytes() == existing
+        assert run_cli([*_QUBIT, "--count", "10000"]) == 4
+        assert capsys.readouterr().out == ""
+
+    def test_json_checks_every_chunk(self, capsys, monkeypatch):
+        real = sampling.records_chunk
+
+        def corrupted(cfg, start, count):
+            values, flags = real(cfg, start, count)
+            flags[-1, 2] = start == 0
+            return values, flags
+
+        monkeypatch.setenv("EPE_THREADS", "1")
+        monkeypatch.setattr(sampling, "records_chunk", corrupted)
+        assert run_cli([*_QUBIT, "--count", "5000", "--format", "json"]) == 4
+        captured = capsys.readouterr()
+        assert "sample 4999:" in captured.err and captured.out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc VmHWM")
+    def test_peak_memory_does_not_grow_with_count(self, tmp_path):
+        # VmHWM is the peak RSS of the process image itself; ru_maxrss would
+        # also carry the high-water mark inherited from this process at exec
+        code = (
+            "import sys\n"
+            "from epe import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM')]\n"
+            "print(int(hwm[0].split()[1]), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(_src_env(), EPE_THREADS="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        peaks = []
+        for count in (20_000, 200_000):
+            out = tmp_path / f"q{count}.csv"
+            proc = subprocess.run([sys.executable, "-c", code, *_QUBIT, "--count", str(count),
+                                   "--out", str(out)], env=env, capture_output=True, text=True,
+                                  timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            assert out.read_bytes().count(b"\n") == count + 1
+            peaks.append(int(proc.stderr.split()[-1]) / 1024.0)
+        # building the 200k rows in memory first cost about 100 MB more
+        assert peaks[1] - peaks[0] < 5.0, peaks
 
 
 def test_pyproject_reads_the_package_version():

@@ -391,6 +391,37 @@ class TestStandardFormReduction:
             assert isinstance(sf, gaussian.StandardFormCM)
             assert np.array_equal([sf.a, sf.b, sf.c_plus, sf.c_minus], row)
 
+    @given(
+        st.floats(0.5, 1.5).filter(lambda nu: abs(nu - 1.0) > 1e-8),
+        st.floats(1.0, 3.0),
+        st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_physicality_check_matches_the_eigen_oracle(self, nu_minus, spread, u):
+        # S^T diag(nu-, nu-, nu+, nu+) S has symplectic eigenvalues nu-, nu+
+        from epe.sampling import _local, _mode_symplectics, beam_splitter
+
+        u = np.array([u])
+        S = (
+            _local(_mode_symplectics(u[:, 0:3], 0.8), _mode_symplectics(u[:, 3:6], 0.8))
+            @ beam_splitter(2.0 * np.pi * u[:, 6])
+            @ _local(_mode_symplectics(u[:, 7:10], 0.8), _mode_symplectics(u[:, 10:13], 0.8))
+        )[0]
+        cm = S.T @ np.diag([nu_minus, nu_minus, nu_minus * spread, nu_minus * spread]) @ S
+        cm = (cm + cm.T) / 2.0
+        assert gaussian.cm_is_physical(cm) == (nu_minus > 1.0)
+        if nu_minus > 1.0:
+            gaussian.reduce_to_standard_form(np.stack([cm, np.eye(4)]))
+        else:
+            with pytest.raises(UnphysicalCovarianceError, match="nu_- >= 1"):
+                gaussian.reduce_to_standard_form(np.stack([cm, np.eye(4)]))
+
+    def test_indefinite_matrix_fails_the_positivity_check(self):
+        cm = gaussian.expand(gaussian.StandardFormCM(1.0, 1.0, 2.0, 0.0))
+        assert not gaussian.cm_is_physical(cm)
+        with pytest.raises(UnphysicalCovarianceError, match="positive semidefinite"):
+            gaussian.reduce_to_standard_form(cm)
+
     @given(st.integers(0, 9))
     @settings(max_examples=10, deadline=None)
     def test_stack_with_one_bad_matrix_raises(self, k):
