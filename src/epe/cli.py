@@ -8,8 +8,12 @@ jc        Jaynes-Cummings transfer scans over input parameters
 rerun     re-execute the command stored in a manifest
 
 Exit codes: 0 success, 2 bad flags, 3 I/O failure, 4 invariant
-violation detected in sampler output, 5 grid outside a curve domain,
-6 insufficient Fock truncation.
+violation detected in sampler output (a containment flag, or an
+unphysical sampled covariance matrix), 5 grid outside a curve domain,
+6 insufficient Fock truncation.  Commands raise; `main` alone prints the
+`error:` line and picks the code (`EXIT_CODES`).  A flag that does not
+apply (`boundary --energy` off gmems/glems, a `jc` parameter flag of
+another input) exits 2.
 
 Every file written is paired with a sidecar `<out>.manifest.json`
 recording the command line, configuration, seed, version and timestamp;
@@ -20,11 +24,12 @@ manifest from another version notes both versions on stderr and replays.
 Data files themselves contain no timestamps, so identical invocations
 are byte-identical regardless of EPE_THREADS.
 
-CSV rows of every command are formatted by `csv_lines`, one `%` operation
-per block of rows.  `sample` streams its CSV a chunk at a time into an
-anonymous temporary file and copies it to --out or stdout only after the
-last chunk has passed its containment check, so memory stays bounded at
-any --count and exit 4 writes nothing.  JSON output is built in memory.
+`_write_output` is the one writer.  It takes blocks of rows (`sample`
+one per chunk, `boundary` and `jc` one each), formats CSV a block at a
+time with `csv_lines` into an anonymous temporary file (JSON records are
+built in memory), and copies it to --out or stdout only after the last
+block, so CSV memory stays bounded at any --count and a failed command
+writes nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from __future__ import annotations
 import argparse
 import collections
 import concurrent.futures
-import io
 import json
 import os
 import shutil
@@ -49,6 +53,7 @@ from .errors import (
     EPEError,
     InvariantViolation,
     TruncationError,
+    UnphysicalCovarianceError,
 )
 
 EXIT_OK = 0
@@ -57,13 +62,19 @@ EXIT_IO = 3
 EXIT_INVARIANT = 4
 EXIT_GRID = 5
 EXIT_TRUNCATION = 6
+# the exit code of each error a command may raise; main() prints its message
+EXIT_CODES = {
+    ConfigurationError: EXIT_USAGE,
+    OSError: EXIT_IO,
+    InvariantViolation: EXIT_INVARIANT,
+    UnphysicalCovarianceError: EXIT_INVARIANT,
+    DomainError: EXIT_GRID,
+    TruncationError: EXIT_TRUNCATION,
+}
 
 _FMT = "%.17g"
 # most points a start:stop:step grid spec may expand to
 MAX_GRID_POINTS = 1_000_000
-# the "110"-style label of each containment-flag triple, indexed by flags @ _FLAG_WEIGHTS
-_FLAG_LABELS = np.array([format(i, "03b") for i in range(8)], dtype=object)
-_FLAG_WEIGHTS = np.array([4, 2, 1])
 
 
 def csv_lines(values, labels=None) -> str:
@@ -166,26 +177,33 @@ def _publish(args, data):
         fh.write("\n")
 
 
-def _write_output(args, header, rows):
-    """Write rows as CSV or JSON to --out (or stdout) plus the manifest sidecar.
+def _write_output(args, header, blocks):
+    """Write blocks of rows as CSV or JSON to --out (or stdout) plus the manifest sidecar.
 
-    CSV rows hold numbers only; JSON rows may also hold strings.
+    A block is (values, labels): an (n, k) float array and None or an
+    (n,) array of strings for a last column.  Nothing is published until
+    the last block has been read, so an error raised while the blocks
+    are produced writes nothing.
     """
-    fmt = getattr(args, "format", "csv")
-    if fmt == "csv":
-        table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-        payload = ",".join(header) + "\n" + csv_lines(table)
-    else:
-        body = {
-            "manifest": _manifest(args, [args.out] if args.out else []),
-            "columns": list(header),
-            "records": [
-                {k: (v if isinstance(v, str) else float(v)) for k, v in zip(header, r)}
-                for r in rows
-            ],
-        }
-        payload = json.dumps(body, indent=1, sort_keys=True) + "\n"
-    _publish(args, io.StringIO(payload))
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
+        if args.format == "csv":
+            spool.write(",".join(header) + "\n")
+            for values, labels in blocks:
+                spool.write(csv_lines(values, labels))
+        else:
+            records = []
+            for values, labels in blocks:
+                rows = values.tolist()
+                if labels is not None:
+                    rows = [row + [label] for row, label in zip(rows, labels)]
+                records += [dict(zip(header, row)) for row in rows]
+            body = {
+                "manifest": _manifest(args, [args.out] if args.out else []),
+                "columns": list(header),
+                "records": records,
+            }
+            spool.write(json.dumps(body, indent=1, sort_keys=True) + "\n")
+        _publish(args, spool)
 
 
 # --- sample ---
@@ -228,7 +246,7 @@ def _checked_chunks(cfg):
                 f"containment flag violated at sample {start + bad}: "
                 f"record={values[bad].tolist()} flags={flags[bad].tolist()}"
             )
-        yield values, _FLAG_LABELS[flags @ _FLAG_WEIGHTS]
+        yield values, sampling.flag_labels(flags)
         start += len(values)
 
 
@@ -244,21 +262,7 @@ def cmd_sample(args) -> int:
     if args.energy_window is None:
         # manifests of either system record the default window
         args.energy_window = sampling.DEFAULT_ENERGY_WINDOW
-
-    header = ["energy", "entanglement", "purity", "flags"]
-    if args.format == "json":
-        rows = [
-            (*v, label)
-            for values, labels in _checked_chunks(cfg)
-            for v, label in zip(values.tolist(), labels)
-        ]
-        _write_output(args, header, rows)
-        return EXIT_OK
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
-        spool.write(",".join(header) + "\n")
-        for values, labels in _checked_chunks(cfg):
-            spool.write(csv_lines(values, labels))
-        _publish(args, spool)
+    _write_output(args, ["energy", "entanglement", "purity", "flags"], _checked_chunks(cfg))
     return EXIT_OK
 
 
@@ -268,62 +272,62 @@ def cmd_sample(args) -> int:
 def cmd_boundary(args) -> int:
     curves = sampling.QUBIT_CURVES if args.system == "qubit" else sampling.GAUSSIAN_CURVES
     if args.curve not in curves:
-        print(f"error: unknown curve {args.curve!r} for system {args.system}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.curve in ("gmems", "glems") and args.energy is None:
-        print(f"error: curve {args.curve!r} requires --energy", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigurationError(f"unknown curve {args.curve!r} for system {args.system}")
+    takes_energy = args.curve in ("gmems", "glems")
+    if takes_energy and args.energy is None:
+        raise ConfigurationError(f"curve {args.curve!r} requires --energy")
+    if not takes_energy and args.energy is not None:
+        raise ConfigurationError(f"curve {args.curve!r} takes no --energy")
     grid = parse_grid(args.grid)
     if not grid:
-        print("error: empty grid", file=sys.stderr)
-        return EXIT_GRID
+        raise DomainError("empty grid")
     try:
         header, rows = sampling.boundary_tables(args.system, grid, args.curve, args.energy)
-    except (DomainError, EPEError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRID
-    _write_output(args, header, rows)
+    except EPEError as exc:
+        raise DomainError(str(exc)) from exc
+    table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    _write_output(args, header, [(table, None)])
     return EXIT_OK
 
 
 # --- jc ---
 
 _JC_INPUTS = ("single-photon", "n-photon", "coherent", "squeezed")
+# the parameter flag each input takes
+_JC_PARAMS = {"n-photon": "n", "coherent": "alpha", "squeezed": "gamma"}
 
 
 def _jc_specs(args):
     """(param, spec) pairs for the requested input scan."""
+    param = _JC_PARAMS.get(args.input)
+    for name in ("n", "alpha", "gamma"):
+        if getattr(args, name) is not None and name != param:
+            raise ConfigurationError(f"--{name} does not apply to {args.input} input")
+    if param is not None and getattr(args, param) is None:
+        raise ConfigurationError(f"{args.input} input requires --{param}")
     if args.input == "single-photon":
         return [(1.0, jc.SinglePhoton())]
     if args.input == "n-photon":
-        if args.n is None:
-            raise ConfigurationError("n-photon input requires --n")
         return [(float(args.n), jc.NPhoton(n=args.n))]
     if args.input == "coherent":
-        if args.alpha is None:
-            raise ConfigurationError("coherent input requires --alpha")
         return [(a, jc.EntangledCoherent(alpha=a)) for a in parse_grid(args.alpha)]
-    if args.input == "squeezed":
-        if args.gamma is None:
-            raise ConfigurationError("squeezed input requires --gamma")
-        values = parse_grid(args.gamma)
-        for g in values:
-            if not 0.0 <= g <= jc.GAMMA_CAP + 1e-12:
-                raise ConfigurationError(
-                    f"gamma={g} outside [0, {jc.GAMMA_CAP}]; larger values make the "
-                    "Fock truncation dishonest"
-                )
-        return [(g, jc.TwoModeSqueezed(gamma=min(g, jc.GAMMA_CAP))) for g in values]
-    raise ConfigurationError(f"unknown input {args.input!r}")
+    values = parse_grid(args.gamma)
+    for g in values:
+        if not 0.0 <= g <= jc.GAMMA_CAP + 1e-12:
+            raise ConfigurationError(
+                f"gamma={g} outside [0, {jc.GAMMA_CAP}]; larger values make the "
+                "Fock truncation dishonest"
+            )
+    return [(g, jc.TwoModeSqueezed(gamma=min(g, jc.GAMMA_CAP))) for g in values]
 
 
-def _analytic_deviation(spec, state0, grid, result, n_max):
-    """Max entrywise gap between the analytic form and the evolved state."""
+def _analytic_deviation(spec, grid, result, n_max):
+    """Max entrywise gap between the analytic form and the evolved state,
+    at about 64 grid times and at the optimum."""
     stride = max(1, len(grid) // 64)
-    times = list(grid[::stride]) + [result.lambda_t]
+    evolved = [(t, jc.reduce_to_qubits(jc.evolve(result.input_state, t))) for t in grid[::stride]]
     dev = 0.0
-    for t in times:
-        rho_num = jc.reduce_to_qubits(jc.evolve(state0, t))
+    for t, rho_num in evolved + [(result.lambda_t, result.qubit_state)]:
         rho_an = jc.analytic_qubit_state(spec, t, n_max)
         dev = max(dev, float(np.abs(rho_num - rho_an).max()))
     return dev
@@ -340,8 +344,7 @@ def cmd_jc(args) -> int:
         # resolve_n_max raises DomainError for coherent amplitudes too large to truncate
         specs = [(p, spec, jc.resolve_n_max(spec, args.nmax)) for p, spec in _jc_specs(args)]
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigurationError(str(exc)) from exc
 
     grid = np.linspace(0.0, args.tmax, args.tsteps)
     header = [
@@ -356,20 +359,17 @@ def cmd_jc(args) -> int:
     rows = []
     for param, spec, n_max in specs:
         result = jc.max_transfer(spec, grid, n_max)
-        state0 = jc.build_input(spec, n_max)
-        dev = _analytic_deviation(spec, state0, grid, result, n_max)
-        rows.append(
-            (
-                param,
-                result.input_energy,
-                result.input_entropy,
-                result.lambda_t,
-                result.concurrence,
-                result.purity,
-                dev,
-            )
-        )
-    _write_output(args, header, rows)
+        rows.append((
+            param,
+            result.input_energy,
+            result.input_entropy,
+            result.lambda_t,
+            result.concurrence,
+            result.purity,
+            _analytic_deviation(spec, grid, result, n_max),
+        ))
+    table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    _write_output(args, header, [(table, None)])
     return EXIT_OK
 
 
@@ -381,23 +381,18 @@ def cmd_rerun(args) -> int:
         with open(args.manifest, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except OSError as exc:
-        print(f"error: cannot read manifest: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed manifest: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    argv = manifest.get("argv")
+        raise OSError(f"cannot read manifest: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"malformed manifest: {exc}") from exc
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
     if not isinstance(argv, list) or not argv:
-        print("error: manifest carries no argv to replay", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigurationError("manifest carries no argv to replay")
     recorded = manifest.get("stream")
     if argv[0] == "sample" and recorded != sampling.STREAM:
-        print(
-            f"error: the manifest's RNG stream is {recorded!r}, this epe's is "
-            f"{sampling.STREAM!r}; a rerun would not reproduce its outputs",
-            file=sys.stderr,
+        raise ConfigurationError(
+            f"the manifest's RNG stream is {recorded!r}, this epe's is "
+            f"{sampling.STREAM!r}; a rerun would not reproduce its outputs"
         )
-        return EXIT_USAGE
     if manifest.get("version") != __version__:
         print(
             f"note: the manifest was written by epe {manifest.get('version')}, this is epe "
@@ -465,18 +460,12 @@ def main(argv=None) -> int:
     args._argv = effective
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except TruncationError as exc:
-        print(f"error: {exc}; rerun with --nmax {exc.required_n_max} or larger", file=sys.stderr)
-        return EXIT_TRUNCATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except tuple(EXIT_CODES) as exc:
+        hint = ""
+        if isinstance(exc, TruncationError):
+            hint = f"; rerun with --nmax {exc.required_n_max} or larger"
+        print(f"error: {exc}{hint}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

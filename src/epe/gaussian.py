@@ -158,11 +158,6 @@ def local_photon_numbers(sf: StandardFormCM):
     return (sf.a - 1.0) / 2.0, (sf.b - 1.0) / 2.0
 
 
-def thermal_photon_numbers(spectrum: SymplecticSpectrum):
-    """Mean photon numbers (nu_+- - 1)/2 of the Williamson thermal factors."""
-    return (spectrum.nu_minus - 1.0) / 2.0, (spectrum.nu_plus - 1.0) / 2.0
-
-
 def ppt_nu_minus(sf: StandardFormCM) -> float:
     """Smallest symplectic eigenvalue of the partially transposed state.
 

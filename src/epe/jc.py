@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -37,11 +37,6 @@ GRID_BLOCK = 128
 
 
 @dataclass(frozen=True)
-class SinglePhoton:
-    """One photon shared between the modes, (|01> + |10>)/sqrt(2)."""
-
-
-@dataclass(frozen=True)
 class NPhoton:
     """n photons in one mode or the other, (|0,n> + |n,0>)/sqrt(2)."""
 
@@ -50,6 +45,13 @@ class NPhoton:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("photon number must be a positive integer")
+
+
+@dataclass(frozen=True)
+class SinglePhoton(NPhoton):
+    """One photon shared between the modes, (|01> + |10>)/sqrt(2): NPhoton with n = 1."""
+
+    n: int = field(default=1, init=False)
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ class TwoModeSqueezed:
             raise DomainError("squeezing parameter gamma must lie in [0, 1)")
 
 
-InputFieldSpec = Union[SinglePhoton, NPhoton, EntangledCoherent, TwoModeSqueezed]
+InputFieldSpec = Union[NPhoton, EntangledCoherent, TwoModeSqueezed]
 
 
 @dataclass
@@ -89,7 +91,11 @@ class JointAtomFieldState:
 
 @dataclass(frozen=True)
 class TransferResult:
-    """Outcome of a transfer maximization over dimensionless time."""
+    """Outcome of a transfer maximization over dimensionless time.
+
+    `qubit_state` is reduce_to_qubits(evolve(input_state, lambda_t)) and
+    `input_state` the truncated input the scan evolved.
+    """
 
     lambda_t: float
     qubit_state: np.ndarray
@@ -97,6 +103,7 @@ class TransferResult:
     purity: float
     input_energy: float
     input_entropy: float
+    input_state: JointAtomFieldState
 
 
 def minimize_scalar(fun, bounds, xatol=1e-5, maxiter=500):
@@ -232,8 +239,6 @@ def _poisson_tail(mean, log_fact):
 
 def required_n_max(spec: InputFieldSpec, tail=TAIL_TOL) -> int:
     """Smallest per-mode truncation keeping the input tail below `tail`."""
-    if isinstance(spec, SinglePhoton):
-        return 1
     if isinstance(spec, NPhoton):
         return spec.n
     if isinstance(spec, TwoModeSqueezed):
@@ -285,9 +290,7 @@ def _coherent_amplitudes(alpha, n_max):
 def _field_amplitudes(spec: InputFieldSpec, n_max):
     dim = n_max + 1
     field = np.zeros((dim, dim), dtype=complex)
-    if isinstance(spec, SinglePhoton):
-        field[0, 1] = field[1, 0] = 1.0 / np.sqrt(2.0)
-    elif isinstance(spec, NPhoton):
+    if isinstance(spec, NPhoton):
         field[0, spec.n] = field[spec.n, 0] = 1.0 / np.sqrt(2.0)
     elif isinstance(spec, EntangledCoherent):
         ca = _coherent_amplitudes(spec.alpha, n_max)
@@ -403,8 +406,6 @@ def sector_norms(state: JointAtomFieldState) -> np.ndarray:
 
 def input_energy(spec: InputFieldSpec) -> float:
     """Mean total photon number of the input field."""
-    if isinstance(spec, SinglePhoton):
-        return 1.0
     if isinstance(spec, NPhoton):
         return float(spec.n)
     if isinstance(spec, EntangledCoherent):
@@ -424,7 +425,7 @@ def input_entropy(spec: InputFieldSpec) -> float:
     superpositions it is ln 2; for the squeezed input it is
     -ln(1 - gamma^2) - E_in ln(gamma), which is nonnegative.
     """
-    if isinstance(spec, (SinglePhoton, NPhoton)):
+    if isinstance(spec, NPhoton):
         return float(np.log(2.0))
     if isinstance(spec, EntangledCoherent):
         t = np.exp(-abs(spec.alpha) ** 2 / 2.0)  # overlap <0|alpha>
@@ -535,8 +536,6 @@ def analytic_qubit_state(spec: InputFieldSpec, lambda_t, n_max=None) -> np.ndarr
     so the two agree to the truncation tail.
     """
     n_max = resolve_n_max(spec, n_max)
-    if isinstance(spec, SinglePhoton):
-        return _npn_matrix(1, lambda_t)
     if isinstance(spec, NPhoton):
         return _npn_matrix(spec.n, lambda_t)
     if isinstance(spec, EntangledCoherent):
@@ -630,4 +629,5 @@ def max_transfer(spec: InputFieldSpec, time_grid=None, n_max=None) -> TransferRe
         purity=qubit.purity(rho, check=False),
         input_energy=input_energy(spec),
         input_entropy=input_entropy(spec),
+        input_state=state0,
     )

@@ -139,12 +139,20 @@ class EPERecord:
 
     @property
     def flags(self) -> str:
-        return flag_string((self.on_pure_circle, self.below_mems, self.in_separable_band))
+        return flag_labels([self.on_pure_circle, self.below_mems, self.in_separable_band])
 
 
-def flag_string(flags) -> str:
-    """The three containment flags of a record as a string such as "110"."""
-    return "".join("1" if ok else "0" for ok in flags)
+# the "110"-style label of each containment-flag triple, indexed by flags @ (4, 2, 1)
+_FLAG_LABELS = np.array([format(i, "03b") for i in range(8)], dtype=object)
+_FLAG_WEIGHTS = np.array([4, 2, 1])
+
+
+def flag_labels(flags):
+    """Labels such as "110" of a (..., 3) boolean array of containment flags.
+
+    An (N, 3) array gives an (N,) object array of strings; a single triple gives a str.
+    """
+    return _FLAG_LABELS[np.asarray(flags, dtype=bool) @ _FLAG_WEIGHTS]
 
 
 # --- the Philox stream ---
@@ -512,20 +520,16 @@ QUBIT_CURVES = ("separable", "mems", "pure")
 GAUSSIAN_CURVES = ("band", "tmsv", "gmems", "glems")
 
 
-def boundary_tables(system, grid, curve=None, energy=None):
-    """Tabulate closed-form boundary curves on a parameter grid.
+def boundary_tables(system, grid, curve, energy=None):
+    """Tabulate a closed-form boundary curve on a parameter grid.
 
     For qubits the grid is energy (curves "separable", "pure") or
     concurrence ("mems"); for Gaussian states it is energy ("band",
     "tmsv") or purity ("gmems", "glems" at a fixed `energy`).  Returns
-    (header, rows) for a single curve, or a dict over every curve of
-    the system when `curve` is None.  Grid points outside a curve's
-    domain raise DomainError.
+    (header, rows).  Grid points outside the curve's domain raise
+    DomainError.
     """
     grid = [float(g) for g in np.atleast_1d(np.asarray(grid, dtype=float))]
-    if curve is None:
-        curves = QUBIT_CURVES if system == "qubit" else GAUSSIAN_CURVES
-        return {c: boundary_tables(system, grid, c, energy) for c in curves}
 
     if system == "qubit":
         if curve == "separable":

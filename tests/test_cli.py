@@ -131,6 +131,19 @@ class TestBoundary:
                         "--grid", "0:3:0.001"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3002
 
+    @pytest.mark.parametrize("system,curve,grid", [
+        ("qubit", "separable", "0:2:0.5"), ("qubit", "pure", "0:2:0.5"),
+        ("qubit", "mems", "0:1:0.5"), ("gaussian", "band", "0:2:0.5"),
+        ("gaussian", "tmsv", "0:2:0.5"),
+    ])
+    def test_energy_rejected_for_curves_without_one(self, capsys, system, curve, grid):
+        argv = ["boundary", "--system", system, "--curve", curve, "--grid", grid]
+        assert run_cli([*argv, "--energy", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: curve {curve!r} takes no --energy\n"
+        assert captured.out == ""
+        assert run_cli(argv) == 0
+
     def test_gmems_requires_energy(self, capsys):
         assert run_cli(["boundary", "--system", "gaussian", "--curve", "gmems",
                         "--grid", "0.5:0.9:0.1"]) == 2
@@ -252,6 +265,19 @@ class TestSample:
         assert run_cli(["sample", "--system", "qubit", "--count", "10", "--seed", "1"]) == 4
         assert "sample 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", [["20", "40"], ["50", "100"]])
+    def test_unphysical_sampled_covariance_exit_4(self, tmp_path, capsys, monkeypatch, window):
+        # candidate covariances of wide high-energy windows fail the symmetry check
+        monkeypatch.setenv("EPE_THREADS", "1")
+        argv = ["sample", "--system", "gaussian", "--count", "4096", "--seed", "7",
+                "--energy-window", *window]
+        out = tmp_path / "g.csv"
+        assert run_cli([*argv, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "error: covariance matrix is not symmetric\n"
+        assert os.listdir(tmp_path) == []
+        assert run_cli(argv) == 4
+        assert capsys.readouterr().out == ""
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "q.json"
         assert run_cli(["sample", "--system", "qubit", "--count", "10", "--seed", "7",
@@ -318,6 +344,20 @@ class TestSample:
         assert "0.1.0" in err and __version__ in err
         assert read(out) == first
 
+    @pytest.mark.parametrize("content,message", [
+        (b"[1, 2]", "error: manifest carries no argv to replay\n"),
+        (b'{"argv": []}', "error: manifest carries no argv to replay\n"),
+        (b"\xff\xfe{}", "error: malformed manifest: "),
+        (b"{", "error: malformed manifest: "),
+    ], ids=["list", "empty-argv", "not-utf8", "truncated"])
+    def test_rerun_of_an_unusable_manifest_exit_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        assert run_cli(["rerun", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_rerun_of_a_boundary_manifest_needs_no_stream(self, tmp_path):
         out = tmp_path / "sep.csv"
         run_cli(["boundary", "--system", "qubit", "--curve", "separable", "--grid", "0:2:0.5",
@@ -381,6 +421,21 @@ class TestJc:
         assert captured.err == "error: coherent amplitude too large to truncate\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--input", "single-photon", "--gamma", "0.5"], "--gamma"),
+        (["--input", "single-photon", "--n", "1"], "--n"),
+        (["--input", "n-photon", "--n", "2", "--alpha", "1.0"], "--alpha"),
+        (["--input", "coherent", "--alpha", "1.0", "--n", "2"], "--n"),
+        (["--input", "coherent", "--alpha", "1.0", "--gamma", "0.5"], "--gamma"),
+        (["--input", "squeezed", "--gamma", "0.5", "--alpha", "1.0"], "--alpha"),
+    ])
+    def test_parameter_flag_of_another_input_exit_2(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "jc.csv"
+        assert run_cli(["jc", *argv, "--tsteps", "50", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} does not apply to {argv[1]} input\n"
+        assert captured.out == "" and not out.exists()
+
     def test_coherent_scan(self, tmp_path):
         out = tmp_path / "coh.csv"
         assert run_cli(["jc", "--input", "coherent", "--alpha", "0.6:1.2:0.3",
@@ -399,6 +454,11 @@ def _fmt_row(values):
     return ",".join(out)
 
 
+def _flag_string(flags):
+    """The per-row join the CLI used before `sampling.flag_labels`, kept as its oracle."""
+    return "".join("1" if ok else "0" for ok in flags)
+
+
 def _oracle_csv(header, rows):
     return "\n".join([",".join(header)] + [_fmt_row(r) for r in rows]) + "\n"
 
@@ -415,7 +475,7 @@ def _oracle_sample_csv(argv):
     results = [sampling.records_chunk(cfg, s, min(sampling.CHUNK, cfg.count - s)) for s in starts]
     values = np.concatenate([r[0] for r in results])
     flags = np.concatenate([r[1] for r in results])
-    rows = [(v[0], v[1], v[2], sampling.flag_string(f)) for v, f in zip(values, flags)]
+    rows = [(v[0], v[1], v[2], _flag_string(f)) for v, f in zip(values, flags)]
     return _oracle_csv(["energy", "entanglement", "purity", "flags"], rows)
 
 
@@ -426,7 +486,7 @@ class TestCsvFormatter:
             rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-300, 300, size=(50, 3)),
             [[0.0, -0.0, 1.0], [0.1, 1 / 3, 2.0**-1074], [np.inf, -np.inf, 1e300]],
         ])
-        labels = cli._FLAG_LABELS[rng.integers(0, 8, size=len(values))]
+        labels = sampling.flag_labels(rng.random((len(values), 3)) < 0.5)
         rows = [(*v, label) for v, label in zip(values, labels)]
         assert cli.csv_lines(values, labels) == _oracle_csv(["x"], rows).split("\n", 1)[1]
         assert cli.csv_lines(values[:, :2]) == "".join(_fmt_row(v) + "\n" for v in values[:, :2])
@@ -434,8 +494,10 @@ class TestCsvFormatter:
 
     def test_flag_labels_match_flag_string(self):
         triples = np.array([[b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(8)], dtype=bool)
-        labels = cli._FLAG_LABELS[triples @ cli._FLAG_WEIGHTS]
-        assert list(labels) == [sampling.flag_string(t) for t in triples]
+        assert list(sampling.flag_labels(triples)) == [_flag_string(t) for t in triples]
+        # a single triple, as EPERecord.flags passes it, gives one string
+        for t in triples:
+            assert sampling.flag_labels(t.tolist()) == _flag_string(t)
 
     @pytest.mark.parametrize("argv", [
         ["boundary", "--system", "gaussian", "--curve", "band", "--grid", "0:3:0.01"],
@@ -453,18 +515,48 @@ class TestCsvFormatter:
         ["jc", "--input", "coherent", "--alpha", "0.5:1:0.5", "--tsteps", "200"],
     ])
     def test_jc_bytes(self, capsys, monkeypatch, argv):
-        # capture the rows cmd_jc hands to the writer and format them with the oracle
+        # capture the one block cmd_jc hands to the writer and format it with the oracle
         seen = []
         real = cli._write_output
 
-        def spy(args, header, rows):
-            seen.append((header, rows))
-            real(args, header, rows)
+        def spy(args, header, blocks):
+            blocks = list(blocks)
+            seen.append((header, blocks))
+            real(args, header, blocks)
 
         monkeypatch.setattr(cli, "_write_output", spy)
         assert run_cli(argv) == 0
-        ((header, rows),) = seen
-        assert capsys.readouterr().out == _oracle_csv(header, rows)
+        ((header, [(values, labels)]),) = seen
+        assert labels is None and values.shape[1] == len(header)
+        assert capsys.readouterr().out == _oracle_csv(header, values.tolist())
+
+    @pytest.mark.parametrize("argv", [
+        ["boundary", "--system", "gaussian", "--curve", "band", "--grid", "0:2:0.01"],
+        ["boundary", "--system", "gaussian", "--curve", "gmems", "--grid", "0.12:1:0.04",
+         "--energy", "2"],
+        ["boundary", "--system", "qubit", "--curve", "mems", "--grid", "0:1:0.05"],
+        ["jc", "--input", "coherent", "--alpha", "0.5:1:0.5", "--tsteps", "200"],
+        ["jc", "--input", "single-photon", "--tsteps", "200"],
+    ])
+    def test_json_matches_the_in_memory_formatting(self, capsys, argv):
+        # the body the writer once built in memory, from the rows of the CSV output
+        assert run_cli(argv) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        columns = header.split(",")
+        rows = [[float(x) for x in line.split(",")] for line in lines]
+        argv = [*argv, "--format", "json"]
+        args = cli.build_parser().parse_args(argv)
+        args._argv = argv
+        body = {
+            "manifest": cli._manifest(args, []),
+            "columns": columns,
+            "records": [
+                {k: (v if isinstance(v, str) else float(v)) for k, v in zip(columns, r)}
+                for r in rows
+            ],
+        }
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == json.dumps(body, indent=1, sort_keys=True) + "\n"
 
 
 _QUBIT = ["sample", "--system", "qubit", "--seed", "13"]

@@ -35,6 +35,17 @@ class TestInputs:
         assert amp[1, 0, 0, 0] == pytest.approx(1.0 / np.sqrt(2.0))
         assert np.count_nonzero(amp) == 2
 
+    def test_single_photon_is_the_one_photon_input(self):
+        spec = jc.SinglePhoton()
+        assert isinstance(spec, jc.NPhoton) and spec.n == 1
+        with pytest.raises(TypeError):
+            jc.SinglePhoton(n=2)
+        one = jc.NPhoton(n=1)
+        assert np.array_equal(jc.build_input(spec).amps, jc.build_input(one).amps)
+        assert jc.required_n_max(spec) == 1
+        for t in (0.0, 0.7, np.pi / 2.0):
+            assert np.array_equal(jc.analytic_qubit_state(spec, t), jc.analytic_qubit_state(one, t))
+
     def test_squeezed_vacuum_limit(self):
         state = jc.build_input(jc.TwoModeSqueezed(gamma=0.0))
         assert abs(state.amps[0, 0, 0, 0]) == pytest.approx(1.0)
@@ -277,6 +288,13 @@ class TestMaxTransfer:
         assert result.lambda_t == pytest.approx(np.pi / 2.0, abs=1e-6)
         assert result.purity == pytest.approx(1.0, abs=1e-10)
         assert result.input_energy == 1.0
+
+    def test_result_keeps_the_evolved_input(self):
+        spec = jc.EntangledCoherent(alpha=0.8)
+        result = jc.max_transfer(spec, np.linspace(0.0, 4.0 * np.pi, 200))
+        assert np.array_equal(result.input_state.amps, jc.build_input(spec).amps)
+        rho = jc.reduce_to_qubits(jc.evolve(result.input_state, result.lambda_t))
+        assert np.array_equal(result.qubit_state, rho)
 
     def test_n_photon_stays_separable(self):
         result = jc.max_transfer(jc.NPhoton(n=3), np.linspace(0.0, 4.0 * np.pi, 300))

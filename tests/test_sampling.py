@@ -211,7 +211,7 @@ class TestRecordsChunk:
         values, flags = sampling.qubit_records_chunk(6, 0, cfg.count, 3, "logneg")
         for (rho, rec), v, f in zip(pairs, values.tolist(), flags.tolist()):
             assert (rec.energy, rec.entanglement, rec.purity) == tuple(v)
-            assert rec.flags == sampling.flag_string(f)
+            assert rec.flags == "".join("1" if ok else "0" for ok in f)
         assert qubit.log_negativity(pairs[-1][0]) == pairs[-1][1].entanglement
 
 
@@ -395,10 +395,6 @@ class TestBoundaryTables:
         with pytest.raises(DomainError):
             sampling.boundary_tables("gaussian", [0.5], "gmems")
 
-    def test_all_curves_mode(self):
-        tables = sampling.boundary_tables("qubit", [0.3, 0.6], curve=None)
-        assert set(tables) == {"separable", "mems", "pure"}
-
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             sampling.boundary_tables("qubit", [3.0], "separable")
@@ -410,4 +406,6 @@ class TestRecord:
     def test_flag_string(self):
         rec = sampling.EPERecord(1.0, 0.5, 0.8, True, True, False)
         assert rec.flags == "110"
-        assert sampling.flag_string(np.array([False, True, True])) == "011"
+        assert sampling.flag_labels(np.array([False, True, True])) == "011"
+        labels = sampling.flag_labels(np.array([[True, False, False], [False, False, True]]))
+        assert list(labels) == ["100", "001"]
