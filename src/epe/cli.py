@@ -341,7 +341,8 @@ def cmd_jc(args) -> int:
     if args.nmax is not None and args.nmax < 1:
         raise ConfigurationError("--nmax must be at least 1")
     try:
-        # resolve_n_max raises DomainError for coherent amplitudes too large to truncate
+        # resolve_n_max raises DomainError for a truncation above jc.MAX_N_MAX,
+        # before any table is built
         specs = [(p, spec, jc.resolve_n_max(spec, args.nmax)) for p, spec in _jc_specs(args)]
     except DomainError as exc:
         raise ConfigurationError(str(exc)) from exc

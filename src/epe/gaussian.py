@@ -269,8 +269,13 @@ def glems(E, P) -> StandardFormCM:
     pinned to nu_- = 1, nu_+ = 1/P, so Delta = 1 + 1/P^2 and
     Det sigma = 1/P^2 by construction.  The off-diagonal pair solves
 
-        c+ c- = (1 + 1/P^2 - 2(E+1)^2)/2
-        c+^2 + c-^2 = ((E+1)^4 + (c+ c-)^2 - 1/P^2)/(E+1)^2.
+        c+ c- = u = (1 + 1/P^2 - 2(E+1)^2)/2
+        c+^2 + c-^2 = ((E+1)^4 + u^2 - 1/P^2)/(E+1)^2,
+
+    so (c+ +- c-)^2 = (a^2 +- u - 1/P)(a^2 +- u + 1/P)/a^2.  With
+    x = 1/P + 1 and y = 1/P - 1 the factors are x^2 y^2 / 4 for the sum
+    and (2a - x)(2a + x)(2a - y)(2a + y)/4 for the difference, products
+    in which nothing cancels, also near P = 1 where c+ + c- -> 0.
 
     Real solutions exist exactly for P >= 1/(2E + 1); the family stays
     separable up to P = 1/sqrt(2E^2 + 4E + 1).
@@ -283,19 +288,18 @@ def glems(E, P) -> StandardFormCM:
         raise DomainError("purity must lie in (0, 1]")
     P = min(P, 1.0)
     a = E + 1.0
-    u = (1.0 + 1.0 / P**2 - 2.0 * a**2) / 2.0
-    s = (a**4 + u**2 - 1.0 / P**2) / a**2
-    disc = s**2 - 4.0 * u**2
-    if s < 0.0 or disc < -1e-10:
+    two_a = 2.0 * a
+    x = 1.0 / P + 1.0
+    y = 1.0 / P - 1.0
+    # 2a - x = 2E + 1 - 1/P is the only factor that can turn negative
+    if two_a - x < -1e-10:
         raise DomainError(f"no GLEMS with energy {E} and purity {P}")
-    # a double root within tolerance is treated as exactly degenerate
-    root = np.sqrt(max(disc, 0.0))
-    t_hi = (s + root) / 2.0
-    t_lo = max((s - root) / 2.0, 0.0)
-    if t_hi > a**2 + 1e-10:
+    total = x * y / two_a
+    diff = np.sqrt(max(two_a - x, 0.0) * (two_a + x) * (two_a - y) * (two_a + y)) / two_a
+    c_plus = (total + diff) / 2.0
+    c_minus = (total - diff) / 2.0
+    if c_plus**2 > a**2 + 1e-10:
         raise DomainError(f"no positive-semidefinite GLEMS at energy {E} and purity {P}")
-    c_plus = np.sqrt(t_hi)
-    c_minus = u / c_plus if c_plus > 0.0 else 0.0
     return StandardFormCM(a=a, b=a, c_plus=c_plus, c_minus=c_minus)
 
 

@@ -26,11 +26,11 @@ import numpy as np
 from . import qubit
 from .errors import DomainError, TruncationError
 
-DEFAULT_N_MAX = 40
 TAIL_TOL = 1e-12
 GAMMA_CAP = 0.95
-# largest truncation the coherent-input search will try
-MAX_COHERENT_N_MAX = 100_000
+# largest per-mode truncation, chosen or requested: the dense tables grow as
+# n_max^2, and one `epe jc` scan at this truncation peaks at about 620 MB
+MAX_N_MAX = 1500
 # times per reduced_states call in the max_transfer grid scan; bounds the
 # (block, n_max + 1) work arrays whatever the grid length
 GRID_BLOCK = 128
@@ -237,41 +237,57 @@ def _poisson_tail(mean, log_fact):
     return max(0.0, 1.0 - np.exp(logp).sum())
 
 
-def required_n_max(spec: InputFieldSpec, tail=TAIL_TOL) -> int:
-    """Smallest per-mode truncation keeping the input tail below `tail`."""
+def required_n_max(spec: InputFieldSpec, tail=TAIL_TOL, limit=None) -> int:
+    """Smallest per-mode truncation keeping the input tail below `tail`.
+
+    Raises DomainError when that truncation is above `limit` (None: no
+    limit), without searching past it.
+    """
     if isinstance(spec, NPhoton):
-        return spec.n
-    if isinstance(spec, TwoModeSqueezed):
+        m = spec.n
+    elif isinstance(spec, TwoModeSqueezed):
         g = spec.gamma
-        if g == 0.0:
-            return 1
         # geometric tail: sum_{n > m} (1 - g^2) g^{2n} = g^{2(m+1)}
-        return max(1, int(np.ceil(np.log(tail) / (2.0 * np.log(g)) - 1.0)))
-    if isinstance(spec, EntangledCoherent):
+        m = 1 if g == 0.0 else max(1, int(np.ceil(np.log(tail) / (2.0 * np.log(g)) - 1.0)))
+    elif isinstance(spec, EntangledCoherent):
         mean = abs(spec.alpha) ** 2
+        # Bernstein's inequality puts the Poisson tail above mean + t below
+        # `tail`, so the answer is at most `horizon`; a computed tail still
+        # above `tail` there is roundoff
+        third = -math.log(tail) / 3.0
+        horizon = math.ceil(mean + third + math.sqrt(third * third + 6.0 * third * mean))
         # one table for the whole search, doubled when m outgrows it
         log_fact = log_factorials(64)
         m = 1
         while _poisson_tail(mean, log_fact[: m + 1]) > tail:
             m += 1
-            if m > MAX_COHERENT_N_MAX:
+            if m > horizon:
                 raise DomainError("coherent amplitude too large to truncate")
+            if limit is not None and m > limit:
+                break
             if m >= log_fact.size:
                 log_fact = log_factorials(2 * m)
-        return m
-    raise DomainError(f"unknown input specification {spec!r}")
+    else:
+        raise DomainError(f"unknown input specification {spec!r}")
+    if limit is not None and m > limit:
+        raise DomainError(f"the input needs a Fock truncation above the cap n_max={limit}")
+    return m
 
 
 def resolve_n_max(spec: InputFieldSpec, n_max=None) -> int:
-    """Default truncation, auto-raised to keep the tail below tolerance.
+    """The truncation to use: `n_max`, or by default `required_n_max`.
 
-    An explicitly requested truncation that is too small raises
-    TruncationError carrying the required value.
+    Either above MAX_N_MAX raises DomainError before anything is
+    allocated.  An explicitly requested truncation that is too small
+    raises TruncationError carrying the required value.
     """
-    needed = required_n_max(spec)
+    if n_max is not None:
+        n_max = int(n_max)
+        if n_max > MAX_N_MAX:
+            raise DomainError(f"n_max={n_max} is above the cap n_max={MAX_N_MAX}")
+    needed = required_n_max(spec, limit=MAX_N_MAX)
     if n_max is None:
-        return max(DEFAULT_N_MAX, needed)
-    n_max = int(n_max)
+        return needed
     if n_max < needed:
         raise TruncationError(
             f"n_max={n_max} leaves an input tail above {TAIL_TOL}; need n_max>={needed}",

@@ -37,6 +37,8 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 EXCITATION_NUMBER = np.diag([0.0, 1.0, 1.0, 2.0])
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
+# _YY @ A reverses the rows of A and negates rows 0 and 3
+_YY_ROW_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 _EXCITATIONS = np.diag(EXCITATION_NUMBER).astype(complex)
 
 BELL_STATES = {
@@ -126,15 +128,28 @@ def _float_or_array(x):
     return float(x) if x.ndim == 0 else x
 
 
-def concurrence(rho, check=True):
+def concurrence(rho, check=True, factor=None):
     """Concurrence C(rho) = max(0, mu_1 - mu_2 - mu_3 - mu_4).
 
     The mu_j are the decreasingly ordered square roots of the
     eigenvalues of R = rho (sy x sy) rho* (sy x sy).  Tiny negative
     eigenvalues from roundoff are clamped to zero before the square
     root, and the result is clamped to [0, 1].
+
+    `factor`, a (..., 4, k) array A with rho = A A^dag, gives the mu_j
+    instead as the singular values of the complex symmetric k x k
+    matrix T = A^T (sy x sy) A (Uhlmann, PRA 62, 032307 (2000)), with
+    no square root of an eigenvalue that is zero up to roundoff; for
+    k = 1 the concurrence is |T|.  `check` validates rho, not A.
     """
     rho = validate_state(rho) if check else np.asarray(rho, dtype=complex)
+    if factor is not None:
+        A = np.asarray(factor, dtype=complex)
+        T = A.swapaxes(-1, -2) @ (A[..., ::-1, :] * _YY_ROW_SIGNS)
+        if T.shape[-1] == 1:
+            return _float_or_array(np.clip(np.abs(T[..., 0, 0]), 0.0, 1.0))
+        mu = np.linalg.svd(T, compute_uv=False)
+        return _float_or_array(np.clip(mu[..., 0] - mu[..., 1:].sum(axis=-1), 0.0, 1.0))
     R = rho @ _YY @ rho.conj() @ _YY
     mu = np.sqrt(np.clip(np.linalg.eigvals(R).real, 0.0, None))
     mu.sort(axis=-1)

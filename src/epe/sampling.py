@@ -22,7 +22,8 @@ from random local squeezes, local rotations and a beam-splitter mix,
 accepted when their standard-form energy lies in the energy window.
 
 Records are computed a chunk at a time: `qubit_records` evaluates the
-stacked `qubit` measures on the (N, 4, 4) stack of states, and each
+stacked `qubit` measures on the (N, 4, 4) stack of states, the
+concurrence from the drawn factors A = G / sqrt(Tr(G G^dag)), and each
 Gaussian chunk is reduced to standard form in one stacked
 `gaussian.reduce_to_standard_form` call whose (N, 4) rows
 `gaussian_records` turns into energy, entanglement and purity columns by
@@ -194,20 +195,24 @@ def qubit_normals(seed, start, count) -> np.ndarray:
 
 
 def _qubit_states_chunk(seed, start, count, rank):
+    """(rhos, factors): the (count, 4, 4) states rho = M / Tr M, M = G G^dag,
+    and their (count, 4, rank) factors A = G / sqrt(Tr M), so rho = A A^dag."""
     z = qubit_normals(seed, start, count)
     G = (z[:, :16] + 1j * z[:, 16:]).reshape(count, 4, 4)[:, :, :rank]
     M = G @ G.conj().transpose(0, 2, 1)
-    return M / np.trace(M, axis1=1, axis2=2).real[:, None, None]
+    trace = np.trace(M, axis1=1, axis2=2).real[:, None, None]
+    return M / trace, G / np.sqrt(trace)
 
 
-def qubit_records(rhos, measure="concurrence"):
+def qubit_records(rhos, measure="concurrence", factors=None):
     """Vectorized records for an (N, 4, 4) stack of states.
 
     Returns (values, flags): an (N, 3) float array of energy,
     entanglement and purity columns and an (N, 3) boolean flag array.
-    Every column comes from the stacked `qubit` measures.
+    Every column comes from the stacked `qubit` measures; `factors`, an
+    (N, 4, k) stack with rho = A A^dag, is handed to `qubit.concurrence`.
     """
-    conc = qubit.concurrence(rhos, check=False)
+    conc = qubit.concurrence(rhos, check=False, factor=factors)
     pur = qubit.purity(rhos, check=False)
     en = qubit.energy(rhos, check=False)
 
@@ -235,7 +240,8 @@ def qubit_records(rhos, measure="concurrence"):
 
 def qubit_records_chunk(seed, start, count, rank=4, measure="concurrence"):
     """(values, flags) of `qubit_records` for indices [start, start + count)."""
-    return qubit_records(_qubit_states_chunk(seed, start, count, rank), measure)
+    rhos, factors = _qubit_states_chunk(seed, start, count, rank)
+    return qubit_records(rhos, measure, factors)
 
 
 # --- two-mode Gaussian sampling ---
@@ -425,8 +431,8 @@ def records_chunk(cfg: SamplerConfig, start, count, with_states=False):
         rank = cfg.rank_filter or 4
         if not with_states:
             return qubit_records_chunk(cfg.seed, start, count, rank, cfg.measure)
-        rhos = _qubit_states_chunk(cfg.seed, start, count, rank)
-        return (rhos, *qubit_records(rhos, cfg.measure))
+        rhos, factors = _qubit_states_chunk(cfg.seed, start, count, rank)
+        return (rhos, *qubit_records(rhos, cfg.measure, factors))
     params, values, flags = gaussian_records_chunk(
         cfg.seed, start, count, cfg.energy_window, cfg.measure
     )

@@ -144,6 +144,13 @@ class TestBoundary:
         assert captured.out == ""
         assert run_cli(argv) == 0
 
+    def test_glems_up_to_purity_one(self, capsys):
+        # c+ and c- from a vanishing discriminant once made these states unphysical
+        assert run_cli(["boundary", "--system", "gaussian", "--curve", "glems",
+                        "--energy", "0.01", "--grid", "0.99:1:0.001"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 12 and rows[-1].startswith("1,")
+
     def test_gmems_requires_energy(self, capsys):
         assert run_cli(["boundary", "--system", "gaussian", "--curve", "gmems",
                         "--grid", "0.5:0.9:0.1"]) == 2
@@ -415,11 +422,33 @@ class TestJc:
     def test_coherent_amplitude_beyond_truncation_range_exit_2(self, capsys, monkeypatch):
         from epe import jc
 
-        monkeypatch.setattr(jc, "MAX_COHERENT_N_MAX", 8)
+        monkeypatch.setattr(jc, "MAX_N_MAX", 8)
         assert run_cli(["jc", "--input", "coherent", "--alpha", "1.0", "--tsteps", "50"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: coherent amplitude too large to truncate\n"
+        assert captured.err == "error: the input needs a Fock truncation above the cap n_max=8\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--input", "n-photon", "--n", "20000"],
+        ["--input", "coherent", "--alpha", "60"],
+        ["--input", "single-photon", "--nmax", "20000"],
+        ["--input", "squeezed", "--gamma", "0.5", "--nmax", "1000000"],
+    ])
+    def test_truncation_above_the_cap_exit_2_before_allocating(self, tmp_path, capsys,
+                                                              monkeypatch, argv):
+        from epe import jc
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a truncated input was built")
+
+        # a dense table at these truncations would take gigabytes
+        monkeypatch.setattr(jc, "build_input", no_table)
+        out = tmp_path / "jc.csv"
+        assert run_cli(["jc", *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"cap n_max={jc.MAX_N_MAX}" in captured.err
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("argv,flag", [
         (["--input", "single-photon", "--gamma", "0.5"], "--gamma"),

@@ -283,6 +283,18 @@ class TestGlems:
     def test_pure_limit_is_tmsv(self):
         assert_sf_close(gaussian.glems(2.0, 1.0), TMSV3, tol=1e-9)
 
+    def test_physical_up_to_purity_one(self):
+        # every curve E = 0.01..3 on a 0.01 purity step ending at P = 1; near
+        # P = 1 the discriminant form lost half the digits of c+ +- c-
+        for E in np.arange(1, 301) * 0.01:
+            lo = 1.0 / (2.0 * E + 1.0)
+            for P in np.append(np.arange(np.ceil(lo * 100.0) / 100.0, 1.0, 0.01), 1.0):
+                sf = gaussian.glems(E, P)
+                spec = gaussian.symplectic_eigenvalues(sf)
+                assert spec.nu_minus == pytest.approx(1.0, abs=1e-10)
+                assert spec.nu_plus == pytest.approx(1.0 / P, abs=1e-10)
+        assert_sf_close(gaussian.glems(0.01, 1.0), gaussian.two_mode_squeezed_vacuum(0.01))
+
     def test_separable_band(self):
         E = 1.0
         lo = 1.0 / (2.0 * E + 1.0)

@@ -66,8 +66,12 @@ class TestInputs:
         assert err.value.required_n_max > 20
 
     def test_auto_truncation(self):
-        assert jc.resolve_n_max(jc.SinglePhoton()) == jc.DEFAULT_N_MAX
+        # the default is the required truncation itself, with no floor
+        assert jc.resolve_n_max(jc.SinglePhoton()) == 1
         assert jc.resolve_n_max(jc.NPhoton(n=90)) == 90
+        for gamma, n_max in [(0.4, 15), (0.6, 27), (0.8, 61), (0.95, 269)]:
+            assert jc.resolve_n_max(jc.TwoModeSqueezed(gamma=gamma)) == n_max
+        assert jc.resolve_n_max(jc.EntangledCoherent(alpha=1.0)) == 14
         # geometric tail gamma^(2(m+1)) <= 1e-12
         m = jc.resolve_n_max(jc.TwoModeSqueezed(gamma=0.9))
         assert 0.9 ** (2 * (m + 1)) <= 1e-12 < 0.9 ** (2 * m)
@@ -331,12 +335,19 @@ class TestScipyPorts:
     def test_log_factorials_equal_gammaln(self):
         from scipy.special import gammaln
 
-        k = np.arange(jc.MAX_COHERENT_N_MAX + 1)
-        assert np.array_equal(jc.log_factorials(jc.MAX_COHERENT_N_MAX), gammaln(k + 1.0))
+        # far past any table a truncation search builds
+        k = np.arange(100_001)
+        assert np.array_equal(jc.log_factorials(100_000), gammaln(k + 1.0))
 
     @pytest.mark.parametrize("alpha,n_max", [(1, 14), (3, 37), (10, 178), (30, 1118), (60, 4032)])
     def test_coherent_truncation_pinned(self, alpha, n_max):
         assert jc.required_n_max(jc.EntangledCoherent(alpha=alpha)) == n_max
+
+    def test_unresolvable_coherent_tail_raises(self):
+        # at mean 22500 the rounding of 1 - sum(p_n) stays above 1e-12, so the
+        # search stops at its Bernstein horizon instead of running on
+        with pytest.raises(DomainError, match="too large to truncate"):
+            jc.required_n_max(jc.EntangledCoherent(alpha=150))
 
     def test_truncation_search_builds_its_table_once(self, monkeypatch):
         calls = []

@@ -1,11 +1,12 @@
 """Two-qubit measures, extremal families and boundary curves."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epe import qubit
+from epe import qubit, sampling
 from epe.errors import DomainError, InvalidStateError
 
 PHI_PLUS = qubit.ket_to_dm(qubit.BELL_STATES["phi+"])
@@ -101,6 +102,85 @@ class TestStackedConcurrence:
         with pytest.raises(InvalidStateError):
             qubit.validate_state(np.zeros((3, 4, 3)))
         assert qubit.validate_state(np.stack([PHI_PLUS, MIXED])).shape == (2, 4, 4)
+
+
+def takagi_oracle(A):
+    """Concurrence from a 40-digit mpmath SVD of T = A^T (sy x sy) A, for rho = A A^dag."""
+    with mpmath.workdps(40):
+        Am = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in A])
+        T = Am.T * mpmath.matrix(np.kron(qubit.SIGMA_Y, qubit.SIGMA_Y).real.tolist()) * Am
+        mu = sorted(mpmath.svd_c(T, compute_uv=False), reverse=True)
+        return float(min(max(mu[0] - sum(mu[1:]), 0), 1))
+
+
+def werner_factor(r):
+    """A with A A^dag = werner_state(r): the Bell basis weighted by the root spectrum."""
+    bell = [qubit.BELL_STATES[name] for name in ("phi+", "phi-", "psi+", "psi-")]
+    weights = np.sqrt([(1.0 + 3.0 * r) / 4.0] + 3 * [(1.0 - r) / 4.0])
+    return np.stack(bell, axis=1) * weights
+
+
+def mems_factor(C):
+    """A with A A^dag = mems_state(C), one column per term of the mixture."""
+    e00, e01, e11 = np.eye(4, dtype=complex)[[0, 1, 3]]
+    cols = [np.sqrt(C) * qubit.BELL_STATES["phi+"]]
+    if C <= 2.0 / 3.0:
+        cols += [np.sqrt(1.0 / 3.0) * e01, np.sqrt(1.0 / 3.0 - C / 2.0) * e00,
+                 np.sqrt(1.0 / 3.0 - C / 2.0) * e11]
+    else:
+        cols.append(np.sqrt(1.0 - C) * e01)
+    return np.stack(cols, axis=1)
+
+
+class TestFactorConcurrence:
+    """The Takagi route of concurrence(rho, factor=A) against mpmath and the eigvals route."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_sampled_states_match_mpmath(self, rank):
+        rhos, factors = sampling._qubit_states_chunk(11, 0, 300, rank)
+        assert factors.shape == (300, 4, rank)
+        assert np.allclose(factors @ factors.conj().swapaxes(1, 2), rhos, rtol=0.0, atol=1e-15)
+        want = np.array([takagi_oracle(A) for A in factors])
+        got = qubit.concurrence(rhos, check=False, factor=factors)
+        assert np.abs(got - want).max() <= 1e-15
+        if rank <= 2:
+            # the eigvals route takes square roots of eigenvalues that are 0 up to roundoff
+            assert np.abs(qubit.concurrence(rhos, check=False) - want).max() > 1e-9
+
+    @pytest.mark.parametrize("r", [0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0])
+    def test_werner_matches_mpmath(self, r):
+        A = werner_factor(r)
+        rho = qubit.werner_state(r)
+        assert np.allclose(A @ A.conj().T, rho, rtol=0.0, atol=1e-15)
+        got = qubit.concurrence(rho, factor=A)
+        assert abs(got - takagi_oracle(A)) <= 1e-15
+        assert got == pytest.approx(max(0.0, (3.0 * r - 1.0) / 2.0), abs=1e-15)
+
+    @pytest.mark.parametrize("C", [0.0, 0.3, 2.0 / 3.0, 0.8, 1.0])
+    def test_mems_matches_mpmath(self, C):
+        A = mems_factor(C)
+        rho = qubit.mems_state(C)
+        assert np.allclose(A @ A.conj().T, rho, rtol=0.0, atol=1e-15)
+        got = qubit.concurrence(rho, factor=A)
+        assert abs(got - takagi_oracle(A)) <= 1e-15
+        assert got == pytest.approx(C, abs=1e-15)
+
+    @given(st.integers(0, 10_000), st.sampled_from([(), (5,), (64,), (2, 3)]))
+    @settings(max_examples=40, deadline=None)
+    def test_factor_route_equals_eigvals_route(self, seed, lead):
+        # full-rank factors: at lower rank the eigvals route itself is off by ~1e-8
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal(lead + (4, 4)) + 1j * rng.standard_normal(lead + (4, 4))
+        M = G @ G.conj().swapaxes(-1, -2)
+        trace = np.trace(M, axis1=-2, axis2=-1).real[..., None, None]
+        rhos, factors = M / trace, G / np.sqrt(trace)
+        got = qubit.concurrence(rhos, factor=factors)
+        want = qubit.concurrence(rhos)
+        if not lead:
+            assert type(got) is float
+        else:
+            assert got.shape == lead
+        assert np.allclose(got, want, rtol=0.0, atol=1e-9)
 
 
 def partial_transpose_oracle(rho):
