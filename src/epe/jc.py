@@ -29,7 +29,8 @@ from .errors import DomainError, TruncationError
 TAIL_TOL = 1e-12
 GAMMA_CAP = 0.95
 # largest per-mode truncation, chosen or requested: the dense tables grow as
-# n_max^2, and one `epe jc` scan at this truncation peaks at about 620 MB
+# n_max^2, and one `epe jc` scan at this truncation peaks at about 585 MiB,
+# most of it in the one oracle `evolve` of the amplitude table
 MAX_N_MAX = 1500
 # times per reduced_states call in the max_transfer grid scan; bounds the
 # (block, n_max + 1) work arrays whatever the grid length
@@ -93,7 +94,7 @@ class JointAtomFieldState:
 class TransferResult:
     """Outcome of a transfer maximization over dimensionless time.
 
-    `qubit_state` is reduce_to_qubits(evolve(input_state, lambda_t)) and
+    `qubit_state` is reduced_states(input_state, [lambda_t])[0] and
     `input_state` the truncated input the scan evolved.
     """
 
@@ -381,10 +382,11 @@ def reduced_states(state: JointAtomFieldState, times) -> np.ndarray:
     X_1 = -i sin(sqrt(m + 1) t), so with the shifted field tables
     F_ab[m1, m2] = F[m1 + a, m2 + b] (zero beyond the truncation)
 
-        rho_{ab,cd}(t) = sum_{m1,m2} X_a X_c^*(t, m1) (F_ab F_cd^*)[m1, m2] X_b X_d^*(t, m2),
+        rho_{ab,cd}(t) = sum_{m1,m2} X_a X_c^*(t, m1) (F_ab F_cd^*)[m1, m2] X_b X_d^*(t, m2).
 
-    one (T, d) @ (d, d) product per entry and no loop over times.
-    `evolve` stays the independent oracle for this function.
+    The weight F_ab F_cd^* vanishes off the nonzero entries of F, so each
+    sum runs over those alone: O(len(times) * nnz(F)) work and no loop
+    over times.  `evolve` stays the independent oracle for this function.
     """
     amps = state.amps
     if np.any(amps[:, :, 1, :]) or np.any(amps[:, :, :, 1]):
@@ -396,12 +398,18 @@ def reduced_states(state: JointAtomFieldState, times) -> np.ndarray:
     xx = {(a, c): x[a] * x[c].conj() for a in (0, 1) for c in (0, 1)}
     field = np.zeros((dim + 1, dim + 1), dtype=complex)
     field[:dim, :dim] = amps[:, :, 0, 0]
-    shifted = {(a, b): field[a : a + dim, b : b + dim] for a in (0, 1) for b in (0, 1)}
+    n1, n2 = np.nonzero(field)
 
     rho = np.empty((t.size, 4, 4), dtype=complex)
     for a, b, c, d in itertools.product((0, 1), repeat=4):
-        weights = shifted[a, b] * shifted[c, d].conj()
-        rho[:, 2 * a + b, 2 * c + d] = ((xx[a, c] @ weights) * xx[b, d]).sum(axis=1)
+        # F_ab is nonzero at m = n - (a, b); keep the points where F_cd is too
+        m1, m2 = n1 - a, n2 - b
+        inside = (m1 >= 0) & (m2 >= 0)
+        m1, m2 = m1[inside], m2[inside]
+        w = field[n1[inside], n2[inside]] * field[m1 + c, m2 + d].conj()
+        keep = w != 0.0
+        m1, m2 = m1[keep], m2[keep]
+        rho[:, 2 * a + b, 2 * c + d] = (xx[a, c][:, m1] * xx[b, d][:, m2]) @ w[keep]
     return (rho + rho.conj().swapaxes(1, 2)) / 2.0
 
 
@@ -587,13 +595,13 @@ def default_time_grid(t_max=4.0 * np.pi, steps=2000) -> np.ndarray:
 def max_transfer(spec: InputFieldSpec, time_grid=None, n_max=None) -> TransferResult:
     """Scan lambda*t for the largest transferred concurrence.
 
-    The grid is evaluated by `reduced_states` in blocks of GRID_BLOCK
-    times.  Every local grid maximum within 1e-3 of the best grid value
-    (a flat run of equal values counting once) is refined through
-    `evolve` by bounded scalar minimization to 1e-8 in lambda*t, and
-    ties between refined peaks (within 1e-10) resolve to the earliest
-    time.  The result also records the purity at the optimum and the
-    input energy and entropy.
+    `reduced_states` evaluates the grid (in blocks of GRID_BLOCK times),
+    the refinement and the reported state.  Every local grid maximum
+    within 1e-3 of the best grid value (a flat run of equal values
+    counting once) is refined by bounded scalar minimization to 1e-8 in
+    lambda*t, and ties between refined peaks (within 1e-10) resolve to
+    the earliest time.  The result also records the purity at the
+    optimum and the input energy and entropy.
     """
     if time_grid is None:
         time_grid = default_time_grid()
@@ -607,10 +615,8 @@ def max_transfer(spec: InputFieldSpec, time_grid=None, n_max=None) -> TransferRe
     state0 = build_input(spec, n_max)
 
     def conc_at(t):
-        return qubit.concurrence(reduce_to_qubits(evolve(state0, t)), check=False)
+        return qubit.concurrence(reduced_states(state0, [t])[0], check=False)
 
-    # the closed form only ranks the grid; refinement and the reported
-    # state come from evolve
     vals = np.concatenate([
         qubit.concurrence(reduced_states(state0, grid[i : i + GRID_BLOCK]), check=False)
         for i in range(0, grid.size, GRID_BLOCK)
@@ -637,7 +643,7 @@ def max_transfer(spec: InputFieldSpec, time_grid=None, n_max=None) -> TransferRe
         if c_ref > best_c + 1e-10 or (abs(c_ref - best_c) <= 1e-10 and t_ref < best_t):
             best_t, best_c = t_ref, c_ref
 
-    rho = reduce_to_qubits(evolve(state0, best_t))
+    rho = reduced_states(state0, [best_t])[0]
     return TransferResult(
         lambda_t=best_t,
         qubit_state=rho,

@@ -387,6 +387,25 @@ class TestJc:
         assert cols["input_energy"] == 1.0
         assert cols["analytic_max_dev"] < 1e-10
 
+    def test_one_evolve_per_input(self, tmp_path, monkeypatch):
+        # the scan, refinement and analytic check use reduced_states; evolve
+        # is the oracle at each reported optimum only
+        from epe import jc
+
+        calls = []
+        real = jc.evolve
+
+        def counting(state, lambda_t):
+            calls.append(lambda_t)
+            return real(state, lambda_t)
+
+        monkeypatch.setattr(jc, "evolve", counting)
+        out = tmp_path / "jc.csv"
+        assert run_cli(["jc", "--input", "squeezed", "--gamma", "0.4:0.8:0.2",
+                        "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert calls == [float(row[3]) for row in rows]
+
     def test_n_photon_two(self, capsys):
         assert run_cli(["jc", "--input", "n-photon", "--n", "2", "--tsteps", "150"]) == 0
         row = capsys.readouterr().out.strip().splitlines()[1]

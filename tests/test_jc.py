@@ -258,16 +258,35 @@ _INPUT_SPECS = st.one_of(
 )
 
 
+@st.composite
+def _dense_ground_tables(draw):
+    """Random dense field tables up to 8 x 8 with both atoms in the ground
+    level, some rows exactly zero."""
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = np.zeros((dim, dim, 2, 2), dtype=complex)
+    amps[:, :, 0, 0] = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    zero_rows = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    if all(zero_rows):
+        zero_rows[draw(st.integers(0, dim - 1))] = False
+    amps[np.array(zero_rows)] = 0.0
+    return jc.JointAtomFieldState(amps=amps / np.linalg.norm(amps))
+
+
+def _input_states(spec, extra):
+    return jc.build_input(spec, jc.required_n_max(spec) + extra)
+
+
 class TestReducedStates:
     @given(
-        _INPUT_SPECS,
-        st.integers(0, 6),
+        st.one_of(
+            st.builds(_input_states, _INPUT_SPECS, st.integers(0, 6)),
+            _dense_ground_tables(),
+        ),
         st.lists(st.floats(0.0, 30.0), max_size=6),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_evolve_oracle(self, spec, extra, times):
-        n_max = jc.required_n_max(spec) + extra
-        state = jc.build_input(spec, n_max)
+    @settings(max_examples=90, deadline=None)
+    def test_matches_evolve_oracle(self, state, times):
         times = [0.0, 4.0 * np.pi + 0.3, *times]
         rhos = jc.reduced_states(state, times)
         assert rhos.shape == (len(times), 4, 4)
@@ -297,8 +316,18 @@ class TestMaxTransfer:
         spec = jc.EntangledCoherent(alpha=0.8)
         result = jc.max_transfer(spec, np.linspace(0.0, 4.0 * np.pi, 200))
         assert np.array_equal(result.input_state.amps, jc.build_input(spec).amps)
-        rho = jc.reduce_to_qubits(jc.evolve(result.input_state, result.lambda_t))
+        rho = jc.reduced_states(result.input_state, [result.lambda_t])[0]
         assert np.array_equal(result.qubit_state, rho)
+        oracle = jc.reduce_to_qubits(jc.evolve(result.input_state, result.lambda_t))
+        assert np.abs(result.qubit_state - oracle).max() <= 1e-13
+
+    def test_runs_without_evolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("max_transfer called evolve")
+
+        monkeypatch.setattr(jc, "evolve", refuse)
+        result = jc.max_transfer(jc.TwoModeSqueezed(gamma=0.6), np.linspace(0.0, 4.0 * np.pi, 300))
+        assert result.concurrence > 0.8
 
     def test_n_photon_stays_separable(self):
         result = jc.max_transfer(jc.NPhoton(n=3), np.linspace(0.0, 4.0 * np.pi, 300))
