@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnphysicalCovarianceError
+from .errors import DomainError, InvariantViolation, UnphysicalCovarianceError
 
 PHYSICALITY_TOL = 1e-10
 RADICAND_TOL = 1e-10
@@ -414,6 +414,8 @@ def reduce_to_standard_form(cm):
     symmetric or not physical.  Physicality is checked in two steps:
     sigma >= 0 by `eigvalsh` before the reduction, and nu_- >= 1 from the
     reduced rows, by the standard-form radicand of `symplectic_eigenvalues`.
+    A reduction whose rows do not reproduce Det sigma and Delta raises
+    InvariantViolation.
     """
     cms = np.asarray(cm, dtype=float)
     if cms.shape == (4, 4):
@@ -450,5 +452,5 @@ def reduce_to_standard_form(cm):
         (np.abs(det_sf - ds) > 1e-9 * np.maximum(1.0, np.abs(ds)))
         | (np.abs(seralian_sf - delta) > 1e-9 * np.maximum(1.0, np.abs(delta)))
     ):
-        raise RuntimeError("standard-form reduction failed to preserve invariants")
+        raise InvariantViolation("standard-form reduction failed to preserve invariants")
     return params

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidStateError
+from .errors import DomainError, InvalidStateError, InvariantViolation
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -37,9 +37,14 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 EXCITATION_NUMBER = np.diag([0.0, 1.0, 1.0, 2.0])
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
-# _YY @ A reverses the rows of A and negates rows 0 and 3
-_YY_ROW_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 _EXCITATIONS = np.diag(EXCITATION_NUMBER).astype(complex)
+
+# A matrix whose Jacobi sweeps still rotate after this many raises
+# InvariantViolation; sampled states need at most 7.
+JACOBI_MAX_SWEEPS = 30
+_TINY = np.nextafter(0.0, 1.0)
+# above this |zeta| the root sqrt(1 + zeta^2) rounds to |zeta| itself
+_ZETA_ROOT_EXACT = 1e8
 
 BELL_STATES = {
     "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
@@ -128,6 +133,92 @@ def _float_or_array(x):
     return float(x) if x.ndim == 0 else x
 
 
+def _wootters_columns(A):
+    """T = A^T (sy x sy) A of an (N, 4, k) stack of factors, as a (k, k, N) array.
+
+    T = B + B^T with B = a1 a2^T - a0 a3^T for the rows a_i of A, built
+    elementwise.  T is symmetric, so T[j] holds column j (and row j) of
+    every matrix, rows along axis 1.  The stack axis is the contiguous
+    one, so that every elementwise step of the kernel runs over it.
+    """
+    a = np.ascontiguousarray(np.moveaxis(A, 0, -1))
+    B = a[1][:, None] * a[2][None] - a[0][:, None] * a[3][None]
+    return B + B.transpose(1, 0, 2)
+
+
+def _sum_rows(x):
+    """Sum over the row axis (-2), adding the rows in index order."""
+    total = x[..., 0, :] + x[..., 1, :]
+    for row in range(2, x.shape[-2]):
+        total += x[..., row, :]
+    return total
+
+
+def _jacobi_singular_values(T):
+    """Singular values, as an (N, k) array, of a (k, k, N) stack of column arrays.
+
+    One-sided (Hestenes) Jacobi, cyclic over the column pairs (p, q) and
+    batched over the stack; it is at least as accurate as QR-based SVD
+    for small singular values (Demmel & Veselic, SIAM J. Matrix Anal.
+    Appl. 13, 1204 (1992)).  A pair is rotated where
+    |t_p^H t_q| > k eps ||t_p|| ||t_q||, which is about the roundoff of
+    the k-term inner product itself; a test at eps alone can be kept
+    true by that roundoff forever.  Elsewhere the rotation is the exact
+    identity (c = 1, s = 0).  A matrix is done after a sweep with no
+    rotation, and its singular values are its column norms.  Only
+    elementwise arithmetic and sums in a fixed order are used, so every
+    matrix's values depend on that matrix alone, whatever the stack.
+    Raises InvariantViolation if a matrix still rotates after
+    JACOBI_MAX_SWEEPS sweeps.
+    """
+    k, _, n = T.shape
+    tol2 = (k * np.finfo(float).eps) ** 2
+    mu = np.empty((n, k))
+    active = np.arange(n)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        norms = _sum_rows(T.real**2 + T.imag**2)
+        rotated = np.zeros(active.size, dtype=bool)
+        for p in range(k - 1):
+            for q in range(p + 1, k):
+                P, Q = T[p], T[q]
+                a, b = norms[p], norms[q]
+                gamma = _sum_rows(P.conj() * Q)
+                g2 = gamma.real**2 + gamma.imag**2
+                rot = g2 > tol2 * a * b
+                if not rot.any():
+                    continue
+                rotated |= rot
+                # t = tan(theta) solves t^2 + 2 zeta t - 1 = 0, the smaller root;
+                # the clamp keeps zeta^2 finite and t exact
+                g = np.sqrt(np.maximum(g2, _TINY))
+                zeta = (b - a) / (g + g)
+                az = np.abs(zeta)
+                root = np.maximum(az, np.sqrt(1.0 + np.minimum(az, _ZETA_ROOT_EXACT) ** 2))
+                t = rot / np.copysign(az + root, zeta)
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                # s e^{i phi}, with e^{i phi} the phase of t_p^H t_q
+                s_phase = gamma * (c * t / g)
+                rotated_p = c * P - s_phase.conj() * Q
+                Q *= c
+                Q += s_phase * P
+                P[...] = rotated_p
+                tg = t * g
+                norms[p] = np.maximum(a - tg, 0.0)
+                norms[q] = b + tg
+        if not rotated.all():
+            # a rotation-free sweep left these norms as computed at its start
+            done = ~rotated
+            mu[active[done]] = np.sqrt(norms[:, done]).T
+            # compress keeps the stack axis contiguous, as the sweeps need
+            active, T = active[rotated], np.compress(rotated, T, axis=-1)
+        if not active.size:
+            return mu
+    raise InvariantViolation(
+        f"Jacobi SVD of {active.size} Wootters matrices did not converge "
+        f"in {JACOBI_MAX_SWEEPS} sweeps"
+    )
+
+
 def concurrence(rho, check=True, factor=None):
     """Concurrence C(rho) = max(0, mu_1 - mu_2 - mu_3 - mu_4).
 
@@ -140,16 +231,21 @@ def concurrence(rho, check=True, factor=None):
     instead as the singular values of the complex symmetric k x k
     matrix T = A^T (sy x sy) A (Uhlmann, PRA 62, 032307 (2000)), with
     no square root of an eigenvalue that is zero up to roundoff; for
-    k = 1 the concurrence is |T|.  `check` validates rho, not A.
+    k = 1 the concurrence is |T|.  The singular values come from a
+    batched one-sided Jacobi kernel over the whole stack, so each
+    matrix's concurrence is the same alone or in any stack.  `check`
+    validates rho, not A.
     """
     rho = validate_state(rho) if check else np.asarray(rho, dtype=complex)
     if factor is not None:
         A = np.asarray(factor, dtype=complex)
-        T = A.swapaxes(-1, -2) @ (A[..., ::-1, :] * _YY_ROW_SIGNS)
-        if T.shape[-1] == 1:
-            return _float_or_array(np.clip(np.abs(T[..., 0, 0]), 0.0, 1.0))
-        mu = np.linalg.svd(T, compute_uv=False)
-        return _float_or_array(np.clip(mu[..., 0] - mu[..., 1:].sum(axis=-1), 0.0, 1.0))
+        lead, k = A.shape[:-2], A.shape[-1]
+        T = _wootters_columns(A.reshape(-1, 4, k))
+        if k == 1:
+            return _float_or_array(np.clip(np.abs(T[0, 0]), 0.0, 1.0).reshape(lead))
+        mu = np.sort(_jacobi_singular_values(T), axis=-1)[..., ::-1]
+        C = np.clip(mu[..., 0] - mu[..., 1:].sum(axis=-1), 0.0, 1.0)
+        return _float_or_array(C.reshape(lead))
     R = rho @ _YY @ rho.conj() @ _YY
     mu = np.sqrt(np.clip(np.linalg.eigvals(R).real, 0.0, None))
     mu.sort(axis=-1)

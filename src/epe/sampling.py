@@ -23,7 +23,8 @@ accepted when their standard-form energy lies in the energy window.
 
 Records are computed a chunk at a time: `qubit_records` evaluates the
 stacked `qubit` measures on the (N, 4, 4) stack of states, the
-concurrence from the drawn factors A = G / sqrt(Tr(G G^dag)), and each
+concurrence from the drawn factors A = G / sqrt(Tr(G G^dag)) by one
+batched one-sided Jacobi SVD of the chunk's Wootters matrices, and each
 Gaussian chunk is reduced to standard form in one stacked
 `gaussian.reduce_to_standard_form` call whose (N, 4) rows
 `gaussian_records` turns into energy, entanglement and purity columns by

@@ -272,6 +272,35 @@ class TestSample:
         assert run_cli(["sample", "--system", "qubit", "--count", "10", "--seed", "1"]) == 4
         assert "sample 2" in capsys.readouterr().err
 
+    def test_unconverged_jacobi_sweeps_exit_4(self, tmp_path, capsys, monkeypatch):
+        from epe import qubit
+
+        monkeypatch.setenv("EPE_THREADS", "1")
+        monkeypatch.setattr(qubit, "JACOBI_MAX_SWEEPS", 1)
+        assert run_cli(["sample", "--system", "qubit", "--count", "16", "--seed", "7",
+                        "--out", str(tmp_path / "q.csv")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: Jacobi SVD") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_standard_form_invariant_failure_exit_4(self, tmp_path, capsys, monkeypatch):
+        from epe import gaussian
+
+        real = gaussian._block_invariants
+
+        def shifted_delta(cm):
+            *dets, delta = real(cm)
+            return (*dets, delta + 1.0)
+
+        monkeypatch.setenv("EPE_THREADS", "1")
+        monkeypatch.setattr(gaussian, "_block_invariants", shifted_delta)
+        assert run_cli(["sample", "--system", "gaussian", "--count", "16", "--seed", "7",
+                        "--out", str(tmp_path / "g.csv")]) == 4
+        assert capsys.readouterr().err == (
+            "error: standard-form reduction failed to preserve invariants\n"
+        )
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("window", [["20", "40"], ["50", "100"]])
     def test_unphysical_sampled_covariance_exit_4(self, tmp_path, capsys, monkeypatch, window):
         # candidate covariances of wide high-energy windows fail the symmetry check

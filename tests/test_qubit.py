@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epe import qubit, sampling
-from epe.errors import DomainError, InvalidStateError
+from epe.errors import DomainError, InvalidStateError, InvariantViolation
 
 PHI_PLUS = qubit.ket_to_dm(qubit.BELL_STATES["phi+"])
 MIXED = np.eye(4, dtype=complex) / 4.0
@@ -181,6 +181,77 @@ class TestFactorConcurrence:
         else:
             assert got.shape == lead
         assert np.allclose(got, want, rtol=0.0, atol=1e-9)
+
+
+def kernel_singular_values(M):
+    """Jacobi singular values of an (N, k, k) stack, each row sorted decreasingly."""
+    columns = np.ascontiguousarray(np.asarray(M, dtype=complex).transpose(2, 1, 0))
+    return np.sort(qubit._jacobi_singular_values(columns), axis=-1)[:, ::-1]
+
+
+def wootters_matrix(A):
+    """T = A^T (sy x sy) A by matrix products, independent of the kernel's build."""
+    return A.T @ np.kron(qubit.SIGMA_Y, qubit.SIGMA_Y) @ A
+
+
+def random_complex_symmetric(seed, k=4):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    return X + X.T
+
+
+GRADING = 10.0 ** -np.arange(0, 100, 25)
+
+
+class TestJacobiKernel:
+    """The batched one-sided Jacobi SVD behind concurrence(rho, factor=A)."""
+
+    @given(st.integers(0, 10_000), st.sampled_from([(5,), (64,), (4096,), (2, 3)]),
+           st.sampled_from([2, 3, 4]))
+    @settings(max_examples=30, deadline=None)
+    def test_alone_equals_in_a_stack_bitwise(self, seed, lead, rank):
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal(lead + (4, rank)) + 1j * rng.standard_normal(lead + (4, rank))
+        G /= np.sqrt((np.abs(G) ** 2).sum(axis=(-2, -1)))[..., None, None]
+        rhos = G @ G.conj().swapaxes(-1, -2)
+        stacked = qubit.concurrence(rhos, check=False, factor=G)
+        assert stacked.shape == lead
+        flat_rhos, flat_G, flat_C = rhos.reshape(-1, 4, 4), G.reshape(-1, 4, rank), stacked.ravel()
+        for i in rng.choice(flat_C.size, size=min(flat_C.size, 64), replace=False):
+            assert qubit.concurrence(flat_rhos[i], check=False, factor=flat_G[i]) == flat_C[i]
+
+    ADVERSARIAL = {
+        "multiple of the identity": 0.37 * np.eye(4),
+        "Werner r = 1/3": wootters_matrix(werner_factor(1.0 / 3.0)),
+        "MEMS C = 0": wootters_matrix(mems_factor(0.0)),
+        "zero column": random_complex_symmetric(1) * (np.arange(4) != 2),
+        "diagonal": np.diag([0.2, -0.7j, 1e-3, 0.45]),
+        # entries d_j d_l S_jl from about 1 down to about 1e-150
+        "graded 1 to 1e-150": random_complex_symmetric(2) * np.outer(GRADING, GRADING),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+    def test_adversarial_matrices_match_lapack(self, name):
+        M = self.ADVERSARIAL[name]
+        want = np.linalg.svd(M, compute_uv=False)
+        got = kernel_singular_values(M[None])[0]
+        assert np.abs(got - want).max() <= 4.0 * np.finfo(float).eps * want[0]
+
+    def test_adversarial_matrices_converge_alone_and_stacked(self):
+        stack = np.stack([self.ADVERSARIAL[name] for name in sorted(self.ADVERSARIAL)])
+        alone = np.concatenate([kernel_singular_values(M[None]) for M in stack])
+        assert np.array_equal(kernel_singular_values(stack), alone)
+
+    def test_sweep_cap_raises_instead_of_returning(self, monkeypatch):
+        monkeypatch.setattr(qubit, "JACOBI_MAX_SWEEPS", 1)
+        # a diagonal matrix needs no rotation, so one sweep settles it
+        got = kernel_singular_values(self.ADVERSARIAL["diagonal"][None])[0]
+        assert np.abs(got - [0.7, 0.45, 0.2, 1e-3]).max() <= 4.0 * np.finfo(float).eps * 0.7
+        with pytest.raises(InvariantViolation, match="in 1 sweeps"):
+            kernel_singular_values(random_complex_symmetric(3)[None])
+        rhos, factors = sampling._qubit_states_chunk(11, 0, 8, 4)
+        with pytest.raises(InvariantViolation):
+            qubit.concurrence(rhos, check=False, factor=factors)
 
 
 def partial_transpose_oracle(rho):
