@@ -26,6 +26,28 @@ from .errors import DomainError, InvariantViolation, UnphysicalCovarianceError
 PHYSICALITY_TOL = 1e-10
 RADICAND_TOL = 1e-10
 
+# Scale-aware checks.  A sampled sigma = S^T diag(nu) S is known only to the
+# roundoff of that product, so each check of a raw covariance matrix allows
+# max(its absolute tolerance, c eps scale), with the scale built from the
+# diagonal (|sigma_ij| <= sqrt(sigma_ii sigma_jj) for sigma >= 0) and c from
+# these bounds:
+EPS = float(np.finfo(float).eps)
+# each entry is a 4-term inner product with one more product by nu, so
+# |sigma_ij - (S^T D S)_ij| <= gamma_5 sqrt(sigma_ii sigma_jj) and the two
+# triangles differ by at most 2 gamma_5 ~ 5 eps times that; 6 covers the
+# O(eps) factors of the bound and the rounding of the tolerance
+SYMMETRY_ROUNDOFF = 6.0
+# with t = sum_i sigma_ii >= ||sigma||_2, Weyl: the construction moves the
+# eigenvalues by at most gamma_5 t ~ 2.5 eps t, and LAPACK's symmetric
+# eigensolver by p(n) eps ||sigma||_2, p(n) taken as n = 4
+EIGEN_ROUNDOFF = 7.0
+# roundings along either route to Delta and Det sigma (the blocks'
+# determinants, or the reduction and its standard-form formulas), each
+# relative to the invariant's sum of absolute terms: at most
+# 2 (sqrt(s11 s22) + sqrt(s33 s44))^2 for Delta and 24 s11 s22 s33 s44 for
+# Det sigma, writing s_ii = |sigma_ii|
+INVARIANT_ROUNDINGS = 16.0
+
 # symplectic form over (x1, p1, x2, p2)
 OMEGA = np.array(
     [
@@ -323,8 +345,31 @@ def band_width(E) -> float:
 # --- operations on raw 4x4 covariance matrices ---
 
 
+def _diagonal(cms):
+    return np.abs(np.diagonal(cms, axis1=-2, axis2=-1))
+
+
+def _beyond(error, absolute, scaled):
+    """Whether any error exceeds max(absolute, scaled()).
+
+    The scale-aware tolerance `scaled()` is evaluated only when some error
+    exceeds the absolute one, which at O(1) entries none does.
+    """
+    over = error > absolute
+    if not over.any():
+        return False
+    return bool(np.any(error[over] > np.broadcast_to(scaled(), error.shape)[over]))
+
+
 def _check_symmetric(cm):
-    if np.any(np.abs(cm - cm.swapaxes(-1, -2)) > 1e-12):
+    """Raise unless every |sigma_ij - sigma_ji| is at most
+    max(1e-12, SYMMETRY_ROUNDOFF eps sqrt|sigma_ii sigma_jj|)."""
+
+    def scaled():
+        d = _diagonal(cm)
+        return SYMMETRY_ROUNDOFF * EPS * np.sqrt(d[..., :, None] * d[..., None, :])
+
+    if _beyond(np.abs(cm - cm.swapaxes(-1, -2)), 1e-12, scaled):
         raise UnphysicalCovarianceError("covariance matrix is not symmetric")
     return cm
 
@@ -415,7 +460,10 @@ def reduce_to_standard_form(cm):
     sigma >= 0 by `eigvalsh` before the reduction, and nu_- >= 1 from the
     reduced rows, by the standard-form radicand of `symplectic_eigenvalues`.
     A reduction whose rows do not reproduce Det sigma and Delta raises
-    InvariantViolation.
+    InvariantViolation.  Every check allows the larger of its absolute
+    tolerance and the roundoff that a matrix of its diagonal's scale
+    carries (the module constants above); at O(1) entries that is the
+    absolute tolerance.
     """
     cms = np.asarray(cm, dtype=float)
     if cms.shape == (4, 4):
@@ -426,7 +474,20 @@ def reduce_to_standard_form(cm):
             f"expected a 4x4 matrix or an (N, 4, 4) stack, got shape {cms.shape}"
         )
     _check_symmetric(cms)
-    if np.any(np.linalg.eigvalsh(cms).min(axis=-1) < -PHYSICALITY_TOL):
+
+    # the invariants' roundoff, from the sums of their absolute terms
+    def delta_tol():
+        d = _diagonal(cms)
+        return INVARIANT_ROUNDINGS * EPS * 2.0 * (
+            np.sqrt(d[:, 0] * d[:, 1]) + np.sqrt(d[:, 2] * d[:, 3])
+        ) ** 2
+
+    def det_tol():
+        return INVARIANT_ROUNDINGS * EPS * 24.0 * _diagonal(cms).prod(-1)
+
+    eigen_floor = -np.linalg.eigvalsh(cms).min(axis=-1)
+    if _beyond(eigen_floor, PHYSICALITY_TOL,
+               lambda: EIGEN_ROUNDOFF * EPS * _diagonal(cms).sum(-1)):
         raise UnphysicalCovarianceError("covariance matrix is not positive semidefinite")
     S1, a = _single_mode_williamson(cms[:, :2, :2])
     S2, b = _single_mode_williamson(cms[:, 2:, 2:])
@@ -441,16 +502,16 @@ def reduce_to_standard_form(cm):
     sign = np.where(c_plus < 0.0, -1.0, 1.0)
     params = np.stack([a, b, sign * c_plus, sign * c_minus], axis=-1)
     nu_minus, _ = _standard_form_nu(*params.T)
-    if np.any(nu_minus < 1.0 - PHYSICALITY_TOL):
+    # nu_-^2 + nu_+^2 = Delta, which is known to delta_tol only
+    if _beyond(1.0 - nu_minus, PHYSICALITY_TOL, lambda: delta_tol() / 2.0):
         raise UnphysicalCovarianceError("covariance matrix violates nu_- >= 1")
 
     _, _, _, ds, delta = _block_invariants(cms)
     ab = a * b
     det_sf = (ab - params[:, 2] ** 2) * (ab - params[:, 3] ** 2)
     seralian_sf = a**2 + b**2 + 2.0 * params[:, 2] * params[:, 3]
-    if np.any(
-        (np.abs(det_sf - ds) > 1e-9 * np.maximum(1.0, np.abs(ds)))
-        | (np.abs(seralian_sf - delta) > 1e-9 * np.maximum(1.0, np.abs(delta)))
+    if _beyond(np.abs(det_sf - ds), 1e-9 * np.maximum(1.0, np.abs(ds)), det_tol) or _beyond(
+        np.abs(seralian_sf - delta), 1e-9 * np.maximum(1.0, np.abs(delta)), delta_tol
     ):
         raise InvariantViolation("standard-form reduction failed to preserve invariants")
     return params

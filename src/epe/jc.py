@@ -7,11 +7,20 @@ two-dimensional sectors {|g, n>, |e, n-1>}.  Evolution is therefore
 evaluated in closed form at any dimensionless time lambda*t; there is
 no integrator and no step error.  Both atoms start in the ground state.
 
-States live in a truncated double Fock space as complex amplitude
-tables of shape (n_max + 1, n_max + 1, 2, 2) indexed by
-(n1, n2, atom1, atom2) with atom level 0 = ground, 1 = excited.  Since
-the inputs leave the atoms in the ground level, the truncated evolution
-is exact up to the input tail beyond n_max.
+Each input is built once as its field support (`field_support`): the
+nonzero entries F[n1, n2] of its truncated two-mode field table in
+row-major order, with both atoms in the ground level by construction.
+Every supported input has O(n_max) of them.  `reduced_states` evaluates
+the reduced two-qubit state at many times from the support alone, and
+`propagated_qubit_state` propagates the support's amplitudes over the
+sectors it reaches, as the independent check at one time.  Since the
+atoms start in the ground level, the truncated evolution is exact up to
+the input tail beyond n_max.
+
+The dense amplitude table of shape (n_max + 1, n_max + 1, 2, 2), indexed
+by (n1, n2, atom1, atom2) with atom level 0 = ground, 1 = excited, is the
+reference: `build_input` scatters a support into it, and `evolve` with
+`reduce_to_qubits` is the oracle the tests hold the support routes to.
 """
 
 from __future__ import annotations
@@ -28,12 +37,15 @@ from .errors import DomainError, TruncationError
 
 TAIL_TOL = 1e-12
 GAMMA_CAP = 0.95
-# largest per-mode truncation, chosen or requested: the dense tables grow as
-# n_max^2, and one `epe jc` scan at this truncation peaks at about 585 MiB,
-# most of it in the one oracle `evolve` of the amplitude table
+# largest per-mode truncation, chosen or requested.  It was set when a scan
+# held dense (n_max + 1)^2 tables (7.3 s and 584 MiB at the cap); on the
+# O(n_max) field support `epe jc --input n-photon --n 1500` takes 0.02 s
+# and 33 MiB, and `--input coherent --alpha 30 --nmax 1500` 0.8 s and
+# 57 MiB (VmHWM, default grid, 2 vCPU, one BLAS thread).  The dense
+# reference tables of `build_input` and `evolve` still grow as n_max^2.
 MAX_N_MAX = 1500
 # times per reduced_states call in the max_transfer grid scan; bounds the
-# (block, n_max + 1) work arrays whatever the grid length
+# (block, support size) work arrays whatever the grid length
 GRID_BLOCK = 128
 
 
@@ -90,12 +102,73 @@ class JointAtomFieldState:
         return float(np.linalg.norm(self.amps))
 
 
+@dataclass(frozen=True, eq=False)
+class FieldSupport:
+    """The nonzero field entries of an input with both atoms in the ground level.
+
+    `n1`, `n2` and `amps` list the entries F[n1, n2] of the truncated
+    field table in row-major order, within the truncation `n_max`.  The
+    pairings `reduced_states` sums over are derived once, here.  For each
+    (a, b, c, d) of itertools.product((0, 1), repeat=4) they are the
+    photon numbers (m1, m2) with nonzero weight
+    w = F[m1 + a, m2 + b] F[m1 + c, m2 + d]^*, in the row-major order of
+    (m1 + a, m2 + b); a `searchsorted` on the row-major index of the
+    entries finds each partner (m1 + c, m2 + d).  `blocks` lists, for
+    each (a, b, c, d) with pairs, ((a, b, c, d), i1, i2, w): the positions
+    of m1 and m2 in `levels`, the photon numbers at which `reduced_states`
+    evaluates its time factors, and the weights.
+    """
+
+    n_max: int
+    n1: np.ndarray
+    n2: np.ndarray
+    amps: np.ndarray
+    levels: np.ndarray = field(init=False, repr=False)
+    blocks: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n1, n2 = np.asarray(self.n1, dtype=int), np.asarray(self.n2, dtype=int)
+        amps = np.asarray(self.amps, dtype=complex)
+        if n1.size == 0:
+            raise DomainError("a field support needs at least one entry")
+        # one column of padding, so a partner beyond the truncation has a
+        # key of its own and matches no entry
+        width = self.n_max + 2
+        key = n1 * width + n2
+        if (n1.min() < 0 or n2.min() < 0 or max(n1.max(), n2.max()) > self.n_max
+                or np.any(np.diff(key) <= 0)):
+            raise DomainError("support entries must be distinct, row-major and within n_max")
+        found = []
+        for a, b, c, d in itertools.product((0, 1), repeat=4):
+            # F_ab is nonzero at m = n - (a, b); keep the points where F_cd is too
+            src = np.flatnonzero((n1 >= a) & (n2 >= b))
+            m1, m2 = n1[src] - a, n2[src] - b
+            target = (m1 + c) * width + m2 + d
+            at = np.minimum(np.searchsorted(key, target), key.size - 1)
+            hit = key[at] == target
+            w = amps[src[hit]] * amps[at[hit]].conj()
+            keep = w != 0.0
+            if keep.any():
+                found.append(((a, b, c, d), m1[hit][keep], m2[hit][keep], w[keep]))
+        # no np.unique: its first call imports numpy.ma, about 16 ms per process
+        present = np.zeros(self.n_max + 1, dtype=bool)
+        for _, m1, m2, _ in found:
+            present[m1] = present[m2] = True
+        levels = np.flatnonzero(present)
+        position = np.cumsum(present) - 1
+        blocks = tuple((abcd, position[m1], position[m2], w) for abcd, m1, m2, w in found)
+        for name, value in (("n1", n1), ("n2", n2), ("amps", amps), ("levels", levels),
+                            ("blocks", blocks)):
+            object.__setattr__(self, name, value)
+
+
 @dataclass(frozen=True)
 class TransferResult:
     """Outcome of a transfer maximization over dimensionless time.
 
     `qubit_state` is reduced_states(input_state, [lambda_t])[0] and
-    `input_state` the truncated input the scan evolved.
+    `input_state` the field support of the truncated input the scan
+    evolved.
     """
 
     lambda_t: float
@@ -104,7 +177,7 @@ class TransferResult:
     purity: float
     input_energy: float
     input_entropy: float
-    input_state: JointAtomFieldState
+    input_state: FieldSupport
 
 
 def minimize_scalar(fun, bounds, xatol=1e-5, maxiter=500):
@@ -304,35 +377,44 @@ def _coherent_amplitudes(alpha, n_max):
     return mag * np.exp(1j * np.angle(alpha) * n)
 
 
-def _field_amplitudes(spec: InputFieldSpec, n_max):
-    dim = n_max + 1
-    field = np.zeros((dim, dim), dtype=complex)
+def field_support(spec: InputFieldSpec, n_max=None) -> FieldSupport:
+    """The input's field support at truncation `n_max` (default: the required one).
+
+    The entries are built straight from the spec and renormalized to unit
+    norm over the support, which perturbs the state by at most the tail
+    tolerance.  Entries that underflow to zero are dropped.
+    """
+    n_max = resolve_n_max(spec, n_max)
     if isinstance(spec, NPhoton):
-        field[0, spec.n] = field[spec.n, 0] = 1.0 / np.sqrt(2.0)
+        n1, n2 = np.array([0, spec.n]), np.array([spec.n, 0])
+        amps = np.full(2, 1.0 / np.sqrt(2.0), dtype=complex)
     elif isinstance(spec, EntangledCoherent):
+        # row 0, then column 0 below it; the vacuum entry gets both branches
         ca = _coherent_amplitudes(spec.alpha, n_max)
-        field[0, :] += ca
-        field[:, 0] += ca
-        field /= np.sqrt(2.0 * (1.0 + np.exp(-abs(spec.alpha) ** 2)))
+        k = np.arange(1, n_max + 1)
+        n1 = np.concatenate([np.zeros(n_max + 1, dtype=int), k])
+        n2 = np.concatenate([np.arange(n_max + 1), np.zeros(n_max, dtype=int)])
+        amps = np.zeros(2 * n_max + 1, dtype=complex)
+        amps += np.concatenate([ca, ca[1:]])
+        amps[0] += ca[0]
+        amps /= np.sqrt(2.0 * (1.0 + np.exp(-abs(spec.alpha) ** 2)))
     elif isinstance(spec, TwoModeSqueezed):
-        n = np.arange(dim)
-        field[n, n] = np.sqrt(1.0 - spec.gamma**2) * spec.gamma**n
+        n1 = n2 = np.arange(n_max + 1)
+        amps = (np.sqrt(1.0 - spec.gamma**2) * spec.gamma**n1).astype(complex)
     else:
         raise DomainError(f"unknown input specification {spec!r}")
-    return field
+    amps /= np.linalg.norm(amps)
+    nonzero = amps != 0.0
+    return FieldSupport(n_max=n_max, n1=n1[nonzero], n2=n2[nonzero], amps=amps[nonzero])
 
 
 def build_input(spec: InputFieldSpec, n_max=None) -> JointAtomFieldState:
-    """Initial field state tensored with both atoms in the ground level.
-
-    The truncated amplitude table is renormalized to unit norm, which
-    perturbs the state by at most the tail tolerance.
-    """
-    n_max = resolve_n_max(spec, n_max)
-    field = _field_amplitudes(spec, n_max)
-    amps = np.zeros((n_max + 1, n_max + 1, 2, 2), dtype=complex)
-    amps[:, :, 0, 0] = field
-    amps /= np.linalg.norm(amps)
+    """The dense reference table of `field_support(spec, n_max)`, both atoms
+    in the ground level."""
+    support = field_support(spec, n_max)
+    dim = support.n_max + 1
+    amps = np.zeros((dim, dim, 2, 2), dtype=complex)
+    amps[support.n1, support.n2, 0, 0] = support.amps
     return JointAtomFieldState(amps=amps)
 
 
@@ -373,44 +455,59 @@ def reduce_to_qubits(state: JointAtomFieldState) -> np.ndarray:
     return (rho + rho.conj().T) / 2.0
 
 
-def reduced_states(state: JointAtomFieldState, times) -> np.ndarray:
+def reduced_states(support: FieldSupport, times) -> np.ndarray:
     """Reduced two-qubit states at many times, shape (len(times), 4, 4).
 
-    Closed form of reduce_to_qubits(evolve(state, t)) for inputs with
-    both atoms in the ground level.  Each atom-mode pair takes |g, m + a>
-    to X_a(t, m) |a, m> with X_0 = cos(sqrt(m) t) and
-    X_1 = -i sin(sqrt(m + 1) t), so with the shifted field tables
-    F_ab[m1, m2] = F[m1 + a, m2 + b] (zero beyond the truncation)
+    Closed form of reduce_to_qubits(evolve(build_input(...), t)).  Each
+    atom-mode pair takes |g, m + a> to X_a(t, m) |a, m> with
+    X_0 = cos(sqrt(m) t) and X_1 = -i sin(sqrt(m + 1) t), so with the
+    shifted field tables F_ab[m1, m2] = F[m1 + a, m2 + b] (zero beyond the
+    truncation)
 
         rho_{ab,cd}(t) = sum_{m1,m2} X_a X_c^*(t, m1) (F_ab F_cd^*)[m1, m2] X_b X_d^*(t, m2).
 
-    The weight F_ab F_cd^* vanishes off the nonzero entries of F, so each
-    sum runs over those alone: O(len(times) * nnz(F)) work and no loop
-    over times.  `evolve` stays the independent oracle for this function.
+    The weight F_ab F_cd^* vanishes off the support, so each sum runs over
+    the support's pairings alone, with the time factors at its `levels`:
+    O(len(times) * support size) work and no loop over times.
+    `propagated_qubit_state` and `evolve` stay independent of this sum.
     """
-    amps = state.amps
-    if np.any(amps[:, :, 1, :]) or np.any(amps[:, :, :, 1]):
-        raise DomainError("reduced_states needs both atoms in the ground level")
     t = np.asarray(times, dtype=float).ravel()
-    dim = amps.shape[0]
-    root = np.sqrt(np.arange(dim + 1))
-    x = (np.cos(np.outer(t, root[:-1])), -1j * np.sin(np.outer(t, root[1:])))
+    m = support.levels.astype(float)
+    x = (np.cos(np.outer(t, np.sqrt(m))), -1j * np.sin(np.outer(t, np.sqrt(m + 1.0))))
     xx = {(a, c): x[a] * x[c].conj() for a in (0, 1) for c in (0, 1)}
-    field = np.zeros((dim + 1, dim + 1), dtype=complex)
-    field[:dim, :dim] = amps[:, :, 0, 0]
-    n1, n2 = np.nonzero(field)
-
-    rho = np.empty((t.size, 4, 4), dtype=complex)
-    for a, b, c, d in itertools.product((0, 1), repeat=4):
-        # F_ab is nonzero at m = n - (a, b); keep the points where F_cd is too
-        m1, m2 = n1 - a, n2 - b
-        inside = (m1 >= 0) & (m2 >= 0)
-        m1, m2 = m1[inside], m2[inside]
-        w = field[n1[inside], n2[inside]] * field[m1 + c, m2 + d].conj()
-        keep = w != 0.0
-        m1, m2 = m1[keep], m2[keep]
-        rho[:, 2 * a + b, 2 * c + d] = (xx[a, c][:, m1] * xx[b, d][:, m2]) @ w[keep]
+    rho = np.zeros((t.size, 4, 4), dtype=complex)
+    for (a, b, c, d), i1, i2, w in support.blocks:
+        rho[:, 2 * a + b, 2 * c + d] = (xx[a, c][:, i1] * xx[b, d][:, i2]) @ w
     return (rho + rho.conj().swapaxes(1, 2)) / 2.0
+
+
+def propagated_qubit_state(support: FieldSupport, lambda_t) -> np.ndarray:
+    """reduce_to_qubits(evolve(build_input(...), lambda_t)) over the sectors
+    the support reaches, with no dense table.
+
+    An entry F |g, n1> |g, n2> couples to four states: it evolves to
+    sum_{s1,s2} u_s1(n1) u_s2(n2) F |s1, n1 - s1> |s2, n2 - s2> with
+    u_0(n) = cos(sqrt(n) t) and u_1(n) = -i sin(sqrt(n) t); the |e, -1>
+    terms carry u_1(0) = 0 and are dropped.  The amplitudes of each pair of
+    atom levels are kept by field index, and the partial trace over the
+    field pairs equal field indices of two level pairs.  The amplitude
+    propagation shares nothing with the factorized sum of `reduced_states`.
+    """
+    t = float(lambda_t)
+    width = support.n_max + 1
+    u1 = (np.cos(np.sqrt(support.n1) * t), -1j * np.sin(np.sqrt(support.n1) * t))
+    u2 = (np.cos(np.sqrt(support.n2) * t), -1j * np.sin(np.sqrt(support.n2) * t))
+    kets = []
+    for s1, s2 in itertools.product((0, 1), repeat=2):
+        k1, k2 = support.n1 - s1, support.n2 - s2
+        live = (k1 >= 0) & (k2 >= 0)
+        kets.append(((k1 * width + k2)[live], (support.amps * u1[s1] * u2[s2])[live]))
+    rho = np.empty((4, 4), dtype=complex)
+    for i, (ki, psi_i) in enumerate(kets):
+        for j, (kj, psi_j) in enumerate(kets):
+            _, at_i, at_j = np.intersect1d(ki, kj, assume_unique=True, return_indices=True)
+            rho[i, j] = np.sum(psi_i[at_i] * psi_j[at_j].conj())
+    return (rho + rho.conj().T) / 2.0
 
 
 def sector_norms(state: JointAtomFieldState) -> np.ndarray:
@@ -479,44 +576,50 @@ def schmidt_entropy(state: JointAtomFieldState) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def _times(lambda_t):
+    """lambda_t as an array with a trailing axis for the photon numbers."""
+    return np.asarray(lambda_t, dtype=float)[..., None]
+
+
 def _npn_matrix(n, lambda_t):
-    phase = np.sqrt(n) * lambda_t
+    phase = np.sqrt(n) * np.asarray(lambda_t, dtype=float)
     c2 = np.cos(phase) ** 2
     s2 = np.sin(phase) ** 2
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = c2
-    rho[1, 1] = rho[2, 2] = s2 / 2.0
+    rho = np.zeros(phase.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = c2
+    rho[..., 1, 1] = rho[..., 2, 2] = s2 / 2.0
     if n == 1:
-        rho[1, 2] = rho[2, 1] = s2 / 2.0
+        rho[..., 1, 2] = rho[..., 2, 1] = s2 / 2.0
     return rho
 
 
-def _coherent_series_matrix(spec: EntangledCoherent, lambda_t, n_max):
-    # closed-form entries of the reduced state; the only coherences are
-    # within the zero-excited and one-excited atomic levels, and the
-    # |ee> row vanishes identically because each branch drives one atom
-    m2 = abs(spec.alpha) ** 2
+def _coherent_series_matrix(alpha, ca, lambda_t):
+    # closed-form entries of the reduced state, with ca the coherent
+    # amplitudes to the truncation; the only coherences are within the
+    # zero-excited and one-excited atomic levels, and the |ee> row vanishes
+    # identically because each branch drives one atom
+    m2 = abs(alpha) ** 2
     norm2 = 1.0 / (2.0 * (1.0 + np.exp(-m2)))
-    ca = _coherent_amplitudes(spec.alpha, n_max)
-    n = np.arange(n_max + 1)
-    cphi = np.cos(np.sqrt(n) * lambda_t)
-    sphi = np.sin(np.sqrt(n) * lambda_t)
+    n = np.arange(ca.size)
+    t = _times(lambda_t)
+    cphi = np.cos(np.sqrt(n) * t)
+    sphi = np.sin(np.sqrt(n) * t)
     p = np.abs(ca) ** 2
 
-    a = norm2 * (4.0 * p[0] + 2.0 * (p[1:] * cphi[1:] ** 2).sum())
-    b = norm2 * (p[1:] * sphi[1:] ** 2).sum()
-    z = norm2 * p[1] * sphi[1] ** 2
-    cross = 2.0 * ca[0] * ca[1].conj() * sphi[1] + (
-        ca[1:-1] * ca[2:].conj() * cphi[1:-1] * sphi[2:]
-    ).sum()
+    a = norm2 * (4.0 * p[0] + 2.0 * (p[1:] * cphi[..., 1:] ** 2).sum(-1))
+    b = norm2 * (p[1:] * sphi[..., 1:] ** 2).sum(-1)
+    z = norm2 * p[1] * sphi[..., 1] ** 2
+    cross = 2.0 * ca[0] * ca[1].conj() * sphi[..., 1] + (
+        ca[1:-1] * ca[2:].conj() * cphi[..., 1:-1] * sphi[..., 2:]
+    ).sum(-1)
     x = 1j * norm2 * cross
 
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = a
-    rho[1, 1] = rho[2, 2] = b
-    rho[1, 2] = rho[2, 1] = z
-    rho[0, 1] = rho[0, 2] = x
-    rho[1, 0] = rho[2, 0] = np.conj(x)
+    rho = np.zeros(a.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = a
+    rho[..., 1, 1] = rho[..., 2, 2] = b
+    rho[..., 1, 2] = rho[..., 2, 1] = z
+    rho[..., 0, 1] = rho[..., 0, 2] = x
+    rho[..., 1, 0] = rho[..., 2, 0] = np.conj(x)
     return rho
 
 
@@ -531,7 +634,8 @@ def squeezed_series_matrix(gamma, lambda_t, n_max, convention="double") -> np.nd
 
     The "half" convention replaces every 2 sqrt(n) lt by sqrt(n) lt; it
     exists only to quantify how badly the halved phases disagree with
-    the numerical evolution (see squeezed_convention_deviation).
+    the numerical evolution (see squeezed_convention_deviation).  An
+    array of times gives one matrix per time.
     """
     if convention not in ("double", "half"):
         raise DomainError(f"unknown trig convention {convention!r}")
@@ -539,17 +643,18 @@ def squeezed_series_matrix(gamma, lambda_t, n_max, convention="double") -> np.nd
     A = 1.0 - gamma**2
     n = np.arange(n_max + 1)
     w = gamma ** (2 * n)
-    cn = np.cos(scale * np.sqrt(n) * lambda_t)
-    sn = np.sin(scale * np.sqrt(n) * lambda_t)
-    a = (A / 4.0) * (w * (cn + 1.0) ** 2).sum()
-    b = (A / 4.0) * (w * sn**2).sum()
-    d = (A / 4.0) * (w * (cn - 1.0) ** 2).sum()
-    x = (A / 4.0) * (w[:-1] * gamma * (cn[1:] - 1.0) * (cn[:-1] + 1.0)).sum()
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = a
-    rho[1, 1] = rho[2, 2] = b
-    rho[3, 3] = d
-    rho[0, 3] = rho[3, 0] = x
+    t = _times(lambda_t)
+    cn = np.cos(scale * np.sqrt(n) * t)
+    sn = np.sin(scale * np.sqrt(n) * t)
+    a = (A / 4.0) * (w * (cn + 1.0) ** 2).sum(-1)
+    b = (A / 4.0) * (w * sn**2).sum(-1)
+    d = (A / 4.0) * (w * (cn - 1.0) ** 2).sum(-1)
+    x = (A / 4.0) * (w[:-1] * gamma * (cn[..., 1:] - 1.0) * (cn[..., :-1] + 1.0)).sum(-1)
+    rho = np.zeros(a.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = a
+    rho[..., 1, 1] = rho[..., 2, 2] = b
+    rho[..., 3, 3] = d
+    rho[..., 0, 3] = rho[..., 3, 0] = x
     return rho
 
 
@@ -557,13 +662,16 @@ def analytic_qubit_state(spec: InputFieldSpec, lambda_t, n_max=None) -> np.ndarr
     """Closed-form reduced two-qubit state, independent of `evolve`.
 
     Series are truncated at the same n_max used by the numerical route,
-    so the two agree to the truncation tail.
+    so the two agree to the truncation tail.  `lambda_t` is one time,
+    giving a 4x4 matrix, or an array of times, giving one matrix per
+    time; the truncation is resolved (and checked) once per call.
     """
     n_max = resolve_n_max(spec, n_max)
     if isinstance(spec, NPhoton):
         return _npn_matrix(spec.n, lambda_t)
     if isinstance(spec, EntangledCoherent):
-        return _coherent_series_matrix(spec, lambda_t, n_max)
+        ca = _coherent_amplitudes(spec.alpha, n_max)
+        return _coherent_series_matrix(spec.alpha, ca, lambda_t)
     if isinstance(spec, TwoModeSqueezed):
         return squeezed_series_matrix(spec.gamma, lambda_t, n_max)
     raise DomainError(f"unknown input specification {spec!r}")
@@ -595,8 +703,9 @@ def default_time_grid(t_max=4.0 * np.pi, steps=2000) -> np.ndarray:
 def max_transfer(spec: InputFieldSpec, time_grid=None, n_max=None) -> TransferResult:
     """Scan lambda*t for the largest transferred concurrence.
 
-    `reduced_states` evaluates the grid (in blocks of GRID_BLOCK times),
-    the refinement and the reported state.  Every local grid maximum
+    The input is built once as its `field_support`, and `reduced_states`
+    evaluates the grid (in blocks of GRID_BLOCK times), the refinement and
+    the reported state from it.  Every local grid maximum
     within 1e-3 of the best grid value (a flat run of equal values
     counting once) is refined by bounded scalar minimization to 1e-8 in
     lambda*t, and ties between refined peaks (within 1e-10) resolve to
@@ -611,14 +720,13 @@ def max_transfer(spec: InputFieldSpec, time_grid=None, n_max=None) -> TransferRe
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise DomainError("time grid must be strictly increasing")
 
-    n_max = resolve_n_max(spec, n_max)
-    state0 = build_input(spec, n_max)
+    support = field_support(spec, n_max)
 
     def conc_at(t):
-        return qubit.concurrence(reduced_states(state0, [t])[0], check=False)
+        return qubit.concurrence(reduced_states(support, [t])[0], check=False)
 
     vals = np.concatenate([
-        qubit.concurrence(reduced_states(state0, grid[i : i + GRID_BLOCK]), check=False)
+        qubit.concurrence(reduced_states(support, grid[i : i + GRID_BLOCK]), check=False)
         for i in range(0, grid.size, GRID_BLOCK)
     ])
     best_grid = vals.max()
@@ -643,7 +751,7 @@ def max_transfer(spec: InputFieldSpec, time_grid=None, n_max=None) -> TransferRe
         if c_ref > best_c + 1e-10 or (abs(c_ref - best_c) <= 1e-10 and t_ref < best_t):
             best_t, best_c = t_ref, c_ref
 
-    rho = reduced_states(state0, [best_t])[0]
+    rho = reduced_states(support, [best_t])[0]
     return TransferResult(
         lambda_t=best_t,
         qubit_state=rho,
@@ -651,5 +759,5 @@ def max_transfer(spec: InputFieldSpec, time_grid=None, n_max=None) -> TransferRe
         purity=qubit.purity(rho, check=False),
         input_energy=input_energy(spec),
         input_entropy=input_entropy(spec),
-        input_state=state0,
+        input_state=support,
     )

@@ -398,6 +398,13 @@ def gaussian_records(params, measure="logneg"):
     gmems = np.maximum(0.0, -np.log(A - np.sqrt(np.maximum(A**2 - 1.0 / p_ref, 0.0))))
     bound = np.where(en > 0.0, gmems, 0.0)
     below = logneg <= bound + FLAG_TOL
+    if not below.all():
+        # nu~_-^2 is a difference of two numbers of size a^2 + b^2 + 2|c+ c-|,
+        # so -ln nu~_- carries that roundoff relative to 2 nu~_-^2, which
+        # exceeds FLAG_TOL only at large energies
+        roundoff = (gaussian.INVARIANT_ROUNDINGS * gaussian.EPS
+                    * (a**2 + b**2 + 2.0 * np.abs(c_plus * c_minus)) / (2.0 * nu**2))
+        below |= logneg <= bound + roundoff
     in_band = (logneg <= 0.0) | (pur > 1.0 / (2.0 * en + 1.0) - FLAG_TOL)
 
     values = np.column_stack([en, ent, pur])

@@ -303,8 +303,17 @@ class TestSample:
 
     @pytest.mark.parametrize("window", [["20", "40"], ["50", "100"]])
     def test_unphysical_sampled_covariance_exit_4(self, tmp_path, capsys, monkeypatch, window):
-        # candidate covariances of wide high-energy windows fail the symmetry check
+        # a sampled covariance whose triangles differ by far more than the
+        # roundoff of its construction is refused
+        real = sampling.candidate_covariances
+
+        def skewed(u, energy_window):
+            sigma, ok = real(u, energy_window)
+            sigma[:, 0, 1] += 1e-9 * np.abs(np.diagonal(sigma, axis1=1, axis2=2)).sum(-1)
+            return sigma, ok
+
         monkeypatch.setenv("EPE_THREADS", "1")
+        monkeypatch.setattr(sampling, "candidate_covariances", skewed)
         argv = ["sample", "--system", "gaussian", "--count", "4096", "--seed", "7",
                 "--energy-window", *window]
         out = tmp_path / "g.csv"
@@ -313,6 +322,23 @@ class TestSample:
         assert os.listdir(tmp_path) == []
         assert run_cli(argv) == 4
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("window", [["20", "40"], ["50", "100"]])
+    def test_wide_energy_windows_sample(self, tmp_path, monkeypatch, window):
+        # the checks allow the roundoff of S^T diag(nu) S at the matrices' own
+        # scale, so wide high-energy windows sample with every flag passing
+        from epe import gaussian
+
+        monkeypatch.setenv("EPE_THREADS", "1")
+        out = tmp_path / "g.csv"
+        assert run_cli(["sample", "--system", "gaussian", "--count", "4096", "--seed", "7",
+                        "--energy-window", *window, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 4096 and {row[3] for row in rows} == {"111"}
+        lo, hi = map(float, window)
+        assert all(lo <= float(row[0]) <= hi for row in rows)
+        sigmas = sampling.gaussian_covariances_chunk(7, 0, 4096, (lo, hi))
+        assert all(gaussian.cm_is_physical(sigma) for sigma in sigmas)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "q.json"
@@ -416,24 +442,68 @@ class TestJc:
         assert cols["input_energy"] == 1.0
         assert cols["analytic_max_dev"] < 1e-10
 
-    def test_one_evolve_per_input(self, tmp_path, monkeypatch):
-        # the scan, refinement and analytic check use reduced_states; evolve
-        # is the oracle at each reported optimum only
+    def test_one_propagation_per_input(self, tmp_path, monkeypatch):
+        # the scan, refinement and analytic check use reduced_states; the
+        # amplitude propagation of the support is the oracle at each reported
+        # optimum only, and the dense evolve is never called
         from epe import jc
 
         calls = []
-        real = jc.evolve
+        real = jc.propagated_qubit_state
 
-        def counting(state, lambda_t):
+        def counting(support, lambda_t):
             calls.append(lambda_t)
-            return real(state, lambda_t)
+            return real(support, lambda_t)
 
-        monkeypatch.setattr(jc, "evolve", counting)
+        def refuse(*args, **kwargs):
+            raise AssertionError("epe jc called the dense evolve")
+
+        monkeypatch.setattr(jc, "propagated_qubit_state", counting)
+        monkeypatch.setattr(jc, "evolve", refuse)
         out = tmp_path / "jc.csv"
         assert run_cli(["jc", "--input", "squeezed", "--gamma", "0.4:0.8:0.2",
                         "--out", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert calls == [float(row[3]) for row in rows]
+
+    @pytest.mark.parametrize("argv", [
+        ["--input", "single-photon"],
+        ["--input", "n-photon", "--n", "3"],
+        ["--input", "coherent", "--alpha", "0.5:1.5:0.5"],
+        ["--input", "squeezed", "--gamma", "0.3:0.9:0.3"],
+    ])
+    def test_never_builds_a_dense_input(self, tmp_path, monkeypatch, argv):
+        from epe import jc
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("epe jc built a dense table")
+
+        for name in ("build_input", "evolve", "reduce_to_qubits"):
+            monkeypatch.setattr(jc, name, refuse)
+        out = tmp_path / "jc.csv"
+        assert run_cli(["jc", *argv, "--tsteps", "300", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) > 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--input", "n-photon", "--n", "1500"],
+        ["--input", "coherent", "--alpha", "30", "--nmax", "1500", "--tsteps", "200"],
+    ])
+    def test_no_table_of_the_truncation_squared_at_the_cap(self, tmp_path, argv):
+        # a (n_max + 1)^2 complex table at the cap takes 34 MiB; the whole run
+        # allocates less than that at its peak
+        import tracemalloc
+
+        from epe import jc
+
+        table = 16 * (jc.MAX_N_MAX + 1) ** 2
+        out = tmp_path / "jc.csv"
+        tracemalloc.start()
+        try:
+            assert run_cli(["jc", *argv, "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table
 
     def test_n_photon_two(self, capsys):
         assert run_cli(["jc", "--input", "n-photon", "--n", "2", "--tsteps", "150"]) == 0
@@ -486,11 +556,11 @@ class TestJc:
                                                               monkeypatch, argv):
         from epe import jc
 
-        def no_table(*args, **kwargs):
+        def no_input(*args, **kwargs):
             raise AssertionError("a truncated input was built")
 
-        # a dense table at these truncations would take gigabytes
-        monkeypatch.setattr(jc, "build_input", no_table)
+        # the cap is checked for every spec before any input is built
+        monkeypatch.setattr(jc, "field_support", no_input)
         out = tmp_path / "jc.csv"
         assert run_cli(["jc", *argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()

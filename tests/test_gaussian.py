@@ -449,6 +449,45 @@ class TestStandardFormReduction:
             gaussian.reduce_to_standard_form(cms.reshape(2, 5, 4, 4))
 
 
+class TestScaleAwareChecks:
+    def test_symmetry_tolerance_is_absolute_at_unit_scale(self):
+        cm = np.eye(4)
+        cm[0, 1] = 5e-13
+        gaussian.cm_validate(cm)
+        cm[0, 1] = 2e-12
+        with pytest.raises(UnphysicalCovarianceError, match="not symmetric"):
+            gaussian.cm_validate(cm)
+
+    def test_symmetry_tolerance_follows_the_diagonal(self):
+        # at diagonal 1e6 the construction's roundoff allows 6 eps 1e6 = 1.3e-9
+        cm = 1e6 * np.eye(4)
+        cm[0, 1] = 1e-9
+        gaussian.cm_validate(cm)
+        gaussian.reduce_to_standard_form(cm[None])
+        cm[0, 1] = 2e-9
+        with pytest.raises(UnphysicalCovarianceError, match="not symmetric"):
+            gaussian.reduce_to_standard_form(cm[None])
+        # a small entry between large diagonal ones gets the same allowance
+        cm = np.diag([1e6, 1e6, 1.0, 1.0])
+        cm[2, 3] = 2e-12
+        with pytest.raises(UnphysicalCovarianceError, match="not symmetric"):
+            gaussian.cm_validate(cm)
+
+    def test_eigenvalue_floor_is_absolute_at_unit_scale(self):
+        cm = np.eye(4)
+        cm[0, 0] = -2e-10
+        with pytest.raises(UnphysicalCovarianceError, match="positive semidefinite"):
+            gaussian.reduce_to_standard_form(cm[None])
+
+    @pytest.mark.parametrize("window", [(20.0, 40.0), (50.0, 100.0)])
+    def test_wide_window_samples_reduce(self, window):
+        cms = gaussian_covariances_chunk(7, 0, 512, window)
+        params = gaussian.reduce_to_standard_form(cms)
+        assert all(gaussian.cm_is_physical(cm) for cm in cms)
+        energy = (params[:, 0] + params[:, 1]) / 2.0 - 1.0
+        assert np.all((window[0] * (1.0 - 1e-12) <= energy) & (energy <= window[1] * (1.0 + 1e-12)))
+
+
 class TestContainment:
     @given(st.integers(0, 100_000))
     @settings(max_examples=80, deadline=None)

@@ -1,6 +1,7 @@
 """Jaynes-Cummings transfer: inputs, exact evolution and analytic cross-checks."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -235,6 +236,30 @@ class TestAnalyticForms:
             direct = max(0.0, 2.0 * abs(rho[0, 3]) - 2.0 * rho[1, 1].real)
             assert qubit.concurrence(rho) == pytest.approx(direct, abs=1e-10)
 
+    @pytest.mark.parametrize("spec", [
+        jc.NPhoton(n=1),
+        jc.NPhoton(n=3),
+        jc.EntangledCoherent(alpha=0.6 + 0.8j),
+        jc.TwoModeSqueezed(gamma=0.7),
+    ])
+    def test_times_array_is_the_stack_of_single_times(self, spec, monkeypatch):
+        times = np.linspace(0.0, 4.0 * np.pi, 67)
+        singles = np.array([jc.analytic_qubit_state(spec, t) for t in times])
+        calls = []
+        real = jc.required_n_max
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(jc, "required_n_max", counting)
+        stacked = jc.analytic_qubit_state(spec, times)
+        assert stacked.shape == (times.size, 4, 4)
+        assert np.array_equal(stacked, singles)
+        assert len(calls) == 1
+        with pytest.raises(TruncationError):
+            jc.analytic_qubit_state(jc.TwoModeSqueezed(gamma=0.9), times, n_max=20)
+
     def test_truncation_convergence(self):
         spec = jc.TwoModeSqueezed(gamma=0.9)
         base = jc.resolve_n_max(spec)
@@ -273,35 +298,103 @@ def _dense_ground_tables(draw):
     return jc.JointAtomFieldState(amps=amps / np.linalg.norm(amps))
 
 
-def _input_states(spec, extra):
-    return jc.build_input(spec, jc.required_n_max(spec) + extra)
+def _support_of_table(state):
+    """The field support of a dense table with both atoms in the ground level."""
+    field = state.amps[:, :, 0, 0]
+    n1, n2 = np.nonzero(field)
+    return jc.FieldSupport(n_max=state.n_max, n1=n1, n2=n2, amps=field[n1, n2])
+
+
+def _spec_inputs(spec, extra):
+    """(support, dense table) of a spec input at `extra` above its required truncation."""
+    n_max = jc.required_n_max(spec) + extra
+    return jc.field_support(spec, n_max), jc.build_input(spec, n_max)
+
+
+# (support, dense reference table) pairs: spec inputs and random dense tables
+_SUPPORTED_INPUTS = st.one_of(
+    st.builds(_spec_inputs, _INPUT_SPECS, st.integers(0, 6)),
+    _dense_ground_tables().map(lambda state: (_support_of_table(state), state)),
+)
+_TIMES = st.lists(st.floats(0.0, 30.0), max_size=6)
+
+
+class TestFieldSupport:
+    @pytest.mark.parametrize("spec,size", [
+        (jc.NPhoton(n=7), 2),
+        (jc.EntangledCoherent(alpha=1.0), 2 * 14 + 1),
+        (jc.TwoModeSqueezed(gamma=0.6), 27 + 1),
+        (jc.TwoModeSqueezed(gamma=0.0), 1),
+    ])
+    def test_entries_are_the_nonzero_field_entries(self, spec, size):
+        support = jc.field_support(spec)
+        assert support.n_max == jc.resolve_n_max(spec)
+        assert support.amps.size == size
+        assert np.linalg.norm(support.amps) == pytest.approx(1.0, abs=1e-15)
+        # build_input is the scatter of the support, with nothing else nonzero
+        table = jc.build_input(spec).amps
+        assert np.count_nonzero(table) == size
+        assert np.array_equal(table[support.n1, support.n2, 0, 0], support.amps)
+        # row-major order
+        assert np.all(np.diff(support.n1 * (support.n_max + 1) + support.n2) > 0)
+
+    def test_underflowed_entries_are_dropped(self):
+        support = jc.field_support(jc.TwoModeSqueezed(gamma=0.5), n_max=1500)
+        assert support.n_max == 1500
+        assert 0 < support.amps.size < 1501 and np.all(support.amps != 0.0)
+
+    @pytest.mark.parametrize("n1,n2", [
+        ([1, 0], [0, 1]),  # not row-major
+        ([0, 0], [1, 1]),  # repeated
+        ([0, 3], [1, 0]),  # beyond n_max
+        ([-1, 0], [0, 1]),
+        ([], []),
+    ])
+    def test_rejects_malformed_entries(self, n1, n2):
+        with pytest.raises(DomainError):
+            jc.FieldSupport(n_max=2, n1=np.array(n1, dtype=int), n2=np.array(n2, dtype=int),
+                            amps=np.ones(len(n1), dtype=complex))
 
 
 class TestReducedStates:
-    @given(
-        st.one_of(
-            st.builds(_input_states, _INPUT_SPECS, st.integers(0, 6)),
-            _dense_ground_tables(),
-        ),
-        st.lists(st.floats(0.0, 30.0), max_size=6),
-    )
+    @given(_SUPPORTED_INPUTS, _TIMES)
     @settings(max_examples=90, deadline=None)
-    def test_matches_evolve_oracle(self, state, times):
+    def test_matches_evolve_oracle(self, inputs, times):
+        # both support routes, the factorized sum and the amplitude propagation
+        support, state = inputs
         times = [0.0, 4.0 * np.pi + 0.3, *times]
-        rhos = jc.reduced_states(state, times)
+        rhos = jc.reduced_states(support, times)
         assert rhos.shape == (len(times), 4, 4)
         for t, rho in zip(times, rhos):
             oracle = jc.reduce_to_qubits(jc.evolve(state, t))
             assert np.abs(rho - oracle).max() <= 1e-13
+            assert np.abs(jc.propagated_qubit_state(support, t) - oracle).max() <= 1e-13
 
-    def test_rejects_excited_atom(self):
-        state = jc.build_input(jc.SinglePhoton())
-        state.amps[0, 0, 1, 0] = 0.1
-        with pytest.raises(DomainError):
-            jc.reduced_states(state, [0.0, 1.0])
-        evolved = jc.evolve(jc.build_input(jc.SinglePhoton()), 0.5)
-        with pytest.raises(DomainError):
-            jc.reduced_states(evolved, [0.0])
+
+class TestPropagatedQubitState:
+    @pytest.mark.parametrize("spec", [
+        jc.SinglePhoton(),
+        jc.NPhoton(n=3),
+        jc.EntangledCoherent(alpha=1.0),
+        jc.EntangledCoherent(alpha=0.6 + 0.8j),
+        jc.TwoModeSqueezed(gamma=0.0),
+        jc.TwoModeSqueezed(gamma=0.6),
+    ])
+    def test_every_input_at_small_truncation(self, spec):
+        for n_max in (jc.required_n_max(spec), jc.required_n_max(spec) + 3):
+            support, state = jc.field_support(spec, n_max), jc.build_input(spec, n_max)
+            for t in (0.37, 1.3, 27.1):
+                oracle = jc.reduce_to_qubits(jc.evolve(state, t))
+                assert np.abs(jc.propagated_qubit_state(support, t) - oracle).max() <= 1e-13
+
+    def test_does_not_use_the_factorized_sum(self, monkeypatch):
+        # the propagation reads only the entries, not the pairings
+        support = jc.field_support(jc.EntangledCoherent(alpha=0.8))
+        expected = jc.propagated_qubit_state(support, 0.9)
+        monkeypatch.setattr(jc, "reduced_states", None)
+        entries = types.SimpleNamespace(n_max=support.n_max, n1=support.n1, n2=support.n2,
+                                        amps=support.amps)
+        assert np.array_equal(jc.propagated_qubit_state(entries, 0.9), expected)
 
 
 class TestMaxTransfer:
@@ -315,17 +408,24 @@ class TestMaxTransfer:
     def test_result_keeps_the_evolved_input(self):
         spec = jc.EntangledCoherent(alpha=0.8)
         result = jc.max_transfer(spec, np.linspace(0.0, 4.0 * np.pi, 200))
-        assert np.array_equal(result.input_state.amps, jc.build_input(spec).amps)
+        support = jc.field_support(spec)
+        assert isinstance(result.input_state, jc.FieldSupport)
+        assert result.input_state.n_max == support.n_max
+        for name in ("n1", "n2", "amps"):
+            assert np.array_equal(getattr(result.input_state, name), getattr(support, name))
         rho = jc.reduced_states(result.input_state, [result.lambda_t])[0]
         assert np.array_equal(result.qubit_state, rho)
-        oracle = jc.reduce_to_qubits(jc.evolve(result.input_state, result.lambda_t))
+        oracle = jc.reduce_to_qubits(jc.evolve(jc.build_input(spec), result.lambda_t))
         assert np.abs(result.qubit_state - oracle).max() <= 1e-13
+        propagated = jc.propagated_qubit_state(result.input_state, result.lambda_t)
+        assert np.abs(propagated - oracle).max() <= 1e-13
 
     def test_runs_without_evolve(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("max_transfer called evolve")
+            raise AssertionError("max_transfer used a dense table")
 
         monkeypatch.setattr(jc, "evolve", refuse)
+        monkeypatch.setattr(jc, "build_input", refuse)
         result = jc.max_transfer(jc.TwoModeSqueezed(gamma=0.6), np.linspace(0.0, 4.0 * np.pi, 300))
         assert result.concurrence > 0.8
 
