@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import concurrent.futures
 import json
 import os
 import shutil
@@ -222,6 +221,9 @@ def _record_chunks(cfg):
         for start, size in zip(starts, sizes):
             yield sampling.records_chunk(cfg, start, size)
         return
+    # imported here: it pulls in logging, which no other path needs
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         pending = collections.deque()
         for start, size in zip(starts, sizes):

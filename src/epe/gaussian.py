@@ -430,18 +430,32 @@ def _block_invariants(cm):
     return da, db, dg, np.linalg.det(cm), da + db + 2.0 * dg
 
 
-def _single_mode_williamson(blocks):
-    """Symplectics S with S block S^T = sqrt(det block) I, for a stack of one-mode blocks.
+def block_det(x, y, w, z):
+    """Determinants x z - y w of 2x2 blocks [[x, y], [w, z]], elementwise.
 
-    Returns the (N, 2, 2) symplectics and the (N,) values sqrt(det block).
+    The one determinant of a local block: the sampler's acceptance energy
+    and the reduction's a, b both take it, so a record reports, bit for
+    bit, the energy its candidate was accepted on.
     """
-    d = np.linalg.det(blocks)
-    if np.any(d <= 0.0):
+    return x * z - y * w
+
+
+def _single_mode_williamson(x, y, w, z):
+    """Symplectics S with S block S^T = sqrt(det block) I, for local blocks
+    [[x, y], [w, z]] given entrywise, and the values sqrt(det block).
+
+    With a = sqrt(det block), M = block / a has det 1, so
+    M^(-1/2) = (adj M + I) / sqrt(tr M + 2); written in the block's entries
+    S = [[z + a, -y], [-y, x + a]] / sqrt(a (x + z + 2a)), a sum of
+    positive terms.  Returns the entries (s11, s12, s22) of the symmetric
+    S and a.
+    """
+    d = block_det(x, y, w, z)
+    if np.any(d <= 0.0) or np.any(x <= 0.0):
         raise UnphysicalCovarianceError("local covariance block is not positive definite")
-    w, V = np.linalg.eigh(blocks / np.sqrt(d)[:, None, None])
-    if np.any(w <= 0.0):
-        raise UnphysicalCovarianceError("local covariance block is not positive definite")
-    return (V * (1.0 / np.sqrt(w))[:, None, :]) @ V.swapaxes(-1, -2), np.sqrt(d)
+    a = np.sqrt(d)
+    k = 1.0 / np.sqrt(a * (x + z + 2.0 * a))
+    return (z + a) * k, -y * k, (x + a) * k, a
 
 
 def reduce_to_standard_form(cm):
@@ -451,7 +465,12 @@ def reduce_to_standard_form(cm):
     identity by a single-mode squeeze-and-rotate, then residual phase
     rotations diagonalize the off-diagonal block.  The signs are
     canonicalized to c+ >= |c-| with c+ >= 0 using pi/2 and pi local
-    rotations, which preserve the diagonal blocks.
+    rotations, which preserve the diagonal blocks.  Every 2x2 step is in
+    closed form, elementwise over the stack (Duan et al., PRL 84, 2722
+    (2000); Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)):
+    a = sqrt(Det alpha) and b = sqrt(Det beta) by `block_det`, the local
+    symplectics of `_single_mode_williamson`, and c+-, the singular
+    values of X = S1 gamma S2^T, with c- carrying the sign of Det X.
 
     One 4x4 matrix gives a StandardFormCM.  An (N, 4, 4) stack gives an
     (N, 4) array of (a, b, c+, c-) rows, each bit-identical to the
@@ -459,11 +478,13 @@ def reduce_to_standard_form(cm):
     symmetric or not physical.  Physicality is checked in two steps:
     sigma >= 0 by `eigvalsh` before the reduction, and nu_- >= 1 from the
     reduced rows, by the standard-form radicand of `symplectic_eigenvalues`.
-    A reduction whose rows do not reproduce Det sigma and Delta raises
-    InvariantViolation.  Every check allows the larger of its absolute
-    tolerance and the roundoff that a matrix of its diagonal's scale
-    carries (the module constants above); at O(1) entries that is the
-    absolute tolerance.
+    A reduction whose rows do not reproduce Det sigma and Delta, taken
+    from LAPACK determinants of the blocks and of sigma so that the check
+    shares no arithmetic with the reduction, raises InvariantViolation.
+    The only LAPACK calls are these determinants and the 4x4 `eigvalsh`.
+    Every check allows the larger of its absolute tolerance and the
+    roundoff that a matrix of its diagonal's scale carries (the module
+    constants above); at O(1) entries that is the absolute tolerance.
     """
     cms = np.asarray(cm, dtype=float)
     if cms.shape == (4, 4):
@@ -489,12 +510,24 @@ def reduce_to_standard_form(cm):
     if _beyond(eigen_floor, PHYSICALITY_TOL,
                lambda: EIGEN_ROUNDOFF * EPS * _diagonal(cms).sum(-1)):
         raise UnphysicalCovarianceError("covariance matrix is not positive semidefinite")
-    S1, a = _single_mode_williamson(cms[:, :2, :2])
-    S2, b = _single_mode_williamson(cms[:, 2:, 2:])
-    U, sv, Vt = np.linalg.svd(S1 @ cms[:, :2, 2:] @ S2.swapaxes(-1, -2))
-    # restrict to proper rotations; determinant signs move into the singular values
-    c_plus = sv[:, 0]
-    c_minus = np.linalg.det(U) * sv[:, 1] * np.linalg.det(Vt)
+    # one contiguous (N,) row per entry sigma_ij, at e[4 i + j]
+    e = cms.reshape(-1, 16).T.copy()
+    p11, p12, p22, a = _single_mode_williamson(e[0], e[1], e[4], e[5])
+    q11, q12, q22, b = _single_mode_williamson(e[10], e[11], e[14], e[15])
+    # X = S1 gamma S2^T, with S1 and S2 symmetric
+    t11 = p11 * e[2] + p12 * e[6]
+    t12 = p11 * e[3] + p12 * e[7]
+    t21 = p12 * e[2] + p22 * e[6]
+    t22 = p12 * e[3] + p22 * e[7]
+    x11 = t11 * q11 + t12 * q12
+    x12 = t11 * q12 + t12 * q22
+    x21 = t21 * q11 + t22 * q12
+    x22 = t21 * q12 + t22 * q22
+    # singular values of X: (h1 + h2) / 2 and |h1 - h2| / 2; proper rotations
+    # diagonalize it to (sv_1, sign(det X) sv_2), so c- = det X / c+
+    c_plus = (np.hypot(x11 + x22, x21 - x12) + np.hypot(x11 - x22, x21 + x12)) / 2.0
+    c_minus = np.divide(block_det(x11, x12, x21, x22), c_plus,
+                        out=np.zeros_like(c_plus), where=c_plus != 0.0)
     # a pi/2 rotation on both modes swaps the two entries
     swap = np.abs(c_minus) > np.abs(c_plus)
     c_plus, c_minus = np.where(swap, c_minus, c_plus), np.where(swap, c_plus, c_minus)

@@ -26,11 +26,14 @@ stacked `qubit` measures on the (N, 4, 4) stack of states, the
 concurrence from the drawn factors A = G / sqrt(Tr(G G^dag)) by one
 batched one-sided Jacobi SVD of the chunk's Wootters matrices, and each
 Gaussian chunk is reduced to standard form in one stacked
-`gaussian.reduce_to_standard_form` call whose (N, 4) rows
+`gaussian.reduce_to_standard_form` call, closed-form arithmetic over the
+chunk with no LAPACK call per 2x2 block, whose (N, 4) rows
 `gaussian_records` turns into energy, entanglement and purity columns by
 closed-form block invariants.  Both return an (N, 3) value array and an
-(N, 3) array of containment flags.  `records_chunk` is the one dispatch
-on a run's system, and `sample_states` yields its (state, EPERecord) pairs.
+(N, 3) array of containment flags.  A Gaussian record's energy is, bit
+for bit, the `candidate_energy` its candidate was accepted on.
+`records_chunk` is the one dispatch on a run's system, and
+`sample_states` yields its (state, EPERecord) pairs.
 """
 
 from __future__ import annotations
@@ -283,10 +286,6 @@ def _inverse_square(u, lo, hi):
     return 1.0 / (1.0 / lo - u * (1.0 / lo - 1.0 / hi))
 
 
-def _det2(block):
-    return block[:, 0, 0] * block[:, 1, 1] - block[:, 0, 1] * block[:, 1, 0]
-
-
 # symplectic eigenvalues are capped so sampled purities stay above ~1e-3
 _NU_PRODUCT_CAP = 1.0e3
 
@@ -299,8 +298,7 @@ def candidate_covariances(u, energy_window=DEFAULT_ENERGY_WINDOW):
     window; uniforms 2-7 draw the two local symplectics on the left of a
     beam splitter at angle 2 pi u_8, uniforms 9-14 the two on its right,
     and uniform 15 is unused.  A candidate is accepted when its spectrum
-    range is nonempty and its standard-form energy
-    (sqrt(Det alpha) + sqrt(Det beta))/2 - 1, the energy its record
+    range is nonempty and its `candidate_energy`, the energy its record
     reports, lies inside the window.  Returns ((N, 4, 4) CMs, (N,) bools).
     """
     e_lo, e_hi = energy_window
@@ -316,8 +314,20 @@ def candidate_covariances(u, energy_window=DEFAULT_ENERGY_WINDOW):
     )
     nu = np.stack([nu_m, nu_m, nu_p, nu_p], -1)
     sigma = S.transpose(0, 2, 1) @ (nu[:, :, None] * S)
-    energy = (np.sqrt(_det2(sigma[:, :2, :2])) + np.sqrt(_det2(sigma[:, 2:, 2:]))) / 2.0 - 1.0
+    energy = candidate_energy(sigma)
     return sigma, (top > nu_m) & (e_lo <= energy) & (energy <= e_hi)
+
+
+def candidate_energy(sigma):
+    """Standard-form energies (sqrt(Det alpha) + sqrt(Det beta))/2 - 1 of (N, 4, 4) CMs.
+
+    The energy a candidate is accepted on; `gaussian.reduce_to_standard_form`
+    takes a and b from the same `gaussian.block_det`, so a record reports it
+    bit for bit.
+    """
+    det_alpha = gaussian.block_det(sigma[:, 0, 0], sigma[:, 0, 1], sigma[:, 1, 0], sigma[:, 1, 1])
+    det_beta = gaussian.block_det(sigma[:, 2, 2], sigma[:, 2, 3], sigma[:, 3, 2], sigma[:, 3, 3])
+    return (np.sqrt(det_alpha) + np.sqrt(det_beta)) / 2.0 - 1.0
 
 
 def _window_error(energy_window, max_attempts):
@@ -370,7 +380,8 @@ def gaussian_records(params, measure="logneg"):
     Returns (values, flags) like `qubit_records`.  Each column is the
     closed form of a scalar `gaussian` measure: energy (a + b)/2 - 1,
     purity 1/sqrt(Det sigma), and the entanglement from the PPT
-    symplectic eigenvalue nu~_- of (a^2 + b^2 - 2 c+ c-, Det sigma).
+    symplectic eigenvalue nu~_- = sqrt(Det sigma) / nu~_+, with nu~_+ from
+    (a^2 + b^2 - 2 c+ c-, Det sigma).
     The flags compare the log-negativity with the squeezed-vacuum value
     arccosh(E + 1) for pure rows, with the GMEMS bound
     -ln(A - sqrt(A^2 - 1/P)), A = E + 1, at the row's energy and purity,
@@ -381,7 +392,10 @@ def gaussian_records(params, measure="logneg"):
     det = (ab - c_plus**2) * (ab - c_minus**2)
     en = (a + b) / 2.0 - 1.0
     pur = np.minimum(1.0 / np.sqrt(det), 1.0)
-    nu, _ = gaussian.nu_from_invariants(a**2 + b**2 - 2.0 * c_plus * c_minus, det)
+    # nu~_- nu~_+ = sqrt(Det sigma): the product has none of the cancellation
+    # of nu~_-^2 = (Delta~ - sqrt(Delta~^2 - 4 Det sigma)) / 2
+    _, nu_plus = gaussian.nu_from_invariants(a**2 + b**2 - 2.0 * c_plus * c_minus, det)
+    nu = np.sqrt(det) / nu_plus
     logneg = np.maximum(0.0, -np.log(nu))
     if measure == "logneg":
         ent = logneg
@@ -398,13 +412,6 @@ def gaussian_records(params, measure="logneg"):
     gmems = np.maximum(0.0, -np.log(A - np.sqrt(np.maximum(A**2 - 1.0 / p_ref, 0.0))))
     bound = np.where(en > 0.0, gmems, 0.0)
     below = logneg <= bound + FLAG_TOL
-    if not below.all():
-        # nu~_-^2 is a difference of two numbers of size a^2 + b^2 + 2|c+ c-|,
-        # so -ln nu~_- carries that roundoff relative to 2 nu~_-^2, which
-        # exceeds FLAG_TOL only at large energies
-        roundoff = (gaussian.INVARIANT_ROUNDINGS * gaussian.EPS
-                    * (a**2 + b**2 + 2.0 * np.abs(c_plus * c_minus)) / (2.0 * nu**2))
-        below |= logneg <= bound + roundoff
     in_band = (logneg <= 0.0) | (pur > 1.0 / (2.0 * en + 1.0) - FLAG_TOL)
 
     values = np.column_stack([en, ent, pur])

@@ -1,5 +1,7 @@
 """Two-mode Gaussian invariants, entanglement measures and extremal families."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -447,6 +449,109 @@ class TestStandardFormReduction:
                 gaussian.reduce_to_standard_form(bad)
         with pytest.raises(UnphysicalCovarianceError):
             gaussian.reduce_to_standard_form(cms.reshape(2, 5, 4, 4))
+
+
+def _rotation(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, s], [-s, c]])
+
+
+def _locally_transformed(sf, r1, theta1, r2, theta2):
+    """expand(sf) under local squeezes e^(+-r) followed by local rotations."""
+    S = np.zeros((4, 4))
+    S[:2, :2] = _rotation(theta1) @ np.diag([np.exp(r1), np.exp(-r1)])
+    S[2:, 2:] = _rotation(theta2) @ np.diag([np.exp(r2), np.exp(-r2)])
+    return S @ gaussian.expand(sf) @ S.T
+
+
+# (matrix, its standard form)
+ADVERSARIAL = [
+    # product states: gamma = 0, so c+- = 0 with no 0/0
+    (gaussian.expand(gaussian.thermal_product(0.5, 2.0)), (2.0, 5.0, 0.0, 0.0)),
+    (_locally_transformed(gaussian.thermal_product(1.0, 0.0), 0.9, 0.3, -1.2, 2.0),
+     (3.0, 1.0, 0.0, 0.0)),
+    # thermal 2.5 I, where the two singular values of gamma coincide
+    (2.5 * np.eye(4), (2.5, 2.5, 0.0, 0.0)),
+    # the two-mode squeezed vacuum, c- = -c+, plain and rotated
+    (gaussian.expand(TMSV3), (3.0, 3.0, np.sqrt(8.0), -np.sqrt(8.0))),
+    (_locally_transformed(TMSV3, 0.0, 0.77, 0.0, 0.0), (3.0, 3.0, np.sqrt(8.0), -np.sqrt(8.0))),
+    # local blocks with x / z = e^(4r) = 1e8, whose determinants cancel
+    # products of 1e4-sized entries
+    (_locally_transformed(gaussian.StandardFormCM(2.0, 1.5, 0.7, -0.3), np.log(1e8) / 4, 0.4,
+                          -np.log(1e8) / 4, 1.1), (2.0, 1.5, 0.7, -0.3)),
+    (_locally_transformed(TMSV3, np.log(1e8) / 4, 0.0, np.log(1e8) / 4, 0.0),
+     (3.0, 3.0, np.sqrt(8.0), -np.sqrt(8.0))),
+]
+
+
+def local_roundoff(cm):
+    """eps sum_blocks (x z + y^2) / (2 sqrt(x z - y^2)): the first-order
+    roundoff of sqrt(Det alpha) + sqrt(Det beta) from the blocks' entries."""
+    total = 0.0
+    for block in (cm[:2, :2], cm[2:, 2:]):
+        x, y, z = block[0, 0], block[0, 1], block[1, 1]
+        total += (x * z + y * y) / (2.0 * np.sqrt(x * z - y * y))
+    return gaussian.EPS * total
+
+
+class TestClosedFormReduction:
+    @pytest.mark.parametrize("case", range(len(ADVERSARIAL)))
+    def test_adversarial_inputs_alone(self, case):
+        cm, want = ADVERSARIAL[case]
+        sf = gaussian.reduce_to_standard_form(cm)
+        got = [sf.a, sf.b, sf.c_plus, sf.c_minus]
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, want, rtol=0.0, atol=4.0 * local_roundoff(cm))
+        assert sf.c_plus >= abs(sf.c_minus)
+
+    def test_adversarial_inputs_stacked_match_alone_bit_for_bit(self):
+        cms = np.stack([cm for cm, _ in ADVERSARIAL])
+        params = gaussian.reduce_to_standard_form(cms)
+        for cm, row in zip(cms, params):
+            sf = gaussian.reduce_to_standard_form(cm)
+            assert np.array_equal([sf.a, sf.b, sf.c_plus, sf.c_minus], row)
+        # a product state keeps c+- = 0 exactly, in a stack as alone
+        assert params[0, 2] == params[0, 3] == 0.0
+        assert params[2, 2] == params[2, 3] == 0.0
+
+    def test_local_symplectic_reaches_the_williamson_form(self):
+        x, y, z = 3.0e4, -70.0, 0.2
+        s11, s12, s22, a = gaussian._single_mode_williamson(x, y, y, z)
+        S = np.array([[s11, s12], [s12, s22]])
+        block = np.array([[x, y], [y, z]])
+        assert a == np.sqrt(x * z - y * y)
+        assert np.linalg.det(S) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(S @ block @ S.T, a * np.eye(2), rtol=0.0, atol=1e-9 * a)
+
+    def test_negative_definite_local_block_raises(self):
+        # Det alpha = 2 > 0, but both of its eigenvalues are negative
+        with pytest.raises(UnphysicalCovarianceError, match="local covariance block"):
+            gaussian._single_mode_williamson(np.array([-2.0]), np.array([0.0]),
+                                             np.array([0.0]), np.array([-1.0]))
+        cm = np.diag([-2.0, -1.0, 1.0, 1.0])
+        with pytest.raises(UnphysicalCovarianceError):
+            gaussian.reduce_to_standard_form(cm)
+        with pytest.raises(UnphysicalCovarianceError):
+            gaussian.reduce_to_standard_form(np.stack([np.eye(4), cm]))
+
+    def test_no_lapack_call_on_a_two_by_two_block_outside_the_check(self, monkeypatch):
+        cms = np.concatenate([gaussian_covariances_chunk(5, 0, 32),
+                              np.stack([cm for cm, _ in ADVERSARIAL])])
+        want = gaussian.reduce_to_standard_form(cms)
+        calls = set()
+        for name in ("det", "eigvalsh", "eigh", "eig", "eigvals", "svd", "inv", "solve"):
+            def spy(m, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.add((_name, np.shape(m)[-2:], sys._getframe(1).f_code.co_name))
+                return _real(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        assert np.array_equal(gaussian.reduce_to_standard_form(cms), want)
+        # the invariant check keeps LAPACK's determinants, sharing no
+        # arithmetic with the closed-form route it checks
+        assert {call for call in calls if call[1] != (4, 4)} == {
+            ("det", (2, 2), "_block_invariants")
+        }
+        assert {call[0] for call in calls} == {"det", "eigvalsh"}
 
 
 class TestScaleAwareChecks:

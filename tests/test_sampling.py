@@ -1,5 +1,6 @@
 """Sampler determinism, containment flags and boundary tables."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,6 +265,38 @@ class TestGaussianRecords:
             want_values, want_flags = scalar_record(sf, measure)
             assert tuple(got_flags) == want_flags
             assert np.allclose(got_values, want_values, rtol=0.0, atol=1e-12)
+
+    @given(SEEDS, st.sampled_from([(0.0, 2.0), (1.0, 2.0), (20.0, 40.0), (50.0, 100.0)]))
+    @settings(max_examples=12, deadline=None)
+    def test_energy_is_the_acceptance_energy_bit_for_bit(self, seed, window):
+        cms = sampling.gaussian_covariances_chunk(seed, 0, 256, window)
+        _, values, _ = sampling.gaussian_records_chunk(seed, 0, 256, window)
+        assert np.array_equal(values[:, 0], sampling.candidate_energy(cms))
+        assert np.all((window[0] <= values[:, 0]) & (values[:, 0] <= window[1]))
+
+    @pytest.mark.parametrize("window", [(0.0, 2.0), (20.0, 40.0), (50.0, 100.0)])
+    def test_ppt_eigenvalue_against_mpmath(self, window):
+        # record 2954 of seed 7 at 50-100 was 1.7e-8 off while nu~_- came from
+        # sqrt((Delta~ - r) / 2)
+        params = np.concatenate([
+            sampling.gaussian_records_chunk(7, 0, 300, window)[0],
+            sampling.gaussian_records_chunk(7, 2954, 1, window)[0],
+        ])
+        values, _ = sampling.gaussian_records(params)
+        for row, logneg in zip(params.tolist(), values[:, 1]):
+            with mpmath.workdps(60):
+                a, b, cp, cm = map(mpmath.mpf, row)
+                det = (a * b - cp**2) * (a * b - cm**2)
+                ppt_delta = a**2 + b**2 - 2 * cp * cm
+                nu = mpmath.sqrt((ppt_delta - mpmath.sqrt(ppt_delta**2 - 4 * det)) / 2)
+                want = max(mpmath.mpf(0), -mpmath.log(nu))
+            # first-order roundoff of ln(sqrt(Det sigma) / nu~_+): each factor
+            # ab - c^2 relative to its absolute terms, and Delta~ likewise
+            a, b, cp, cm = row
+            ab = a * b
+            scale = ((ab + cp**2) / abs(ab - cp**2) + (ab + cm**2) / abs(ab - cm**2)
+                     + (a**2 + b**2 + 2.0 * abs(cp * cm)) / (a**2 + b**2 - 2.0 * cp * cm))
+            assert abs(float(logneg - want)) <= 2.0 * gaussian.EPS * scale
 
 
 @st.composite
