@@ -25,11 +25,11 @@ Data files themselves contain no timestamps, so identical invocations
 are byte-identical regardless of EPE_THREADS.
 
 `_write_output` is the one writer.  It takes blocks of rows (`sample`
-one per chunk, `boundary` and `jc` one each), formats CSV a block at a
-time with `csv_lines` into an anonymous temporary file (JSON records are
-built in memory), and copies it to --out or stdout only after the last
-block, so CSV memory stays bounded at any --count and a failed command
-writes nothing.
+and `boundary` one per chunk of `sampling.CHUNK` rows, `jc` one block),
+formats CSV a block at a time with `csv_lines` into an anonymous
+temporary file (JSON records are built in memory), and copies it to
+--out or stdout only after the last block, so CSV memory stays bounded
+at any --count or grid size and a failed command writes nothing.
 """
 
 from __future__ import annotations
@@ -124,20 +124,16 @@ def parse_grid(spec: str) -> list:
     if step <= 0.0:
         raise ConfigurationError("grid step must be positive")
     tol = 1e-9 * max(1.0, abs(stop))
-    # the loop below yields floor(span) + 1 points; count them before building
+    # the points start + k step up to stop + tol, about floor(span) + 1 of
+    # them; count them before building
     span = (stop - start + tol) / step
     if span >= MAX_GRID_POINTS:
         raise ConfigurationError(f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points")
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + tol:
-            break
-        # snap accumulated roundoff at the endpoint
-        values.append(stop if abs(v - stop) <= tol else v)
-        k += 1
-    return values
+    values = start + np.arange(int(span) + 2) * step
+    values = values[values <= stop + tol]
+    # snap accumulated roundoff at the endpoint
+    values[np.abs(values - stop) <= tol] = stop
+    return values.tolist()
 
 
 def _manifest(args, outputs):
@@ -284,11 +280,13 @@ def cmd_boundary(args) -> int:
     if not grid:
         raise DomainError("empty grid")
     try:
-        header, rows = sampling.boundary_tables(args.system, grid, args.curve, args.energy)
+        header, table = sampling.boundary_tables(args.system, grid, args.curve, args.energy)
     except EPEError as exc:
         raise DomainError(str(exc)) from exc
-    table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    _write_output(args, header, [(table, None)])
+    # formatted a chunk of rows at a time, so the CSV text of a
+    # million-point grid is never held in memory at once
+    step = sampling.CHUNK
+    _write_output(args, header, ((table[i:i + step], None) for i in range(0, len(table), step)))
     return EXIT_OK
 
 

@@ -13,6 +13,8 @@ standard form
 which this module represents as the quadruple (a, b, c_plus, c_minus).
 Entanglement is quantified by the logarithmic negativity computed from
 the smallest symplectic eigenvalue of the partially transposed state.
+The standard-form measures and families also take arrays: a stack gives
+an array, each element bit-identical to the call on that element alone.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, UnphysicalCovarianceError
+from .qubit import _float_or_array
 
 PHYSICALITY_TOL = 1e-10
 RADICAND_TOL = 1e-10
@@ -47,6 +50,13 @@ EIGEN_ROUNDOFF = 7.0
 # 2 (sqrt(s11 s22) + sqrt(s33 s44))^2 for Delta and 24 s11 s22 s33 s44 for
 # Det sigma, writing s_ii = |sigma_ii|
 INVARIANT_ROUNDINGS = 16.0
+# a standard-form row carries roundoff that grows with its scale (the TMSV at
+# E = 1e4 has ab - c^2 = 1 from 1e8-sized products): with entries within eps
+# of themselves, ab - c^2 and Delta are known to 5 eps s (2 eps per product
+# term, 3 eps s for the sum), s their sum of absolute terms, nu_-^2 =
+# (Delta - root) / 2 to about 2 eps s more, and 1 - nu_- ~ (1 - nu_-^2) / 2
+# to 3.5 eps s; `is_physical` allows 5 eps s in both of its checks
+ROW_ROUNDOFF = 5.0
 
 # symplectic form over (x1, p1, x2, p2)
 OMEGA = np.array(
@@ -61,7 +71,7 @@ OMEGA = np.array(
 
 @dataclass(frozen=True)
 class StandardFormCM:
-    """Standard-form covariance matrix parameters (a, b, c+, c-)."""
+    """Standard-form parameters (a, b, c+, c-): floats, or equal-shape arrays."""
 
     a: float
     b: float
@@ -69,7 +79,7 @@ class StandardFormCM:
     c_minus: float
 
     def __post_init__(self):
-        if self.a < 1.0 - PHYSICALITY_TOL or self.b < 1.0 - PHYSICALITY_TOL:
+        if np.any(self.a < 1.0 - PHYSICALITY_TOL) or np.any(self.b < 1.0 - PHYSICALITY_TOL):
             raise DomainError("diagonal parameters a, b must be >= 1")
 
 
@@ -81,6 +91,16 @@ class SymplecticSpectrum:
     nu_plus: float
 
 
+def _standard_form(a, b, c_plus, c_minus) -> StandardFormCM:
+    """A StandardFormCM of the broadcast fields: floats for scalar inputs."""
+    fields = (np.array(x, dtype=float) for x in np.broadcast_arrays(a, b, c_plus, c_minus))
+    return StandardFormCM(*map(_float_or_array, fields))
+
+
+def _bool_or_array(x):
+    return bool(x) if np.ndim(x) == 0 else x
+
+
 def expand(sf: StandardFormCM) -> np.ndarray:
     """The 4x4 covariance matrix of a standard-form quadruple."""
     m = np.diag([sf.a, sf.a, sf.b, sf.b])
@@ -89,20 +109,20 @@ def expand(sf: StandardFormCM) -> np.ndarray:
     return m
 
 
-def seralian(sf: StandardFormCM) -> float:
+def seralian(sf: StandardFormCM):
     """The symplectic invariant Delta = Det alpha + Det beta + 2 Det gamma."""
-    return sf.a**2 + sf.b**2 + 2.0 * sf.c_plus * sf.c_minus
+    return _float_or_array(sf.a * sf.a + sf.b * sf.b + 2.0 * sf.c_plus * sf.c_minus)
 
 
-def det_sigma(sf: StandardFormCM) -> float:
+def det_sigma(sf: StandardFormCM):
     """Determinant of the covariance matrix, (ab - c+^2)(ab - c-^2)."""
     ab = sf.a * sf.b
-    return (ab - sf.c_plus**2) * (ab - sf.c_minus**2)
+    return _float_or_array((ab - sf.c_plus * sf.c_plus) * (ab - sf.c_minus * sf.c_minus))
 
 
-def ppt_seralian(sf: StandardFormCM) -> float:
+def ppt_seralian(sf: StandardFormCM):
     """Seralian after partial transposition, which flips the sign of Det gamma."""
-    return sf.a**2 + sf.b**2 - 2.0 * sf.c_plus * sf.c_minus
+    return _float_or_array(sf.a * sf.a + sf.b * sf.b - 2.0 * sf.c_plus * sf.c_minus)
 
 
 def nu_from_invariants(delta, det, radicand=None):
@@ -113,7 +133,7 @@ def nu_from_invariants(delta, det, radicand=None):
     UnphysicalCovarianceError when any radicand lies below -RADICAND_TOL.
     """
     if radicand is None:
-        radicand = delta**2 - 4.0 * det
+        radicand = delta * delta - 4.0 * det
     if np.any(radicand < -RADICAND_TOL):
         raise UnphysicalCovarianceError("symplectic invariants admit no real spectrum")
     root = np.sqrt(np.maximum(radicand, 0.0))
@@ -122,57 +142,62 @@ def nu_from_invariants(delta, det, radicand=None):
     return nu_minus, nu_plus
 
 
-def _standard_form_nu(a, b, cp, cm):
-    """(nu_-, nu_+) of standard forms (a, b, c+, c-), scalars or arrays.
+def _radicand(sf: StandardFormCM):
+    """Delta^2 - 4 Det sigma, expanded as (a^2 - b^2)^2 + 4 (a c+ + b c-)(a c- + b c+).
 
-    The radicand is expanded as (a^2 - b^2)^2 + 4 (a c+ + b c-)(a c- + b c+),
-    which is exactly 0 for the two-mode squeezed vacuum: Delta^2 - 4 Det sigma
-    cancels to roundoff there and put nu_- of pure states about 1e-8 below 1.
+    The expansion is exactly 0 for the two-mode squeezed vacuum: Delta^2 -
+    4 Det sigma cancels to roundoff there and put nu_- of pure states about
+    1e-8 below 1.
     """
-    radicand = (a**2 - b**2) ** 2 + 4.0 * (a * cp + b * cm) * (a * cm + b * cp)
-    ab = a * b
-    delta = a**2 + b**2 + 2.0 * cp * cm
-    return nu_from_invariants(delta, (ab - cp**2) * (ab - cm**2), radicand=radicand)
+    a, b, cp, cm = sf.a, sf.b, sf.c_plus, sf.c_minus
+    d = a * a - b * b
+    return d * d + 4.0 * (a * cp + b * cm) * (a * cm + b * cp)
 
 
 def symplectic_eigenvalues(sf: StandardFormCM) -> SymplecticSpectrum:
     """Symplectic eigenvalues from 2 nu_+-^2 = Delta -+ sqrt(Delta^2 - 4 Det sigma)."""
-    nm, npl = _standard_form_nu(sf.a, sf.b, sf.c_plus, sf.c_minus)
-    return SymplecticSpectrum(nu_minus=nm, nu_plus=npl)
+    nm, npl = nu_from_invariants(seralian(sf), det_sigma(sf), _radicand(sf))
+    return SymplecticSpectrum(nu_minus=_float_or_array(nm), nu_plus=_float_or_array(npl))
 
 
-def is_physical(sf: StandardFormCM, tol=PHYSICALITY_TOL) -> bool:
-    """Whether sigma + i Omega >= 0, i.e. sigma >= 0 and nu_- >= 1."""
-    ab = sf.a * sf.b
-    if ab - sf.c_plus**2 < -tol or ab - sf.c_minus**2 < -tol:
-        return False
-    try:
-        spec = symplectic_eigenvalues(sf)
-    except UnphysicalCovarianceError:
-        return False
-    return spec.nu_minus >= 1.0 - tol
+def is_physical(sf: StandardFormCM, tol=PHYSICALITY_TOL):
+    """Whether sigma + i Omega >= 0, i.e. sigma >= 0 and nu_- >= 1, per row.
+
+    Each condition allows the larger of `tol` and the row's own roundoff
+    (ROW_ROUNDOFF).
+    """
+    a, b, cp, cm = sf.a, sf.b, sf.c_plus, sf.c_minus
+    ab = a * b
+    radicand = _radicand(sf)
+    ok = radicand >= -RADICAND_TOL
+    for c in (cp, cm):
+        ok &= ab - c * c >= -np.maximum(tol, ROW_ROUNDOFF * EPS * (ab + c * c))
+    nu_minus, _ = nu_from_invariants(seralian(sf), det_sigma(sf), np.maximum(radicand, 0.0))
+    scale = a * a + b * b + 2.0 * np.abs(cp * cm)
+    ok &= 1.0 - nu_minus <= np.maximum(tol, ROW_ROUNDOFF * EPS * scale)
+    return _bool_or_array(ok)
 
 
 def require_physical(sf: StandardFormCM) -> StandardFormCM:
-    if not is_physical(sf):
+    if not np.all(is_physical(sf)):
         raise UnphysicalCovarianceError(f"covariance matrix {sf} violates nu_- >= 1")
     return sf
 
 
-def purity(sf: StandardFormCM) -> float:
+def purity(sf: StandardFormCM):
     """Purity P = 1/sqrt(Det sigma), clamped at the pure-state value 1."""
     require_physical(sf)
-    return min(1.0 / np.sqrt(det_sigma(sf)), 1.0)
+    return _float_or_array(np.minimum(1.0 / np.sqrt(det_sigma(sf)), 1.0))
 
 
-def energy(sf: StandardFormCM) -> float:
+def energy(sf: StandardFormCM):
     """Mean total photon number E = Tr(sigma)/4 - 1 = (a + b)/2 - 1.
 
     First moments are taken as zero, so this is the least energy of any
     state with this covariance matrix.
     """
     require_physical(sf)
-    return (sf.a + sf.b) / 2.0 - 1.0
+    return _float_or_array((sf.a + sf.b) / 2.0 - 1.0)
 
 
 def local_photon_numbers(sf: StandardFormCM):
@@ -180,61 +205,49 @@ def local_photon_numbers(sf: StandardFormCM):
     return (sf.a - 1.0) / 2.0, (sf.b - 1.0) / 2.0
 
 
-def ppt_nu_minus(sf: StandardFormCM) -> float:
-    """Smallest symplectic eigenvalue of the partially transposed state.
+def ppt_nu_minus(sf: StandardFormCM):
+    """Smallest symplectic eigenvalue nu~_- of the partially transposed state.
 
     Values below 1 signal entanglement; the partial transpose preserves
-    Det sigma while sending Delta to a^2 + b^2 - 2 c+ c-.
+    Det sigma while sending Delta to Delta~ = a^2 + b^2 - 2 c+ c-.  The
+    product nu~_- = sqrt(Det sigma) / nu~_+ has none of the cancellation of
+    nu~_-^2 = (Delta~ - sqrt(Delta~^2 - 4 Det sigma)) / 2.
     """
     require_physical(sf)
-    nm, _ = nu_from_invariants(ppt_seralian(sf), det_sigma(sf))
-    return nm
+    det = det_sigma(sf)
+    _, nu_plus = nu_from_invariants(ppt_seralian(sf), det)
+    return _float_or_array(np.sqrt(det) / nu_plus)
 
 
-def is_separable(sf: StandardFormCM, tol=PHYSICALITY_TOL) -> bool:
+def is_separable(sf: StandardFormCM, tol=PHYSICALITY_TOL):
     """PPT separability test, necessary and sufficient for two-mode states."""
-    return ppt_nu_minus(sf) >= 1.0 - tol
+    return _bool_or_array(np.asarray(ppt_nu_minus(sf)) >= 1.0 - tol)
 
 
-def log_negativity(sf: StandardFormCM) -> float:
+def log_negativity(sf: StandardFormCM):
     """Logarithmic negativity E_N = max(0, -ln nu~_-)."""
-    return max(0.0, -float(np.log(ppt_nu_minus(sf))))
+    return _float_or_array(np.maximum(0.0, -np.log(ppt_nu_minus(sf))))
 
 
-def negativity(sf: StandardFormCM) -> float:
+def negativity(sf: StandardFormCM):
     """Negativity N = max(0, (1 - nu~_-)/(2 nu~_-))."""
     nu = ppt_nu_minus(sf)
-    return max(0.0, (1.0 - nu) / (2.0 * nu))
-
-
-@dataclass(frozen=True)
-class GaussianEPEPoint:
-    """Energy, log-negativity and purity coordinates of a two-mode Gaussian state."""
-
-    energy: float
-    log_negativity: float
-    purity: float
-
-
-def epe_point(sf: StandardFormCM) -> GaussianEPEPoint:
-    require_physical(sf)
-    return GaussianEPEPoint(
-        energy=energy(sf), log_negativity=log_negativity(sf), purity=purity(sf)
-    )
+    return _float_or_array(np.maximum(0.0, (1.0 - nu) / (2.0 * nu)))
 
 
 def two_mode_squeezed_vacuum(E) -> StandardFormCM:
     """Pure two-mode squeezed vacuum with mean photon number E.
 
     a = b = E + 1 and c+ = -c- = sqrt(a^2 - 1); the maximally entangled
-    pure Gaussian state at this energy.
+    pure Gaussian state at this energy, whose log-negativity arccosh(E + 1)
+    is the pure-state frontier.
     """
-    E = float(E)
-    if E < 0.0:
+    E = np.asarray(E, dtype=float)
+    if np.any(E < 0.0):
         raise DomainError("energy must be nonnegative")
     a = E + 1.0
-    c = np.sqrt(a**2 - 1.0)
-    return StandardFormCM(a=a, b=a, c_plus=c, c_minus=-c)
+    c = np.sqrt(a * a - 1.0)
+    return _standard_form(a, a, c, -c)
 
 
 def thermal_product(nbar1, nbar2) -> StandardFormCM:
@@ -271,17 +284,18 @@ def gmems(E, P) -> StandardFormCM:
     Symmetric representative a = b = E + 1 with c+ = -c- =
     sqrt((E+1)^2 - 1/P).  Over all states of that energy and purity the
     PPT seralian is bounded by 4(E+1)^2 - 2/P, and this family attains
-    the bound; it is entangled exactly when P > 1/(2E + 1).
+    the bound; it is entangled exactly when P > 1/(2E + 1), and its
+    log-negativity is ln(P (A + sqrt(A^2 - 1/P))) with A = E + 1.
     """
-    E = float(E)
-    P = float(P)
-    if E <= 0.0:
+    E = np.asarray(E, dtype=float)
+    P = np.asarray(P, dtype=float)
+    if np.any(E <= 0.0):
         raise DomainError("energy must be positive")
     a = E + 1.0
-    if not 1.0 / a**2 - 1e-12 <= P <= 1.0 + 1e-12:
+    if not np.all((1.0 / (a * a) - 1e-12 <= P) & (P <= 1.0 + 1e-12)):
         raise DomainError("purity must lie in [1/(E+1)^2, 1]")
-    c = np.sqrt(max(a**2 - 1.0 / min(P, 1.0), 0.0))
-    return StandardFormCM(a=a, b=a, c_plus=c, c_minus=-c)
+    c = np.sqrt(np.maximum(a * a - 1.0 / np.minimum(P, 1.0), 0.0))
+    return _standard_form(a, a, c, -c)
 
 
 def glems(E, P) -> StandardFormCM:
@@ -302,27 +316,27 @@ def glems(E, P) -> StandardFormCM:
     Real solutions exist exactly for P >= 1/(2E + 1); the family stays
     separable up to P = 1/sqrt(2E^2 + 4E + 1).
     """
-    E = float(E)
-    P = float(P)
-    if E <= 0.0:
+    E = np.asarray(E, dtype=float)
+    P = np.asarray(P, dtype=float)
+    if np.any(E <= 0.0):
         raise DomainError("energy must be positive")
-    if not 0.0 < P <= 1.0 + 1e-12:
+    if not np.all((0.0 < P) & (P <= 1.0 + 1e-12)):
         raise DomainError("purity must lie in (0, 1]")
-    P = min(P, 1.0)
+    P = np.minimum(P, 1.0)
     a = E + 1.0
     two_a = 2.0 * a
     x = 1.0 / P + 1.0
     y = 1.0 / P - 1.0
     # 2a - x = 2E + 1 - 1/P is the only factor that can turn negative
-    if two_a - x < -1e-10:
-        raise DomainError(f"no GLEMS with energy {E} and purity {P}")
+    if np.any(two_a - x < -1e-10):
+        raise DomainError("no GLEMS below purity 1/(2E + 1)")
     total = x * y / two_a
-    diff = np.sqrt(max(two_a - x, 0.0) * (two_a + x) * (two_a - y) * (two_a + y)) / two_a
+    diff = np.sqrt(np.maximum(two_a - x, 0.0) * (two_a + x) * (two_a - y) * (two_a + y)) / two_a
     c_plus = (total + diff) / 2.0
     c_minus = (total - diff) / 2.0
-    if c_plus**2 > a**2 + 1e-10:
-        raise DomainError(f"no positive-semidefinite GLEMS at energy {E} and purity {P}")
-    return StandardFormCM(a=a, b=a, c_plus=c_plus, c_minus=c_minus)
+    if np.any(c_plus * c_plus > a * a + 1e-10):
+        raise DomainError("no positive-semidefinite GLEMS at this energy and purity")
+    return _standard_form(a, a, c_plus, c_minus)
 
 
 def separability_band(E):
@@ -330,13 +344,14 @@ def separability_band(E):
 
     Degenerates to (1, 1) at E = 0, where only the vacuum exists.
     """
-    E = float(E)
-    if E < 0.0:
+    E = np.asarray(E, dtype=float)
+    if np.any(E < 0.0):
         raise DomainError("energy must be nonnegative")
-    return 1.0 / (E + 1.0) ** 2, 1.0 / (2.0 * E + 1.0)
+    a = E + 1.0
+    return _float_or_array(1.0 / (a * a)), _float_or_array(1.0 / (2.0 * E + 1.0))
 
 
-def band_width(E) -> float:
+def band_width(E):
     """Width of the separability band; largest at the golden-ratio energy."""
     lo, hi = separability_band(E)
     return hi - lo
@@ -475,16 +490,13 @@ def reduce_to_standard_form(cm):
     One 4x4 matrix gives a StandardFormCM.  An (N, 4, 4) stack gives an
     (N, 4) array of (a, b, c+, c-) rows, each bit-identical to the
     reduction of its matrix alone; it raises if any matrix is not
-    symmetric or not physical.  Physicality is checked in two steps:
-    sigma >= 0 by `eigvalsh` before the reduction, and nu_- >= 1 from the
-    reduced rows, by the standard-form radicand of `symplectic_eigenvalues`.
-    A reduction whose rows do not reproduce Det sigma and Delta, taken
-    from LAPACK determinants of the blocks and of sigma so that the check
-    shares no arithmetic with the reduction, raises InvariantViolation.
-    The only LAPACK calls are these determinants and the 4x4 `eigvalsh`.
-    Every check allows the larger of its absolute tolerance and the
-    roundoff that a matrix of its diagonal's scale carries (the module
-    constants above); at O(1) entries that is the absolute tolerance.
+    symmetric or not physical: sigma >= 0 by `eigvalsh` before the
+    reduction, nu_- >= 1 by `symplectic_eigenvalues` of the rows after it.
+    Rows whose `det_sigma` and `seralian` miss Det sigma and Delta, from
+    LAPACK determinants (with `eigvalsh`, its only LAPACK calls) that share
+    no arithmetic with the reduction, raise InvariantViolation.  Each check
+    allows the larger of its absolute tolerance and the roundoff of a
+    matrix of its diagonal's scale (the module constants above).
     """
     cms = np.asarray(cm, dtype=float)
     if cms.shape == (4, 4):
@@ -534,17 +546,19 @@ def reduce_to_standard_form(cm):
     # a pi rotation on one mode flips both signs
     sign = np.where(c_plus < 0.0, -1.0, 1.0)
     params = np.stack([a, b, sign * c_plus, sign * c_minus], axis=-1)
-    nu_minus, _ = _standard_form_nu(*params.T)
+    try:
+        sf = StandardFormCM(*params.T)
+    except DomainError as exc:
+        # nu_- <= min(a, b), so a local value below 1 puts nu_- below 1 too
+        raise UnphysicalCovarianceError("covariance matrix violates nu_- >= 1") from exc
     # nu_-^2 + nu_+^2 = Delta, which is known to delta_tol only
+    nu_minus = symplectic_eigenvalues(sf).nu_minus
     if _beyond(1.0 - nu_minus, PHYSICALITY_TOL, lambda: delta_tol() / 2.0):
         raise UnphysicalCovarianceError("covariance matrix violates nu_- >= 1")
 
     _, _, _, ds, delta = _block_invariants(cms)
-    ab = a * b
-    det_sf = (ab - params[:, 2] ** 2) * (ab - params[:, 3] ** 2)
-    seralian_sf = a**2 + b**2 + 2.0 * params[:, 2] * params[:, 3]
-    if _beyond(np.abs(det_sf - ds), 1e-9 * np.maximum(1.0, np.abs(ds)), det_tol) or _beyond(
-        np.abs(seralian_sf - delta), 1e-9 * np.maximum(1.0, np.abs(delta)), delta_tol
+    if _beyond(np.abs(det_sigma(sf) - ds), 1e-9 * np.maximum(1.0, np.abs(ds)), det_tol) or _beyond(
+        np.abs(seralian(sf) - delta), 1e-9 * np.maximum(1.0, np.abs(delta)), delta_tol
     ):
         raise InvariantViolation("standard-form reduction failed to preserve invariants")
     return params

@@ -130,7 +130,7 @@ def pure_concurrence(psi) -> float:
 
 
 def _float_or_array(x):
-    return float(x) if x.ndim == 0 else x
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _wootters_columns(A):
@@ -328,6 +328,13 @@ def energy(rho, check=True):
     return _float_or_array(np.einsum("...ii,i->...", rho, _EXCITATIONS).real)
 
 
+def _mems_parameter(C):
+    C = np.asarray(C, dtype=float)
+    if not np.all((0.0 <= C) & (C <= 1.0)):
+        raise DomainError("concurrence parameter must lie in [0, 1]")
+    return C
+
+
 def mems_state(C) -> np.ndarray:
     """Maximally entangled mixed state with concurrence C.
 
@@ -337,9 +344,7 @@ def mems_state(C) -> np.ndarray:
     with |01><01| at weights C and 1 - C.  Both branches coincide at
     C = 2/3.  The result has Tr[N rho] = 1, i.e. one mean excitation.
     """
-    C = float(C)
-    if not 0.0 <= C <= 1.0:
-        raise DomainError("concurrence parameter must lie in [0, 1]")
+    C = float(_mems_parameter(C))
     rho = C * ket_to_dm(BELL_STATES["phi+"])
     if C <= 2.0 / 3.0:
         rho[1, 1] += 1.0 / 3.0
@@ -352,14 +357,15 @@ def mems_state(C) -> np.ndarray:
     return rho
 
 
-def mems_purity(C) -> float:
-    """Purity along the MEMS frontier: 1/3 + C^2/2 below C = 2/3, else C^2 + (1-C)^2."""
-    C = float(C)
-    if not 0.0 <= C <= 1.0:
-        raise DomainError("concurrence parameter must lie in [0, 1]")
-    if C <= 2.0 / 3.0:
-        return 1.0 / 3.0 + C**2 / 2.0
-    return C**2 + (1.0 - C) ** 2
+def mems_purity(C):
+    """Purity along the MEMS frontier: 1/3 + C^2/2 below C = 2/3, else C^2 + (1-C)^2.
+
+    Takes a float or an array of concurrences.
+    """
+    C = _mems_parameter(C)
+    return _float_or_array(
+        np.where(C <= 2.0 / 3.0, 1.0 / 3.0 + C * C / 2.0, C * C + (1.0 - C) * (1.0 - C))
+    )
 
 
 def mems_concurrence_bound(P):
@@ -382,14 +388,13 @@ def mems_concurrence_bound(P):
 def mems_energy_range(C):
     """Extremal energies reachable from `mems_state(C)` by local unitaries.
 
-    (2/3, 4/3) on the C <= 2/3 branch and (C, 2 - C) above it.
+    (2/3, 4/3) on the C <= 2/3 branch and (C, 2 - C) above it; an array
+    of concurrences gives a pair of arrays.
     """
-    C = float(C)
-    if not 0.0 <= C <= 1.0:
-        raise DomainError("concurrence parameter must lie in [0, 1]")
-    if C <= 2.0 / 3.0:
-        return 2.0 / 3.0, 4.0 / 3.0
-    return C, 2.0 - C
+    C = _mems_parameter(C)
+    low = C <= 2.0 / 3.0
+    return (_float_or_array(np.where(low, 2.0 / 3.0, C)),
+            _float_or_array(np.where(low, 4.0 / 3.0, 2.0 - C)))
 
 
 def werner_state(r, bell="phi+") -> np.ndarray:
@@ -476,9 +481,7 @@ def mems_energy_after_unitary(C, params: LocalUnitaryParams) -> float:
     the ground qubit raises the energy, rotating the excited one lowers
     it.  The extremes over all axes and angles are mems_energy_range(C).
     """
-    C = float(C)
-    if not 0.0 <= C <= 1.0:
-        raise DomainError("concurrence parameter must lie in [0, 1]")
+    C = float(_mems_parameter(C))
     w = 1.0 / 3.0 if C <= 2.0 / 3.0 else 1.0 - C
     n1z = float(params.axis1[2])
     n2z = float(params.axis2[2])

@@ -22,16 +22,13 @@ from random local squeezes, local rotations and a beam-splitter mix,
 accepted when their standard-form energy lies in the energy window.
 
 Records are computed a chunk at a time: `qubit_records` evaluates the
-stacked `qubit` measures on the (N, 4, 4) stack of states, the
-concurrence from the drawn factors A = G / sqrt(Tr(G G^dag)) by one
-batched one-sided Jacobi SVD of the chunk's Wootters matrices, and each
-Gaussian chunk is reduced to standard form in one stacked
-`gaussian.reduce_to_standard_form` call, closed-form arithmetic over the
-chunk with no LAPACK call per 2x2 block, whose (N, 4) rows
-`gaussian_records` turns into energy, entanglement and purity columns by
-closed-form block invariants.  Both return an (N, 3) value array and an
-(N, 3) array of containment flags.  A Gaussian record's energy is, bit
-for bit, the `candidate_energy` its candidate was accepted on.
+stacked `qubit` measures on the (N, 4, 4) stack of states (concurrence
+from the drawn factors A = G / sqrt(Tr(G G^dag))), and `gaussian_records`
+the stacked `gaussian` measures on the (N, 4) standard forms of one
+`gaussian.reduce_to_standard_form` call.  Both return an (N, 3) value
+array and an (N, 3) array of containment flags.  A Gaussian record's
+energy is, bit for bit, the `candidate_energy` its candidate was
+accepted on.
 `records_chunk` is the one dispatch on a run's system, and
 `sample_states` yields its (state, EPERecord) pairs.
 """
@@ -377,42 +374,35 @@ def gaussian_covariances_chunk(seed, start, count, energy_window=DEFAULT_ENERGY_
 def gaussian_records(params, measure="logneg"):
     """Vectorized records for an (N, 4) array of standard forms (a, b, c+, c-).
 
-    Returns (values, flags) like `qubit_records`.  Each column is the
-    closed form of a scalar `gaussian` measure: energy (a + b)/2 - 1,
-    purity 1/sqrt(Det sigma), and the entanglement from the PPT
-    symplectic eigenvalue nu~_- = sqrt(Det sigma) / nu~_+, with nu~_+ from
-    (a^2 + b^2 - 2 c+ c-, Det sigma).
-    The flags compare the log-negativity with the squeezed-vacuum value
-    arccosh(E + 1) for pure rows, with the GMEMS bound
-    -ln(A - sqrt(A^2 - 1/P)), A = E + 1, at the row's energy and purity,
-    and require P > 1/(2E + 1) for entangled rows.
+    Returns (values, flags) like `qubit_records`.  Every column and flag
+    bound is a stacked `gaussian` call: the flags compare the
+    log-negativity with that of `two_mode_squeezed_vacuum(E)` for pure
+    rows and of `gmems(E, P)` for all, and require P above the
+    `separability_band` top 1/(2E + 1) for entangled rows.
     """
-    a, b, c_plus, c_minus = params.T
-    ab = a * b
-    det = (ab - c_plus**2) * (ab - c_minus**2)
-    en = (a + b) / 2.0 - 1.0
-    pur = np.minimum(1.0 / np.sqrt(det), 1.0)
-    # nu~_- nu~_+ = sqrt(Det sigma): the product has none of the cancellation
-    # of nu~_-^2 = (Delta~ - sqrt(Delta~^2 - 4 Det sigma)) / 2
-    _, nu_plus = gaussian.nu_from_invariants(a**2 + b**2 - 2.0 * c_plus * c_minus, det)
-    nu = np.sqrt(det) / nu_plus
-    logneg = np.maximum(0.0, -np.log(nu))
+    sf = gaussian.StandardFormCM(*params.T)
+    en = gaussian.energy(sf)
+    pur = gaussian.purity(sf)
+    logneg = gaussian.log_negativity(sf)
     if measure == "logneg":
         ent = logneg
     elif measure == "negativity":
-        ent = np.maximum(0.0, (1.0 - nu) / (2.0 * nu))
+        ent = gaussian.negativity(sf)
     else:
         raise ConfigurationError(f"measure {measure!r} not valid for gaussian sampling")
 
-    A = en + 1.0
-    on_curve = (pur < 1.0 - PURE_TOL) | (np.abs(logneg - np.arccosh(np.maximum(A, 1.0))) <= 1e-6)
-    # clamp into the GMEMS domain; reduction roundoff can sit a hair
-    # below the purity floor 1/(E+1)^2
-    p_ref = np.clip(pur, 1.0 / A**2, 1.0)
-    gmems = np.maximum(0.0, -np.log(A - np.sqrt(np.maximum(A**2 - 1.0 / p_ref, 0.0))))
-    bound = np.where(en > 0.0, gmems, 0.0)
+    # clamp into the families' domains; reduction roundoff can sit a hair
+    # below the energy floor 0 or the purity floor 1/(E+1)^2
+    e_ref = np.maximum(en, 0.0)
+    p_ref = np.clip(pur, 1.0 / (e_ref + 1.0) ** 2, 1.0)
+    tmsv = gaussian.log_negativity(gaussian.two_mode_squeezed_vacuum(e_ref))
+    on_curve = (pur < 1.0 - PURE_TOL) | (np.abs(logneg - tmsv) <= 1e-6)
+    bound = np.zeros_like(en)
+    hot = en > 0.0  # the GMEMS family starts above the vacuum
+    bound[hot] = gaussian.log_negativity(gaussian.gmems(en[hot], p_ref[hot]))
     below = logneg <= bound + FLAG_TOL
-    in_band = (logneg <= 0.0) | (pur > 1.0 / (2.0 * en + 1.0) - FLAG_TOL)
+    _, band_top = gaussian.separability_band(e_ref)
+    in_band = (logneg <= 0.0) | (pur > band_top - FLAG_TOL)
 
     values = np.column_stack([en, ent, pur])
     flags = np.column_stack([on_curve, below, in_band])
@@ -537,8 +527,29 @@ def random_standard_form_at(E, P, rng, max_attempts=500) -> gaussian.StandardFor
 
 # --- closed-form boundary tables ---
 
-QUBIT_CURVES = ("separable", "mems", "pure")
-GAUSSIAN_CURVES = ("band", "tmsv", "gmems", "glems")
+# (header, columns of the grid and the fixed energy) of each curve
+_CURVES = {
+    "qubit": {
+        "separable": (["energy", "min_purity"],
+                      lambda g, _: [qubit.separable_min_purity(g)]),
+        "mems": (["concurrence", "purity", "energy_min", "energy_max"],
+                 lambda g, _: [qubit.mems_purity(g), *qubit.mems_energy_range(g)]),
+        "pure": (["energy", "max_concurrence"],
+                 lambda g, _: [qubit.pure_circle_concurrence(g)]),
+    },
+    "gaussian": {
+        "band": (["energy", "purity_low", "purity_high"],
+                 lambda g, _: gaussian.separability_band(g)),
+        "tmsv": (["energy", "log_negativity"],
+                 lambda g, _: [gaussian.log_negativity(gaussian.two_mode_squeezed_vacuum(g))]),
+        "gmems": (["purity", "log_negativity"],
+                  lambda g, e: [gaussian.log_negativity(gaussian.gmems(e, g))]),
+        "glems": (["purity", "log_negativity"],
+                  lambda g, e: [gaussian.log_negativity(gaussian.glems(e, g))]),
+    },
+}
+QUBIT_CURVES = tuple(_CURVES["qubit"])
+GAUSSIAN_CURVES = tuple(_CURVES["gaussian"])
 
 
 def boundary_tables(system, grid, curve, energy=None):
@@ -546,42 +557,15 @@ def boundary_tables(system, grid, curve, energy=None):
 
     For qubits the grid is energy (curves "separable", "pure") or
     concurrence ("mems"); for Gaussian states it is energy ("band",
-    "tmsv") or purity ("gmems", "glems" at a fixed `energy`).  Returns
-    (header, rows).  Grid points outside the curve's domain raise
-    DomainError.
+    "tmsv") or purity ("gmems", "glems" at a fixed `energy`), evaluated by
+    one stacked `qubit` or `gaussian` call.  Returns (header, table), an
+    (N, k) float array whose first column is the grid.  Grid points
+    outside the curve's domain raise DomainError.
     """
-    grid = [float(g) for g in np.atleast_1d(np.asarray(grid, dtype=float))]
-
-    if system == "qubit":
-        if curve == "separable":
-            return ["energy", "min_purity"], [(g, qubit.separable_min_purity(g)) for g in grid]
-        if curve == "mems":
-            return (
-                ["concurrence", "purity", "energy_min", "energy_max"],
-                [(g, qubit.mems_purity(g), *qubit.mems_energy_range(g)) for g in grid],
-            )
-        if curve == "pure":
-            return ["energy", "max_concurrence"], [
-                (g, qubit.pure_circle_concurrence(g)) for g in grid
-            ]
-        raise DomainError(f"unknown qubit curve {curve!r}")
-
-    if system == "gaussian":
-        if curve == "band":
-            return ["energy", "purity_low", "purity_high"], [
-                (g, *gaussian.separability_band(g)) for g in grid
-            ]
-        if curve == "tmsv":
-            return ["energy", "log_negativity"], [
-                (g, gaussian.log_negativity(gaussian.two_mode_squeezed_vacuum(g))) for g in grid
-            ]
-        if curve in ("gmems", "glems"):
-            if energy is None:
-                raise DomainError(f"curve {curve!r} needs a fixed energy")
-            family = gaussian.gmems if curve == "gmems" else gaussian.glems
-            return ["purity", "log_negativity"], [
-                (g, gaussian.log_negativity(family(energy, g))) for g in grid
-            ]
-        raise DomainError(f"unknown gaussian curve {curve!r}")
-
-    raise DomainError(f"unknown system {system!r}")
+    if curve not in _CURVES.get(system, {}):
+        raise DomainError(f"unknown {system} curve {curve!r}")
+    if curve in ("gmems", "glems") and energy is None:
+        raise DomainError(f"curve {curve!r} needs a fixed energy")
+    header, columns = _CURVES[system][curve]
+    grid = np.asarray(grid, dtype=float).reshape(-1)
+    return header, np.column_stack([grid, *columns(grid, energy)])

@@ -144,6 +144,17 @@ class TestBoundary:
         assert captured.out == ""
         assert run_cli(argv) == 0
 
+    @pytest.mark.parametrize("energy", ["1000", "10000"])
+    def test_tmsv_curve_at_high_energy(self, capsys, energy):
+        # Delta~ - sqrt(Delta~^2 - 4 Det sigma) cancelled here: E = 1000 printed
+        # 7.6017142181437514 and E = 10^4 failed the absolute nu_- >= 1 check
+        assert run_cli(["boundary", "--system", "gaussian", "--curve", "tmsv",
+                        "--grid", energy]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        E, logneg = map(float, row.split(","))
+        assert E == float(energy)
+        assert logneg == pytest.approx(np.arccosh(E + 1.0), rel=0.0, abs=1e-7)
+
     def test_glems_up_to_purity_one(self, capsys):
         # c+ and c- from a vanishing discriminant once made these states unphysical
         assert run_cli(["boundary", "--system", "gaussian", "--curve", "glems",
@@ -653,9 +664,11 @@ class TestCsvFormatter:
     ])
     def test_boundary_bytes(self, capsys, argv):
         args = cli.build_parser().parse_args(argv)
-        header, rows = sampling.boundary_tables(args.system, cli.parse_grid(args.grid), args.curve)
+        grid = cli.parse_grid(args.grid)
+        header, table = sampling.boundary_tables(args.system, grid, args.curve)
+        assert table.shape == (len(grid), len(header))
         assert run_cli(argv) == 0
-        assert capsys.readouterr().out == _oracle_csv(header, rows)
+        assert capsys.readouterr().out == _oracle_csv(header, table.tolist())
 
     @pytest.mark.parametrize("argv", [
         ["jc", "--input", "single-photon", "--tsteps", "200"],

@@ -2,6 +2,7 @@
 
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -591,6 +592,202 @@ class TestScaleAwareChecks:
         assert all(gaussian.cm_is_physical(cm) for cm in cms)
         energy = (params[:, 0] + params[:, 1]) / 2.0 - 1.0
         assert np.all((window[0] * (1.0 - 1e-12) <= energy) & (energy <= window[1] * (1.0 + 1e-12)))
+
+
+    def test_row_tolerance_follows_the_scale(self):
+        # nu_-^2 = a^2 - c^2 of a symmetric row with c+ = -c- = c
+        def row(E, deficit):
+            a = E + 1.0
+            c = np.sqrt(a * a - (1.0 - deficit) ** 2)
+            return gaussian.StandardFormCM(a, a, c, -c)
+
+        # at unit scale the absolute tolerance 1e-10 holds
+        assert gaussian.is_physical(row(1.0, 5e-11))
+        assert not gaussian.is_physical(row(1.0, 2e-10))
+        # at E = 1e4, a^2 - c^2 carries ROW_ROUNDOFF eps 4 a^2 ~ 4e-7 of roundoff
+        assert gaussian.is_physical(row(1e4, 1e-8))
+        assert not gaussian.is_physical(row(1e4, 1e-5))
+        with pytest.raises(UnphysicalCovarianceError):
+            gaussian.purity(row(1e4, 1e-5))
+
+    def test_high_energy_frontier_rows_are_physical(self):
+        # the pure TMSV at E = 1e4 and the GLEMS at (5000, 0.9) failed the
+        # absolute 1e-10 check by roundoff alone
+        for sf in (gaussian.two_mode_squeezed_vacuum(1e4), gaussian.glems(5000.0, 0.9),
+                   gaussian.gmems(5000.0, 0.9), gaussian.two_mode_squeezed_vacuum(1e6)):
+            assert gaussian.is_physical(sf)
+            gaussian.log_negativity(sf)
+
+    @given(st.integers(0, 2**64 - 1), st.sampled_from([(0.0, 2.0), (20.0, 40.0), (50.0, 100.0)]))
+    @settings(max_examples=15, deadline=None)
+    def test_reduced_rows_pass_the_layer_measures(self, seed, window):
+        params = gaussian.reduce_to_standard_form(gaussian_covariances_chunk(seed, 0, 256, window))
+        sf = gaussian.StandardFormCM(*params.T)
+        assert gaussian.is_physical(sf).all()
+        for measure in (gaussian.purity, gaussian.energy, gaussian.ppt_nu_minus,
+                        gaussian.log_negativity, gaussian.negativity):
+            assert np.all(np.isfinite(measure(sf)))
+
+
+def mp_log_negativity(row):
+    """Log-negativity of a row (a, b, c+, c-), taken exactly as given, at 50 digits."""
+    with mpmath.workdps(50):
+        a, b, cp, cm = map(mpmath.mpf, row)
+        det = (a * b - cp**2) * (a * b - cm**2)
+        ppt_delta = a**2 + b**2 - 2 * cp * cm
+        nu = mpmath.sqrt((ppt_delta - mpmath.sqrt(ppt_delta**2 - 4 * det)) / 2)
+        return max(mpmath.mpf(0), -mpmath.log(nu))
+
+
+def row_roundoff(sf):
+    """2 eps times the first-order conditioning of ln(sqrt(Det sigma) / nu~_+) in
+    the row's entries: each factor ab - c^2 relative to its absolute terms, and
+    Delta~ likewise."""
+    a, b, cp, cm = sf.a, sf.b, sf.c_plus, sf.c_minus
+    ab = a * b
+    scale = ((ab + cp**2) / abs(ab - cp**2) + (ab + cm**2) / abs(ab - cm**2)
+             + (a**2 + b**2 + 2.0 * abs(cp * cm)) / (a**2 + b**2 - 2.0 * cp * cm))
+    return 2.0 * gaussian.EPS * scale
+
+
+def construction_roundoff(sf, P):
+    """First-order roundoff of -ln(a - c), the log-negativity of a symmetric row
+    with c+ = -c- = c, from building a = E + 1 and c = sqrt(a^2 - 1/P) in floats:
+    a to eps/2, c^2 to eps (3 a^2 + 1/P + 3 c^2) / 2 and so c to that over 2c."""
+    a, c = sf.a, sf.c_plus
+    dc = gaussian.EPS * (1.5 * a * a + 0.5 / P + 1.5 * c * c) / (2.0 * c)
+    return (gaussian.EPS * a / 2.0 + dc) / (a - c)
+
+
+class TestHighEnergyFrontiers:
+    @pytest.mark.parametrize("sf", [
+        gaussian.two_mode_squeezed_vacuum(100.0),
+        gaussian.two_mode_squeezed_vacuum(1000.0),
+        gaussian.two_mode_squeezed_vacuum(1e4),
+        gaussian.gmems(500.0, 0.5),
+        gaussian.gmems(5000.0, 0.9),
+        gaussian.glems(5000.0, 0.9),
+    ], ids=["tmsv-100", "tmsv-1000", "tmsv-1e4", "gmems-500-0.5", "gmems-5000-0.9",
+            "glems-5000-0.9"])
+    def test_log_negativity_against_mpmath(self, sf):
+        # nu~_- = sqrt((Delta~ - sqrt(Delta~^2 - 4 Det sigma)) / 2) cancelled on
+        # these rows: gmems(5000, 0.9) was 0.25 off and glems(5000, 0.9) raised
+        want = mp_log_negativity((sf.a, sf.b, sf.c_plus, sf.c_minus))
+        assert abs(float(gaussian.log_negativity(sf) - want)) <= row_roundoff(sf)
+
+    @given(st.floats(np.log(0.01), np.log(1e4)), st.floats(0.0, 1.0))
+    @settings(max_examples=80, deadline=None)
+    def test_flag_curves_against_mpmath(self, log_energy, t):
+        # the sampler's pure-state curve arccosh(E + 1) and GMEMS bound
+        # ln(P (A + sqrt(A^2 - 1/P))), A = E + 1, are log_negativity of the
+        # extremal states; P runs over the entangled range [1/(2E + 1), 1]
+        E = float(np.exp(log_energy))
+        P = 1.0 / (2.0 * E + 1.0) + t * (1.0 - 1.0 / (2.0 * E + 1.0))
+        with mpmath.workdps(50):
+            A, Pm = mpmath.mpf(E) + 1, mpmath.mpf(P)
+            tmsv_want = mpmath.acosh(A)
+            gmems_want = max(mpmath.mpf(0), mpmath.log(Pm * (A + mpmath.sqrt(A**2 - 1 / Pm))))
+        for sf, p, want in ((gaussian.two_mode_squeezed_vacuum(E), 1.0, tmsv_want),
+                            (gaussian.gmems(E, P), P, gmems_want)):
+            tol = row_roundoff(sf) + construction_roundoff(sf, p)
+            assert abs(float(gaussian.log_negativity(sf) - want)) <= tol
+
+
+def _physical_rows(seed, n):
+    """(n, 4) physical standard forms: haphazard ones and frontier rows up to E = 1e4."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k in range(n):
+        E = float(np.exp(rng.uniform(np.log(0.01), np.log(1e4))))
+        P = 1.0 / (2.0 * E + 1.0) + rng.uniform() * (1.0 - 1.0 / (2.0 * E + 1.0))
+        sf = [random_sf(seed + k), gaussian.two_mode_squeezed_vacuum(E), gaussian.gmems(E, P),
+              gaussian.glems(E, P)][k % 4]
+        rows.append([sf.a, sf.b, sf.c_plus, sf.c_minus])
+    return np.array(rows)
+
+
+def _stacked(rows):
+    return gaussian.StandardFormCM(*np.asarray(rows).T)
+
+
+class TestStackedLayer:
+    MEASURES = {
+        "det_sigma": gaussian.det_sigma,
+        "seralian": gaussian.seralian,
+        "ppt_seralian": gaussian.ppt_seralian,
+        "nu_minus": lambda sf: gaussian.symplectic_eigenvalues(sf).nu_minus,
+        "nu_plus": lambda sf: gaussian.symplectic_eigenvalues(sf).nu_plus,
+        "is_physical": gaussian.is_physical,
+        "purity": gaussian.purity,
+        "energy": gaussian.energy,
+        "ppt_nu_minus": gaussian.ppt_nu_minus,
+        "log_negativity": gaussian.log_negativity,
+        "negativity": gaussian.negativity,
+        "is_separable": gaussian.is_separable,
+    }
+
+    @given(st.integers(0, 100_000), st.integers(1, 24))
+    @settings(max_examples=40, deadline=None)
+    def test_measures_of_a_stack_equal_per_row_calls_bitwise(self, seed, n):
+        rows = _physical_rows(seed, n)
+        for name, measure in self.MEASURES.items():
+            stacked = measure(_stacked(rows))
+            assert stacked.shape == (n,), name
+            for row, value in zip(rows.tolist(), stacked.tolist()):
+                alone = measure(gaussian.StandardFormCM(*row))
+                assert type(alone) is type(value) and alone == value, name
+            # a (2, m) stack gives the same values in that shape
+            if n % 2 == 0:
+                fields = rows.reshape(2, n // 2, 4).transpose(2, 0, 1)
+                grid = measure(gaussian.StandardFormCM(*fields))
+                assert np.array_equal(grid.ravel(), stacked), name
+
+    @given(st.integers(0, 100_000), st.integers(1, 12))
+    @settings(max_examples=20, deadline=None)
+    def test_physicality_of_a_mixed_stack_is_per_row(self, seed, n):
+        rows = _physical_rows(seed, n)
+        rows[::2, 2] = 1.01 * np.sqrt(rows[::2, 0] * rows[::2, 1])  # ab - c+^2 < 0
+        flags = gaussian.is_physical(_stacked(rows))
+        assert flags.tolist() == [gaussian.is_physical(gaussian.StandardFormCM(*row))
+                                  for row in rows.tolist()]
+        assert not flags[0]
+        with pytest.raises(UnphysicalCovarianceError):
+            gaussian.purity(_stacked(rows))
+
+    @given(st.lists(st.floats(np.log(0.01), np.log(1e4)), min_size=1, max_size=16),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_families_of_a_stack_equal_per_point_calls_bitwise(self, log_energies, t):
+        E = np.exp(log_energies)
+        P = 1.0 / (2.0 * E + 1.0) + t * (1.0 - 1.0 / (2.0 * E + 1.0))
+        families = {
+            "tmsv": lambda e, p: gaussian.two_mode_squeezed_vacuum(e),
+            "gmems": gaussian.gmems,
+            "glems": gaussian.glems,
+        }
+        for name, family in families.items():
+            stacked = family(E, P)
+            for i, (e, p) in enumerate(zip(E.tolist(), P.tolist())):
+                alone = family(e, p)
+                assert [type(x) for x in (alone.a, alone.c_plus)] == [float, float], name
+                assert [alone.a, alone.b, alone.c_plus, alone.c_minus] == [
+                    stacked.a[i], stacked.b[i], stacked.c_plus[i], stacked.c_minus[i]
+                ], name
+        lo, hi = gaussian.separability_band(E)
+        assert [lo.tolist(), hi.tolist()] == [list(x) for x in zip(
+            *[gaussian.separability_band(e) for e in E.tolist()])]
+
+    def test_family_domains_are_checked_over_the_whole_stack(self):
+        with pytest.raises(DomainError, match="no GLEMS below purity"):
+            gaussian.glems(1.0, np.array([0.5, 0.3, 0.9]))
+        with pytest.raises(DomainError):
+            gaussian.gmems(np.array([1.0, 2.0]), np.array([0.5, 0.1]))
+        with pytest.raises(DomainError):
+            gaussian.two_mode_squeezed_vacuum(np.array([1.0, -0.5]))
+        with pytest.raises(DomainError):
+            gaussian.separability_band(np.array([0.0, -0.1]))
+        with pytest.raises(DomainError, match="diagonal parameters"):
+            gaussian.StandardFormCM(np.array([1.0, 0.5]), np.ones(2), np.zeros(2), np.zeros(2))
 
 
 class TestContainment:

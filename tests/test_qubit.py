@@ -427,6 +427,20 @@ class TestMems:
                 fn(-0.1)
             with pytest.raises(DomainError):
                 fn(1.1)
+        for fn in (qubit.mems_purity, qubit.mems_energy_range):
+            with pytest.raises(DomainError):
+                fn(np.array([0.5, 1.1]))
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    @example([0.0, 2.0 / 3.0, np.nextafter(2.0 / 3.0, 1.0), 1.0])
+    @settings(max_examples=40, deadline=None)
+    def test_array_calls_equal_per_point_calls_bitwise(self, Cs):
+        C = np.array(Cs)
+        assert qubit.mems_purity(C).tolist() == [qubit.mems_purity(c) for c in Cs]
+        lo, hi = qubit.mems_energy_range(C)
+        assert [lo.tolist(), hi.tolist()] == [list(x) for x in zip(
+            *[qubit.mems_energy_range(c) for c in Cs])]
+        assert type(qubit.mems_purity(Cs[0])) is float
 
     @pytest.mark.parametrize("C", [0.3, 2.0 / 3.0, 0.9])
     def test_maximality_at_fixed_purity(self, C):

@@ -155,14 +155,17 @@ SEEDS = st.integers(0, 2**64 - 1)
 def scalar_record(sf, measure):
     """((E, entanglement, P), flags) of one standard form from the scalar measures.
 
-    The per-record logic that `sampling.gaussian_records` vectorizes, kept
-    as its oracle.
+    The per-record logic that `sampling.gaussian_records` applies to a
+    stack, through the same `gaussian` calls on one row.  It checks the
+    stacked record against its rows, not the formulas: the oracles of the
+    formulas are `test_values_match_block_invariants`, the mpmath tests
+    here and the frontier tests of `test_gaussian.py`.
     """
     en = gaussian.energy(sf)
     pur = gaussian.purity(sf)
     logneg = gaussian.log_negativity(sf)
     ent = logneg if measure == "logneg" else gaussian.negativity(sf)
-    tmsv_ln = float(np.arccosh(max(en + 1.0, 1.0)))
+    tmsv_ln = gaussian.log_negativity(gaussian.two_mode_squeezed_vacuum(max(en, 0.0)))
     on_curve = pur < 1.0 - sampling.PURE_TOL or abs(logneg - tmsv_ln) <= 1e-6
     if en > 0.0:
         p_ref = min(max(pur, 1.0 / (en + 1.0) ** 2), 1.0)
@@ -256,9 +259,6 @@ class TestGaussianRecords:
         ]
         if P >= 1.0 / (2.0 * E + 1.0):
             sfs.append(gaussian.glems(E, P))
-        # the scalar measures reject some near-pure GLEMS, whose c+- carry the
-        # ~1e-8 error of the square root of a vanishing discriminant
-        sfs = [sf for sf in sfs if gaussian.is_physical(sf)]
         params = np.array([[sf.a, sf.b, sf.c_plus, sf.c_minus] for sf in sfs])
         values, flags = sampling.gaussian_records(params, measure)
         for sf, got_values, got_flags in zip(sfs, values, flags):
@@ -407,22 +407,50 @@ class TestConditionedSamplers:
 
 class TestBoundaryTables:
     def test_qubit_separable_values(self):
-        header, rows = sampling.boundary_tables("qubit", [0.0, 0.5, 1.0], "separable")
+        header, table = sampling.boundary_tables("qubit", [0.0, 0.5, 1.0], "separable")
         assert header == ["energy", "min_purity"]
-        assert [r[1] for r in rows] == pytest.approx([1.0, 3.0 / 8.0, 0.25])
+        assert table.shape == (3, 2) and table.dtype == float
+        assert table[:, 0].tolist() == [0.0, 0.5, 1.0]
+        assert table[:, 1].tolist() == pytest.approx([1.0, 3.0 / 8.0, 0.25])
 
     def test_gaussian_band_at_unit_energy(self):
-        header, rows = sampling.boundary_tables("gaussian", [1.0], "band")
-        assert rows[0] == pytest.approx((1.0, 0.25, 1.0 / 3.0))
+        header, table = sampling.boundary_tables("gaussian", [1.0], "band")
+        assert table.shape == (1, 3)
+        assert table[0].tolist() == pytest.approx((1.0, 0.25, 1.0 / 3.0))
 
     def test_empty_grid_gives_empty_table(self):
-        _, rows = sampling.boundary_tables("qubit", [], "separable")
-        assert rows == []
+        widths = {"separable": 2, "mems": 4, "pure": 2, "band": 3, "tmsv": 2, "gmems": 2,
+                  "glems": 2}
+        for curve, width in widths.items():
+            system = "qubit" if curve in sampling.QUBIT_CURVES else "gaussian"
+            energy = 2.0 if curve in ("gmems", "glems") else None
+            header, table = sampling.boundary_tables(system, [], curve, energy)
+            assert len(header) == width
+            assert table.shape == (0, width)
+
+    @pytest.mark.parametrize("system,curve,grid,row", [
+        ("qubit", "separable", [0.0, 0.3, 1.7, 2.0],
+         lambda g: (qubit.separable_min_purity(g),)),
+        ("qubit", "mems", [0.0, 0.5, 2.0 / 3.0, 0.9, 1.0],
+         lambda g: (qubit.mems_purity(g), *qubit.mems_energy_range(g))),
+        ("qubit", "pure", [0.0, 0.4, 2.0], lambda g: (qubit.pure_circle_concurrence(g),)),
+        ("gaussian", "band", [0.0, 0.7, 1e4], gaussian.separability_band),
+        ("gaussian", "tmsv", [0.0, 2.224, 1e4],
+         lambda g: (gaussian.log_negativity(gaussian.two_mode_squeezed_vacuum(g)),)),
+        ("gaussian", "gmems", [1.0 / 9.0, 0.5, 1.0],
+         lambda g: (gaussian.log_negativity(gaussian.gmems(2.0, g)),)),
+        ("gaussian", "glems", [0.2, 0.5, 1.0],
+         lambda g: (gaussian.log_negativity(gaussian.glems(2.0, g)),)),
+    ])
+    def test_one_array_call_equals_per_point_calls(self, system, curve, grid, row):
+        energy = 2.0 if curve in ("gmems", "glems") else None
+        _, table = sampling.boundary_tables(system, grid, curve, energy)
+        assert table.tolist() == [[g, *row(g)] for g in grid]
 
     def test_fixed_energy_curves(self):
-        header, rows = sampling.boundary_tables("gaussian", [0.5, 0.8], "gmems", energy=2.0)
+        header, table = sampling.boundary_tables("gaussian", [0.5, 0.8], "gmems", energy=2.0)
         assert header == ["purity", "log_negativity"]
-        assert rows[0][1] == pytest.approx(
+        assert table[0, 1] == pytest.approx(
             gaussian.log_negativity(gaussian.gmems(2.0, 0.5)), abs=1e-12
         )
         with pytest.raises(DomainError):
@@ -433,6 +461,10 @@ class TestBoundaryTables:
             sampling.boundary_tables("qubit", [3.0], "separable")
         with pytest.raises(DomainError):
             sampling.boundary_tables("qubit", [0.5], "nosuch")
+        with pytest.raises(DomainError):
+            sampling.boundary_tables("qubit", [0.5, 1.5], "mems")
+        with pytest.raises(DomainError):
+            sampling.boundary_tables("gaussian", [0.5, 0.3], "glems", energy=1.0)
 
 
 class TestRecord:
