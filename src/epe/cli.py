@@ -26,10 +26,10 @@ are byte-identical regardless of EPE_THREADS.
 
 `_write_output` is the one writer.  It takes blocks of rows (`sample`
 and `boundary` one per chunk of `sampling.CHUNK` rows, `jc` one block),
-formats CSV a block at a time with `csv_lines` into an anonymous
-temporary file (JSON records are built in memory), and copies it to
---out or stdout only after the last block, so CSV memory stays bounded
-at any --count or grid size and a failed command writes nothing.
+formats each block (CSV with `csv_lines`, JSON records with `json.dumps`)
+into an anonymous temporary file, and copies it to --out or stdout only
+after the last block, so memory stays bounded at any --count or grid
+size in either format and a failed command writes nothing.
 """
 
 from __future__ import annotations
@@ -186,18 +186,23 @@ def _write_output(args, header, blocks):
             for values, labels in blocks:
                 spool.write(csv_lines(values, labels))
         else:
-            records = []
+            body = {"manifest": _manifest(args, [args.out] if args.out else []),
+                    "columns": list(header), "records": []}
+            # "records" sorts last, so its "[]" is the text's last; each block's
+            # records go there, dumped as a list and indented one step deeper
+            head, tail = json.dumps(body, indent=1, sort_keys=True).rsplit("[]", 1)
+            spool.write(head)
+            sep = "[\n"
             for values, labels in blocks:
                 rows = values.tolist()
                 if labels is not None:
                     rows = [row + [label] for row, label in zip(rows, labels)]
-                records += [dict(zip(header, row)) for row in rows]
-            body = {
-                "manifest": _manifest(args, [args.out] if args.out else []),
-                "columns": list(header),
-                "records": records,
-            }
-            spool.write(json.dumps(body, indent=1, sort_keys=True) + "\n")
+                if rows:
+                    records = [dict(zip(header, row)) for row in rows]
+                    text = json.dumps(records, indent=1, sort_keys=True)
+                    spool.write(sep + " " + text[2:-2].replace("\n", "\n "))
+                    sep = ",\n"
+            spool.write(("[]" if sep == "[\n" else "\n ]") + tail + "\n")
         _publish(args, spool)
 
 

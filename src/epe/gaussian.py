@@ -29,8 +29,9 @@ from .qubit import _float_or_array
 PHYSICALITY_TOL = 1e-10
 RADICAND_TOL = 1e-10
 
-# Scale-aware checks.  A sampled sigma = S^T diag(nu) S is known only to the
-# roundoff of that product, so each check of a raw covariance matrix allows
+# Scale-aware checks.  A covariance sigma = S^T diag(nu) S is known only to the
+# roundoff of that product (the sampler's closed-form candidates take fewer
+# roundings and are exactly symmetric), so each check of a raw matrix allows
 # max(its absolute tolerance, c eps scale), with the scale built from the
 # diagonal (|sigma_ij| <= sqrt(sigma_ii sigma_jj) for sigma >= 0) and c from
 # these bounds:

@@ -17,9 +17,11 @@ Two-qubit states (W = 32) are drawn from the Ginibre construction
 rho = G G^dag / Tr(G G^dag) with G a 4 x k standard complex normal
 matrix (k = rank filter, default 4: the first k columns of a 4 x 4
 draw), i.e. the Hilbert-Schmidt measure at full rank.  Gaussian states
-(W = 16, 15 uniforms used) are built as S^T diag(nu-, nu-, nu+, nu+) S
-from random local squeezes, local rotations and a beam-splitter mix,
-accepted when their standard-form energy lies in the energy window.
+(W = 16) are BS^T (nu_- M1 (+) nu_+ M2) BS in closed form: a symplectic
+spectrum, a squeezed and rotated block per mode and a beam-splitter mix,
+from uniforms 0, 1, 3, 4, 6, 7 and 8; the others would only add local
+symplectics that cancel (`candidate_covariances`).  A candidate is
+accepted when its standard-form energy lies in the energy window.
 
 Records are computed a chunk at a time: `qubit_records` evaluates the
 stacked `qubit` measures on the (N, 4, 4) stack of states (concurrence
@@ -248,34 +250,15 @@ def qubit_records_chunk(seed, start, count, rank=4, measure="concurrence"):
 # --- two-mode Gaussian sampling ---
 
 
-def _rotations(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
-
-
-def _mode_symplectics(u, r_max):
-    """(N, 2, 2) rotation-squeeze-rotation Euler samples of one mode's symplectic
-    group from (N, 3) uniforms: angle, squeeze in [-r_max, r_max), angle."""
-    r = r_max * (2.0 * u[:, 1] - 1.0)
-    squeeze = np.stack([np.exp(r), np.exp(-r)], -1)
-    return (_rotations(2.0 * np.pi * u[:, 0]) * squeeze[:, None, :]) @ _rotations(
-        2.0 * np.pi * u[:, 2]
-    )
-
-
-def _local(S1, S2):
-    out = np.zeros(S1.shape[:-2] + (4, 4))
-    out[..., :2, :2] = S1
-    out[..., 2:, 2:] = S2
-    return out
-
-
-def beam_splitter(theta) -> np.ndarray:
-    """Passive mixing symplectic that rotates the two modes into each other.
-
-    Takes a scalar or an array of angles; the 4 x 4 axes come last.
-    """
-    return np.kron(_rotations(theta), np.eye(2))
+def _mode_block(u, r_max):
+    """Entries (m11, m12, m22) of Rot(phi)^T diag(e^2r, e^-2r) Rot(phi), the
+    block L^T L of one mode's local symplectic L, from (N, 2) uniforms:
+    squeeze r in [-r_max, r_max), angle phi = 2 pi u.  Both diagonal
+    entries are sums of positive terms."""
+    r = r_max * (2.0 * u[:, 0] - 1.0)
+    e, f = np.exp(2.0 * r), np.exp(-2.0 * r)
+    c, s = np.cos(2.0 * np.pi * u[:, 1]), np.sin(2.0 * np.pi * u[:, 1])
+    return e * c * c + f * s * s, c * s * (e - f), e * s * s + f * c * c
 
 
 def _inverse_square(u, lo, hi):
@@ -290,13 +273,17 @@ _NU_PRODUCT_CAP = 1.0e3
 def candidate_covariances(u, energy_window=DEFAULT_ENERGY_WINDOW):
     """Candidate covariance matrices from (N, 16) uniforms, and which are accepted.
 
-    Uniform 0 draws nu_- and uniform 1 nu_+, each with density ~ 1/nu^2
-    (favoring nearly pure spectra) within ranges compatible with the
-    window; uniforms 2-7 draw the two local symplectics on the left of a
-    beam splitter at angle 2 pi u_8, uniforms 9-14 the two on its right,
-    and uniform 15 is unused.  A candidate is accepted when its spectrum
-    range is nonempty and its `candidate_energy`, the energy its record
-    reports, lies inside the window.  Returns ((N, 4, 4) CMs, (N,) bools).
+    sigma = BS^T (nu_- M1 (+) nu_+ M2) BS, elementwise over the stack and
+    exactly symmetric.  Uniforms 0 and 1 draw nu_- and nu_+ with density
+    ~ 1/nu^2 (favoring nearly pure spectra) within ranges compatible with
+    the window, (3, 4) and (6, 7) the `_mode_block`s M1 and M2, and 8 the
+    beam-splitter angle 2 pi u_8.  This is S^T diag(nu-, nu-, nu+, nu+) S
+    with S = L BS R less what cancels: each mode's L_i = Rot D Rot' gives
+    L_i^T nu L_i = nu Rot'^T D^2 Rot' (uniforms 2 and 5 drop out), and the
+    local symplectic R changes no record (9-14); 15 is unused.  Accepted
+    when the spectrum range is nonempty and the `candidate_energy`, the
+    energy the record reports, lies in the window.  Returns ((N, 4, 4) CMs,
+    (N,) bools).
     """
     e_lo, e_hi = energy_window
     nu_hi = min(2.0 * (e_hi + 1.0) - 1.0, _NU_PRODUCT_CAP)
@@ -304,13 +291,19 @@ def candidate_covariances(u, energy_window=DEFAULT_ENERGY_WINDOW):
     nu_m = _inverse_square(u[:, 0], 1.0, nu_hi)
     top = np.minimum(2.0 * (e_hi + 1.0) - nu_m, _NU_PRODUCT_CAP / nu_m)
     nu_p = _inverse_square(u[:, 1], nu_m, top)
-    S = (
-        _local(_mode_symplectics(u[:, 2:5], r_max), _mode_symplectics(u[:, 5:8], r_max))
-        @ beam_splitter(2.0 * np.pi * u[:, 8])
-        @ _local(_mode_symplectics(u[:, 9:12], r_max), _mode_symplectics(u[:, 12:15], r_max))
-    )
-    nu = np.stack([nu_m, nu_m, nu_p, nu_p], -1)
-    sigma = S.transpose(0, 2, 1) @ (nu[:, :, None] * S)
+    A = [nu_m * m for m in _mode_block(u[:, 3:5], r_max)]
+    B = [nu_p * m for m in _mode_block(u[:, 6:8], r_max)]
+    theta = 2.0 * np.pi * u[:, 8]
+    c, s = np.cos(theta), np.sin(theta)
+    cc, ss, cs = c * c, s * s, c * s
+    # the beam splitter mixes the blocks: alpha, beta and the symmetric gamma
+    a11, a12, a22 = (cc * x + ss * y for x, y in zip(A, B))
+    b11, b12, b22 = (ss * x + cc * y for x, y in zip(A, B))
+    g11, g12, g22 = (cs * (x - y) for x, y in zip(A, B))
+    sigma = np.stack([a11, a12, g11, g12,
+                      a12, a22, g12, g22,
+                      g11, g12, b11, b12,
+                      g12, g22, b12, b22], -1).reshape(-1, 4, 4)
     energy = candidate_energy(sigma)
     return sigma, (top > nu_m) & (e_lo <= energy) & (energy <= e_hi)
 

@@ -718,6 +718,24 @@ class TestCsvFormatter:
         assert run_cli(argv) == 0
         assert capsys.readouterr().out == json.dumps(body, indent=1, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("sizes", [[], [0], [1], [3, 0, 2], [5, 4096, 1]])
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_json_blocks_match_one_dump_of_the_body(self, capsys, sizes, labelled):
+        rng = np.random.default_rng(len(sizes))
+        blocks = [(rng.normal(size=(n, 3)),
+                   sampling.flag_labels(rng.random((n, 3)) < 0.5) if labelled else None)
+                  for n in sizes]
+        header = ["energy", "entanglement", "purity"] + ["flags"] * labelled
+        argv = ["sample", "--system", "qubit", "--seed", "1", "--count", "1", "--format", "json"]
+        args = cli.build_parser().parse_args(argv)
+        cli._write_output(args, header, iter(blocks))
+        records = []
+        for values, labels in blocks:
+            for i, row in enumerate(values.tolist()):
+                records.append(dict(zip(header, row + ([labels[i]] if labelled else []))))
+        body = {"manifest": cli._manifest(args, []), "columns": header, "records": records}
+        assert capsys.readouterr().out == json.dumps(body, indent=1, sort_keys=True) + "\n"
+
 
 _QUBIT = ["sample", "--system", "qubit", "--seed", "13"]
 
@@ -840,8 +858,9 @@ class TestStreamedSample:
         captured = capsys.readouterr()
         assert "sample 4999:" in captured.err and captured.out == ""
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc VmHWM")
-    def test_peak_memory_does_not_grow_with_count(self, tmp_path):
+    @staticmethod
+    def _peak_mb(tmp_path, count, fmt):
+        """VmHWM in MB of a child `sample --system qubit --count count --format fmt`."""
         # VmHWM is the peak RSS of the process image itself; ru_maxrss would
         # also carry the high-water mark inherited from this process at exec
         code = (
@@ -853,16 +872,27 @@ class TestStreamedSample:
             "sys.exit(code)\n"
         )
         env = dict(_src_env(), EPE_THREADS="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        peaks = []
-        for count in (20_000, 200_000):
-            out = tmp_path / f"q{count}.csv"
-            proc = subprocess.run([sys.executable, "-c", code, *_QUBIT, "--count", str(count),
-                                   "--out", str(out)], env=env, capture_output=True, text=True,
-                                  timeout=600)
-            assert proc.returncode == 0, proc.stderr
+        out = tmp_path / f"q{count}.{fmt}"
+        proc = subprocess.run([sys.executable, "-c", code, *_QUBIT, "--count", str(count),
+                               "--format", fmt, "--out", str(out)], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        if fmt == "csv":
             assert out.read_bytes().count(b"\n") == count + 1
-            peaks.append(int(proc.stderr.split()[-1]) / 1024.0)
+        else:
+            assert len(json.loads(out.read_text())["records"]) == count
+        return int(proc.stderr.split()[-1]) / 1024.0
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc VmHWM")
+    def test_peak_memory_does_not_grow_with_count(self, tmp_path):
+        peaks = [self._peak_mb(tmp_path, count, "csv") for count in (20_000, 200_000)]
         # building the 200k rows in memory first cost about 100 MB more
+        assert peaks[1] - peaks[0] < 5.0, peaks
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc VmHWM")
+    def test_json_peak_memory_does_not_grow_with_count(self, tmp_path):
+        peaks = [self._peak_mb(tmp_path, count, "json") for count in (20_000, 100_000)]
+        # building the 100k records in memory first cost about 100 MB more
         assert peaks[1] - peaks[0] < 5.0, peaks
 
 

@@ -12,6 +12,7 @@ from scipy.optimize import minimize_scalar
 from epe import gaussian
 from epe.errors import DomainError, UnphysicalCovarianceError
 from epe.sampling import gaussian_covariances_chunk, random_covariance, random_standard_form_at
+from test_sampling import local_beam_splitter_local
 
 VACUUM = gaussian.StandardFormCM(1.0, 1.0, 0.0, 0.0)
 TMSV3 = gaussian.StandardFormCM(3.0, 3.0, np.sqrt(8.0), -np.sqrt(8.0))
@@ -398,9 +399,16 @@ class TestStandardFormReduction:
             2.5 * np.eye(4),
             rotated @ gaussian.expand(TMSV3) @ rotated.T,
         ]
-        cms = np.concatenate([gaussian_covariances_chunk(seed, 0, count, window), special])
+        sampled = gaussian_covariances_chunk(seed, 0, count, window)
+        # sampled candidates carry no right local symplectic; give them random local frames
+        rng = np.random.default_rng(seed)
+        squeezes = rng.uniform(-1.0, 1.0, (count, 2))
+        angles = rng.uniform(0.0, 2.0 * np.pi, (count, 2))
+        framed = [_locally_transformed(cm, r[0], t[0], r[1], t[1])
+                  for cm, r, t in zip(sampled, squeezes, angles)]
+        cms = np.concatenate([sampled, framed, special])
         params = gaussian.reduce_to_standard_form(cms)
-        assert params.shape == (count + 3, 4)
+        assert params.shape == (2 * count + 3, 4)
         for cm, row in zip(cms, params):
             sf = gaussian.reduce_to_standard_form(cm)
             assert isinstance(sf, gaussian.StandardFormCM)
@@ -414,14 +422,7 @@ class TestStandardFormReduction:
     @settings(max_examples=60, deadline=None)
     def test_physicality_check_matches_the_eigen_oracle(self, nu_minus, spread, u):
         # S^T diag(nu-, nu-, nu+, nu+) S has symplectic eigenvalues nu-, nu+
-        from epe.sampling import _local, _mode_symplectics, beam_splitter
-
-        u = np.array([u])
-        S = (
-            _local(_mode_symplectics(u[:, 0:3], 0.8), _mode_symplectics(u[:, 3:6], 0.8))
-            @ beam_splitter(2.0 * np.pi * u[:, 6])
-            @ _local(_mode_symplectics(u[:, 7:10], 0.8), _mode_symplectics(u[:, 10:13], 0.8))
-        )[0]
+        S = local_beam_splitter_local(np.array([u]), 0.8)[0]
         cm = S.T @ np.diag([nu_minus, nu_minus, nu_minus * spread, nu_minus * spread]) @ S
         cm = (cm + cm.T) / 2.0
         assert gaussian.cm_is_physical(cm) == (nu_minus > 1.0)
@@ -457,12 +458,15 @@ def _rotation(theta):
     return np.array([[c, s], [-s, c]])
 
 
-def _locally_transformed(sf, r1, theta1, r2, theta2):
-    """expand(sf) under local squeezes e^(+-r) followed by local rotations."""
+def _locally_transformed(cm, r1, theta1, r2, theta2):
+    """A CM (or expand(sf) of a StandardFormCM) under local squeezes e^(+-r)
+    followed by local rotations."""
+    if isinstance(cm, gaussian.StandardFormCM):
+        cm = gaussian.expand(cm)
     S = np.zeros((4, 4))
     S[:2, :2] = _rotation(theta1) @ np.diag([np.exp(r1), np.exp(-r1)])
     S[2:, 2:] = _rotation(theta2) @ np.diag([np.exp(r2), np.exp(-r2)])
-    return S @ gaussian.expand(sf) @ S.T
+    return S @ cm @ S.T
 
 
 # (matrix, its standard form)

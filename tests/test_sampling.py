@@ -299,6 +299,167 @@ class TestGaussianRecords:
             assert abs(float(logneg - want)) <= 2.0 * gaussian.EPS * scale
 
 
+# --- the construction the sampler used up to 0.8.0: S = L BS R ---
+
+
+def _rotations(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
+
+
+def _euler_symplectics(u, r_max):
+    """(N, 2, 2) rotation-squeeze-rotation samples of one mode's symplectic
+    group from (N, 3) uniforms: angle, squeeze in [-r_max, r_max), angle."""
+    r = r_max * (2.0 * u[:, 1] - 1.0)
+    squeeze = np.stack([np.exp(r), np.exp(-r)], -1)
+    return (_rotations(2.0 * np.pi * u[:, 0]) * squeeze[:, None, :]) @ _rotations(
+        2.0 * np.pi * u[:, 2]
+    )
+
+
+def local_beam_splitter_local(u, r_max):
+    """(N, 4, 4) symplectics S = L BS R from (N, 13) uniforms: the local L
+    from uniforms 0-5, a beam splitter at angle 2 pi u_6, the local R from 7-12."""
+    def local(v):
+        out = np.zeros((len(v), 4, 4))
+        out[:, :2, :2] = _euler_symplectics(v[:, :3], r_max)
+        out[:, 2:, 2:] = _euler_symplectics(v[:, 3:], r_max)
+        return out
+
+    beam_splitter = np.kron(_rotations(2.0 * np.pi * u[:, 6]), np.eye(2))
+    return local(u[:, :6]) @ beam_splitter @ local(u[:, 7:])
+
+
+def lbsr_candidates(u, energy_window):
+    """Candidates S^T diag(nu-, nu-, nu+, nu+) S with S = L BS R from
+    uniforms 2-14, and which are accepted: the 4x4 products the closed-form
+    kernel replaces, on the same uniforms and acceptance rule."""
+    e_lo, e_hi = energy_window
+    nu_hi = min(2.0 * (e_hi + 1.0) - 1.0, sampling._NU_PRODUCT_CAP)
+    nu_m = sampling._inverse_square(u[:, 0], 1.0, nu_hi)
+    top = np.minimum(2.0 * (e_hi + 1.0) - nu_m, sampling._NU_PRODUCT_CAP / nu_m)
+    nu_p = sampling._inverse_square(u[:, 1], nu_m, top)
+    S = local_beam_splitter_local(u[:, 2:15], 0.5 * np.arccosh(e_hi + 1.0))
+    nu = np.stack([nu_m, nu_m, nu_p, nu_p], -1)
+    sigma = S.transpose(0, 2, 1) @ (nu[:, :, None] * S)
+    energy = sampling.candidate_energy(sigma)
+    return sigma, (top > nu_m) & (e_lo <= energy) & (energy <= e_hi)
+
+
+def accepted_uniforms(seed, count, window):
+    """(count, 16) uniforms of the attempt each index in [0, count) accepts."""
+    u_acc = np.empty((count, sampling.GAUSSIAN_WORDS))
+    pending = np.arange(count)
+    attempt = 0
+    while pending.size:
+        words = sampling.stream_words(seed, "gaussian", 0, count, sampling.GAUSSIAN_WORDS, attempt)
+        u = sampling.uniforms(words)[pending]
+        _, ok = sampling.candidate_covariances(u, window)
+        u_acc[pending[ok]] = u[ok]
+        pending = pending[~ok]
+        attempt += 1
+    return u_acc
+
+
+def mp_energy_purity(u, window):
+    """50-digit (energy, purity) of the candidate of one row of 16 uniforms,
+    built as S^T diag(nu-, nu-, nu+, nu+) S with S = L BS R."""
+    with mpmath.workdps(50):
+        u = [mpmath.mpf(float(x)) for x in u]
+        e_hi = mpmath.mpf(window[1])
+        r_max = mpmath.acosh(e_hi + 1) / 2
+        cap = mpmath.mpf(sampling._NU_PRODUCT_CAP)
+
+        def inverse_square(x, lo, hi):
+            return 1 / (1 / lo - x * (1 / lo - 1 / hi))
+
+        def rot(k):
+            t = 2 * mpmath.pi * u[k]
+            return mpmath.matrix([[mpmath.cos(t), mpmath.sin(t)], [-mpmath.sin(t), mpmath.cos(t)]])
+
+        def mode(k):
+            r = r_max * (2 * u[k + 1] - 1)
+            return rot(k) * mpmath.diag([mpmath.exp(r), mpmath.exp(-r)]) * rot(k + 2)
+
+        def local(k):
+            out = mpmath.zeros(4, 4)
+            out[0:2, 0:2] = mode(k)
+            out[2:4, 2:4] = mode(k + 3)
+            return out
+
+        nu_m = inverse_square(u[0], 1, min(2 * (e_hi + 1) - 1, cap))
+        nu_p = inverse_square(u[1], nu_m, min(2 * (e_hi + 1) - nu_m, cap / nu_m))
+        bs = mpmath.zeros(4, 4)
+        c, s = rot(8)[0, 0], rot(8)[0, 1]
+        bs[0, 0] = bs[1, 1] = bs[2, 2] = bs[3, 3] = c
+        bs[0, 2] = bs[1, 3] = s
+        bs[2, 0] = bs[3, 1] = -s
+        S = local(2) * bs * local(9)
+        sigma = S.T * mpmath.diag([nu_m, nu_m, nu_p, nu_p]) * S
+        energy = (mpmath.sqrt(mpmath.det(sigma[0:2, 0:2]))
+                  + mpmath.sqrt(mpmath.det(sigma[2:4, 2:4]))) / 2 - 1
+        return energy, 1 / (nu_m * nu_p)
+
+
+KERNEL_WINDOWS = [(0.0, 2.0), (1.0, 2.0), (20.0, 40.0), (50.0, 100.0)]
+
+
+class TestCandidateKernel:
+    @given(SEEDS, st.sampled_from(KERNEL_WINDOWS))
+    @settings(max_examples=12, deadline=None)
+    def test_only_seven_uniforms_reach_a_candidate(self, seed, window):
+        words = [sampling.stream_words(seed, "gaussian", 0, 256, sampling.GAUSSIAN_WORDS, k)
+                 for k in (0, 1)]
+        u, other = map(sampling.uniforms, words)
+        cancelled = [2, 5, *range(9, 16)]
+        mixed = u.copy()
+        mixed[:, cancelled] = other[:, cancelled]
+        sigma, ok = sampling.candidate_covariances(u, window)
+        mixed_sigma, mixed_ok = sampling.candidate_covariances(mixed, window)
+        assert np.array_equal(sigma, mixed_sigma)
+        assert np.array_equal(ok, mixed_ok)
+
+    @pytest.mark.parametrize("window", KERNEL_WINDOWS)
+    def test_candidates_are_exactly_symmetric(self, window):
+        u = sampling.uniforms(sampling.stream_words(7, "gaussian", 0, 2048,
+                                                    sampling.GAUSSIAN_WORDS))
+        sigma, _ = sampling.candidate_covariances(u, window)
+        assert np.array_equal(sigma, sigma.transpose(0, 2, 1))
+        sigma = sampling.gaussian_covariances_chunk(7, 0, 256, window)
+        assert np.array_equal(sigma, sigma.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("window", [(20.0, 40.0), (50.0, 100.0)])
+    def test_energy_and_purity_against_mpmath(self, window):
+        count = 200
+        u = accepted_uniforms(7, count, window)
+        assert np.array_equal(sampling.candidate_covariances(u, window)[0],
+                              sampling.gaussian_covariances_chunk(7, 0, count, window))
+        _, values, _ = sampling.gaussian_records_chunk(7, 0, count, window)
+        for row, (en, _, pur) in zip(u, values):
+            want_en, want_pur = mp_energy_purity(row, window)
+            assert abs(en - float(want_en)) <= 1e-10
+            assert abs(pur - float(want_pur)) <= 1e-10
+
+    @given(SEEDS, st.sampled_from(KERNEL_WINDOWS))
+    @settings(max_examples=16, deadline=None)
+    def test_matches_the_lbsr_construction(self, seed, window):
+        u = sampling.uniforms(sampling.stream_words(seed, "gaussian", 0, 512,
+                                                    sampling.GAUSSIAN_WORDS))
+        old, old_ok = lbsr_candidates(u, window)
+        sigma, ok = sampling.candidate_covariances(u, window)
+        assert np.array_equal(ok, old_ok)
+        old_rows = gaussian.reduce_to_standard_form(old[ok])
+        rows = gaussian.reduce_to_standard_form(sigma[ok])
+        assert np.array_equal(sampling.gaussian_records(rows)[1],
+                              sampling.gaussian_records(old_rows)[1])
+        # each entry of the 4x4 products carries roundoff of order eps tr(sigma),
+        # which sqrt(Det alpha), sqrt(Det beta) and the local symplectics
+        # scale by tr(sigma) / min(a, b)
+        trace = np.trace(old[ok], axis1=1, axis2=2)
+        scale = gaussian.EPS * trace**2 / np.minimum(old_rows[:, 0], old_rows[:, 1])
+        assert np.all(np.abs(rows - old_rows) <= 16.0 * scale[:, None])
+
+
 @st.composite
 def chunk_splits(draw, max_count):
     """(count, [(start, n), ...]): a split of [0, count) into consecutive chunks."""
