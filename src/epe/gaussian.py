@@ -185,19 +185,21 @@ def require_physical(sf: StandardFormCM) -> StandardFormCM:
     return sf
 
 
-def purity(sf: StandardFormCM):
+def purity(sf: StandardFormCM, check=True):
     """Purity P = 1/sqrt(Det sigma), clamped at the pure-state value 1."""
-    require_physical(sf)
+    if check:
+        require_physical(sf)
     return _float_or_array(np.minimum(1.0 / np.sqrt(det_sigma(sf)), 1.0))
 
 
-def energy(sf: StandardFormCM):
+def energy(sf: StandardFormCM, check=True):
     """Mean total photon number E = Tr(sigma)/4 - 1 = (a + b)/2 - 1.
 
     First moments are taken as zero, so this is the least energy of any
     state with this covariance matrix.
     """
-    require_physical(sf)
+    if check:
+        require_physical(sf)
     return _float_or_array((sf.a + sf.b) / 2.0 - 1.0)
 
 
@@ -206,15 +208,18 @@ def local_photon_numbers(sf: StandardFormCM):
     return (sf.a - 1.0) / 2.0, (sf.b - 1.0) / 2.0
 
 
-def ppt_nu_minus(sf: StandardFormCM):
+def ppt_nu_minus(sf: StandardFormCM, check=True):
     """Smallest symplectic eigenvalue nu~_- of the partially transposed state.
 
     Values below 1 signal entanglement; the partial transpose preserves
     Det sigma while sending Delta to Delta~ = a^2 + b^2 - 2 c+ c-.  The
     product nu~_- = sqrt(Det sigma) / nu~_+ has none of the cancellation of
-    nu~_-^2 = (Delta~ - sqrt(Delta~^2 - 4 Det sigma)) / 2.
+    nu~_-^2 = (Delta~ - sqrt(Delta~^2 - 4 Det sigma)) / 2.  `check=False`
+    skips `require_physical`, as for `energy`, `purity` and the
+    negativities, for rows whose caller has already checked them.
     """
-    require_physical(sf)
+    if check:
+        require_physical(sf)
     det = det_sigma(sf)
     _, nu_plus = nu_from_invariants(ppt_seralian(sf), det)
     return _float_or_array(np.sqrt(det) / nu_plus)
@@ -225,14 +230,14 @@ def is_separable(sf: StandardFormCM, tol=PHYSICALITY_TOL):
     return _bool_or_array(np.asarray(ppt_nu_minus(sf)) >= 1.0 - tol)
 
 
-def log_negativity(sf: StandardFormCM):
+def log_negativity(sf: StandardFormCM, check=True):
     """Logarithmic negativity E_N = max(0, -ln nu~_-)."""
-    return _float_or_array(np.maximum(0.0, -np.log(ppt_nu_minus(sf))))
+    return _float_or_array(np.maximum(0.0, -np.log(ppt_nu_minus(sf, check))))
 
 
-def negativity(sf: StandardFormCM):
+def negativity(sf: StandardFormCM, check=True):
     """Negativity N = max(0, (1 - nu~_-)/(2 nu~_-))."""
-    nu = ppt_nu_minus(sf)
+    nu = ppt_nu_minus(sf, check)
     return _float_or_array(np.maximum(0.0, (1.0 - nu) / (2.0 * nu)))
 
 
@@ -474,55 +479,12 @@ def _single_mode_williamson(x, y, w, z):
     return (z + a) * k, -y * k, (x + a) * k, a
 
 
-def reduce_to_standard_form(cm):
-    """Bring physical covariance matrices to standard form by local symplectics.
+def _standard_form_rows(cms):
+    """The closed-form reduction of an (N, 4, 4) stack to (N, 4) rows (a, b, c+, c-).
 
-    Each local block is Williamson-diagonalized to a multiple of the
-    identity by a single-mode squeeze-and-rotate, then residual phase
-    rotations diagonalize the off-diagonal block.  The signs are
-    canonicalized to c+ >= |c-| with c+ >= 0 using pi/2 and pi local
-    rotations, which preserve the diagonal blocks.  Every 2x2 step is in
-    closed form, elementwise over the stack (Duan et al., PRL 84, 2722
-    (2000); Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)):
-    a = sqrt(Det alpha) and b = sqrt(Det beta) by `block_det`, the local
-    symplectics of `_single_mode_williamson`, and c+-, the singular
-    values of X = S1 gamma S2^T, with c- carrying the sign of Det X.
-
-    One 4x4 matrix gives a StandardFormCM.  An (N, 4, 4) stack gives an
-    (N, 4) array of (a, b, c+, c-) rows, each bit-identical to the
-    reduction of its matrix alone; it raises if any matrix is not
-    symmetric or not physical: sigma >= 0 by `eigvalsh` before the
-    reduction, nu_- >= 1 by `symplectic_eigenvalues` of the rows after it.
-    Rows whose `det_sigma` and `seralian` miss Det sigma and Delta, from
-    LAPACK determinants (with `eigvalsh`, its only LAPACK calls) that share
-    no arithmetic with the reduction, raise InvariantViolation.  Each check
-    allows the larger of its absolute tolerance and the roundoff of a
-    matrix of its diagonal's scale (the module constants above).
+    The one core of `reduce_to_standard_form`, which runs its checks
+    around it.
     """
-    cms = np.asarray(cm, dtype=float)
-    if cms.shape == (4, 4):
-        a, b, c_plus, c_minus = reduce_to_standard_form(cms[None])[0].tolist()
-        return StandardFormCM(a=a, b=b, c_plus=c_plus, c_minus=c_minus)
-    if cms.ndim != 3 or cms.shape[1:] != (4, 4):
-        raise UnphysicalCovarianceError(
-            f"expected a 4x4 matrix or an (N, 4, 4) stack, got shape {cms.shape}"
-        )
-    _check_symmetric(cms)
-
-    # the invariants' roundoff, from the sums of their absolute terms
-    def delta_tol():
-        d = _diagonal(cms)
-        return INVARIANT_ROUNDINGS * EPS * 2.0 * (
-            np.sqrt(d[:, 0] * d[:, 1]) + np.sqrt(d[:, 2] * d[:, 3])
-        ) ** 2
-
-    def det_tol():
-        return INVARIANT_ROUNDINGS * EPS * 24.0 * _diagonal(cms).prod(-1)
-
-    eigen_floor = -np.linalg.eigvalsh(cms).min(axis=-1)
-    if _beyond(eigen_floor, PHYSICALITY_TOL,
-               lambda: EIGEN_ROUNDOFF * EPS * _diagonal(cms).sum(-1)):
-        raise UnphysicalCovarianceError("covariance matrix is not positive semidefinite")
     # one contiguous (N,) row per entry sigma_ij, at e[4 i + j]
     e = cms.reshape(-1, 16).T.copy()
     p11, p12, p22, a = _single_mode_williamson(e[0], e[1], e[4], e[5])
@@ -546,7 +508,70 @@ def reduce_to_standard_form(cm):
     c_plus, c_minus = np.where(swap, c_minus, c_plus), np.where(swap, c_plus, c_minus)
     # a pi rotation on one mode flips both signs
     sign = np.where(c_plus < 0.0, -1.0, 1.0)
-    params = np.stack([a, b, sign * c_plus, sign * c_minus], axis=-1)
+    return np.stack([a, b, sign * c_plus, sign * c_minus], axis=-1)
+
+
+def reduce_to_standard_form(cm, *, spectrum=None):
+    """Bring physical covariance matrices to standard form by local symplectics.
+
+    Each local block is Williamson-diagonalized to a multiple of the
+    identity by a single-mode squeeze-and-rotate, then residual phase
+    rotations diagonalize the off-diagonal block.  The signs are
+    canonicalized to c+ >= |c-| with c+ >= 0 using pi/2 and pi local
+    rotations, which preserve the diagonal blocks.  Every 2x2 step is in
+    closed form, elementwise over the stack (Duan et al., PRL 84, 2722
+    (2000); Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)):
+    a = sqrt(Det alpha) and b = sqrt(Det beta) by `block_det`, the local
+    symplectics of `_single_mode_williamson`, and c+-, the singular
+    values of X = S1 gamma S2^T, with c- carrying the sign of Det X.
+
+    One 4x4 matrix gives a StandardFormCM.  An (N, 4, 4) stack gives an
+    (N, 4) array of (a, b, c+, c-) rows, each bit-identical to the
+    reduction of its matrix alone (`_standard_form_rows`); it raises if
+    any matrix is not symmetric or not physical: sigma >= 0 by `eigvalsh`
+    before the reduction, nu_- >= 1 by `symplectic_eigenvalues` of the
+    rows after it.  Rows whose `det_sigma` and `seralian` miss Det sigma
+    and Delta, from LAPACK determinants (with `eigvalsh`, its only LAPACK
+    calls) that share no arithmetic with the reduction, raise
+    InvariantViolation.  Each check allows the larger of its absolute
+    tolerance and the roundoff of a matrix of its diagonal's scale (the
+    module constants above).
+
+    `spectrum`, the (N, 2) symplectic eigenvalues (nu_-, nu_+) the
+    matrices were built from (the sampler's candidates), replaces both
+    LAPACK steps, so no `np.linalg` call runs: the rows must give
+    Det sigma = (nu_- nu_+)^2 and Delta = nu_-^2 + nu_+^2 within the same
+    tolerances, and sigma >= 0 is left to the caller's row test
+    a b >= c+-^2 of `is_physical` (Sylvester's law of inertia, with the
+    local blocks positive definite), which `sampling.gaussian_records`
+    runs on every row.
+    """
+    cms = np.asarray(cm, dtype=float)
+    if cms.shape == (4, 4):
+        a, b, c_plus, c_minus = reduce_to_standard_form(cms[None], spectrum=spectrum)[0].tolist()
+        return StandardFormCM(a=a, b=b, c_plus=c_plus, c_minus=c_minus)
+    if cms.ndim != 3 or cms.shape[1:] != (4, 4):
+        raise UnphysicalCovarianceError(
+            f"expected a 4x4 matrix or an (N, 4, 4) stack, got shape {cms.shape}"
+        )
+    _check_symmetric(cms)
+
+    # the invariants' roundoff, from the sums of their absolute terms
+    def delta_tol():
+        d = _diagonal(cms)
+        return INVARIANT_ROUNDINGS * EPS * 2.0 * (
+            np.sqrt(d[:, 0] * d[:, 1]) + np.sqrt(d[:, 2] * d[:, 3])
+        ) ** 2
+
+    def det_tol():
+        return INVARIANT_ROUNDINGS * EPS * 24.0 * _diagonal(cms).prod(-1)
+
+    if spectrum is None:
+        eigen_floor = -np.linalg.eigvalsh(cms).min(axis=-1)
+        if _beyond(eigen_floor, PHYSICALITY_TOL,
+                   lambda: EIGEN_ROUNDOFF * EPS * _diagonal(cms).sum(-1)):
+            raise UnphysicalCovarianceError("covariance matrix is not positive semidefinite")
+    params = _standard_form_rows(cms)
     try:
         sf = StandardFormCM(*params.T)
     except DomainError as exc:
@@ -557,7 +582,12 @@ def reduce_to_standard_form(cm):
     if _beyond(1.0 - nu_minus, PHYSICALITY_TOL, lambda: delta_tol() / 2.0):
         raise UnphysicalCovarianceError("covariance matrix violates nu_- >= 1")
 
-    _, _, _, ds, delta = _block_invariants(cms)
+    if spectrum is None:
+        _, _, _, ds, delta = _block_invariants(cms)
+    else:
+        nu_m, nu_p = np.asarray(spectrum, dtype=float).T
+        ds = (nu_m * nu_p) ** 2
+        delta = nu_m * nu_m + nu_p * nu_p
     if _beyond(np.abs(det_sigma(sf) - ds), 1e-9 * np.maximum(1.0, np.abs(ds)), det_tol) or _beyond(
         np.abs(seralian(sf) - delta), 1e-9 * np.maximum(1.0, np.abs(delta)), delta_tol
     ):

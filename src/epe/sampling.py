@@ -30,7 +30,11 @@ the stacked `gaussian` measures on the (N, 4) standard forms of one
 `gaussian.reduce_to_standard_form` call.  Both return an (N, 3) value
 array and an (N, 3) array of containment flags.  A Gaussian record's
 energy is, bit for bit, the `candidate_energy` its candidate was
-accepted on.
+accepted on.  The reduction is handed the spectrum (nu_-, nu_+) each
+accepted candidate was drawn with and checks its rows' Det sigma and
+Delta against it, so a Gaussian chunk makes no LAPACK call;
+`gaussian_records` checks the rows' physicality once and evaluates the
+measures with check=False.
 `records_chunk` is the one dispatch on a run's system, and
 `sample_states` yields its (state, EPERecord) pairs.
 """
@@ -270,6 +274,16 @@ def _inverse_square(u, lo, hi):
 _NU_PRODUCT_CAP = 1.0e3
 
 
+def _drawn_spectrum(u, e_hi):
+    """(nu_-, nu_+, top) of (N, 16) uniforms for a window with upper energy
+    e_hi: nu_+ is drawn on [nu_-, top), and the range is nonempty when
+    top > nu_-."""
+    nu_hi = min(2.0 * (e_hi + 1.0) - 1.0, _NU_PRODUCT_CAP)
+    nu_m = _inverse_square(u[:, 0], 1.0, nu_hi)
+    top = np.minimum(2.0 * (e_hi + 1.0) - nu_m, _NU_PRODUCT_CAP / nu_m)
+    return nu_m, _inverse_square(u[:, 1], nu_m, top), top
+
+
 def candidate_covariances(u, energy_window=DEFAULT_ENERGY_WINDOW):
     """Candidate covariance matrices from (N, 16) uniforms, and which are accepted.
 
@@ -286,11 +300,8 @@ def candidate_covariances(u, energy_window=DEFAULT_ENERGY_WINDOW):
     (N,) bools).
     """
     e_lo, e_hi = energy_window
-    nu_hi = min(2.0 * (e_hi + 1.0) - 1.0, _NU_PRODUCT_CAP)
     r_max = 0.5 * np.arccosh(e_hi + 1.0)
-    nu_m = _inverse_square(u[:, 0], 1.0, nu_hi)
-    top = np.minimum(2.0 * (e_hi + 1.0) - nu_m, _NU_PRODUCT_CAP / nu_m)
-    nu_p = _inverse_square(u[:, 1], nu_m, top)
+    nu_m, nu_p, top = _drawn_spectrum(u, e_hi)
     A = [nu_m * m for m in _mode_block(u[:, 3:5], r_max)]
     B = [nu_p * m for m in _mode_block(u[:, 6:8], r_max)]
     theta = 2.0 * np.pi * u[:, 8]
@@ -341,13 +352,21 @@ def random_covariance(rng, energy_window=DEFAULT_ENERGY_WINDOW, max_attempts=MAX
 
 
 def gaussian_covariances_chunk(seed, start, count, energy_window=DEFAULT_ENERGY_WINDOW):
-    """(count, 4, 4) accepted CMs for indices [start, start + count).
+    """(count, 4, 4) accepted CMs for indices [start, start + count)."""
+    return _accepted_candidates(seed, start, count, energy_window)[0]
+
+
+def _accepted_candidates(seed, start, count, energy_window):
+    """(sigmas, spectra): the (count, 4, 4) accepted CMs for indices
+    [start, start + count) and the (count, 2) symplectic spectra
+    (nu_-, nu_+) they were built from.
 
     Rejection runs in rounds: round k draws attempt k of every index still
     pending, so each index keeps its first accepted attempt (at most
     MAX_ATTEMPTS of them).
     """
     sigmas = np.empty((count, 4, 4))
+    spectra = np.empty((count, 2))
     pending = np.arange(count)
     for attempt in range(MAX_ATTEMPTS):
         if not pending.size:
@@ -356,31 +375,38 @@ def gaussian_covariances_chunk(seed, start, count, energy_window=DEFAULT_ENERGY_
         words = stream_words(
             seed, "gaussian", start + first, int(pending[-1]) + 1 - first, GAUSSIAN_WORDS, attempt
         )
-        sigma, ok = candidate_covariances(uniforms(words[pending - first]), energy_window)
-        sigmas[pending[ok]] = sigma[ok]
+        u = uniforms(words[pending - first])
+        sigma, ok = candidate_covariances(u, energy_window)
+        done = pending[ok]
+        sigmas[done] = sigma[ok]
+        nu_m, nu_p, _ = _drawn_spectrum(u[ok], energy_window[1])
+        spectra[done, 0] = nu_m
+        spectra[done, 1] = nu_p
         pending = pending[~ok]
     if pending.size:
         raise _window_error(energy_window, MAX_ATTEMPTS)
-    return sigmas
+    return sigmas, spectra
 
 
 def gaussian_records(params, measure="logneg"):
     """Vectorized records for an (N, 4) array of standard forms (a, b, c+, c-).
 
-    Returns (values, flags) like `qubit_records`.  Every column and flag
-    bound is a stacked `gaussian` call: the flags compare the
+    Returns (values, flags) like `qubit_records`.  The rows pass one
+    `gaussian.require_physical` (sigma >= 0 and nu_- >= 1 per row); every
+    column and flag bound is then a stacked `gaussian` call with
+    check=False: the flags compare the
     log-negativity with that of `two_mode_squeezed_vacuum(E)` for pure
     rows and of `gmems(E, P)` for all, and require P above the
     `separability_band` top 1/(2E + 1) for entangled rows.
     """
-    sf = gaussian.StandardFormCM(*params.T)
-    en = gaussian.energy(sf)
-    pur = gaussian.purity(sf)
-    logneg = gaussian.log_negativity(sf)
+    sf = gaussian.require_physical(gaussian.StandardFormCM(*params.T))
+    en = gaussian.energy(sf, check=False)
+    pur = gaussian.purity(sf, check=False)
+    logneg = gaussian.log_negativity(sf, check=False)
     if measure == "logneg":
         ent = logneg
     elif measure == "negativity":
-        ent = gaussian.negativity(sf)
+        ent = gaussian.negativity(sf, check=False)
     else:
         raise ConfigurationError(f"measure {measure!r} not valid for gaussian sampling")
 
@@ -388,11 +414,11 @@ def gaussian_records(params, measure="logneg"):
     # below the energy floor 0 or the purity floor 1/(E+1)^2
     e_ref = np.maximum(en, 0.0)
     p_ref = np.clip(pur, 1.0 / (e_ref + 1.0) ** 2, 1.0)
-    tmsv = gaussian.log_negativity(gaussian.two_mode_squeezed_vacuum(e_ref))
+    tmsv = gaussian.log_negativity(gaussian.two_mode_squeezed_vacuum(e_ref), check=False)
     on_curve = (pur < 1.0 - PURE_TOL) | (np.abs(logneg - tmsv) <= 1e-6)
     bound = np.zeros_like(en)
     hot = en > 0.0  # the GMEMS family starts above the vacuum
-    bound[hot] = gaussian.log_negativity(gaussian.gmems(en[hot], p_ref[hot]))
+    bound[hot] = gaussian.log_negativity(gaussian.gmems(en[hot], p_ref[hot]), check=False)
     below = logneg <= bound + FLAG_TOL
     _, band_top = gaussian.separability_band(e_ref)
     in_band = (logneg <= 0.0) | (pur > band_top - FLAG_TOL)
@@ -407,11 +433,11 @@ def gaussian_records_chunk(seed, start, count, energy_window=DEFAULT_ENERGY_WIND
     """(params, values, flags) for indices [start, start + count).
 
     `params` is the (count, 4) array of standard forms (a, b, c+, c-),
-    reduced in one stacked call; values and flags are their `gaussian_records`.
+    reduced in one stacked call checked against the drawn spectra; values
+    and flags are their `gaussian_records`.
     """
-    params = gaussian.reduce_to_standard_form(
-        gaussian_covariances_chunk(seed, start, count, energy_window)
-    )
+    sigmas, spectra = _accepted_candidates(seed, start, count, energy_window)
+    params = gaussian.reduce_to_standard_form(sigmas, spectrum=spectra)
     return (params, *gaussian_records(params, measure))
 
 

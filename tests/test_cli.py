@@ -295,16 +295,16 @@ class TestSample:
         assert os.listdir(tmp_path) == []
 
     def test_standard_form_invariant_failure_exit_4(self, tmp_path, capsys, monkeypatch):
-        from epe import gaussian
+        # the reduced rows no longer match the spectrum their candidates were drawn with
+        real = sampling._accepted_candidates
 
-        real = gaussian._block_invariants
-
-        def shifted_delta(cm):
-            *dets, delta = real(cm)
-            return (*dets, delta + 1.0)
+        def shifted_spectrum(*args):
+            sigmas, spectra = real(*args)
+            spectra[:, 1] += 1.0
+            return sigmas, spectra
 
         monkeypatch.setenv("EPE_THREADS", "1")
-        monkeypatch.setattr(gaussian, "_block_invariants", shifted_delta)
+        monkeypatch.setattr(sampling, "_accepted_candidates", shifted_spectrum)
         assert run_cli(["sample", "--system", "gaussian", "--count", "16", "--seed", "7",
                         "--out", str(tmp_path / "g.csv")]) == 4
         assert capsys.readouterr().err == (

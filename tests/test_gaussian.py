@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from epe import gaussian
-from epe.errors import DomainError, UnphysicalCovarianceError
+from epe import gaussian, sampling
+from epe.errors import DomainError, InvariantViolation, UnphysicalCovarianceError
 from epe.sampling import gaussian_covariances_chunk, random_covariance, random_standard_form_at
 from test_sampling import local_beam_splitter_local
 
@@ -126,6 +126,17 @@ class TestPurityEnergy:
     def test_local_photon_numbers(self):
         n1, n2 = gaussian.local_photon_numbers(gaussian.thermal_product(1.0, 0.25))
         assert (n1, n2) == pytest.approx((1.0, 0.25))
+
+    def test_check_false_skips_the_physicality_check(self):
+        # nu_- < 1: every measure refuses it by default and evaluates it when told not to check
+        bad = gaussian.StandardFormCM(1.0, 1.0, 0.5, 0.5)
+        rows = _stacked([[sf.a, sf.b, sf.c_plus, sf.c_minus] for sf in (TMSV3, THERMAL3, VACUUM)])
+        for measure in (gaussian.energy, gaussian.purity, gaussian.ppt_nu_minus,
+                        gaussian.log_negativity, gaussian.negativity):
+            with pytest.raises(UnphysicalCovarianceError):
+                measure(bad)
+            assert np.isfinite(measure(bad, check=False))
+            assert np.array_equal(measure(rows, check=False), measure(rows))
 
 
 class TestPPT:
@@ -558,6 +569,20 @@ class TestClosedFormReduction:
         }
         assert {call[0] for call in calls} == {"det", "eigvalsh"}
 
+    def test_invariant_failure_on_the_public_path(self, monkeypatch):
+        # the public reduction checks its rows against LAPACK's Det sigma and Delta
+        cms = gaussian_covariances_chunk(7, 0, 16)
+        real = gaussian._block_invariants
+
+        def shifted_delta(cm):
+            *dets, delta = real(cm)
+            return (*dets, delta + 1.0)
+
+        monkeypatch.setattr(gaussian, "_block_invariants", shifted_delta)
+        with pytest.raises(InvariantViolation,
+                           match="^standard-form reduction failed to preserve invariants$"):
+            gaussian.reduce_to_standard_form(cms)
+
 
 class TestScaleAwareChecks:
     def test_symmetry_tolerance_is_absolute_at_unit_scale(self):
@@ -631,6 +656,74 @@ class TestScaleAwareChecks:
         for measure in (gaussian.purity, gaussian.energy, gaussian.ppt_nu_minus,
                         gaussian.log_negativity, gaussian.negativity):
             assert np.all(np.isfinite(measure(sf)))
+
+
+SPECTRUM_WINDOWS = [(0.0, 2.0), (1.0, 2.0), (20.0, 40.0), (50.0, 100.0)]
+
+
+class TestDrawnSpectrumReference:
+    """The sampler's reduction checks its rows against the drawn (nu_-, nu_+)."""
+
+    @pytest.mark.parametrize("window", SPECTRUM_WINDOWS)
+    def test_perturbed_c_minus_raises(self, monkeypatch, window):
+        sigmas, spectra = sampling._accepted_candidates(7, 0, 256, window)
+        params = gaussian.reduce_to_standard_form(sigmas, spectrum=spectra)
+        # the row with the largest |c-| / a, where moving c- moves Det sigma and Delta most
+        row = np.argmax(np.abs(params[:, 3]) / params[:, 0])
+        real = gaussian._standard_form_rows
+
+        def perturbed(cms):
+            rows = real(cms)
+            rows[row, 3] -= np.sign(rows[row, 3]) * 1e-6 * rows[row, 0]
+            return rows
+
+        monkeypatch.setattr(gaussian, "_standard_form_rows", perturbed)
+        with pytest.raises(InvariantViolation):
+            gaussian.reduce_to_standard_form(sigmas, spectrum=spectra)
+
+    @pytest.mark.parametrize("window", SPECTRUM_WINDOWS)
+    def test_swapped_nu_plus_raises(self, window):
+        sigmas, spectra = sampling._accepted_candidates(7, 0, 256, window)
+        i, j = np.argmin(spectra[:, 1]), np.argmax(spectra[:, 1])
+        swapped = spectra.copy()
+        swapped[[i, j], 1] = spectra[[j, i], 1]
+        with pytest.raises(InvariantViolation):
+            gaussian.reduce_to_standard_form(sigmas, spectrum=swapped)
+        # each matrix alone, with its own nu_+ swapped in
+        with pytest.raises(InvariantViolation):
+            gaussian.reduce_to_standard_form(sigmas[i], spectrum=swapped[i])
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 10**9), st.sampled_from(SPECTRUM_WINDOWS))
+    @settings(max_examples=20, deadline=None)
+    def test_drawn_invariants_match_the_lapack_ones(self, seed, start, window):
+        # the drawn reference sits within the absolute-relative tolerance of the
+        # LAPACK one, the tighter of the check's two allowances
+        sigmas, spectra = sampling._accepted_candidates(seed, start, 64, window)
+        for cm, (nu_m, nu_p) in zip(sigmas, spectra):
+            _, _, _, ds, delta = gaussian.cm_block_invariants(cm)
+            assert abs((nu_m * nu_p) ** 2 - ds) <= 1e-9 * max(1.0, abs(ds))
+            assert abs(nu_m * nu_m + nu_p * nu_p - delta) <= 1e-9 * max(1.0, abs(delta))
+
+    def test_sampler_path_makes_no_lapack_call(self, monkeypatch):
+        cfg = sampling.SamplerConfig(seed=5, count=300, system="gaussian")
+        want = sampling.records_chunk(cfg, 0, 300)
+        cms = gaussian_covariances_chunk(5, 0, 300)
+        calls = set()
+        for name in np.linalg.__all__:
+            real = getattr(np.linalg, name)
+            if isinstance(real, type):
+                continue
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.add(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        got = sampling.records_chunk(cfg, 0, 300)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert calls == set()
+        gaussian.reduce_to_standard_form(cms)
+        assert calls == {"det", "eigvalsh"}
 
 
 def mp_log_negativity(row):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epe import gaussian, qubit, sampling
-from epe.errors import ConfigurationError, DomainError
+from epe.errors import ConfigurationError, DomainError, UnphysicalCovarianceError
 
 
 class TestConfig:
@@ -265,6 +265,22 @@ class TestGaussianRecords:
             want_values, want_flags = scalar_record(sf, measure)
             assert tuple(got_flags) == want_flags
             assert np.allclose(got_values, want_values, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("measure", sampling.GAUSSIAN_MEASURES)
+    def test_one_physicality_check_per_chunk(self, monkeypatch, measure):
+        real = gaussian.is_physical
+        shapes = []
+
+        def counted(sf, *args, **kwargs):
+            shapes.append(np.shape(sf.a))
+            return real(sf, *args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "is_physical", counted)
+        sampling.gaussian_records_chunk(3, 0, 100, measure=measure)
+        assert shapes == [(100,)]
+        # and it still refuses a chunk with one unphysical row (nu_- = 1/2)
+        with pytest.raises(UnphysicalCovarianceError):
+            sampling.gaussian_records(np.array([[2.0, 2.0, 0.0, 0.0], [1.0, 1.0, 0.5, 0.5]]))
 
     @given(SEEDS, st.sampled_from([(0.0, 2.0), (1.0, 2.0), (20.0, 40.0), (50.0, 100.0)]))
     @settings(max_examples=12, deadline=None)
