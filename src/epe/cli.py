@@ -92,9 +92,19 @@ def csv_lines(values, labels=None) -> str:
     return (line + "\n") * n % tuple(cells.ravel().tolist())
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one (so `taskset -c 0 epe ...` counts 1), else the core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def worker_count() -> int:
-    """Sampling workers: EPE_THREADS (default: all cores), capped at the core count."""
-    cores = os.cpu_count() or 1
+    """Sampling workers: EPE_THREADS (default: all usable CPUs), capped at
+    `usable_cpus()`.  `_record_chunks` may start fewer."""
+    cpus = usable_cpus()
     raw = os.environ.get("EPE_THREADS", "")
     if raw.strip():
         try:
@@ -103,8 +113,8 @@ def worker_count() -> int:
             raise ConfigurationError(f"EPE_THREADS must be an integer, got {raw!r}") from exc
         if n < 1:
             raise ConfigurationError("EPE_THREADS must be >= 1")
-        return min(n, cores)
-    return cores
+        return min(n, cpus)
+    return cpus
 
 
 def parse_grid(spec: str) -> list:
@@ -209,27 +219,44 @@ def _write_output(args, header, blocks):
 # --- sample ---
 
 
+# A pool worker starts only if it gets at least this many chunks: on
+# small runs the pool's imports, queues and shutdown and each worker's
+# cold first chunk cost more than the pool saves.  On 2 vCPU (wall medians of 10 runs,
+# EPE_THREADS 1 vs 2) one process was faster up to 4 Gaussian chunks
+# (16384 records: 0.346 vs 0.367 s) and 2 qubit chunks (0.351 vs 0.400
+# s); the pool first won at 6 Gaussian (0.387 vs 0.430 s) and 4 qubit
+# chunks (0.418 vs 0.442 s) in one series, and only at 12 and 8 in a
+# slower one.  One process always used less CPU.
+MIN_CHUNKS_PER_WORKER = 2
+# chunks submitted ahead of the one being consumed, per worker
+CHUNKS_AHEAD_PER_WORKER = 2
+
+
 def _record_chunks(cfg):
     """Yield the (values, flags) of each chunk of the run `cfg` in index order.
 
-    With several workers, at most 2 x workers chunks are submitted ahead of
-    the one being consumed, so results waiting in memory stay bounded.
+    The pool has min(worker_count(), chunks // MIN_CHUNKS_PER_WORKER)
+    workers; with fewer than two, the chunks run in this process and no
+    pool module is imported.  At most CHUNKS_AHEAD_PER_WORKER x workers
+    chunks are submitted ahead of the one being consumed, so results
+    waiting in memory stay bounded.  Records depend on (seed, index)
+    only, so the bytes are the same either way.
     """
     starts = range(0, cfg.count, sampling.CHUNK)
     sizes = [min(sampling.CHUNK, cfg.count - s) for s in starts]
-    workers = min(worker_count(), len(starts))
-    if workers == 1:
+    workers = min(worker_count(), len(starts) // MIN_CHUNKS_PER_WORKER)
+    if workers < 2:
         for start, size in zip(starts, sizes):
             yield sampling.records_chunk(cfg, start, size)
         return
-    # imported here: it pulls in logging, which no other path needs
+    # imported here: it pulls in multiprocessing and logging, which no other path needs
     import concurrent.futures
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         pending = collections.deque()
         for start, size in zip(starts, sizes):
             pending.append(pool.submit(sampling.records_chunk, cfg, start, size))
-            if len(pending) == 2 * workers:
+            if len(pending) == CHUNKS_AHEAD_PER_WORKER * workers:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()

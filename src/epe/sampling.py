@@ -10,8 +10,9 @@ owns block k * 2**40 + i, i.e. words [block * W, (block + 1) * W).  A
 chunk of consecutive indices is therefore one contiguous `random_raw`
 call per attempt, and chunked or parallel generation emits byte-identical
 records in index order no matter how the work is split.  Words become
-uniforms in [0, 1) as (word >> 11) * 2**-53 and normals by Box-Muller,
-which consumes a fixed number of words, so every offset is exact.
+uniforms in [0, 1) as (word >> 11) * 2**-53 and complex normals by
+Box-Muller, which consumes a fixed number of words, so every offset is
+exact.
 
 Two-qubit states (W = 32) are drawn from the Ginibre construction
 rho = G G^dag / Tr(G G^dag) with G a 4 x k standard complex normal
@@ -182,30 +183,33 @@ def uniforms(words) -> np.ndarray:
 
 
 def box_muller(u) -> np.ndarray:
-    """As many standard normals as uniforms along the (even) last axis.
+    """Complex standard normals, one per pair of uniforms along the (even) last axis.
 
     The first half of the uniforms sets the radii, the second half the
-    angles; normal j is r_j cos(theta_j), normal m + j is r_j sin(theta_j).
+    angles; normal j is r_j cos(theta_j) + i r_j sin(theta_j), so its real
+    and imaginary parts are two independent real standard normals.
     """
     m = u.shape[-1] // 2
     r = np.sqrt(-2.0 * np.log1p(-u[..., :m]))
     theta = 2.0 * np.pi * u[..., m:]
-    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    z = np.empty(r.shape, dtype=complex)
+    np.multiply(r, np.cos(theta), out=z.real)
+    np.multiply(r, np.sin(theta), out=z.imag)
+    return z
 
 
 # --- two-qubit sampling ---
 
 
 def qubit_normals(seed, start, count) -> np.ndarray:
-    """The 32 standard normals of each index in [start, start + count)."""
+    """The (count, 16) complex standard normals of each index in [start, start + count)."""
     return box_muller(uniforms(stream_words(seed, "qubit", start, count, QUBIT_WORDS)))
 
 
 def _qubit_states_chunk(seed, start, count, rank):
     """(rhos, factors): the (count, 4, 4) states rho = M / Tr M, M = G G^dag,
     and their (count, 4, rank) factors A = G / sqrt(Tr M), so rho = A A^dag."""
-    z = qubit_normals(seed, start, count)
-    G = (z[:, :16] + 1j * z[:, 16:]).reshape(count, 4, 4)[:, :, :rank]
+    G = qubit_normals(seed, start, count).reshape(count, 4, 4)[:, :, :rank]
     M = G @ G.conj().transpose(0, 2, 1)
     trace = np.trace(M, axis1=1, axis2=2).real[:, None, None]
     return M / trace, G / np.sqrt(trace)

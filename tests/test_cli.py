@@ -745,6 +745,36 @@ def qubit_oracle_lines():
     return _oracle_sample_csv([*_QUBIT, "--count", "20481"]).splitlines(keepends=True)
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stand in for the process pool: record each pool's max_workers and the
+    start of each chunk submitted, and run every chunk at once in this
+    process; `sampling.records_chunk` returns the chunk's start."""
+
+    class InlinePool:
+        built = []
+        submitted = []
+
+        def __init__(self, max_workers):
+            self.built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            self.submitted.append(args[1])
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sampling, "records_chunk", lambda cfg, start, count: start)
+    return InlinePool
+
+
 class TestStreamedSample:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     @pytest.mark.parametrize("measure", sampling.QUBIT_MEASURES)
@@ -769,7 +799,7 @@ class TestStreamedSample:
     def test_counts_and_workers(self, tmp_path, capsys, monkeypatch, qubit_oracle_lines,
                                 threads, count):
         # records depend on (seed, index) only, so each oracle is a prefix of the longest
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
         monkeypatch.setenv("EPE_THREADS", threads)
         want = "".join(qubit_oracle_lines[: count + 1])
         argv = [*_QUBIT, "--count", str(count)]
@@ -780,36 +810,30 @@ class TestStreamedSample:
         assert run_cli(argv) == 0
         assert capsys.readouterr().out == want
 
-    def test_pool_runs_at_most_two_chunks_per_worker_ahead(self, monkeypatch):
-        submitted = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                assert max_workers == 2
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                submitted.append(args[1])
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(sampling, "records_chunk", lambda cfg, start, count: start)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_pool_runs_at_most_two_chunks_per_worker_ahead(self, monkeypatch, inline_pool):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
         monkeypatch.setenv("EPE_THREADS", "2")
         cfg = sampling.SamplerConfig(seed=1, count=10 * sampling.CHUNK + 1)
         ahead = []
         for i, start in enumerate(cli._record_chunks(cfg)):
             assert start == i * sampling.CHUNK
-            ahead.append(len(submitted) - i)
+            ahead.append(len(inline_pool.submitted) - i)
+        assert inline_pool.built == [2]
         assert len(ahead) == 11
         assert max(ahead) == 4
+
+    @pytest.mark.parametrize("cpus", [2, 8])
+    @pytest.mark.parametrize("chunks", [1, 2, 3, 4, 5, 6])
+    def test_pool_size_gives_each_worker_two_chunks(self, monkeypatch, inline_pool, cpus,
+                                                    chunks):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        monkeypatch.delenv("EPE_THREADS", raising=False)
+        cfg = sampling.SamplerConfig(seed=1, count=(chunks - 1) * sampling.CHUNK + 1)
+        starts = list(cli._record_chunks(cfg))
+        assert starts == [i * sampling.CHUNK for i in range(chunks)]
+        workers = min(cpus, chunks // 2)
+        # a pool only where each of at least two workers gets two chunks
+        assert inline_pool.built == ([workers] if workers >= 2 else [])
 
     @pytest.mark.parametrize("existing", [None, b"earlier bytes\n"])
     def test_violation_in_a_later_chunk_writes_nothing(self, tmp_path, capsys, monkeypatch,
@@ -957,6 +981,9 @@ def test_jc_runs_without_scipy(argv):
 
 
 class TestWorkers:
+    # each count gives two workers at least two chunks each, so the
+    # EPE_THREADS > 1 side runs the process pool where two CPUs are usable
+
     def test_thread_count_determinism(self, tmp_path):
         # the acceptance suite rechecks this via the installed entry point;
         # here we pin the in-process path with EPE_THREADS=1
@@ -967,7 +994,7 @@ class TestWorkers:
             env["EPE_THREADS"] = workers
             proc = subprocess.run(
                 [sys.executable, "-m", "epe.cli", "sample", "--system", "qubit",
-                 "--count", "9000", "--seed", "123", "--out", str(out)],
+                 "--count", "12289", "--seed", "123", "--out", str(out)],
                 env=env, capture_output=True, text=True,
             )
             assert proc.returncode == 0, proc.stderr
@@ -982,24 +1009,55 @@ class TestWorkers:
             env["EPE_THREADS"] = workers
             proc = subprocess.run(
                 [sys.executable, "-m", "epe.cli", "sample", "--system", "gaussian",
-                 "--count", "8192", "--seed", "77", "--out", str(out)],
+                 "--count", "16385", "--seed", "77", "--out", str(out)],
                 env=env, capture_output=True, text=True,
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(read(out))
         assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 16386
+
+    def test_two_chunk_run_starts_no_pool(self):
+        # 8192 Gaussian records are two chunks: one each for two workers
+        # is below MIN_CHUNKS_PER_WORKER, so the run stays in this process
+        script = ("import sys; from epe import cli; rc = cli.main(sys.argv[1:]); "
+                  "print(rc, 'multiprocessing' in sys.modules, file=sys.stderr)")
+        argv = ["sample", "--system", "gaussian", "--count", "8192", "--seed", "5"]
+        outputs = []
+        for workers in ("1", "2"):
+            env = dict(_src_env(), EPE_THREADS=workers)
+            proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                                  capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.split() == [b"0", b"False"]
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
         assert outputs[0].count(b"\n") == 8193
 
     def test_worker_count_capped_at_cores(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
         monkeypatch.setenv("EPE_THREADS", "5000")
         assert cli.worker_count() == 3
         monkeypatch.setenv("EPE_THREADS", "2")
         assert cli.worker_count() == 2
         monkeypatch.delenv("EPE_THREADS")
         assert cli.worker_count() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
+
+    def test_usable_cpus_reads_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli.usable_cpus() == 1
+        monkeypatch.setenv("EPE_THREADS", "4")
         assert cli.worker_count() == 1
+        monkeypatch.delenv("EPE_THREADS")
+        assert cli.worker_count() == 1
+
+    def test_usable_cpus_without_affinity_is_the_core_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli.usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli.usable_cpus() == 1
 
     def test_worker_env_validation(self):
         os.environ["EPE_THREADS"] = "zero"

@@ -507,6 +507,7 @@ class TestPhiloxStream:
     @pytest.mark.parametrize("start,count", [(0, 50), (7, 1), (3, 4096), (40, 11)])
     def test_normals_of_an_index_ignore_start_and_count(self, start, count):
         chunk = sampling.qubit_normals(17, start, count)
+        assert chunk.shape == (count, 16) and chunk.dtype == complex
         for i in (start, start + count // 2, start + count - 1):
             assert np.array_equal(chunk[i - start], sampling.qubit_normals(17, i, 1)[0])
 
@@ -524,8 +525,17 @@ class TestPhiloxStream:
         gaussian_words = sampling.stream_words(3, "gaussian", 0, 4, 16)
         assert not np.any(qubit_words == gaussian_words)
 
+    def test_box_muller_parts_are_the_real_normals(self):
+        # real part r cos(theta), imaginary part r sin(theta), bit for bit
+        u = sampling.uniforms(sampling.stream_words(7, "qubit", 0, 64, sampling.QUBIT_WORDS))
+        r = np.sqrt(-2.0 * np.log1p(-u[:, :16]))
+        theta = 2.0 * np.pi * u[:, 16:]
+        z = sampling.box_muller(u)
+        assert np.array_equal(z.real, r * np.cos(theta))
+        assert np.array_equal(z.imag, r * np.sin(theta))
+
     def test_box_muller_moments(self):
-        z = sampling.qubit_normals(2024, 0, 625).ravel()  # 20k normals
+        z = sampling.qubit_normals(2024, 0, 625).view(float).ravel()  # 20k normals
         n = z.size
         assert abs(z.mean()) <= 5.0 * z.std(ddof=1) / np.sqrt(n)
         sq = (z - z.mean()) ** 2
