@@ -341,9 +341,11 @@ def _jc_specs(args):
         return [(1.0, jc.SinglePhoton())]
     if args.input == "n-photon":
         return [(float(args.n), jc.NPhoton(n=args.n))]
+    values = parse_grid(getattr(args, param))
+    if not values:
+        raise ConfigurationError(f"--{param} {getattr(args, param)!r} expands to no points")
     if args.input == "coherent":
-        return [(a, jc.EntangledCoherent(alpha=a)) for a in parse_grid(args.alpha)]
-    values = parse_grid(args.gamma)
+        return [(a, jc.EntangledCoherent(alpha=a)) for a in values]
     for g in values:
         if not 0.0 <= g <= jc.GAMMA_CAP + 1e-12:
             raise ConfigurationError(

@@ -36,4 +36,5 @@ class ConfigurationError(EPEError):
 
 
 class InvariantViolation(EPEError):
-    """A sampled record breaks a containment implication that every valid sample obeys."""
+    """A result breaks an invariant every valid one obeys: a sampled record's
+    containment implication, or the shape a `jc` field support must give."""

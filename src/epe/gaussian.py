@@ -231,8 +231,9 @@ def is_separable(sf: StandardFormCM, tol=PHYSICALITY_TOL):
 
 
 def log_negativity(sf: StandardFormCM, check=True):
-    """Logarithmic negativity E_N = max(0, -ln nu~_-)."""
-    return _float_or_array(np.maximum(0.0, -np.log(ppt_nu_minus(sf, check))))
+    """Logarithmic negativity E_N = max(0, -ln nu~_-), +0.0 where nu~_- = 1."""
+    # adding +0.0 turns the -0.0 of -ln 1 into +0.0
+    return _float_or_array(np.maximum(0.0, -np.log(ppt_nu_minus(sf, check))) + 0.0)
 
 
 def negativity(sf: StandardFormCM, check=True):

@@ -33,20 +33,19 @@ from typing import Union
 import numpy as np
 
 from . import qubit
-from .errors import DomainError, TruncationError
+from .errors import DomainError, InvariantViolation, TruncationError
 
 TAIL_TOL = 1e-12
 GAMMA_CAP = 0.95
-# largest per-mode truncation, chosen or requested.  It was set when a scan
-# held dense (n_max + 1)^2 tables (7.3 s and 584 MiB at the cap); on the
-# O(n_max) field support `epe jc --input n-photon --n 1500` takes 0.02 s
-# and 33 MiB, and `--input coherent --alpha 30 --nmax 1500` 0.8 s and
-# 57 MiB (VmHWM, default grid, 2 vCPU, one BLAS thread).  The dense
-# reference tables of `build_input` and `evolve` still grow as n_max^2.
+# largest per-mode truncation, chosen or requested; the dense reference
+# tables of `build_input` and `evolve` grow as n_max^2 (README: the cap)
 MAX_N_MAX = 1500
 # times per reduced_states call in the max_transfer grid scan; bounds the
 # (block, support size) work arrays whatever the grid length
 GRID_BLOCK = 128
+# peak refinement: times per bracket and pass, and the bracket width that ends it
+REFINE_POINTS = 9
+REFINE_WIDTH = 2e-8
 
 
 @dataclass(frozen=True)
@@ -178,86 +177,6 @@ class TransferResult:
     input_energy: float
     input_entropy: float
     input_state: FieldSupport
-
-
-def minimize_scalar(fun, bounds, xatol=1e-5, maxiter=500):
-    """Bounded Brent minimization of `fun` on [lo, hi]; returns (x, fun(x)).
-
-    Golden-section search with parabolic interpolation (Brent 1973,
-    Algorithms for Minimization without Derivatives, ch. 5), stopping
-    when x is known to within `xatol` or after `maxiter` evaluations.
-    The arithmetic follows scipy.optimize.minimize_scalar(method="bounded")
-    step for step, so both return the same x and f(x) to the bit after
-    the same evaluations.
-    """
-    a, b = bounds
-    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
-        raise DomainError(f"bounds must be finite with lo <= hi, got {bounds!r}")
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    # xf: best point so far; nfc, fulc: the second best and the one before it
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = fun(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-
-        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
-        fu = fun(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            break
-    return xf, fx
 
 
 # Cephes lgam (S. Moshier): ln sqrt(2 pi) and the coefficients, highest
@@ -552,7 +471,8 @@ def input_entropy(spec: InputFieldSpec) -> float:
         t = np.exp(-abs(spec.alpha) ** 2 / 2.0)  # overlap <0|alpha>
         lam = np.array([(1.0 + t) ** 2, (1.0 - t) ** 2]) / (2.0 * (1.0 + t**2))
         lam = lam[lam > 0.0]
-        return float(-(lam * np.log(lam)).sum())
+        # + 0.0: at alpha = 0 the sum is -(1 ln 1) = -0.0
+        return float(-(lam * np.log(lam)).sum()) + 0.0
     if isinstance(spec, TwoModeSqueezed):
         g = spec.gamma
         if g == 0.0:
@@ -696,6 +616,42 @@ def squeezed_convention_deviation(gamma, times, n_max=None):
     return devs
 
 
+def require_shaped(support: FieldSupport) -> None:
+    """Raise InvariantViolation unless `shaped_concurrence` holds: every block
+    pairs levels of equal excitation parity (an X state) or none touches |ee>."""
+    pairs = [abcd for abcd, *_ in support.blocks]
+    if not (all(sum(abcd) % 2 == 0 for abcd in pairs)
+            or all((1, 1) not in (abcd[:2], abcd[2:]) for abcd in pairs)):
+        raise InvariantViolation("the support gives neither X states nor states with no |11> row")
+
+
+def shaped_concurrence(rho) -> np.ndarray:
+    """Wootters concurrence of a stack of X states or states with no |11> row,
+    2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44))
+    (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)), clamped to [0, 1]."""
+    rho = np.asarray(rho)
+    p = rho.real.diagonal(axis1=-2, axis2=-1)
+    corner = np.abs(rho[..., 0, 3]) - np.sqrt(p[..., 1] * p[..., 2])
+    middle = np.abs(rho[..., 1, 2]) - np.sqrt(p[..., 0] * p[..., 3])
+    # + 0.0 turns the -0.0 of a separable state into +0.0
+    return np.clip(2.0 * np.maximum(corner, middle), 0.0, 1.0) + 0.0
+
+
+def _refine_peaks(concurrences, lo, hi):
+    """The best time and value of `concurrences` in each bracket [lo, hi]: each
+    pass evaluates REFINE_POINTS evenly spaced times in every bracket, in one
+    call, and keeps the two intervals around the first best time, until every
+    bracket is under REFINE_WIDTH, or under 8 ulp where t is large."""
+    while True:
+        ts = np.linspace(lo, hi, REFINE_POINTS, axis=-1)
+        cs = concurrences(ts.ravel()).reshape(ts.shape)
+        k, rows = cs.argmax(axis=-1), np.arange(ts.shape[0])
+        lo = ts[rows, np.maximum(k - 1, 0)]
+        hi = ts[rows, np.minimum(k + 1, REFINE_POINTS - 1)]
+        if np.all(hi - lo < np.maximum(REFINE_WIDTH, 8 * np.spacing(np.abs(lo) + np.abs(hi)))):
+            return ts[rows, k], cs[rows, k]
+
+
 def default_time_grid(t_max=4.0 * np.pi, steps=2000) -> np.ndarray:
     return np.linspace(0.0, t_max, steps)
 
@@ -703,32 +659,31 @@ def default_time_grid(t_max=4.0 * np.pi, steps=2000) -> np.ndarray:
 def max_transfer(spec: InputFieldSpec, time_grid=None, n_max=None) -> TransferResult:
     """Scan lambda*t for the largest transferred concurrence.
 
-    The input is built once as its `field_support`, and `reduced_states`
-    evaluates the grid (in blocks of GRID_BLOCK times), the refinement and
-    the reported state from it.  Every local grid maximum
-    within 1e-3 of the best grid value (a flat run of equal values
-    counting once) is refined by bounded scalar minimization to 1e-8 in
-    lambda*t, and ties between refined peaks (within 1e-10) resolve to
-    the earliest time.  The result also records the purity at the
-    optimum and the input energy and entropy.
+    The input is built once as its `field_support`, checked by
+    `require_shaped`, and `reduced_states` and `shaped_concurrence` give
+    the grid (in blocks of GRID_BLOCK times), the refinement and the
+    reported value from it.  Every local grid maximum within 1e-3 of the
+    best grid value (a flat run of equal values counting once) is refined
+    over the grid intervals on either side of it, and ties between refined
+    peaks (within 1e-10) resolve to the earliest time.  The result also
+    records the purity at the optimum and the input energy and entropy.
     """
     if time_grid is None:
         time_grid = default_time_grid()
     grid = np.asarray(time_grid, dtype=float)
     if grid.size == 0:
         raise DomainError("time grid must not be empty")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
-        raise DomainError("time grid must be strictly increasing")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)):
+        raise DomainError("time grid must be finite and strictly increasing")
 
     support = field_support(spec, n_max)
+    require_shaped(support)
 
-    def conc_at(t):
-        return qubit.concurrence(reduced_states(support, [t])[0], check=False)
+    def concurrences(times):
+        return shaped_concurrence(reduced_states(support, times))
 
-    vals = np.concatenate([
-        qubit.concurrence(reduced_states(support, grid[i : i + GRID_BLOCK]), check=False)
-        for i in range(0, grid.size, GRID_BLOCK)
-    ])
+    vals = np.concatenate([concurrences(grid[i : i + GRID_BLOCK])
+                           for i in range(0, grid.size, GRID_BLOCK)])
     best_grid = vals.max()
 
     # a run of exactly equal grid values, such as a stretch of C = 0, is
@@ -738,16 +693,11 @@ def max_transfer(spec: InputFieldSpec, time_grid=None, n_max=None) -> TransferRe
     left = np.r_[-np.inf, runs[:-1]]
     right = np.r_[runs[1:], -np.inf]
     candidates = first[(runs >= left) & (runs >= right) & (runs >= best_grid - 1e-3)]
+    times, values = _refine_peaks(concurrences, grid[np.maximum(candidates - 1, 0)],
+                                  grid[np.minimum(candidates + 1, grid.size - 1)])
 
     best_t, best_c = float(grid[int(np.argmax(vals))]), float(best_grid)
-    for i in candidates:
-        lo = grid[i - 1] if i > 0 else grid[i]
-        hi = grid[i + 1] if i + 1 < grid.size else grid[i]
-        if hi > lo:
-            t_ref, neg_c = minimize_scalar(lambda t: -conc_at(t), bounds=(lo, hi), xatol=1e-8)
-            t_ref, c_ref = float(t_ref), float(-neg_c)
-        else:
-            t_ref, c_ref = float(grid[i]), float(vals[i])
+    for t_ref, c_ref in zip(times.tolist(), values.tolist()):
         if c_ref > best_c + 1e-10 or (abs(c_ref - best_c) <= 1e-10 and t_ref < best_t):
             best_t, best_c = t_ref, c_ref
 
@@ -755,7 +705,7 @@ def max_transfer(spec: InputFieldSpec, time_grid=None, n_max=None) -> TransferRe
     return TransferResult(
         lambda_t=best_t,
         qubit_state=rho,
-        concurrence=qubit.concurrence(rho, check=False),
+        concurrence=float(shaped_concurrence(rho)),
         purity=qubit.purity(rho, check=False),
         input_energy=input_energy(spec),
         input_entropy=input_entropy(spec),

@@ -26,6 +26,10 @@ def read(path):
         return fh.read()
 
 
+# a CSV field that reads -0
+NEGATIVE_ZERO = re.compile(r"(^|,)-0(,|$)", re.M)
+
+
 class TestGridParsing:
     def test_triple(self):
         assert cli.parse_grid("0:2:0.5") == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
@@ -161,6 +165,17 @@ class TestBoundary:
                         "--energy", "0.01", "--grid", "0.99:1:0.001"]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 12 and rows[-1].startswith("1,")
+
+    @pytest.mark.parametrize("argv,row", [
+        (["--curve", "tmsv", "--grid", "0:2:0.01"], "0,0"),
+        (["--curve", "gmems", "--grid", "0.12:1:0.005", "--energy", "2"],
+         "0.20000000000000001,0"),
+    ])
+    def test_log_negativity_of_a_separable_boundary_reads_plus_zero(self, capsys, argv, row):
+        # nu~_- = 1 exactly on these rows, where -ln 1 is -0.0
+        assert run_cli(["boundary", "--system", "gaussian", *argv]) == 0
+        out = capsys.readouterr().out
+        assert row in out.splitlines() and not NEGATIVE_ZERO.search(out)
 
     def test_gmems_requires_energy(self, capsys):
         assert run_cli(["boundary", "--system", "gaussian", "--curve", "gmems",
@@ -593,6 +608,37 @@ class TestJc:
         captured = capsys.readouterr()
         assert captured.err == f"error: {flag} does not apply to {argv[1]} input\n"
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--input", "coherent", "--alpha", "1:0:0.1"],
+        ["--input", "squeezed", "--gamma", "0.5:0.1:0.1"],
+    ])
+    def test_parameter_spec_with_no_points_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "jc.csv"
+        assert run_cli(["jc", *argv, "--tsteps", "50", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {argv[2]} {argv[3]!r} expands to no points\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_support_of_neither_shape_exit_4(self, tmp_path, capsys, monkeypatch):
+        from epe import jc
+
+        # entries |00>, |01>, |11>: rho_{00,01} pairs unequal parities and
+        # rho_{11,11} touches |ee>, so the closed form does not hold
+        unshaped = jc.FieldSupport(n_max=1, n1=np.array([0, 0, 1]), n2=np.array([0, 1, 1]),
+                                   amps=np.full(3, 1.0 / np.sqrt(3.0), dtype=complex))
+        monkeypatch.setattr(jc, "field_support", lambda spec, n_max=None: unshaped)
+        out = tmp_path / "jc.csv"
+        assert run_cli(["jc", "--input", "single-photon", "--tsteps", "50",
+                        "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
+    def test_vacuum_coherent_input_has_no_negative_zero(self, capsys):
+        assert run_cli(["jc", "--input", "coherent", "--alpha", "0", "--tsteps", "50"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert row.startswith("0,0,0,0,0,1,") and not NEGATIVE_ZERO.search(row)
 
     def test_coherent_scan(self, tmp_path):
         out = tmp_path / "coh.csv"

@@ -155,6 +155,15 @@ class TestPPT:
         assert gaussian.ppt_nu_minus(VACUUM) == pytest.approx(1.0)
         assert gaussian.log_negativity(VACUUM) == 0.0
 
+    def test_log_negativity_at_unit_nu_reads_plus_zero(self):
+        # nu~_- = 1 exactly at E = 0, where -ln nu~_- is -0.0
+        sf = gaussian.two_mode_squeezed_vacuum(np.array([0.0, 1.0]))
+        assert gaussian.ppt_nu_minus(sf)[0] == 1.0
+        stacked = gaussian.log_negativity(sf)
+        scalar = gaussian.log_negativity(gaussian.two_mode_squeezed_vacuum(0.0))
+        for value in (stacked[0], scalar):
+            assert value == 0.0 and not np.signbit(value)
+
     def test_negativity_relation(self):
         nu = gaussian.ppt_nu_minus(TMSV3)
         assert gaussian.negativity(TMSV3) == pytest.approx((1.0 - nu) / (2.0 * nu), abs=1e-12)

@@ -1,15 +1,15 @@
 """Jaynes-Cummings transfer: inputs, exact evolution and analytic cross-checks."""
 
-import math
 import types
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epe import jc, qubit
-from epe.errors import DomainError, TruncationError
+from epe.errors import DomainError, InvariantViolation, TruncationError
 
 BELL_PSI_PLUS = qubit.ket_to_dm(qubit.BELL_STATES["psi+"])
 
@@ -114,6 +114,10 @@ class TestEntropy:
     def test_matches_schmidt_spectrum_oracle(self, spec):
         state = jc.build_input(spec)
         assert jc.input_entropy(spec) == pytest.approx(jc.schmidt_entropy(state), abs=1e-9)
+
+    def test_vacuum_coherent_input_reads_plus_zero(self):
+        entropy = jc.input_entropy(jc.EntangledCoherent(alpha=0.0))
+        assert entropy == 0.0 and not np.signbit(entropy)
 
     def test_entropy_range_of_coherent_input(self):
         assert jc.input_entropy(jc.EntangledCoherent(alpha=1e-6)) == pytest.approx(0.0, abs=1e-9)
@@ -271,16 +275,18 @@ class TestAnalyticForms:
             assert abs(c1 - c2) < 1e-10
 
 
-_INPUT_SPECS = st.one_of(
-    st.just(jc.SinglePhoton()),
-    st.integers(1, 6).map(lambda n: jc.NPhoton(n=n)),
-    st.builds(
+# the four inputs of `epe jc`, with random parameters
+_SPECS_BY_INPUT = {
+    "single-photon": st.just(jc.SinglePhoton()),
+    "n-photon": st.integers(1, 6).map(lambda n: jc.NPhoton(n=n)),
+    "coherent": st.builds(
         lambda r, phi: jc.EntangledCoherent(alpha=r * np.exp(1j * phi)),
         st.floats(0.0, 2.0),
         st.floats(0.0, 2.0 * np.pi),
     ),
-    st.floats(0.0, 0.8).map(lambda g: jc.TwoModeSqueezed(gamma=g)),
-)
+    "squeezed": st.floats(0.0, 0.8).map(lambda g: jc.TwoModeSqueezed(gamma=g)),
+}
+_INPUT_SPECS = st.one_of(*_SPECS_BY_INPUT.values())
 
 
 @st.composite
@@ -397,6 +403,60 @@ class TestPropagatedQubitState:
         assert np.array_equal(jc.propagated_qubit_state(entries, 0.9), expected)
 
 
+def wootters_oracle(rho):
+    """Concurrence of rho from the 40-digit mpmath eigenvalues of
+    R = rho (sy x sy) rho* (sy x sy), clamped to [0, 1]."""
+    with mpmath.workdps(40):
+        r = mpmath.matrix(rho.tolist())
+        yy = mpmath.matrix(np.kron(qubit.SIGMA_Y, qubit.SIGMA_Y).real.tolist())
+        ev = mpmath.eig(r * yy * r.conjugate() * yy, left=False, right=False)
+        mu = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in ev), reverse=True)
+        return float(min(max(mu[0] - sum(mu[1:]), 0), 1))
+
+
+def _unshaped_support():
+    """Entries |00>, |01>, |11>: a block pairing levels of unequal parity
+    (rho_{00,01}) and one touching |ee> (rho_{11,11})."""
+    return jc.FieldSupport(n_max=1, n1=np.array([0, 0, 1]), n2=np.array([0, 1, 1]),
+                           amps=np.full(3, 1.0 / np.sqrt(3.0), dtype=complex))
+
+
+class TestShapedConcurrence:
+    @pytest.mark.parametrize("name", sorted(_SPECS_BY_INPUT))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_mpmath_and_the_eigvals_route(self, name, data):
+        spec = data.draw(_SPECS_BY_INPUT[name])
+        times = data.draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=4))
+        support = jc.field_support(spec)
+        jc.require_shaped(support)
+        rhos = jc.reduced_states(support, times)
+        values = jc.shaped_concurrence(rhos)
+        assert values.shape == (len(times),)
+        for rho, c in zip(rhos, values):
+            # the closed form and the Wootters value of the same state each
+            # round once: at most about 2 ulp apart
+            assert abs(c - wootters_oracle(rho)) <= 5e-16
+        # the eigvals route takes square roots of eigenvalues of R that are
+        # zero up to roundoff, so it can be off by about sqrt(eps)
+        assert np.abs(values - qubit.concurrence(rhos, check=False)).max() <= 1e-7
+
+    def test_separable_states_read_plus_zero(self):
+        product = qubit.ket_to_dm([1, 0, 0, 0])
+        rhos = jc.reduced_states(jc.field_support(jc.NPhoton(n=3)), np.linspace(0.0, 9.0, 50))
+        values = jc.shaped_concurrence(np.concatenate([[product], rhos]))
+        assert np.all(values == 0.0) and not np.any(np.signbit(values))
+
+    def test_support_of_neither_shape_raises(self):
+        with pytest.raises(InvariantViolation):
+            jc.require_shaped(_unshaped_support())
+
+    def test_max_transfer_checks_the_shape(self, monkeypatch):
+        monkeypatch.setattr(jc, "field_support", lambda spec, n_max=None: _unshaped_support())
+        with pytest.raises(InvariantViolation):
+            jc.max_transfer(jc.SinglePhoton(), np.linspace(0.0, 1.0, 20))
+
+
 class TestMaxTransfer:
     def test_single_photon(self):
         result = jc.max_transfer(jc.SinglePhoton(), np.linspace(0.0, 4.0 * np.pi, 500))
@@ -436,18 +496,53 @@ class TestMaxTransfer:
 
     def test_flat_run_is_one_refinement_candidate(self, monkeypatch):
         # C vanishes on the whole grid, which must not refine every point
-        calls = []
-        real = jc.minimize_scalar
+        brackets = []
+        real = jc._refine_peaks
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["bounds"])
-            return real(*args, **kwargs)
+        def counting(concurrences, lo, hi):
+            brackets.extend(zip(lo, hi))
+            return real(concurrences, lo, hi)
 
-        monkeypatch.setattr(jc, "minimize_scalar", counting)
+        monkeypatch.setattr(jc, "_refine_peaks", counting)
         result = jc.max_transfer(jc.NPhoton(n=3), np.linspace(0.0, 4.0 * np.pi, 300))
-        assert len(calls) <= 2
-        assert result.concurrence == 0.0
+        assert len(brackets) <= 2
+        assert result.concurrence == 0.0 and not np.signbit(result.concurrence)
         assert result.lambda_t == 0.0
+
+    @pytest.mark.parametrize("spec", [
+        jc.SinglePhoton(),
+        jc.NPhoton(n=2),
+        jc.EntangledCoherent(alpha=1.0),
+        jc.TwoModeSqueezed(gamma=0.6),
+    ])
+    def test_runs_on_the_closed_form(self, spec, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("max_transfer took the eigvals route")
+
+        monkeypatch.setattr(qubit, "concurrence", refuse)
+        result = jc.max_transfer(spec, np.linspace(0.0, 4.0 * np.pi, 300))
+        assert result.concurrence == jc.shaped_concurrence(result.qubit_state)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            jc.SinglePhoton(),
+            jc.EntangledCoherent(alpha=1.0),
+            jc.TwoModeSqueezed(gamma=0.4),
+            jc.TwoModeSqueezed(gamma=0.6),
+            jc.TwoModeSqueezed(gamma=0.8),
+        ],
+    )
+    def test_refinement_matches_brute_force_on_scan_inputs(self, spec):
+        # a dense closed-form scan of the two grid intervals around the peak
+        grid = jc.default_time_grid()
+        result = jc.max_transfer(spec, grid)
+        i = int(np.argmin(np.abs(grid - result.lambda_t)))
+        times = np.linspace(grid[i - 1], grid[i + 1], 4001)
+        values = jc.shaped_concurrence(jc.reduced_states(result.input_state, times))
+        k = int(np.argmax(values))
+        assert values[k] - 1e-15 <= result.concurrence <= values[k] + 1e-10
+        assert abs(result.lambda_t - times[k]) <= times[1] - times[0]
 
     def test_empty_grid(self):
         with pytest.raises(DomainError):
@@ -457,9 +552,20 @@ class TestMaxTransfer:
         with pytest.raises(DomainError):
             jc.max_transfer(jc.SinglePhoton(), [0.0, 1.0, 0.5])
 
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [np.nan], [0.0, np.inf]])
+    def test_non_finite_grid(self, grid):
+        with pytest.raises(DomainError):
+            jc.max_transfer(jc.SinglePhoton(), grid)
+
+    def test_refinement_ends_where_float_spacing_exceeds_its_width(self):
+        # near t = 1e10 neighbouring doubles are 1.9e-6 apart, above REFINE_WIDTH
+        result = jc.max_transfer(jc.SinglePhoton(), 1e10 + np.linspace(0.0, 4.0, 9))
+        assert 1e10 <= result.lambda_t <= 1e10 + 4.0
+        assert result.concurrence == jc.shaped_concurrence(result.qubit_state)
+
 
 class TestScipyPorts:
-    """The log-factorials and the bounded Brent minimizer against scipy, exactly."""
+    """The log-factorials against scipy, exactly, and the truncations they give."""
 
     def test_log_factorials_equal_gammaln(self):
         from scipy.special import gammaln
@@ -491,79 +597,3 @@ class TestScipyPorts:
         assert m == 1118
         # a table per trial m would cost about m^2 / 2 = 625k calls
         assert len(calls) <= 8 * m
-
-    @staticmethod
-    def _assert_matches_scipy(fun, bounds, xatol, minimize=jc.minimize_scalar):
-        # `minimize` is bound at import, so it stays the port when a test
-        # monkeypatches jc.minimize_scalar
-        from scipy.optimize import minimize_scalar as scipy_minimize_scalar
-
-        evals = []
-
-        def counted(x):
-            evals.append(x)
-            return fun(x)
-
-        x, f = minimize(counted, bounds=bounds, xatol=xatol)
-        ours = list(evals)
-        evals.clear()
-        res = scipy_minimize_scalar(
-            counted, bounds=bounds, method="bounded", options={"xatol": xatol}
-        )
-        assert x == res.x
-        assert f == res.fun
-        assert ours == evals
-        return x, f
-
-    @given(
-        st.sampled_from(["quadratic", "quartic", "cosh", "abs", "two-lines", "flat"]),
-        st.floats(-5.0, 5.0),
-        st.floats(0.1, 10.0),
-        st.floats(-3.0, 3.0),
-        st.floats(-10.0, 10.0),
-        st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
-        st.sampled_from([1e-5, 1e-8, 1e-12]),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_minimizer_matches_scipy(self, kind, c, w, offset, lo, width, xatol):
-        funs = {
-            "quadratic": lambda x: w * (x - c) ** 2 + offset,
-            "quartic": lambda x: (x - c) ** 4 + w * (x - c) ** 2,
-            "cosh": lambda x: math.cosh(w * (x - c)) + offset,
-            "abs": lambda x: abs(x - c),
-            "two-lines": lambda x: max(w * (x - c), -(x - c) / w) + offset,
-            "flat": lambda x: offset,
-        }
-        self._assert_matches_scipy(funs[kind], (lo, lo + width), xatol)
-
-    def test_degenerate_bracket(self):
-        x, f = self._assert_matches_scipy(lambda x: (x - 1.0) ** 2, (2.5, 2.5), 1e-8)
-        assert (x, f) == (2.5, 2.25)
-
-    def test_bad_bounds(self):
-        with pytest.raises(DomainError):
-            jc.minimize_scalar(abs, bounds=(1.0, 0.0))
-        with pytest.raises(DomainError):
-            jc.minimize_scalar(abs, bounds=(0.0, np.inf))
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            jc.SinglePhoton(),
-            jc.EntangledCoherent(alpha=1.0),
-            jc.TwoModeSqueezed(gamma=0.4),
-            jc.TwoModeSqueezed(gamma=0.6),
-            jc.TwoModeSqueezed(gamma=0.8),
-        ],
-    )
-    def test_refinement_matches_scipy_on_scan_inputs(self, spec, monkeypatch):
-        # every refinement candidate of the default scan, minimized both ways
-        seen = []
-
-        def checked(fun, bounds, xatol):
-            seen.append(bounds)
-            return self._assert_matches_scipy(fun, bounds, xatol)
-
-        monkeypatch.setattr(jc, "minimize_scalar", checked)
-        jc.max_transfer(spec)
-        assert seen
