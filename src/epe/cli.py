@@ -123,7 +123,8 @@ def parse_grid(spec: str) -> list:
     try:
         if len(parts) not in (1, 3):
             raise ValueError
-        numbers = [float(p) for p in parts]
+        # + 0.0 reads -0 as +0, which writes as 0
+        numbers = [float(p) + 0.0 for p in parts]
     except ValueError:
         raise ConfigurationError(f"bad grid spec {spec!r}; expected start:stop:step") from None
     if not np.all(np.isfinite(numbers)):

@@ -179,62 +179,26 @@ class TransferResult:
     input_state: FieldSupport
 
 
-# Cephes lgam (S. Moshier): ln sqrt(2 pi) and the coefficients, highest
-# power first, of the Stirling correction series in 1/x^2 below x = 1000
-_LS2PI = 0.91893853320467274178
-_LGAM_A = (
-    8.11614167470508450300e-4,
-    -5.95061904284301438324e-4,
-    7.93650340457716943945e-4,
-    -2.77777777730099687205e-3,
-    8.33333333333331927722e-2,
-)
-
-
-def _lgamma(x: float) -> float:
-    """ln Gamma(x) for integer-valued 1 <= x <= 1e8, ported from Cephes lgam.
-
-    On these arguments it equals scipy.special.gammaln bit for bit;
-    math.lgamma differs from both in the last place on about half of
-    them, which moves the coherent-input outputs in their 8th digit.
-    """
-    if x < 13.0:
-        # (x - 1)! as a product, exact in floating point
-        z, u = 1.0, x
-        while u >= 3.0:
-            u -= 1.0
-            z *= u
-        return math.log(z)
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    s = _LGAM_A[0]
-    for c in _LGAM_A[1:]:
-        s = s * p + c
-    return q + s / x
-
-
 def log_factorials(n_max) -> np.ndarray:
-    """ln k! for k = 0..n_max, equal to scipy.special.gammaln(k + 1)."""
-    return np.array([_lgamma(k + 1.0) for k in range(n_max + 1)])
+    """ln k! for k = 0..n_max, as math.lgamma(k + 1)."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
 
 
-def _poisson_tail(mean, log_fact):
-    """Poisson(mean) weight above n = len(log_fact) - 1, given ln n! below it."""
+def _poisson_log_weights(mean, n_max) -> np.ndarray:
+    """ln of the Poisson(mean) weights e^-mean mean^n / n! for n = 0..n_max."""
+    n = np.arange(n_max + 1)
     if mean == 0.0:
-        return 0.0
-    n = np.arange(log_fact.size)
-    logp = -mean + n * np.log(mean) - log_fact
-    return max(0.0, 1.0 - np.exp(logp).sum())
+        return np.where(n == 0, 0.0, -np.inf)
+    return -mean + n * np.log(mean) - log_factorials(n_max)
 
 
 def required_n_max(spec: InputFieldSpec, tail=TAIL_TOL, limit=None) -> int:
     """Smallest per-mode truncation keeping the input tail below `tail`.
 
-    Raises DomainError when that truncation is above `limit` (None: no
-    limit), without searching past it.
+    The coherent tail is summed from the top of a table of Poisson weights,
+    so it does not cancel.  Raises DomainError when the truncation is above
+    `limit` (None: no limit); a coherent mean above `limit` raises before
+    any table is built.
     """
     if isinstance(spec, NPhoton):
         m = spec.n
@@ -244,22 +208,17 @@ def required_n_max(spec: InputFieldSpec, tail=TAIL_TOL, limit=None) -> int:
         m = 1 if g == 0.0 else max(1, int(np.ceil(np.log(tail) / (2.0 * np.log(g)) - 1.0)))
     elif isinstance(spec, EntangledCoherent):
         mean = abs(spec.alpha) ** 2
-        # Bernstein's inequality puts the Poisson tail above mean + t below
-        # `tail`, so the answer is at most `horizon`; a computed tail still
-        # above `tail` there is roundoff
-        third = -math.log(tail) / 3.0
-        horizon = math.ceil(mean + third + math.sqrt(third * third + 6.0 * third * mean))
-        # one table for the whole search, doubled when m outgrows it
-        log_fact = log_factorials(64)
-        m = 1
-        while _poisson_tail(mean, log_fact[: m + 1]) > tail:
-            m += 1
-            if m > horizon:
-                raise DomainError("coherent amplitude too large to truncate")
-            if limit is not None and m > limit:
-                break
-            if m >= log_fact.size:
-                log_fact = log_factorials(2 * m)
+        if limit is not None and mean > limit:
+            # the answer is above the mean, so above the limit too: no table
+            m = limit + 1
+        else:
+            # Bernstein's inequality puts the Poisson tail above `horizon`
+            # below `tail`; a table to twice it leaves out far less than that
+            third = -math.log(tail) / 3.0
+            horizon = math.ceil(mean + third + math.sqrt(third * third + 6.0 * third * mean))
+            # above[k]: the weight at n >= k, summed from the top
+            above = np.cumsum(np.exp(_poisson_log_weights(mean, 2 * horizon))[::-1])[::-1]
+            m = 1 + int(np.argmax(above[2:] <= tail))
     else:
         raise DomainError(f"unknown input specification {spec!r}")
     if limit is not None and m > limit:
@@ -291,8 +250,7 @@ def resolve_n_max(spec: InputFieldSpec, n_max=None) -> int:
 
 def _coherent_amplitudes(alpha, n_max):
     n = np.arange(n_max + 1)
-    log_mag = -abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha) + 1e-300) - log_factorials(n_max) / 2.0
-    mag = np.exp(log_mag)
+    mag = np.exp(_poisson_log_weights(abs(alpha) ** 2, n_max) / 2.0)
     return mag * np.exp(1j * np.angle(alpha) * n)
 
 

@@ -40,6 +40,21 @@ class TestGridParsing:
     def test_single_value(self):
         assert cli.parse_grid("0.7") == [0.7]
 
+    def test_negative_zero_reads_plus_zero(self, tmp_path):
+        # a stop of -0 is snapped onto the last point
+        for spec in ("-0", "-1:-0:0.5"):
+            assert np.copysign(1.0, cli.parse_grid(spec)[-1]) == 1.0
+        boundary = tmp_path / "boundary.csv"
+        assert run_cli(["boundary", "--system", "qubit", "--curve", "separable",
+                        "--grid", "-0", "--out", str(boundary)]) == 0
+        outs = {}
+        for alpha in ("-0", "0"):
+            outs[alpha] = tmp_path / f"jc{alpha}.csv"
+            assert run_cli(["jc", "--input", "coherent", "--alpha", alpha, "--tsteps", "50",
+                            "--out", str(outs[alpha])]) == 0
+        assert not NEGATIVE_ZERO.search(boundary.read_text() + outs["-0"].read_text())
+        assert read(outs["-0"]) == read(outs["0"])
+
     def test_reversed_is_empty(self):
         assert cli.parse_grid("2:1:1") == []
 

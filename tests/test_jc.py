@@ -1,5 +1,6 @@
 """Jaynes-Cummings transfer: inputs, exact evolution and analytic cross-checks."""
 
+import time
 import types
 
 import mpmath
@@ -565,35 +566,49 @@ class TestMaxTransfer:
 
 
 class TestScipyPorts:
-    """The log-factorials against scipy, exactly, and the truncations they give."""
+    """The coherent truncation and the log-factorials it is built from, against mpmath."""
 
-    def test_log_factorials_equal_gammaln(self):
-        from scipy.special import gammaln
+    def test_log_factorials_match_loggamma(self):
+        # far past any table a truncation builds; math.lgamma(3.0) is 3 ulp
+        # below ln 2, the largest gap on the sample
+        k = np.concatenate([np.arange(300), np.random.default_rng(11).integers(300, 100_001, 700)])
+        got = jc.log_factorials(100_000)[k]
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.loggamma(int(j) + 1)) for j in k])
+        assert np.all(np.abs(got - want) <= 3 * np.spacing(want))
 
-        # far past any table a truncation search builds
-        k = np.arange(100_001)
-        assert np.array_equal(jc.log_factorials(100_000), gammaln(k + 1.0))
-
-    @pytest.mark.parametrize("alpha,n_max", [(1, 14), (3, 37), (10, 178), (30, 1118), (60, 4032)])
+    @pytest.mark.parametrize("alpha,n_max", [(1, 14), (3, 37), (10, 178), (150, 23563)])
     def test_coherent_truncation_pinned(self, alpha, n_max):
         assert jc.required_n_max(jc.EntangledCoherent(alpha=alpha)) == n_max
 
-    def test_unresolvable_coherent_tail_raises(self):
-        # at mean 22500 the rounding of 1 - sum(p_n) stays above 1e-12, so the
-        # search stops at its Bernstein horizon instead of running on
-        with pytest.raises(DomainError, match="too large to truncate"):
-            jc.required_n_max(jc.EntangledCoherent(alpha=150))
+    @pytest.mark.parametrize("alpha", [
+        1, 3, 10, 30, 34.857142857142854, 60, 150,
+        *(36.0 * (1.0 - np.random.default_rng(20).random(30))).tolist(),
+    ])
+    def test_coherent_truncation_is_the_smallest_below_the_tail(self, alpha):
+        # P(N > m) for N ~ Poisson(alpha^2) is the regularized lower incomplete gamma
+        m = jc.required_n_max(jc.EntangledCoherent(alpha=alpha))
+        with mpmath.workdps(40):
+            mean = mpmath.mpf(alpha) ** 2
+            assert mpmath.gammainc(m + 1, 0, mean, regularized=True) <= jc.TAIL_TOL
+            assert m == 1 or mpmath.gammainc(m, 0, mean, regularized=True) > jc.TAIL_TOL
+
+    def test_coherent_mean_above_the_cap_raises_without_a_table(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(jc, "log_factorials", lambda n_max: calls.append(n_max))
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"cap n_max={jc.MAX_N_MAX}"):
+            jc.required_n_max(jc.EntangledCoherent(alpha=1e4), limit=jc.MAX_N_MAX)
+        assert time.perf_counter() - start < 0.5 and calls == []
 
     def test_truncation_search_builds_its_table_once(self, monkeypatch):
         calls = []
-        real = jc._lgamma
+        real = jc.log_factorials
 
-        def counting(x):
-            calls.append(x)
-            return real(x)
+        def counting(n_max):
+            calls.append(n_max)
+            return real(n_max)
 
-        monkeypatch.setattr(jc, "_lgamma", counting)
-        m = jc.required_n_max(jc.EntangledCoherent(alpha=30))
-        assert m == 1118
-        # a table per trial m would cost about m^2 / 2 = 625k calls
-        assert len(calls) <= 8 * m
+        monkeypatch.setattr(jc, "log_factorials", counting)
+        assert jc.required_n_max(jc.EntangledCoherent(alpha=30)) == 1119
+        assert len(calls) == 1
