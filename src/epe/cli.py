@@ -13,7 +13,8 @@ unphysical sampled covariance matrix), 5 grid outside a curve domain,
 6 insufficient Fock truncation.  Commands raise; `main` alone prints the
 `error:` line and picks the code (`EXIT_CODES`).  A flag that does not
 apply (`boundary --energy` off gmems/glems, a `jc` parameter flag of
-another input) exits 2.
+another input) exits 2, and so does a grid that expands to no points
+(`boundary --grid`, `jc --alpha`/`--gamma`).
 
 Every file written is paired with a sidecar `<out>.manifest.json`
 recording the command line, configuration, seed, version and timestamp;
@@ -26,8 +27,8 @@ are byte-identical regardless of EPE_THREADS.
 
 `_write_output` is the one writer.  It takes blocks of rows (`sample`
 and `boundary` one per chunk of `sampling.CHUNK` rows, `jc` one block),
-formats each block (CSV with `csv_lines`, JSON records with `json.dumps`)
-into an anonymous temporary file, and copies it to --out or stdout only
+formats each block (CSV with `csv_bytes`, JSON records with `json.dumps`)
+into an anonymous binary temporary file, and copies it to --out or stdout only
 after the last block, so memory stays bounded at any --count or grid
 size in either format and a failed command writes nothing.
 """
@@ -75,21 +76,162 @@ _FMT = "%.17g"
 # most points a start:stop:step grid spec may expand to
 MAX_GRID_POINTS = 1_000_000
 
+# --- CSV formatting ---
+#
+# `csv_bytes` writes `_FMT % v` for every value v without a Python float
+# per value.  For +0.0 and each finite v in [1e-4, 1e15) it builds the
+# digits from integers; any other value (negative, -0.0, smaller, larger,
+# subnormal, inf, nan) goes through `_FMT %`.  Such a v is m 2**-r with
+# a 53-bit integer m, and its decimal exponent X = floor(log10 v) lies in
+# [-4, 14], so %g writes it in fixed notation.  Its 17 significant
+# digits are the integer D nearest v 10**s = m 5**s / 2**t, s = 16 - X,
+# t = r - s in [1, 46], ties to even.  A float estimate of D is off by
+# less than 13, so the exact remainder m 5**s - estimate 2**t is below
+# 2**51 in magnitude and equals the difference of the two products
+# modulo 2**64; it corrects the estimate to D, the digits `%` takes from
+# Gay's correctly rounded conversion ("Correctly rounded binary-decimal
+# and decimal-binary conversions", 1990).  A value is laid out in 5
+# little-endian uint64 words whose unused bytes are 0, and one
+# `translate` deletes those:
+#   0  the separator (byte 0), "0." and -X - 1 zeros when X < 0, D's digit 0 (byte 7)
+#   1  those of D's digits 1-8 in the integer part
+#   2  those of digits 9-14 in the integer part, "." (byte 7) if a fraction follows
+#   3  those of digits 1-8 in the fraction, up to D's last nonzero digit
+#   4  those of digits 9-16 in the fraction, up to D's last nonzero digit
+# A `_FMT %` value takes words 1-3 (at most 24 characters).  A row ends
+# in "," and its label, if it has one, and a newline.
+
+_LE = np.dtype("<u8")
+_WORDS = 5
+_LOWEST, _BEYOND = 1e-4, 1e15
+_X = np.arange(-4, 15)
+# the nearest double to 10**x for x in -4..15; for x < 0 it is above 10**x,
+# so for any double v, v >= _POW10[x + 4] iff v >= 10**x
+_POW10 = np.array([float(f"1e{x}") for x in range(-4, 16)])
+_POW5 = np.uint64(5) ** np.arange(21, dtype=np.uint64)
+_SCALE = _POW5.astype(float) * 2.0 ** np.arange(21)
+# 2**(t - 1) - 1 for t in 1..46
+_HALF_DOWN = (1 << np.arange(47)) // 2 - 1
+_ALL = np.uint64(2**64 - 1)
+
+
+def _low_bytes(count):
+    """Words whose low `count` bytes (none below 0, all above 8) are 0xFF."""
+    return ((np.arange(8) < np.reshape(count, (-1, 1))) * np.uint8(0xFF)).view(_LE).ravel()
+
+
+def _by_group(place_words):
+    """For groups 0000..9999, the OR of place_words[p][digit p] over the 4 places."""
+    a, b, c, d = place_words
+    return (a[:, None, None, None] | b[:, None, None] | c[:, None] | d).ravel()
+
+
+_DIGIT = np.arange(10, dtype=np.uint64)
+_GROUPS = 10_000
+# a group as 4 ASCII digits, the first in the low byte
+_DIGITS = _by_group([_DIGIT + 48 << np.uint64(8 * p) for p in range(4)])
+_DIGITS_HI = _DIGITS << np.uint64(32)
+# the bytes of a group up to its last nonzero digit (none for 0000)
+_TRAIL = _by_group([np.where(_DIGIT > 0, _low_bytes(p + 1), 0) for p in range(4)])
+# as the high half of a word, where a nonzero group keeps the whole low
+# half; at g + _GROUPS, for a group followed by nonzero digits, all of it
+_TRAIL_HI = np.concatenate([
+    _TRAIL << np.uint64(32) | np.where(_TRAIL > 0, _ALL >> np.uint64(32), 0),
+    np.full(_GROUPS, _ALL)])
+# by X + 4: the integer digits among 1-8 and 9-16
+_INT_1 = _low_bytes(_X)
+_INT_2 = _low_bytes(_X - 8)
+# by X + 4 in the first column and X + 4 + len(_X) after it: word 0
+# without digit 0, and the "." of word 2 if a fraction follows
+_LEAD = np.frombuffer(b"".join(
+    (sep + (b"0." + b"0" * (-x - 1) if x < 0 else b"")).ljust(8, b"\0")
+    for sep in (b"\0", b",") for x in _X), dtype=_LE)
+_DOT = np.tile(np.where(_X >= 0, ord(".") << 56, 0).astype(_LE), 2)
+# digit 0 in byte 7
+_DIGIT_0 = _DIGIT + 48 << np.uint64(56)
+
+
+def _digit_words(values, words):
+    """Lay out an (n, k) float array in `words`, an (n, k, 5) word array.
+
+    Returns the mask of the values left to `_FMT %`; their words hold garbage.
+    """
+    fast = (values >= _LOWEST) & (values < _BEYOND)
+    # the others are computed as 1.0, and D = 0 then writes +0.0
+    v = np.where(fast, values, 1.0)
+    bits = v.view(np.int64)
+    e = bits >> 52
+    # floor(log10 2**(e - 1023)), then X is it or one more
+    x = (e - 1023) * 1233 >> 12
+    x += v >= _POW10[x + 5]
+    s = 16 - x
+    t = 1075 - e - s
+    m = (bits & (1 << 52) - 1 | 1 << 52).view(np.uint64)
+    d = (v * _SCALE[s]).astype(np.int64)
+    rest = (m * _POW5[s] - (d.view(np.uint64) << t.view(np.uint64))).view(np.int64)
+    # D = floor((P + 2**(t-1) - 1 + odd) / 2**t), P = m 5**s and odd the
+    # parity of floor(P / 2**t), rounds half to even
+    rest += _HALF_DOWN[t] + (d + (rest >> t) & 1)
+    d += rest >> t
+    d *= fast
+    top = d // 10**8
+    low = d - top * 10**8
+    d0 = top // 10**8
+    top -= d0 * 10**8
+    g1 = top // 10**4
+    g2 = top - g1 * 10**4
+    g3 = low // 10**4
+    g4 = low - g3 * 10**4
+    xi = x + 4
+    int_1, int_2 = _INT_1[xi], _INT_2[xi]
+    w1 = _DIGITS[g1] | _DIGITS_HI[g2]
+    w2 = _DIGITS[g3] | _DIGITS_HI[g4]
+    frac_1 = _TRAIL[g1] | _TRAIL_HI[g2 + _GROUPS * (low > 0)]
+    frac_1 &= w1 & ~int_1
+    frac_2 = _TRAIL[g3] | _TRAIL_HI[g4]
+    frac_2 &= w2 & ~int_2
+    xi[:, 1:] += len(_X)
+    words[..., 0] = _DIGIT_0[d0] | _LEAD[xi]
+    words[..., 1] = w1 & int_1
+    words[..., 2] = w2 & int_2 | _DOT[xi] * (frac_1 | frac_2 > 0)
+    words[..., 3] = frac_1
+    words[..., 4] = frac_2
+    return ~fast & (values.view(np.int64) != 0)
+
+
+def csv_bytes(values, labels=None) -> bytes:
+    """ASCII CSV lines of an (n, k) float array, every value as `_FMT % value`.
+
+    `labels`, an (n,) array of ASCII strings or bytes of one length, adds
+    a last column written as is.
+    """
+    values = np.asarray(values, dtype=float)
+    n, k = values.shape
+    if labels is not None:
+        labels = np.asarray(labels, dtype=bytes)
+    end = 1 if labels is None else 2 + labels.dtype.itemsize
+    width = _WORDS * k + -(-end // 8)
+    buffer = bytearray(8 * n * width)
+    line = np.frombuffer(buffer, _LE).reshape(n, width)
+    words = line[:, :_WORDS * k].reshape(n, k, _WORDS)
+    slow = _digit_words(values, words)
+    if slow.any():
+        rows, cols = np.nonzero(slow)
+        text = [_FMT % v for v in values[rows, cols].tolist()]
+        words[rows, cols] = 0
+        words[rows, cols, 0] = np.minimum(cols, 1) * ord(",")
+        words[rows, cols, 1:4] = np.array(text, dtype="S24").view(_LE).reshape(-1, 3)
+    tail = line[:, _WORDS * k:].view(np.uint8)
+    if labels is not None:
+        tail[:, 0] = ord(",")
+        tail[:, 1:end - 1] = labels.view(np.uint8).reshape(n, -1)
+    tail[:, end - 1] = ord("\n")
+    return bytes(buffer.translate(None, b"\0"))
+
 
 def csv_lines(values, labels=None) -> str:
-    """CSV lines of an (n, k) float array, every value as %.17g.
-
-    `labels`, an (n,) array of strings, adds a last column written as is.
-    The rows are formatted by one `%` over a repeated line template.
-    """
-    n, k = values.shape
-    cells = np.empty((n, k + (labels is not None)), dtype=object)
-    cells[:, :k] = values
-    line = ",".join([_FMT] * k)
-    if labels is not None:
-        cells[:, k] = labels
-        line += ",%s"
-    return (line + "\n") * n % tuple(cells.ravel().tolist())
+    """`csv_bytes` as text."""
+    return csv_bytes(values, labels).decode("ascii")
 
 
 def usable_cpus() -> int:
@@ -163,7 +305,7 @@ def _manifest(args, outputs):
 
 
 def _publish(args, data):
-    """Copy the finished output in the text file `data` to --out (or stdout),
+    """Copy the finished output in the binary file `data` to --out (or stdout),
     then write the manifest sidecar.
 
     Nothing is opened for writing before the output is complete, so a run
@@ -171,10 +313,12 @@ def _publish(args, data):
     """
     data.seek(0)
     if not args.out:
-        shutil.copyfileobj(data, sys.stdout)
+        # text already written to sys.stdout goes first
+        sys.stdout.flush()
+        shutil.copyfileobj(data, sys.stdout.buffer)
         return
     # OSError propagates to main(), which maps it to EXIT_IO
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with open(args.out, "wb") as fh:
         shutil.copyfileobj(data, fh)
     manifest = _manifest(args, [args.out])
     manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -186,34 +330,37 @@ def _publish(args, data):
 def _write_output(args, header, blocks):
     """Write blocks of rows as CSV or JSON to --out (or stdout) plus the manifest sidecar.
 
-    A block is (values, labels): an (n, k) float array and None or an
-    (n,) array of strings for a last column.  Nothing is published until
-    the last block has been read, so an error raised while the blocks
-    are produced writes nothing.
+    A block is (values, flags): an (n, k) float array and None or the
+    (n, 3) containment flags, written as a last column of labels such as
+    "110".  The text goes to a binary temporary file as bytes, each JSON
+    block encoded once.  Nothing is published until the last block has
+    been read, so an error raised while the blocks are produced writes
+    nothing.
     """
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
+    with tempfile.TemporaryFile() as spool:
         if args.format == "csv":
-            spool.write(",".join(header) + "\n")
-            for values, labels in blocks:
-                spool.write(csv_lines(values, labels))
+            spool.write((",".join(header) + "\n").encode())
+            for values, flags in blocks:
+                labels = None if flags is None else sampling.flag_bytes(flags)
+                spool.write(csv_bytes(values, labels))
         else:
             body = {"manifest": _manifest(args, [args.out] if args.out else []),
                     "columns": list(header), "records": []}
             # "records" sorts last, so its "[]" is the text's last; each block's
             # records go there, dumped as a list and indented one step deeper
             head, tail = json.dumps(body, indent=1, sort_keys=True).rsplit("[]", 1)
-            spool.write(head)
+            spool.write(head.encode())
             sep = "[\n"
-            for values, labels in blocks:
+            for values, flags in blocks:
                 rows = values.tolist()
-                if labels is not None:
-                    rows = [row + [label] for row, label in zip(rows, labels)]
+                if flags is not None:
+                    rows = [row + [label] for row, label in zip(rows, sampling.flag_labels(flags))]
                 if rows:
                     records = [dict(zip(header, row)) for row in rows]
                     text = json.dumps(records, indent=1, sort_keys=True)
-                    spool.write(sep + " " + text[2:-2].replace("\n", "\n "))
+                    spool.write((sep + " " + text[2:-2].replace("\n", "\n ")).encode())
                     sep = ",\n"
-            spool.write(("[]" if sep == "[\n" else "\n ]") + tail + "\n")
+            spool.write((("[]" if sep == "[\n" else "\n ]") + tail + "\n").encode())
         _publish(args, spool)
 
 
@@ -264,7 +411,7 @@ def _record_chunks(cfg):
 
 
 def _checked_chunks(cfg):
-    """Yield (values, flag labels) of each chunk in index order.
+    """Yield (values, flags) of each chunk in index order.
 
     Raises InvariantViolation, naming the global index, at the first
     sample whose containment flags do not all hold.
@@ -277,7 +424,7 @@ def _checked_chunks(cfg):
                 f"containment flag violated at sample {start + bad}: "
                 f"record={values[bad].tolist()} flags={flags[bad].tolist()}"
             )
-        yield values, sampling.flag_labels(flags)
+        yield values, flags
         start += len(values)
 
 
@@ -311,7 +458,7 @@ def cmd_boundary(args) -> int:
         raise ConfigurationError(f"curve {args.curve!r} takes no --energy")
     grid = parse_grid(args.grid)
     if not grid:
-        raise DomainError("empty grid")
+        raise ConfigurationError(f"--grid {args.grid!r} expands to no points")
     try:
         header, table = sampling.boundary_tables(args.system, grid, args.curve, args.energy)
     except EPEError as exc:

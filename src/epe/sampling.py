@@ -42,6 +42,8 @@ measures with check=False.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +155,7 @@ class EPERecord:
 
 # the "110"-style label of each containment-flag triple, indexed by flags @ (4, 2, 1)
 _FLAG_LABELS = np.array([format(i, "03b") for i in range(8)], dtype=object)
+_FLAG_BYTES = _FLAG_LABELS.astype("S3")
 _FLAG_WEIGHTS = np.array([4, 2, 1])
 
 
@@ -164,7 +167,23 @@ def flag_labels(flags):
     return _FLAG_LABELS[np.asarray(flags, dtype=bool) @ _FLAG_WEIGHTS]
 
 
+def flag_bytes(flags):
+    """`flag_labels` as an (N,) array of 3 ASCII bytes each, with no Python object per label."""
+    return _FLAG_BYTES[np.asarray(flags, dtype=bool) @ _FLAG_WEIGHTS]
+
+
 # --- the Philox stream ---
+
+# One generator per process, keyed and positioned by each `stream_words`
+# call: a generator built per call would seed a throwaway SeedSequence
+# from OS entropy.  The lock keeps a call's state and draw together.
+_PHILOX_LOCK = threading.Lock()
+
+
+@functools.cache
+def _philox():
+    """The process's generator, built on first use (so only sampling imports numpy.random)."""
+    return np.random.Philox(0)
 
 
 def stream_words(seed, system, start, count, width, attempt=0) -> np.ndarray:
@@ -173,8 +192,21 @@ def stream_words(seed, system, start, count, width, attempt=0) -> np.ndarray:
     block = attempt * INDEX_LIMIT + start
     # Philox steps its counter before each 4-word output, so block b
     # occupies counters b * width / 4 + 1 .. (b + 1) * width / 4
-    bits = np.random.Philox(key=int(seed) | _SYSTEM_TAG[system] << 64, counter=block * width // 4)
-    return bits.random_raw(count * width).reshape(count, width)
+    state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([block * width // 4, 0, 0, 0], dtype=np.uint64),
+            "key": np.array([seed, _SYSTEM_TAG[system]], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    with _PHILOX_LOCK:
+        bits = _philox()
+        bits.state = state
+        return bits.random_raw(count * width).reshape(count, width)
 
 
 def uniforms(words) -> np.ndarray:

@@ -2,15 +2,20 @@
 
 import concurrent.futures
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from epe import __version__, cli, sampling
 
@@ -136,9 +141,11 @@ class TestBoundary:
         assert run_cli(["boundary", "--system", "qubit", "--curve", "band",
                         "--grid", "0:1:1"]) == 2
 
-    def test_empty_grid_exit_5(self, capsys):
+    def test_empty_grid_exit_2(self, capsys):
+        # an empty grid is a bad flag, exit 2, with the wording of `jc --alpha`
         assert run_cli(["boundary", "--system", "qubit", "--curve", "separable",
-                        "--grid", "2:1:1"]) == 5
+                        "--grid", "2:1:1"]) == 2
+        assert capsys.readouterr().err == "error: --grid '2:1:1' expands to no points\n"
 
     def test_domain_violation_exit_5(self, capsys):
         assert run_cli(["boundary", "--system", "qubit", "--curve", "separable",
@@ -698,6 +705,53 @@ def _oracle_sample_csv(argv):
     return _oracle_csv(["energy", "entanglement", "purity", "flags"], rows)
 
 
+def _ulps(x, steps):
+    """x and its neighbours `steps` ulps away in either direction."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(steps):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+# values at the edges of the CSV formatter's integer path: every power of ten
+# from 1e-5 to 1e16 and the limits of the path, 1e-4 and 1e15, with their
+# neighbours up to 2 ulps away; literals just below a decade, which parse to
+# the power of ten or to one of its neighbours; +-0, subnormals, inf, nan
+EDGE_VALUES = np.array(
+    [y for x in range(-5, 17) for y in _ulps(float(f"1e{x}"), 2)]
+    + [0.99999999999999999, 9.9999999999999999e-5]
+    + [float(f"9.99999999999999{d}e{x}") for d in range(90, 100) for x in range(-6, 17)]
+    + [0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308]
+    + [np.inf, np.nan, 1.7976931348623157e308]
+)
+
+
+@st.composite
+def dyadic_ties(draw):
+    """j / 2**(17 - X) with j odd in [10**X, 10**(X + 1)): exactly 18 significant
+    digits, the last a 5, so `%.17g` rounds a tie (half to even)."""
+    x = draw(st.integers(-6, 14))
+    k = 17 - x
+    scale = Fraction(10) ** x * 2**k
+    j = draw(st.integers(math.ceil(scale), min(math.ceil(10 * scale), 2**53) - 1))
+    assume(j % 2 == 1)
+    v = j / 2**k
+    digits = Decimal(v).as_tuple().digits
+    assert len(digits) == 18 and digits[-1] == 5
+    return v
+
+
+CSV_VALUES = st.one_of(
+    st.sampled_from(EDGE_VALUES.tolist()),
+    dyadic_ties(),
+    st.floats(1e-4, 1e15, exclude_max=True),
+    st.floats(allow_nan=True, allow_infinity=True),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
 class TestCsvFormatter:
     def test_matches_the_row_oracle(self):
         rng = np.random.default_rng(5)
@@ -711,9 +765,24 @@ class TestCsvFormatter:
         assert cli.csv_lines(values[:, :2]) == "".join(_fmt_row(v) + "\n" for v in values[:, :2])
         assert cli.csv_lines(np.empty((0, 3))) == ""
 
+    def test_edge_families_match_the_row_oracle(self):
+        values = np.concatenate([EDGE_VALUES, -EDGE_VALUES])
+        for k in (1, 3, 7):
+            block = np.resize(values, (-(-len(values) // k), k))
+            assert cli.csv_lines(block) == "".join(_fmt_row(v) + "\n" for v in block)
+
+    @given(st.integers(1, 6).flatmap(
+        lambda k: st.lists(st.lists(CSV_VALUES, min_size=k, max_size=k), min_size=1, max_size=6)))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_the_row_oracle(self, rows):
+        values = np.array(rows, dtype=float)
+        assert cli.csv_lines(values) == "".join(_fmt_row(v) + "\n" for v in values)
+
     def test_flag_labels_match_flag_string(self):
         triples = np.array([[b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(8)], dtype=bool)
-        assert list(sampling.flag_labels(triples)) == [_flag_string(t) for t in triples]
+        strings = [_flag_string(t) for t in triples]
+        assert list(sampling.flag_labels(triples)) == strings
+        assert [label.decode() for label in sampling.flag_bytes(triples)] == strings
         # a single triple, as EPERecord.flags passes it, gives one string
         for t in triples:
             assert sampling.flag_labels(t.tolist()) == _flag_string(t)
@@ -783,17 +852,17 @@ class TestCsvFormatter:
     @pytest.mark.parametrize("labelled", [False, True])
     def test_json_blocks_match_one_dump_of_the_body(self, capsys, sizes, labelled):
         rng = np.random.default_rng(len(sizes))
-        blocks = [(rng.normal(size=(n, 3)),
-                   sampling.flag_labels(rng.random((n, 3)) < 0.5) if labelled else None)
+        blocks = [(rng.normal(size=(n, 3)), rng.random((n, 3)) < 0.5 if labelled else None)
                   for n in sizes]
         header = ["energy", "entanglement", "purity"] + ["flags"] * labelled
         argv = ["sample", "--system", "qubit", "--seed", "1", "--count", "1", "--format", "json"]
         args = cli.build_parser().parse_args(argv)
         cli._write_output(args, header, iter(blocks))
         records = []
-        for values, labels in blocks:
+        for values, flags in blocks:
             for i, row in enumerate(values.tolist()):
-                records.append(dict(zip(header, row + ([labels[i]] if labelled else []))))
+                label = [_flag_string(flags[i])] if labelled else []
+                records.append(dict(zip(header, row + label)))
         body = {"manifest": cli._manifest(args, []), "columns": header, "records": records}
         assert capsys.readouterr().out == json.dumps(body, indent=1, sort_keys=True) + "\n"
 

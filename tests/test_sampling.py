@@ -520,6 +520,21 @@ class TestPhiloxStream:
         bits.advance((k * 2**40 + i) * width // 4)
         assert np.array_equal(sampling.uniforms(words).ravel(), np.random.Generator(bits).random(2 * width))
 
+    def test_draws_no_os_entropy(self, monkeypatch):
+        # a generator built per call seeds a throwaway SeedSequence from OS entropy
+        seed, i, k, width = 11, 6, 2, sampling.QUBIT_WORDS
+        bits = np.random.Philox(key=[seed, 1], counter=(k * 2**40 + i) * width // 4)
+        expected = bits.random_raw(3 * width).reshape(3, width)
+
+        def refuse(*args):
+            raise AssertionError("stream_words drew OS entropy")
+
+        monkeypatch.setattr(np.random.bit_generator, "randbits", refuse)
+        # twice: a draw leaves nothing behind for the next call
+        for _ in range(2):
+            words = sampling.stream_words(seed, "qubit", i, 3, width, attempt=k)
+            assert np.array_equal(words, expected)
+
     def test_systems_draw_distinct_streams(self):
         qubit_words = sampling.stream_words(3, "qubit", 0, 4, 16)
         gaussian_words = sampling.stream_words(3, "gaussian", 0, 4, 16)
