@@ -147,6 +147,14 @@ class TestBoundary:
                         "--grid", "2:1:1"]) == 2
         assert capsys.readouterr().err == "error: --grid '2:1:1' expands to no points\n"
 
+    @pytest.mark.parametrize("energy", ["nan", "inf", "-inf"])
+    def test_non_finite_energy_exit_2(self, tmp_path, capsys, energy):
+        out = tmp_path / "b.csv"
+        assert run_cli(["boundary", "--system", "gaussian", "--curve", "gmems",
+                        f"--energy={energy}", "--grid", "0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --energy must be finite, got {energy}\n"
+        assert not out.exists()
+
     def test_domain_violation_exit_5(self, capsys):
         assert run_cli(["boundary", "--system", "qubit", "--curve", "separable",
                         "--grid", "0:3:1"]) == 5
@@ -220,6 +228,19 @@ class TestSample:
         assert manifest["seed"] == 7
         assert manifest["outputs"] == [str(out)]
         assert "timestamp" in manifest
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="no resource module")
+    def test_manifest_records_resource_use(self, tmp_path):
+        out = tmp_path / "q.json"
+        assert run_cli(["sample", "--system", "qubit", "--count", "100", "--seed", "7",
+                        "--format", "json", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "q.json.manifest.json").read_text())
+        resources = manifest["resources"]
+        assert sorted(resources) == ["cpu_s", "max_rss_mb", "minor_faults"]
+        assert resources["cpu_s"] > 0 and resources["max_rss_mb"] > 0
+        assert resources["minor_faults"] > 0
+        # data files stay byte-identical from run to run
+        assert "resources" not in json.loads(out.read_text())["manifest"]
 
     def test_containment_on_output(self, tmp_path):
         from epe import qubit
@@ -578,6 +599,13 @@ class TestJc:
         assert run_cli(["jc", "--input", "single-photon", flag, value]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag} must be")
 
+    def test_tsteps_above_the_grid_cap_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "j.csv"
+        assert run_cli(["jc", "--input", "single-photon",
+                        "--tsteps", str(cli.MAX_GRID_POINTS + 1), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --tsteps must be between 1 and 1000000\n"
+        assert not out.exists()
+
     def test_gamma_cap_enforced(self, capsys):
         assert run_cli(["jc", "--input", "squeezed", "--gamma", "0.99"]) == 2
 
@@ -885,7 +913,7 @@ def inline_pool(monkeypatch):
         built = []
         submitted = []
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             self.built.append(max_workers)
 
         def __enter__(self):
@@ -964,6 +992,25 @@ class TestStreamedSample:
         workers = min(cpus, chunks // 2)
         # a pool only where each of at least two workers gets two chunks
         assert inline_pool.built == ([workers] if workers >= 2 else [])
+
+    def test_pool_workers_keep_freed_heap(self, tmp_path, monkeypatch, qubit_oracle_lines):
+        # spawned and forkserver workers inherit no malloc setting, so the
+        # pool must hand them the helper; threads stand in for the workers
+        initializers = []
+
+        class Recorder(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers, initializer=None):
+                initializers.append(initializer)
+                super().__init__(max_workers, initializer=initializer)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        monkeypatch.setenv("EPE_THREADS", "2")
+        count = 3 * sampling.CHUNK + 1
+        out = tmp_path / "q.csv"
+        assert run_cli([*_QUBIT, "--count", str(count), "--out", str(out)]) == 0
+        assert initializers == [cli.keep_freed_heap]
+        assert out.read_text() == "".join(qubit_oracle_lines[: count + 1])
 
     @pytest.mark.parametrize("existing", [None, b"earlier bytes\n"])
     def test_violation_in_a_later_chunk_writes_nothing(self, tmp_path, capsys, monkeypatch,
@@ -1108,6 +1155,52 @@ def test_jc_runs_without_scipy(argv):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") == 2
+
+
+def _has_mallopt():
+    import ctypes
+
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestFreedHeap:
+    @staticmethod
+    def _minor_faults(tmp_path, count):
+        """Minor page faults of a child `epe sample --system qubit --count count`."""
+        env = dict(_src_env(), EPE_THREADS="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        out = tmp_path / f"q{count}.csv"
+        proc = subprocess.Popen([sys.executable, "-m", "epe.cli", "sample", "--system", "qubit",
+                                 "--seed", "7", "--count", str(count), "--out", str(out)],
+                                env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        return usage.ru_minflt
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_faults_do_not_grow_with_chunks(self, tmp_path):
+        one, ten = (self._minor_faults(tmp_path, n) for n in (sampling.CHUNK, 10 * sampling.CHUNK))
+        # when glibc trimmed the freed heap after every chunk, 9 more chunks
+        # took about 12,100 more faults
+        assert ten - one < 1000, (one, ten)
+
+    def test_no_op_where_the_library_cannot_be_loaded(self, monkeypatch):
+        import ctypes
+
+        def unloadable(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", unloadable)
+        assert cli.keep_freed_heap() is None
+
+    def test_no_op_where_the_library_has_no_mallopt(self, monkeypatch):
+        import ctypes
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert cli.keep_freed_heap() is None
 
 
 class TestWorkers:
