@@ -261,8 +261,10 @@ def keep_freed_heap() -> None:
     64 MiB trim threshold, 62,350 with only a 16 MiB mmap threshold).
 
     Does nothing where the C library has no `mallopt` (macOS, Windows)
-    and never raises.  `main` and each pool worker call it; importing
-    epe does not.
+    and never raises.  `main` and each pool worker call it for CSV
+    output only; importing epe does not.  JSON records are Python
+    objects in pymalloc's mmapped arenas, which cannot reuse the kept
+    heap, so there the pad only raised the peak.
     """
     try:
         import ctypes
@@ -440,7 +442,7 @@ MIN_CHUNKS_PER_WORKER = 2
 CHUNKS_AHEAD_PER_WORKER = 2
 
 
-def _record_chunks(cfg):
+def _record_chunks(cfg, keep_heap=True):
     """Yield the (values, flags) of each chunk of the run `cfg` in index order.
 
     The pool has min(worker_count(), chunks // MIN_CHUNKS_PER_WORKER)
@@ -448,7 +450,8 @@ def _record_chunks(cfg):
     pool module is imported.  At most CHUNKS_AHEAD_PER_WORKER x workers
     chunks are submitted ahead of the one being consumed, so results
     waiting in memory stay bounded.  Records depend on (seed, index)
-    only, so the bytes are the same either way.
+    only, so the bytes are the same either way.  With `keep_heap` each
+    worker starts with `keep_freed_heap`.
     """
     starts = range(0, cfg.count, sampling.CHUNK)
     sizes = [min(sampling.CHUNK, cfg.count - s) for s in starts]
@@ -462,8 +465,9 @@ def _record_chunks(cfg):
 
     # the initializer gives spawned and forkserver workers the heap setting
     # a forked worker inherits
+    initializer = keep_freed_heap if keep_heap else None
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
-                                                initializer=keep_freed_heap) as pool:
+                                                initializer=initializer) as pool:
         pending = collections.deque()
         for start, size in zip(starts, sizes):
             pending.append(pool.submit(sampling.records_chunk, cfg, start, size))
@@ -473,14 +477,14 @@ def _record_chunks(cfg):
             yield pending.popleft().result()
 
 
-def _checked_chunks(cfg):
-    """Yield (values, flags) of each chunk in index order.
+def _checked_chunks(cfg, keep_heap):
+    """Yield (values, flags) of each chunk of `_record_chunks` in index order.
 
     Raises InvariantViolation, naming the global index, at the first
     sample whose containment flags do not all hold.
     """
     start = 0
-    for values, flags in _record_chunks(cfg):
+    for values, flags in _record_chunks(cfg, keep_heap):
         if not flags.all():
             bad = int(np.flatnonzero(~flags.all(axis=1))[0])
             raise InvariantViolation(
@@ -503,7 +507,8 @@ def cmd_sample(args) -> int:
     if args.energy_window is None:
         # manifests of either system record the default window
         args.energy_window = sampling.DEFAULT_ENERGY_WINDOW
-    _write_output(args, ["energy", "entanglement", "purity", "flags"], _checked_chunks(cfg))
+    chunks = _checked_chunks(cfg, keep_heap=args.format == "csv")
+    _write_output(args, ["energy", "entanglement", "purity", "flags"], chunks)
     return EXIT_OK
 
 
@@ -711,7 +716,8 @@ def main(argv=None) -> int:
     effective = list(argv) if argv is not None else sys.argv[1:]
     args = build_parser().parse_args(effective)
     args._argv = effective
-    keep_freed_heap()
+    if getattr(args, "format", None) == "csv":
+        keep_freed_heap()
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:

@@ -39,6 +39,18 @@ EXCITATION_NUMBER = np.diag([0.0, 1.0, 1.0, 2.0])
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 _EXCITATIONS = np.diag(EXCITATION_NUMBER).astype(complex)
 
+# entrywise gap allowed between A A^dag and rho when concurrence checks a factor
+FACTOR_TOL = 1e-12
+# det(rho^Gamma) above which a state is settled as PPT.  For a PSD rho of
+# unit trace |rho_rs| <= sqrt(rho_rr rho_ss), so row (a, b) of |rho^Gamma|
+# sums to at most (sqrt(rho_2a,2a) + sqrt(rho_2a+1,2a+1)) (sqrt(rho_bb) +
+# sqrt(rho_b+2,b+2)), and the product of the four row sums, which bounds
+# the sum of the 24 |terms| of the determinant, is at most 1.  The minors
+# evaluation then errs by about 12 eps (3e-15), and a few-ulp gap between
+# rho and A A^dag moves the determinant by at most 16 such gaps times a
+# cofactor of at most 1.2: together below 1e-13, a tenth of the margin.
+PPT_DET_MARGIN = 1e-12
+
 # A matrix whose Jacobi sweeps still rotate after this many raises
 # InvariantViolation; sampled states need at most 7.
 JACOBI_MAX_SWEEPS = 30
@@ -219,6 +231,38 @@ def _jacobi_singular_values(T):
     )
 
 
+# column pairs (j, l) of the 2x2 minors of a 4x4 matrix; pair 5 - i is
+# the complement of pair i
+_MINOR_COLUMNS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_MINOR_SIGNS = (1.0, -1.0, 1.0, 1.0, -1.0, 1.0)
+
+
+def _ppt_determinant(rho):
+    """det(rho^Gamma) of an (N, 4, 4) stack, read in place from rho.
+
+    rho^Gamma[ab, cd] = rho[ad, cb], so with r = rho viewed as
+    r[a, d, c, b], entry (2a + b, j) of rho^Gamma is r[a, j % 2, j // 2, b].
+    The determinant is the Laplace sum over the 2x2 minors of rows 0, 1
+    and their complements in rows 2, 3, elementwise over the stack: no
+    partial-transpose copy and no LAPACK call.  Returns the real part.
+    """
+    r = rho.reshape(-1, 2, 2, 2, 2)
+
+    def minors(a):
+        p, q = ([r[:, a, j % 2, j // 2, b] for j in range(4)] for b in (0, 1))
+        return [p[j] * q[l] - p[l] * q[j] for j, l in _MINOR_COLUMNS]
+
+    top, bottom = minors(0), minors(1)
+    return sum(sign * s * c for sign, s, c in zip(_MINOR_SIGNS, top, bottom[::-1])).real
+
+
+def _check_factor(rho, A):
+    if A.shape[-2:-1] != (4,) or A.shape[:-2] != rho.shape[:-2]:
+        raise InvalidStateError(f"factor of shape {A.shape} does not match states {rho.shape}")
+    if np.any(np.abs(A @ A.conj().swapaxes(-1, -2) - rho) > FACTOR_TOL):
+        raise InvalidStateError("factor A does not give rho = A A^dag")
+
+
 def concurrence(rho, check=True, factor=None):
     """Concurrence C(rho) = max(0, mu_1 - mu_2 - mu_3 - mu_4).
 
@@ -233,18 +277,35 @@ def concurrence(rho, check=True, factor=None):
     no square root of an eigenvalue that is zero up to roundoff; for
     k = 1 the concurrence is |T|.  The singular values come from a
     batched one-sided Jacobi kernel over the whole stack, so each
-    matrix's concurrence is the same alone or in any stack.  `check`
-    validates rho, not A.
+    matrix's concurrence is the same alone or in any stack.  For
+    k >= 3, states with det(rho^Gamma) > PPT_DET_MARGIN are first
+    settled at C = 0 without the kernel: rho^Gamma has at most one
+    negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)),
+    so such a state is PPT, hence separable (Horodecki, Horodecki &
+    Horodecki, PLA 223, 1 (1996)).  Their kernel value would clip to
+    exactly 0 as well, so the result is the same bit for bit.  Rank <= 2
+    Hilbert-Schmidt states are almost surely entangled, so k = 2 skips
+    the test.  `check` validates rho and, with a factor, that A A^dag
+    matches rho entrywise to FACTOR_TOL.
     """
     rho = validate_state(rho) if check else np.asarray(rho, dtype=complex)
     if factor is not None:
         A = np.asarray(factor, dtype=complex)
+        if check:
+            _check_factor(rho, A)
         lead, k = A.shape[:-2], A.shape[-1]
-        T = _wootters_columns(A.reshape(-1, 4, k))
+        A = A.reshape(-1, 4, k)
         if k == 1:
+            T = _wootters_columns(A)
             return _float_or_array(np.clip(np.abs(T[0, 0]), 0.0, 1.0).reshape(lead))
-        mu = np.sort(_jacobi_singular_values(T), axis=-1)[..., ::-1]
-        C = np.clip(mu[..., 0] - mu[..., 1:].sum(axis=-1), 0.0, 1.0)
+        C = np.zeros(len(A))
+        unsettled = slice(None)
+        if k >= 3:
+            # a NaN determinant leaves its state to the kernel
+            unsettled = np.flatnonzero(~(_ppt_determinant(rho) > PPT_DET_MARGIN))
+            A = A[unsettled]
+        mu = np.sort(_jacobi_singular_values(_wootters_columns(A)), axis=-1)[..., ::-1]
+        C[unsettled] = np.clip(mu[..., 0] - mu[..., 1:].sum(axis=-1), 0.0, 1.0)
         return _float_or_array(C.reshape(lead))
     R = rho @ _YY @ rho.conj() @ _YY
     mu = np.sqrt(np.clip(np.linalg.eigvals(R).real, 0.0, None))

@@ -26,7 +26,9 @@ accepted when its standard-form energy lies in the energy window.
 
 Records are computed a chunk at a time: `qubit_records` evaluates the
 stacked `qubit` measures on the (N, 4, 4) stack of states (concurrence
-from the drawn factors A = G / sqrt(Tr(G G^dag))), and `gaussian_records`
+from the drawn factors A = G / sqrt(Tr(G G^dag)); states whose
+det(rho^Gamma) shows them PPT get C = 0 without the Jacobi kernel, with
+the kernel's bits), and `gaussian_records`
 the stacked `gaussian` measures on the (N, 4) standard forms of one
 `gaussian.reduce_to_standard_form` call.  Both return an (N, 3) value
 array and an (N, 3) array of containment flags.  A Gaussian record's
@@ -240,11 +242,18 @@ def qubit_normals(seed, start, count) -> np.ndarray:
 
 def _qubit_states_chunk(seed, start, count, rank):
     """(rhos, factors): the (count, 4, 4) states rho = M / Tr M, M = G G^dag,
-    and their (count, 4, rank) factors A = G / sqrt(Tr M), so rho = A A^dag."""
+    and their (count, 4, rank) factors A = G / sqrt(Tr M), so rho = A A^dag.
+    Both are scaled through their real views by 1 / Tr M and 1 / sqrt(Tr M),
+    bit for bit the complex division."""
     G = qubit_normals(seed, start, count).reshape(count, 4, 4)[:, :, :rank]
     M = G @ G.conj().transpose(0, 2, 1)
     trace = np.trace(M, axis1=1, axis2=2).real[:, None, None]
-    return M / trace, G / np.sqrt(trace)
+    # numpy divides x + iy by t + 0i as ((x + y 0) (1/t), (y - x 0) (1/t)):
+    # the bits of scaling the real view by 1/t, except where a part is -0
+    # beside one of the other sign; the only zero parts, the imaginary
+    # parts of the diagonal, sit beside x > 0
+    M.view(float)[...] *= 1.0 / trace
+    return M, (G.view(float) * (1.0 / np.sqrt(trace))).view(complex)
 
 
 def qubit_records(rhos, measure="concurrence", factors=None):

@@ -352,6 +352,21 @@ class TestSample:
         assert err.startswith("error: Jacobi SVD") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_ppt_settle_keeps_the_bytes(self, tmp_path, monkeypatch, rank):
+        from epe import qubit
+
+        monkeypatch.setenv("EPE_THREADS", "1")
+        count = 2 * sampling.CHUNK + 1
+        argv = ["sample", "--system", "qubit", "--count", str(count), "--seed", "7",
+                "--rank", str(rank)]
+        rhos, _ = sampling._qubit_states_chunk(7, 0, count, rank)
+        assert (qubit._ppt_determinant(rhos) > qubit.PPT_DET_MARGIN).sum() > count // 50
+        assert run_cli([*argv, "--out", str(tmp_path / "settled.csv")]) == 0
+        monkeypatch.setattr(qubit, "PPT_DET_MARGIN", np.inf)
+        assert run_cli([*argv, "--out", str(tmp_path / "kernel.csv")]) == 0
+        assert read(tmp_path / "settled.csv") == read(tmp_path / "kernel.csv")
+
     def test_standard_form_invariant_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         # the reduced rows no longer match the spectrum their candidates were drawn with
         real = sampling._accepted_candidates
@@ -1012,6 +1027,26 @@ class TestStreamedSample:
         assert initializers == [cli.keep_freed_heap]
         assert out.read_text() == "".join(qubit_oracle_lines[: count + 1])
 
+    def test_json_pool_workers_get_no_heap_pad(self, tmp_path, monkeypatch):
+        initializers = []
+
+        class Recorder(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers, initializer=None):
+                initializers.append(initializer)
+                super().__init__(max_workers, initializer=initializer)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        argv = [*_QUBIT, "--count", str(3 * sampling.CHUNK + 1), "--format", "json"]
+        # the body records argv, so both runs write the same relative --out
+        for workers in ("2", "1"):
+            (tmp_path / workers).mkdir()
+            monkeypatch.chdir(tmp_path / workers)
+            monkeypatch.setenv("EPE_THREADS", workers)
+            assert run_cli([*argv, "--out", "q.json"]) == 0
+        assert initializers == [None]
+        assert read(tmp_path / "2" / "q.json") == read(tmp_path / "1" / "q.json")
+
     @pytest.mark.parametrize("existing", [None, b"earlier bytes\n"])
     def test_violation_in_a_later_chunk_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                                        existing):
@@ -1186,6 +1221,26 @@ class TestFreedHeap:
         # when glibc trimmed the freed heap after every chunk, 9 more chunks
         # took about 12,100 more faults
         assert ten - one < 1000, (one, ten)
+
+    def test_pad_for_csv_output_only(self, tmp_path, monkeypatch):
+        # JSON records live in pymalloc arenas that cannot reuse the kept heap
+        calls = []
+        monkeypatch.setattr(cli, "keep_freed_heap", lambda: calls.append(None))
+        monkeypatch.setenv("EPE_THREADS", "1")
+        runs = [([*_QUBIT, "--count", "5"], 1),
+                ([*_QUBIT, "--count", "5", "--format", "json"], 0),
+                (["boundary", "--system", "qubit", "--curve", "pure", "--grid", "0:2:1"], 1),
+                (["boundary", "--system", "qubit", "--curve", "pure", "--grid", "0:2:1",
+                  "--format", "json"], 0)]
+        for i, (argv, want) in enumerate(runs):
+            calls.clear()
+            assert run_cli([*argv, "--out", str(tmp_path / f"run{i}")]) == 0
+            assert len(calls) == want, argv
+        # a rerun pads as the run it replays does
+        for i, want in ((0, 1), (1, 0)):
+            calls.clear()
+            assert run_cli(["rerun", str(tmp_path / f"run{i}.manifest.json")]) == 0
+            assert len(calls) == want
 
     def test_no_op_where_the_library_cannot_be_loaded(self, monkeypatch):
         import ctypes

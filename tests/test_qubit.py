@@ -1,5 +1,7 @@
 """Two-qubit measures, extremal families and boundary curves."""
 
+from unittest import mock
+
 import mpmath
 import numpy as np
 import pytest
@@ -252,6 +254,92 @@ class TestJacobiKernel:
         rhos, factors = sampling._qubit_states_chunk(11, 0, 8, 4)
         with pytest.raises(InvariantViolation):
             qubit.concurrence(rhos, check=False, factor=factors)
+
+
+def jacobi_concurrence(rho, A):
+    """concurrence(rho, factor=A) with no state settled: the Jacobi kernel on every matrix."""
+    with mock.patch.object(qubit, "PPT_DET_MARGIN", np.inf):
+        return qubit.concurrence(rho, check=False, factor=A)
+
+
+def flattened_factors(seed, n, k, flatten):
+    """(rhos, factors) of n rank-k states whose spectra are pulled toward 1/k by
+    `flatten` in [0, 1], so that many of them lie near the PPT boundary."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, 4, k)) + 1j * rng.standard_normal((n, 4, k))
+    spectrum = (1.0 - flatten) * rng.dirichlet(np.ones(k), size=n) + flatten / k
+    A = np.linalg.qr(G)[0] * np.sqrt(spectrum)[:, None, :]
+    return A @ A.conj().swapaxes(-1, -2), A
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def mixed_product_factor():
+    """A with A A^dag = rho_1 x rho_2 for two full-rank single-qubit states."""
+    rho_1 = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]])
+    rho_2 = np.array([[0.45, -0.1j], [0.1j, 0.55]])
+    return np.kron(np.linalg.cholesky(rho_1), np.linalg.cholesky(rho_2))
+
+
+class TestPptSettle:
+    """States with det(rho^Gamma) > PPT_DET_MARGIN get C = 0 without the Jacobi kernel."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4]), st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_settle_keeps_the_kernel_bits(self, seed, k, flatten):
+        sampled = sampling._qubit_states_chunk(seed, 0, 128, k)
+        for rhos, A in (sampled, flattened_factors(seed, 128, k, flatten)):
+            got = qubit.concurrence(rhos, check=False, factor=A)
+            want = jacobi_concurrence(rhos, A)
+            assert np.array_equal(bits(got), bits(want))
+            det = qubit._ppt_determinant(rhos)
+            pt = qubit.partial_transpose(rhos)
+            assert np.abs(det - np.linalg.det(pt).real).max() <= 1e-15
+            settled = det > qubit.PPT_DET_MARGIN
+            # every settled state is PPT, and its kernel value is exactly +0.0
+            assert np.all(np.linalg.eigvalsh(pt[settled])[:, 0] > 0.0)
+            assert np.array_equal(bits(want[settled]), bits(np.zeros(settled.sum())))
+
+    BOUNDARY = {
+        # (factor, state, settled)
+        "pure product": (np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), GROUND, False),
+        "mixed product": (mixed_product_factor(), None, True),
+        "I/4": (np.eye(4, dtype=complex) / 2.0, MIXED, True),
+        "Werner r = 0.2": (werner_factor(0.2), qubit.werner_state(0.2), True),
+        "Werner r = 1/3 - 1e-9": (werner_factor(1.0 / 3.0 - 1e-9),
+                                  qubit.werner_state(1.0 / 3.0 - 1e-9), True),
+        "Werner r = 1/3": (werner_factor(1.0 / 3.0), qubit.werner_state(1.0 / 3.0), False),
+        "MEMS C = 0": (mems_factor(0.0), qubit.mems_state(0.0), False),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BOUNDARY))
+    def test_boundary_states(self, name):
+        A, rho, settled = self.BOUNDARY[name]
+        if rho is None:
+            rho = A @ A.conj().T
+        assert A.shape == (4, 4)
+        assert (qubit._ppt_determinant(rho)[0] > qubit.PPT_DET_MARGIN) == settled
+        got = qubit.concurrence(rho, factor=A)
+        assert bits(got) == bits(jacobi_concurrence(rho, A)) == bits(0.0)
+
+    def test_checked_factor_must_give_rho(self):
+        A, rho = werner_factor(0.5), qubit.werner_state(0.5)
+        assert qubit.concurrence(rho, factor=A * (1.0 + 1e-14)) == pytest.approx(0.25, abs=1e-13)
+        bad = {
+            "another state": (qubit.werner_state(0.2), A),
+            "scaled past the tolerance": (rho, A * (1.0 + 1e-11)),
+            "a stack for one state": (rho, np.stack([A, A])),
+            "three rows": (rho, A[:3]),
+        }
+        for name, (state, factor) in bad.items():
+            with pytest.raises(InvalidStateError):
+                qubit.concurrence(state, factor=factor)
+        # unchecked callers (the sampler) pay for no comparison, and an
+        # inconsistent pair mixes two states: the separable rho settles at 0,
+        # where A alone gives 1/4
+        assert qubit.concurrence(qubit.werner_state(0.2), check=False, factor=A) == 0.0
 
 
 def partial_transpose_oracle(rho):

@@ -65,6 +65,16 @@ class TestQubitSampler:
         hi, _ = sampling.qubit_records_chunk(42, 4, 6)
         assert np.array_equal(vals, np.concatenate([lo, hi]))
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_states_scale_by_reciprocals_with_the_division_bits(self, rank):
+        G = sampling.qubit_normals(7, 0, 2 * sampling.CHUNK).reshape(-1, 4, 4)[:, :, :rank]
+        M = G @ G.conj().transpose(0, 2, 1)
+        trace = np.trace(M, axis1=1, axis2=2).real[:, None, None]
+        rhos, factors = sampling._qubit_states_chunk(7, 0, 2 * sampling.CHUNK, rank)
+        for got, want in ((rhos, M / trace), (factors, G / np.sqrt(trace))):
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_rank_filter_one_gives_pure_states(self):
         cfg = sampling.SamplerConfig(seed=3, count=200, rank_filter=1)
         for rho, rec in sampling.sample_states(cfg):
