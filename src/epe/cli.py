@@ -20,7 +20,8 @@ Every file written is paired with a sidecar `<out>.manifest.json`
 recording the command line, configuration, seed, version, timestamp and
 the run's CPU time, peak RSS and minor page faults (`resources`);
 `sample` manifests also name the RNG stream (`sampling.STREAM`), and
-`rerun` refuses a `sample` manifest written with another stream.  A
+`rerun` refuses a `sample` manifest written with another stream, and any
+manifest whose argv is not a non-empty list of strings or is a rerun.  A
 rerun reproduces bytes only under the same version; `rerun` of a
 manifest from another version notes both versions on stderr and replays.
 Data files themselves contain no timestamps, so identical invocations
@@ -228,11 +229,6 @@ def csv_bytes(values, labels=None) -> bytes:
         tail[:, 1:end - 1] = labels.view(np.uint8).reshape(n, -1)
     tail[:, end - 1] = ord("\n")
     return bytes(buffer.translate(None, b"\0"))
-
-
-def csv_lines(values, labels=None) -> str:
-    """`csv_bytes` as text."""
-    return csv_bytes(values, labels).decode("ascii")
 
 
 # Free heap glibc keeps at the top of the heap (M_TOP_PAD) instead of
@@ -645,6 +641,11 @@ def cmd_rerun(args) -> int:
     argv = manifest.get("argv") if isinstance(manifest, dict) else None
     if not isinstance(argv, list) or not argv:
         raise ConfigurationError("manifest carries no argv to replay")
+    if not all(isinstance(arg, str) for arg in argv):
+        raise ConfigurationError("manifest argv must be a list of strings")
+    # no command writes a manifest of a rerun, and replaying one could recurse
+    if argv[0] == "rerun":
+        raise ConfigurationError("manifest argv is itself a rerun, which cannot be replayed")
     recorded = manifest.get("stream")
     if argv[0] == "sample" and recorded != sampling.STREAM:
         raise ConfigurationError(

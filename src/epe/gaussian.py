@@ -59,16 +59,6 @@ INVARIANT_ROUNDINGS = 16.0
 # to 3.5 eps s; `is_physical` allows 5 eps s in both of its checks
 ROW_ROUNDOFF = 5.0
 
-# symplectic form over (x1, p1, x2, p2)
-OMEGA = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
-
 
 @dataclass(frozen=True)
 class StandardFormCM:
@@ -100,14 +90,6 @@ def _standard_form(a, b, c_plus, c_minus) -> StandardFormCM:
 
 def _bool_or_array(x):
     return bool(x) if np.ndim(x) == 0 else x
-
-
-def expand(sf: StandardFormCM) -> np.ndarray:
-    """The 4x4 covariance matrix of a standard-form quadruple."""
-    m = np.diag([sf.a, sf.a, sf.b, sf.b])
-    m[0, 2] = m[2, 0] = sf.c_plus
-    m[1, 3] = m[3, 1] = sf.c_minus
-    return m
 
 
 def seralian(sf: StandardFormCM):
@@ -203,11 +185,6 @@ def energy(sf: StandardFormCM, check=True):
     return _float_or_array((sf.a + sf.b) / 2.0 - 1.0)
 
 
-def local_photon_numbers(sf: StandardFormCM):
-    """Mean photon number of each mode, from a = 2 n1 + 1 and b = 2 n2 + 1."""
-    return (sf.a - 1.0) / 2.0, (sf.b - 1.0) / 2.0
-
-
 def ppt_nu_minus(sf: StandardFormCM, check=True):
     """Smallest symplectic eigenvalue nu~_- of the partially transposed state.
 
@@ -223,11 +200,6 @@ def ppt_nu_minus(sf: StandardFormCM, check=True):
     det = det_sigma(sf)
     _, nu_plus = nu_from_invariants(ppt_seralian(sf), det)
     return _float_or_array(np.sqrt(det) / nu_plus)
-
-
-def is_separable(sf: StandardFormCM, tol=PHYSICALITY_TOL):
-    """PPT separability test, necessary and sufficient for two-mode states."""
-    return _bool_or_array(np.asarray(ppt_nu_minus(sf)) >= 1.0 - tol)
 
 
 def log_negativity(sf: StandardFormCM, check=True):
@@ -255,34 +227,6 @@ def two_mode_squeezed_vacuum(E) -> StandardFormCM:
     a = E + 1.0
     c = np.sqrt(a * a - 1.0)
     return _standard_form(a, a, c, -c)
-
-
-def thermal_product(nbar1, nbar2) -> StandardFormCM:
-    """Tensor product of two thermal states with the given mean photon numbers."""
-    nbar1 = float(nbar1)
-    nbar2 = float(nbar2)
-    if nbar1 < 0.0 or nbar2 < 0.0:
-        raise DomainError("mean photon numbers must be nonnegative")
-    return StandardFormCM(a=2.0 * nbar1 + 1.0, b=2.0 * nbar2 + 1.0, c_plus=0.0, c_minus=0.0)
-
-
-def maximally_mixed(E) -> StandardFormCM:
-    """The most mixed state at energy E, with covariance (E + 1) I."""
-    E = float(E)
-    if E < 0.0:
-        raise DomainError("energy must be nonnegative")
-    return StandardFormCM(a=E + 1.0, b=E + 1.0, c_plus=0.0, c_minus=0.0)
-
-
-def local_squeeze(sf: StandardFormCM, r) -> np.ndarray:
-    """Apply diag(e^r, e^-r, e^-r, e^r) from both sides.
-
-    This is a product of single-mode squeezers, so purity and all
-    symplectic and PPT invariants are unchanged; only the energy moves.
-    For a symmetric pure input the new energy is a cosh(2r) - 1.
-    """
-    S = np.diag([np.exp(r), np.exp(-r), np.exp(-r), np.exp(r)])
-    return S @ expand(sf) @ S.T
 
 
 def gmems(E, P) -> StandardFormCM:
@@ -394,55 +338,6 @@ def _check_symmetric(cm):
     if _beyond(np.abs(cm - cm.swapaxes(-1, -2)), 1e-12, scaled):
         raise UnphysicalCovarianceError("covariance matrix is not symmetric")
     return cm
-
-
-def cm_validate(cm) -> np.ndarray:
-    cm = np.asarray(cm, dtype=float)
-    if cm.shape != (4, 4):
-        raise UnphysicalCovarianceError(f"expected a 4x4 matrix, got shape {cm.shape}")
-    return _check_symmetric(cm)
-
-
-def cm_symplectic_eigenvalues(cm) -> SymplecticSpectrum:
-    """Symplectic eigenvalues of a general covariance matrix, |eig(i Omega sigma)|."""
-    cm = cm_validate(cm)
-    ev = np.abs(np.linalg.eigvals(1j * OMEGA @ cm).real)
-    ev.sort()
-    # eigenvalues come in +- pairs
-    return SymplecticSpectrum(nu_minus=float(ev[0]), nu_plus=float(ev[2]))
-
-
-def cm_is_physical(cm, tol=PHYSICALITY_TOL) -> bool:
-    """Whether sigma >= 0 and nu_- >= 1 - tol, with nu_- from the complex
-    eigenvalues of i Omega sigma.
-
-    This is the oracle for the check `reduce_to_standard_form` makes on
-    its reduced rows.
-    """
-    cm = cm_validate(cm)
-    if np.linalg.eigvalsh(cm).min() < -tol:
-        return False
-    return cm_symplectic_eigenvalues(cm).nu_minus >= 1.0 - tol
-
-
-def cm_energy(cm) -> float:
-    """Mean total photon number Tr(sigma)/4 - 1 at zero first moments."""
-    return float(np.trace(cm_validate(cm)) / 4.0 - 1.0)
-
-
-def cm_purity(cm) -> float:
-    return 1.0 / np.sqrt(np.linalg.det(cm_validate(cm)))
-
-
-def cm_ppt_nu_minus(cm) -> float:
-    """Smallest PPT symplectic eigenvalue, via the mirror reflection p2 -> -p2."""
-    T = np.diag([1.0, 1.0, 1.0, -1.0])
-    return cm_symplectic_eigenvalues(T @ cm_validate(cm) @ T).nu_minus
-
-
-def cm_block_invariants(cm):
-    """Local and global invariants (Det alpha, Det beta, Det gamma, Det sigma, Delta)."""
-    return _block_invariants(cm_validate(cm))
 
 
 def _block_invariants(cm):

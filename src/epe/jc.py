@@ -97,9 +97,6 @@ class JointAtomFieldState:
     def n_max(self) -> int:
         return self.amps.shape[0] - 1
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 @dataclass(frozen=True, eq=False)
 class FieldSupport:
@@ -387,21 +384,6 @@ def propagated_qubit_state(support: FieldSupport, lambda_t) -> np.ndarray:
     return (rho + rho.conj().T) / 2.0
 
 
-def sector_norms(state: JointAtomFieldState) -> np.ndarray:
-    """Probability in each total-excitation sector n1 + n2 + e1 + e2.
-
-    The evolution is block diagonal over these sectors, so the vector
-    is a constant of motion.
-    """
-    dim = state.amps.shape[0]
-    n1, n2, s1, s2 = np.ogrid[0:dim, 0:dim, 0:2, 0:2]
-    total = (n1 + n2 + s1 + s2).ravel()
-    probs = np.abs(state.amps).ravel() ** 2
-    out = np.zeros(2 * dim + 1)
-    np.add.at(out, total, probs)
-    return out
-
-
 def input_energy(spec: InputFieldSpec) -> float:
     """Mean total photon number of the input field."""
     if isinstance(spec, NPhoton):
@@ -439,19 +421,6 @@ def input_entropy(spec: InputFieldSpec) -> float:
         e_in = 2.0 * g2 / (1.0 - g2)
         return float(-np.log(1.0 - g2) - e_in * np.log(g))
     raise DomainError(f"unknown input specification {spec!r}")
-
-
-def schmidt_entropy(state: JointAtomFieldState) -> float:
-    """Entropy of one mode of a pure field-only state, via singular values.
-
-    Numerical cross-check for input_entropy; valid while the atoms are
-    still in the ground level.
-    """
-    field = state.amps[:, :, 0, 0]
-    sv = np.linalg.svd(field, compute_uv=False)
-    p = sv**2
-    p = p[p > 1e-300]
-    return float(-(p * np.log(p)).sum())
 
 
 def _times(lambda_t):

@@ -67,15 +67,6 @@ BELL_STATES = {
 
 
 @dataclass(frozen=True)
-class EPEPoint:
-    """One point of an entanglement-purity-energy phase diagram."""
-
-    energy: float
-    entanglement: float
-    purity: float
-
-
-@dataclass(frozen=True)
 class LocalUnitaryParams:
     """Rotation angles and unit axes for a product unitary U1 x U2.
 
@@ -120,25 +111,6 @@ def ket_to_dm(psi) -> np.ndarray:
     """Projector |psi><psi| of a normalized 4-component state vector."""
     psi = np.asarray(psi, dtype=complex)
     return np.outer(psi, psi.conj())
-
-
-def schmidt_coefficients(psi):
-    """Schmidt coefficients (a, b), a >= b, of a normalized two-qubit ket.
-
-    Singular values of the 2x2 amplitude matrix; a^2 + b^2 = 1 and the
-    concurrence of the pure state is 2ab.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (4,) or abs(np.linalg.norm(psi) - 1.0) > 1e-12:
-        raise InvalidStateError("expected a normalized 4-component state vector")
-    sv = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)
-    return float(sv[0]), float(sv[1])
-
-
-def pure_concurrence(psi) -> float:
-    """Concurrence 2ab of a pure state from its Schmidt coefficients."""
-    a, b = schmidt_coefficients(psi)
-    return min(2.0 * a * b, 1.0)
 
 
 def _float_or_array(x):
@@ -497,15 +469,6 @@ def pure_circle_concurrence(E):
     return float(out) if out.ndim == 0 else out
 
 
-def pure_state_epe_bound(E, C) -> bool:
-    """Whether (E, C) lies inside the pure-state disc (E-1)^2 + C^2 <= 1."""
-    E = float(E)
-    C = float(C)
-    if not 0.0 <= E <= 2.0 or not 0.0 <= C <= 1.0:
-        raise DomainError("expected E in [0, 2] and C in [0, 1]")
-    return (E - 1.0) ** 2 + C**2 <= 1.0 + 1e-12
-
-
 def rotation(theta, axis) -> np.ndarray:
     """Single-qubit rotation exp(-i theta n.sigma) about a unit axis n."""
     n = np.asarray(axis, dtype=float)
@@ -549,24 +512,3 @@ def mems_energy_after_unitary(C, params: LocalUnitaryParams) -> float:
     gain = np.sin(params.theta1) ** 2 * (1.0 - n1z**2)
     loss = np.sin(params.theta2) ** 2 * (1.0 - n2z**2)
     return float(1.0 + w * (gain - loss))
-
-
-_MEASURES = {
-    "concurrence": concurrence,
-    "tangle": tangle,
-    "eof": entanglement_of_formation,
-    "negativity": negativity,
-    "logneg": log_negativity,
-}
-
-
-def epe_point(rho, measure="concurrence") -> EPEPoint:
-    """Energy, entanglement and purity coordinates of a state."""
-    if measure not in _MEASURES:
-        raise DomainError(f"unknown entanglement measure {measure!r}")
-    rho = validate_state(rho)
-    return EPEPoint(
-        energy=energy(rho, check=False),
-        entanglement=_MEASURES[measure](rho, check=False),
-        purity=purity(rho, check=False),
-    )

@@ -45,6 +45,7 @@ measures with check=False.
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -84,9 +85,10 @@ def _check_stream_range(seed, stop):
 class SamplerConfig:
     """Configuration of one sampling run.
 
-    `rank_filter` applies to the qubit system only and `energy_window`
-    to the gaussian system only; a window of None means
-    DEFAULT_ENERGY_WINDOW there.
+    `seed` and `count` must be integers (anything `operator.index`
+    takes, stored as int).  `rank_filter` applies to the qubit system
+    only and `energy_window` to the gaussian system only; a window of
+    None means DEFAULT_ENERGY_WINDOW there.
     """
 
     seed: int
@@ -97,6 +99,12 @@ class SamplerConfig:
     measure: str | None = None
 
     def __post_init__(self):
+        for name in ("seed", "count"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
         if self.count < 1:
             raise ConfigurationError("count must be a positive integer")
         _check_stream_range(self.seed, self.count)
@@ -396,11 +404,6 @@ def random_covariance(rng, energy_window=DEFAULT_ENERGY_WINDOW, max_attempts=MAX
     raise _window_error(energy_window, max_attempts)
 
 
-def gaussian_covariances_chunk(seed, start, count, energy_window=DEFAULT_ENERGY_WINDOW):
-    """(count, 4, 4) accepted CMs for indices [start, start + count)."""
-    return _accepted_candidates(seed, start, count, energy_window)[0]
-
-
 def _accepted_candidates(seed, start, count, energy_window):
     """(sigmas, spectra): the (count, 4, 4) accepted CMs for indices
     [start, start + count) and the (count, 2) symplectic spectra
@@ -522,34 +525,6 @@ def sample_states(cfg: SamplerConfig):
 
 
 # --- conditioned samplers used by the extremality suites ---
-
-
-def random_state_with_purity(P, rng, max_attempts=10_000) -> np.ndarray:
-    """Random state at exactly the requested purity.
-
-    A random Dirichlet spectrum is stretched away from the maximally
-    mixed point until Tr rho^2 hits P, then conjugated by a Haar random
-    unitary.  Draws that cannot reach P while staying positive are
-    rejected; spikier Dirichlet weights are used for high purities.
-    """
-    P = float(P)
-    if not 0.25 <= P <= 1.0:
-        raise DomainError("two-qubit purity must lie in [1/4, 1]")
-    alpha = 0.35 if P > 0.6 else 1.0
-    center = np.full(4, 0.25)
-    for _ in range(max_attempts):
-        q = rng.dirichlet(np.full(4, alpha))
-        span = ((q - center) ** 2).sum()
-        if span <= 0.0:
-            continue
-        s = np.sqrt((P - 0.25) / span)
-        lam = center + s * (q - center)
-        if lam.min() < 0.0:
-            continue
-        G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        Q, _ = np.linalg.qr(G)
-        return (Q * lam) @ Q.conj().T
-    raise ConfigurationError(f"could not reach purity {P}")
 
 
 def random_standard_form_at(E, P, rng, max_attempts=500) -> gaussian.StandardFormCM:

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epe import __version__, cli, sampling
+import oracles
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -411,8 +412,6 @@ class TestSample:
     def test_wide_energy_windows_sample(self, tmp_path, monkeypatch, window):
         # the checks allow the roundoff of S^T diag(nu) S at the matrices' own
         # scale, so wide high-energy windows sample with every flag passing
-        from epe import gaussian
-
         monkeypatch.setenv("EPE_THREADS", "1")
         out = tmp_path / "g.csv"
         assert run_cli(["sample", "--system", "gaussian", "--count", "4096", "--seed", "7",
@@ -421,8 +420,8 @@ class TestSample:
         assert len(rows) == 4096 and {row[3] for row in rows} == {"111"}
         lo, hi = map(float, window)
         assert all(lo <= float(row[0]) <= hi for row in rows)
-        sigmas = sampling.gaussian_covariances_chunk(7, 0, 4096, (lo, hi))
-        assert all(gaussian.cm_is_physical(sigma) for sigma in sigmas)
+        sigmas = sampling._accepted_candidates(7, 0, 4096, (lo, hi))[0]
+        assert all(oracles.cm_is_physical(sigma) for sigma in sigmas)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "q.json"
@@ -503,6 +502,21 @@ class TestSample:
         captured = capsys.readouterr()
         assert captured.err.startswith(message) and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["rerun", "{path}"], "error: manifest argv is itself a rerun, which cannot be replayed\n"),
+        (["boundary", "--system", "qubit", "--curve", "separable", "--grid", 1],
+         "error: manifest argv must be a list of strings\n"),
+    ], ids=["self-replaying", "non-string"])
+    def test_rerun_of_an_unreplayable_argv_exit_2(self, tmp_path, capsys, argv, message):
+        # the first recursed until RecursionError and the second raised
+        # TypeError, each with a traceback and exit 1
+        path = tmp_path / "m.json"
+        argv = [arg.format(path=path) if isinstance(arg, str) else arg for arg in argv]
+        path.write_text(json.dumps({"argv": argv, "version": __version__}))
+        assert run_cli(["rerun", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
 
     def test_rerun_of_a_boundary_manifest_needs_no_stream(self, tmp_path):
         out = tmp_path / "sep.csv"
@@ -716,7 +730,7 @@ class TestJc:
 
 
 def _fmt_row(values):
-    """The per-value row formatter the CLI used before `csv_lines`, kept as its oracle."""
+    """The per-value row formatter the CLI used before its block formatter, kept as its oracle."""
     out = []
     for v in values:
         out.append(v if isinstance(v, str) else "%.17g" % float(v))
@@ -804,22 +818,25 @@ class TestCsvFormatter:
         ])
         labels = sampling.flag_labels(rng.random((len(values), 3)) < 0.5)
         rows = [(*v, label) for v, label in zip(values, labels)]
-        assert cli.csv_lines(values, labels) == _oracle_csv(["x"], rows).split("\n", 1)[1]
-        assert cli.csv_lines(values[:, :2]) == "".join(_fmt_row(v) + "\n" for v in values[:, :2])
-        assert cli.csv_lines(np.empty((0, 3))) == ""
+        want = _oracle_csv(["x"], rows).split("\n", 1)[1]
+        assert cli.csv_bytes(values, labels).decode("ascii") == want
+        want = "".join(_fmt_row(v) + "\n" for v in values[:, :2])
+        assert cli.csv_bytes(values[:, :2]).decode("ascii") == want
+        assert cli.csv_bytes(np.empty((0, 3))).decode("ascii") == ""
 
     def test_edge_families_match_the_row_oracle(self):
         values = np.concatenate([EDGE_VALUES, -EDGE_VALUES])
         for k in (1, 3, 7):
             block = np.resize(values, (-(-len(values) // k), k))
-            assert cli.csv_lines(block) == "".join(_fmt_row(v) + "\n" for v in block)
+            want = "".join(_fmt_row(v) + "\n" for v in block)
+            assert cli.csv_bytes(block).decode("ascii") == want
 
     @given(st.integers(1, 6).flatmap(
         lambda k: st.lists(st.lists(CSV_VALUES, min_size=k, max_size=k), min_size=1, max_size=6)))
     @settings(max_examples=300, deadline=None)
     def test_rows_match_the_row_oracle(self, rows):
         values = np.array(rows, dtype=float)
-        assert cli.csv_lines(values) == "".join(_fmt_row(v) + "\n" for v in values)
+        assert cli.csv_bytes(values).decode("ascii") == "".join(_fmt_row(v) + "\n" for v in values)
 
     def test_flag_labels_match_flag_string(self):
         triples = np.array([[b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(8)], dtype=bool)

