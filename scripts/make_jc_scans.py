@@ -10,7 +10,7 @@ import argparse
 import pathlib
 import sys
 
-from epe import cli
+from epe import cli, jc
 
 
 def run(argv):
@@ -22,7 +22,7 @@ def run(argv):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="out/jc_scans")
-    ap.add_argument("--tsteps", type=int, default=2000)
+    ap.add_argument("--tsteps", type=int, default=jc.DEFAULT_T_STEPS)
     args = ap.parse_args()
 
     out = pathlib.Path(args.outdir)

@@ -700,8 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="photon number for n-photon input")
     p.add_argument("--alpha", help="coherent amplitude, value or start:stop:step")
     p.add_argument("--gamma", help="squeezing parameter, value or start:stop:step")
-    p.add_argument("--tmax", type=float, default=4.0 * np.pi)
-    p.add_argument("--tsteps", type=int, default=2000)
+    p.add_argument("--tmax", type=float, default=jc.DEFAULT_T_MAX)
+    p.add_argument("--tsteps", type=int, default=jc.DEFAULT_T_STEPS)
     p.add_argument("--nmax", type=int, help="Fock truncation per mode (default: automatic)")
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

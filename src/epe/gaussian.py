@@ -143,21 +143,21 @@ def symplectic_eigenvalues(sf: StandardFormCM) -> SymplecticSpectrum:
     return SymplecticSpectrum(nu_minus=_float_or_array(nm), nu_plus=_float_or_array(npl))
 
 
-def is_physical(sf: StandardFormCM, tol=PHYSICALITY_TOL):
+def is_physical(sf: StandardFormCM):
     """Whether sigma + i Omega >= 0, i.e. sigma >= 0 and nu_- >= 1, per row.
 
-    Each condition allows the larger of `tol` and the row's own roundoff
-    (ROW_ROUNDOFF).
+    Each condition allows the larger of PHYSICALITY_TOL and the row's own
+    roundoff (ROW_ROUNDOFF).
     """
     a, b, cp, cm = sf.a, sf.b, sf.c_plus, sf.c_minus
     ab = a * b
     radicand = _radicand(sf)
     ok = radicand >= -RADICAND_TOL
     for c in (cp, cm):
-        ok &= ab - c * c >= -np.maximum(tol, ROW_ROUNDOFF * EPS * (ab + c * c))
+        ok &= ab - c * c >= -np.maximum(PHYSICALITY_TOL, ROW_ROUNDOFF * EPS * (ab + c * c))
     nu_minus, _ = nu_from_invariants(seralian(sf), det_sigma(sf), np.maximum(radicand, 0.0))
     scale = a * a + b * b + 2.0 * np.abs(cp * cm)
-    ok &= 1.0 - nu_minus <= np.maximum(tol, ROW_ROUNDOFF * EPS * scale)
+    ok &= 1.0 - nu_minus <= np.maximum(PHYSICALITY_TOL, ROW_ROUNDOFF * EPS * scale)
     return _bool_or_array(ok)
 
 

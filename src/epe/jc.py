@@ -37,6 +37,8 @@ from .errors import DomainError, InvariantViolation, TruncationError
 
 TAIL_TOL = 1e-12
 GAMMA_CAP = 0.95
+DEFAULT_T_MAX = 4.0 * np.pi
+DEFAULT_T_STEPS = 2000
 # largest per-mode truncation, chosen or requested; the dense reference
 # tables of `build_input` and `evolve` grow as n_max^2 (README: the cap)
 MAX_N_MAX = 1500
@@ -189,37 +191,36 @@ def _poisson_log_weights(mean, n_max) -> np.ndarray:
     return -mean + n * np.log(mean) - log_factorials(n_max)
 
 
-def required_n_max(spec: InputFieldSpec, tail=TAIL_TOL, limit=None) -> int:
-    """Smallest per-mode truncation keeping the input tail below `tail`.
+def required_n_max(spec: InputFieldSpec) -> int:
+    """Smallest per-mode truncation keeping the input tail below TAIL_TOL.
 
     The coherent tail is summed from the top of a table of Poisson weights,
     so it does not cancel.  Raises DomainError when the truncation is above
-    `limit` (None: no limit); a coherent mean above `limit` raises before
-    any table is built.
+    MAX_N_MAX; a coherent mean above it raises before any table is built.
     """
     if isinstance(spec, NPhoton):
         m = spec.n
     elif isinstance(spec, TwoModeSqueezed):
         g = spec.gamma
         # geometric tail: sum_{n > m} (1 - g^2) g^{2n} = g^{2(m+1)}
-        m = 1 if g == 0.0 else max(1, int(np.ceil(np.log(tail) / (2.0 * np.log(g)) - 1.0)))
+        m = 1 if g == 0.0 else max(1, int(np.ceil(np.log(TAIL_TOL) / (2.0 * np.log(g)) - 1.0)))
     elif isinstance(spec, EntangledCoherent):
         mean = abs(spec.alpha) ** 2
-        if limit is not None and mean > limit:
-            # the answer is above the mean, so above the limit too: no table
-            m = limit + 1
+        if mean > MAX_N_MAX:
+            # the answer is above the mean, so above the cap too: no table
+            m = MAX_N_MAX + 1
         else:
             # Bernstein's inequality puts the Poisson tail above `horizon`
-            # below `tail`; a table to twice it leaves out far less than that
-            third = -math.log(tail) / 3.0
+            # below TAIL_TOL; a table to twice it leaves out far less than that
+            third = -math.log(TAIL_TOL) / 3.0
             horizon = math.ceil(mean + third + math.sqrt(third * third + 6.0 * third * mean))
             # above[k]: the weight at n >= k, summed from the top
             above = np.cumsum(np.exp(_poisson_log_weights(mean, 2 * horizon))[::-1])[::-1]
-            m = 1 + int(np.argmax(above[2:] <= tail))
+            m = 1 + int(np.argmax(above[2:] <= TAIL_TOL))
     else:
         raise DomainError(f"unknown input specification {spec!r}")
-    if limit is not None and m > limit:
-        raise DomainError(f"the input needs a Fock truncation above the cap n_max={limit}")
+    if m > MAX_N_MAX:
+        raise DomainError(f"the input needs a Fock truncation above the cap n_max={MAX_N_MAX}")
     return m
 
 
@@ -234,7 +235,7 @@ def resolve_n_max(spec: InputFieldSpec, n_max=None) -> int:
         n_max = int(n_max)
         if n_max > MAX_N_MAX:
             raise DomainError(f"n_max={n_max} is above the cap n_max={MAX_N_MAX}")
-    needed = required_n_max(spec, limit=MAX_N_MAX)
+    needed = required_n_max(spec)
     if n_max is None:
         return needed
     if n_max < needed:
@@ -524,21 +525,19 @@ def analytic_qubit_state(spec: InputFieldSpec, lambda_t, n_max=None) -> np.ndarr
     raise DomainError(f"unknown input specification {spec!r}")
 
 
-def squeezed_convention_deviation(gamma, times, n_max=None):
+def squeezed_convention_deviation(gamma, times):
     """Max deviation of both trig conventions from the numerical evolution.
 
     Returns a dict {"double": dev, "half": dev} of entrywise maxima over
-    the given times.  The double-angle series reproduces the numerics to
-    roundoff; the halved one does not.
+    the given times, at the default truncation.  The double-angle series
+    reproduces the numerics to roundoff; the halved one does not.
     """
-    spec = TwoModeSqueezed(gamma=gamma)
-    n_max = resolve_n_max(spec, n_max)
-    state0 = build_input(spec, n_max)
+    state0 = build_input(TwoModeSqueezed(gamma=gamma))
     devs = {"double": 0.0, "half": 0.0}
     for t in np.atleast_1d(times):
         rho_num = reduce_to_qubits(evolve(state0, t))
         for conv in devs:
-            rho_an = squeezed_series_matrix(gamma, t, n_max, convention=conv)
+            rho_an = squeezed_series_matrix(gamma, t, state0.n_max, convention=conv)
             devs[conv] = max(devs[conv], float(np.abs(rho_num - rho_an).max()))
     return devs
 
@@ -579,10 +578,6 @@ def _refine_peaks(concurrences, lo, hi):
             return ts[rows, k], cs[rows, k]
 
 
-def default_time_grid(t_max=4.0 * np.pi, steps=2000) -> np.ndarray:
-    return np.linspace(0.0, t_max, steps)
-
-
 def max_transfer(spec: InputFieldSpec, time_grid=None, n_max=None) -> TransferResult:
     """Scan lambda*t for the largest transferred concurrence.
 
@@ -596,7 +591,7 @@ def max_transfer(spec: InputFieldSpec, time_grid=None, n_max=None) -> TransferRe
     records the purity at the optimum and the input energy and entropy.
     """
     if time_grid is None:
-        time_grid = default_time_grid()
+        time_grid = np.linspace(0.0, DEFAULT_T_MAX, DEFAULT_T_STEPS)
     grid = np.asarray(time_grid, dtype=float)
     if grid.size == 0:
         raise DomainError("time grid must not be empty")

@@ -285,9 +285,9 @@ def concurrence(rho, check=True, factor=None):
     return _float_or_array(np.clip(mu[..., 3] - mu[..., 2] - mu[..., 1] - mu[..., 0], 0.0, 1.0))
 
 
-def tangle(rho, check=True) -> float:
+def tangle(rho) -> float:
     """Tangle, the squared concurrence."""
-    return concurrence(rho, check=check) ** 2
+    return concurrence(rho) ** 2
 
 
 def _xlog2x(x):
@@ -312,9 +312,9 @@ def eof_from_concurrence(C) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def entanglement_of_formation(rho, check=True) -> float:
+def entanglement_of_formation(rho) -> float:
     """Entanglement of formation, a monotone function of the concurrence."""
-    return eof_from_concurrence(concurrence(rho, check=check))
+    return eof_from_concurrence(concurrence(rho))
 
 
 def partial_transpose(rho) -> np.ndarray:
@@ -430,14 +430,12 @@ def mems_energy_range(C):
             _float_or_array(np.where(low, 4.0 / 3.0, 2.0 - C)))
 
 
-def werner_state(r, bell="phi+") -> np.ndarray:
-    """Werner state r |Psi><Psi| + (1 - r) I/4 for a chosen Bell state."""
+def werner_state(r) -> np.ndarray:
+    """Werner state r |phi+><phi+| + (1 - r) I/4."""
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise DomainError("Werner weight must lie in [0, 1]")
-    if bell not in BELL_STATES:
-        raise DomainError(f"unknown Bell state {bell!r}")
-    return r * ket_to_dm(BELL_STATES[bell]) + (1.0 - r) * np.eye(4, dtype=complex) / 4.0
+    return r * ket_to_dm(BELL_STATES["phi+"]) + (1.0 - r) * np.eye(4, dtype=complex) / 4.0
 
 
 def separable_min_purity(E):
@@ -481,13 +479,13 @@ def local_unitary(params: LocalUnitaryParams) -> np.ndarray:
     return np.kron(rotation(params.theta1, params.axis1), rotation(params.theta2, params.axis2))
 
 
-def apply_local_unitary(rho, params: LocalUnitaryParams, check=True) -> np.ndarray:
-    """Conjugate a state by U1 x U2.
+def apply_local_unitary(rho, params: LocalUnitaryParams) -> np.ndarray:
+    """Conjugate a state, checked by `validate_state`, by U1 x U2.
 
     Local unitaries leave concurrence and purity unchanged; only the
     energy can move.
     """
-    rho = validate_state(rho) if check else np.asarray(rho, dtype=complex)
+    rho = validate_state(rho)
     U = local_unitary(params)
     return U @ rho @ U.conj().T
 

@@ -85,10 +85,10 @@ def _check_stream_range(seed, stop):
 class SamplerConfig:
     """Configuration of one sampling run.
 
-    `seed` and `count` must be integers (anything `operator.index`
-    takes, stored as int).  `rank_filter` applies to the qubit system
-    only and `energy_window` to the gaussian system only; a window of
-    None means DEFAULT_ENERGY_WINDOW there.
+    `seed`, `count` and a `rank_filter` must be integers (anything
+    `operator.index` takes, stored as int).  `rank_filter` applies to the
+    qubit system only and `energy_window`, two real numbers (lo, hi), to the
+    gaussian system only; a window of None means DEFAULT_ENERGY_WINDOW there.
     """
 
     seed: int
@@ -99,8 +99,10 @@ class SamplerConfig:
     measure: str | None = None
 
     def __post_init__(self):
-        for name in ("seed", "count"):
+        for name in ("seed", "count", "rank_filter"):
             value = getattr(self, name)
+            if value is None and name == "rank_filter":
+                continue
             try:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
@@ -121,8 +123,12 @@ class SamplerConfig:
         elif self.system == "qubit":
             raise ConfigurationError("the energy window applies to system gaussian only")
         else:
-            lo, hi = self.energy_window
-            if not 0.0 <= lo < hi < np.inf:
+            try:
+                lo, hi = self.energy_window
+                in_range = 0.0 <= lo < hi < np.inf
+            except (TypeError, ValueError):
+                raise ConfigurationError("energy window must be two real numbers (lo, hi)") from None
+            if not in_range:
                 raise ConfigurationError("energy window must satisfy 0 <= lo < hi < inf")
         measure = self.measure or self.default_measure()
         allowed = QUBIT_MEASURES if self.system == "qubit" else GAUSSIAN_MEASURES
@@ -264,7 +270,7 @@ def _qubit_states_chunk(seed, start, count, rank):
     return M, (G.view(float) * (1.0 / np.sqrt(trace))).view(complex)
 
 
-def qubit_records(rhos, measure="concurrence", factors=None):
+def qubit_records(rhos, factors, measure="concurrence"):
     """Vectorized records for an (N, 4, 4) stack of states.
 
     Returns (values, flags): an (N, 3) float array of energy,
@@ -301,7 +307,7 @@ def qubit_records(rhos, measure="concurrence", factors=None):
 def qubit_records_chunk(seed, start, count, rank=4, measure="concurrence"):
     """(values, flags) of `qubit_records` for indices [start, start + count)."""
     rhos, factors = _qubit_states_chunk(seed, start, count, rank)
-    return qubit_records(rhos, measure, factors)
+    return qubit_records(rhos, factors, measure)
 
 
 # --- two-mode Gaussian sampling ---
@@ -384,24 +390,24 @@ def candidate_energy(sigma):
     return (np.sqrt(det_alpha) + np.sqrt(det_beta)) / 2.0 - 1.0
 
 
-def _window_error(energy_window, max_attempts):
+def _window_error(energy_window):
     return ConfigurationError(
-        f"rejection rate above {100 * (1 - 1 / max_attempts):.1f}% for window {energy_window}; "
+        f"rejection rate above {100 * (1 - 1 / MAX_ATTEMPTS):.1f}% for window {energy_window}; "
         "widen the energy window"
     )
 
 
-def random_covariance(rng, energy_window=DEFAULT_ENERGY_WINDOW, max_attempts=MAX_ATTEMPTS):
-    """One random physical covariance matrix inside the energy window.
+def random_covariance(rng):
+    """One random physical covariance matrix inside DEFAULT_ENERGY_WINDOW.
 
     Draws 16 uniforms from `rng` per attempt and rejects candidates of
-    `candidate_covariances` until one is accepted.
+    `candidate_covariances` until one is accepted, in at most MAX_ATTEMPTS.
     """
-    for _ in range(max_attempts):
-        sigma, ok = candidate_covariances(rng.random((1, GAUSSIAN_WORDS)), energy_window)
+    for _ in range(MAX_ATTEMPTS):
+        sigma, ok = candidate_covariances(rng.random((1, GAUSSIAN_WORDS)))
         if ok[0]:
             return sigma[0]
-    raise _window_error(energy_window, max_attempts)
+    raise _window_error(DEFAULT_ENERGY_WINDOW)
 
 
 def _accepted_candidates(seed, start, count, energy_window):
@@ -432,7 +438,7 @@ def _accepted_candidates(seed, start, count, energy_window):
         spectra[done, 1] = nu_p
         pending = pending[~ok]
     if pending.size:
-        raise _window_error(energy_window, MAX_ATTEMPTS)
+        raise _window_error(energy_window)
     return sigmas, spectra
 
 
@@ -504,7 +510,7 @@ def records_chunk(cfg: SamplerConfig, start, count, with_states=False):
         if not with_states:
             return qubit_records_chunk(cfg.seed, start, count, rank, cfg.measure)
         rhos, factors = _qubit_states_chunk(cfg.seed, start, count, rank)
-        return (rhos, *qubit_records(rhos, cfg.measure, factors))
+        return (rhos, *qubit_records(rhos, factors, cfg.measure))
     params, values, flags = gaussian_records_chunk(
         cfg.seed, start, count, cfg.energy_window, cfg.measure
     )
@@ -527,7 +533,7 @@ def sample_states(cfg: SamplerConfig):
 # --- conditioned samplers used by the extremality suites ---
 
 
-def random_standard_form_at(E, P, rng, max_attempts=500) -> gaussian.StandardFormCM:
+def random_standard_form_at(E, P, rng) -> gaussian.StandardFormCM:
     """Random physical standard-form CM at exactly the given energy and purity.
 
     With a = E+1+d, b = E+1-d the product u = c+ c- is drawn uniformly
@@ -541,7 +547,7 @@ def random_standard_form_at(E, P, rng, max_attempts=500) -> gaussian.StandardFor
         raise DomainError("need E > 0 and purity in [1/(E+1)^2, 1]")
     inv_p2 = 1.0 / P**2
     d_cap = min(E, (1.0 / P - 1.0) / 2.0)
-    for _ in range(max_attempts):
+    for _ in range(500):
         d = rng.uniform(0.0, d_cap)
         a, b = E + 1.0 + d, E + 1.0 - d
         ab = a * b

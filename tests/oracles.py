@@ -241,7 +241,7 @@ def epe_point(rho, measure="concurrence") -> EPEPoint:
     rho = validate_state(rho)
     return EPEPoint(
         energy=energy(rho, check=False),
-        entanglement=_MEASURES[measure](rho, check=False),
+        entanglement=_MEASURES[measure](rho),
         purity=purity(rho, check=False),
     )
 

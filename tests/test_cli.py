@@ -72,6 +72,13 @@ class TestGridParsing:
         with pytest.raises(ConfigurationError):
             cli.parse_grid("a:b:c")
 
+    def test_two_part_grid_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert run_cli(["boundary", "--system", "qubit", "--curve", "separable",
+                        "--grid", "1:2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: bad grid spec '1:2'; expected start:stop:step\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", ["0:nan:0.1", "0:inf:0.1", "-inf:1:0.1", "0:1:inf", "nan"])
     def test_non_finite_specs_rejected(self, spec):
         from epe.errors import ConfigurationError
@@ -302,6 +309,12 @@ class TestSample:
         energy = np.loadtxt(out, delimiter=",", skiprows=1, usecols=0)
         assert np.all((1.0 - 1e-12 <= energy) & (energy <= 2.0 + 1e-12))
 
+    def test_reversed_window_exit_2(self, capsys):
+        assert run_cli(["sample", "--system", "gaussian", "--count", "2", "--seed", "1",
+                        "--energy-window", "2", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: energy window must satisfy 0 <= lo < hi < inf\n")
+
     def test_unreachable_window_exit_2(self, capsys):
         assert run_cli(["sample", "--system", "gaussian", "--count", "2", "--seed", "1",
                         "--energy-window", "1.9999999", "2"]) == 2
@@ -518,6 +531,12 @@ class TestSample:
         captured = capsys.readouterr()
         assert captured.err == message and captured.out == ""
 
+    def test_rerun_of_a_missing_manifest_exit_3(self, tmp_path, capsys):
+        assert run_cli(["rerun", str(tmp_path / "absent.manifest.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read manifest: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_rerun_of_a_boundary_manifest_needs_no_stream(self, tmp_path):
         out = tmp_path / "sep.csv"
         run_cli(["boundary", "--system", "qubit", "--curve", "separable", "--grid", "0:2:0.5",
@@ -718,6 +737,11 @@ class TestJc:
         assert run_cli(["jc", "--input", "coherent", "--alpha", "0", "--tsteps", "50"]) == 0
         header, row = capsys.readouterr().out.splitlines()
         assert row.startswith("0,0,0,0,0,1,") and not NEGATIVE_ZERO.search(row)
+
+    def test_unsqueezed_input(self, capsys):
+        # gamma = 0 is the vacuum: no energy, no entropy, nothing transferred
+        assert run_cli(["jc", "--input", "squeezed", "--gamma", "0", "--tsteps", "50"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "0,0,0,0,0,1,0"
 
     def test_coherent_scan(self, tmp_path):
         out = tmp_path / "coh.csv"
@@ -1353,6 +1377,14 @@ class TestWorkers:
         assert cli.usable_cpus() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert cli.usable_cpus() == 1
+
+    def test_zero_threads_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EPE_THREADS", "0")
+        out = tmp_path / "q.csv"
+        assert run_cli(["sample", "--system", "qubit", "--count", "3", "--seed", "1",
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: EPE_THREADS must be >= 1\n"
+        assert not out.exists()
 
     def test_worker_env_validation(self):
         os.environ["EPE_THREADS"] = "zero"

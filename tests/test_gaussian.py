@@ -84,6 +84,11 @@ class TestSymplecticSpectrum:
         spec = gaussian.symplectic_eigenvalues(TMSV3)
         assert (spec.nu_minus, spec.nu_plus) == pytest.approx((1.0, 1.0), abs=1e-12)
 
+    def test_invariants_with_no_real_spectrum_raise(self):
+        # Delta^2 - 4 Det sigma = 1 - 4 < 0
+        with pytest.raises(UnphysicalCovarianceError, match="no real spectrum"):
+            gaussian.nu_from_invariants(1.0, 1.0)
+
     @given(st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
     def test_matches_matrix_route(self, seed):

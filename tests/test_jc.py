@@ -537,7 +537,7 @@ class TestMaxTransfer:
     )
     def test_refinement_matches_brute_force_on_scan_inputs(self, spec):
         # a dense closed-form scan of the two grid intervals around the peak
-        grid = jc.default_time_grid()
+        grid = np.linspace(0.0, jc.DEFAULT_T_MAX, jc.DEFAULT_T_STEPS)
         result = jc.max_transfer(spec, grid)
         i = int(np.argmin(np.abs(grid - result.lambda_t)))
         times = np.linspace(grid[i - 1], grid[i + 1], 4001)
@@ -578,19 +578,31 @@ class TestScipyPorts:
             want = np.array([float(mpmath.loggamma(int(j) + 1)) for j in k])
         assert np.all(np.abs(got - want) <= 3 * np.spacing(want))
 
-    @pytest.mark.parametrize("alpha,n_max", [(1, 14), (3, 37), (10, 178), (150, 23563)])
+    @pytest.mark.parametrize("alpha,n_max", [(1, 14), (3, 37), (10, 178),
+                                             (34.857142857142854, 1468), (150, 23563)])
     def test_coherent_truncation_pinned(self, alpha, n_max):
-        assert jc.required_n_max(jc.EntangledCoherent(alpha=alpha)) == n_max
+        spec = jc.EntangledCoherent(alpha=alpha)
+        if n_max > jc.MAX_N_MAX:
+            with pytest.raises(DomainError, match="above the cap"):
+                jc.required_n_max(spec)
+        else:
+            assert jc.required_n_max(spec) == n_max
 
     @pytest.mark.parametrize("alpha", [
-        1, 3, 10, 30, 34.857142857142854, 60, 150,
+        1, 3, 10, 30, 34.857142857142854, 35.27, 60, 150,
         *(36.0 * (1.0 - np.random.default_rng(20).random(30))).tolist(),
     ])
     def test_coherent_truncation_is_the_smallest_below_the_tail(self, alpha):
         # P(N > m) for N ~ Poisson(alpha^2) is the regularized lower incomplete gamma
-        m = jc.required_n_max(jc.EntangledCoherent(alpha=alpha))
+        spec = jc.EntangledCoherent(alpha=alpha)
         with mpmath.workdps(40):
             mean = mpmath.mpf(alpha) ** 2
+            if mpmath.gammainc(jc.MAX_N_MAX + 1, 0, mean, regularized=True) > jc.TAIL_TOL:
+                # the smallest such truncation is above the cap, which is refused
+                with pytest.raises(DomainError, match="above the cap"):
+                    jc.required_n_max(spec)
+                return
+            m = jc.required_n_max(spec)
             assert mpmath.gammainc(m + 1, 0, mean, regularized=True) <= jc.TAIL_TOL
             assert m == 1 or mpmath.gammainc(m, 0, mean, regularized=True) > jc.TAIL_TOL
 
@@ -599,7 +611,7 @@ class TestScipyPorts:
         monkeypatch.setattr(jc, "log_factorials", lambda n_max: calls.append(n_max))
         start = time.perf_counter()
         with pytest.raises(DomainError, match=f"cap n_max={jc.MAX_N_MAX}"):
-            jc.required_n_max(jc.EntangledCoherent(alpha=1e4), limit=jc.MAX_N_MAX)
+            jc.required_n_max(jc.EntangledCoherent(alpha=1e4))
         assert time.perf_counter() - start < 0.5 and calls == []
 
     def test_truncation_search_builds_its_table_once(self, monkeypatch):

@@ -546,13 +546,11 @@ class TestMems:
 class TestWerner:
     def test_endpoints(self):
         assert np.allclose(qubit.werner_state(0.0), MIXED)
-        assert np.allclose(qubit.werner_state(1.0, "psi-"), qubit.ket_to_dm(qubit.BELL_STATES["psi-"]))
+        assert np.allclose(qubit.werner_state(1.0), PHI_PLUS)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             qubit.werner_state(1.5)
-        with pytest.raises(DomainError):
-            qubit.werner_state(0.5, bell="nope")
 
 
 class TestBoundaries:

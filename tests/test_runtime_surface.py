@@ -4,7 +4,9 @@ A public module-level name in `src/epe` must be referenced somewhere
 other than its own definition: elsewhere in `src/epe`, in `scripts/`, in
 a code span of README.md, or in tests/test_acceptance.py.  A name that
 only the other tests call is an oracle or a test helper and belongs in
-tests/oracles.py.
+tests/oracles.py.  Likewise each defaulted parameter of a public
+module-level function must be passed by some call in those sources,
+other than the function's own: a value no caller sets is a constant.
 """
 
 import ast
@@ -42,13 +44,26 @@ def _referenced(stmt):
             for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
 
 
+def _modules():
+    return {path: _parse(path) for path in sorted((ROOT / "src" / "epe").glob("*.py"))}
+
+
+def _outside():
+    """The trees of the scripts and tests/test_acceptance.py."""
+    paths = [*sorted((ROOT / "scripts").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    return [_parse(path) for path in paths]
+
+
+def _readme_spans():
+    return CODE_SPAN.findall((ROOT / "README.md").read_text(encoding="utf-8"))
+
+
 def _unreferenced():
-    modules = {path: _parse(path) for path in sorted((ROOT / "src" / "epe").glob("*.py"))}
+    modules = _modules()
     outside = set()
-    for path in [*sorted((ROOT / "scripts").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
-        outside |= _referenced(_parse(path))
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    for span in CODE_SPAN.findall(readme):
+    for tree in _outside():
+        outside |= _referenced(tree)
+    for span in _readme_spans():
         outside |= set(re.findall(r"\w+", span))
     per_statement = [(stmt, _referenced(stmt)) for tree in modules.values() for stmt in tree.body]
     missing = []
@@ -61,8 +76,77 @@ def _unreferenced():
     return missing
 
 
+def _defaulted(fn):
+    """(index, name) of each defaulted parameter; keyword-only ones get index None."""
+    positional = [*fn.args.posonlyargs, *fn.args.args]
+    first = len(positional) - len(fn.args.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield index, arg.arg
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _passed(call):
+    """(positions, names, passes_all) of the arguments a call passes; a
+    `*` or `**` argument counts as passing every parameter."""
+    positions, names, passes_all = set(), set(), False
+    for index, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            passes_all = True
+        positions.add(index)
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            passes_all = True
+        names.add(keyword.arg)
+    return positions, names, passes_all
+
+
+def _calls(tree):
+    """(top-level statement, called name, call) of each call in a tree."""
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                yield stmt, name, node
+
+
+def _code_spans():
+    """The README code spans that parse as Python, as trees."""
+    for span in _readme_spans():
+        text = span.strip("`")
+        if span.startswith("```"):
+            text = text.split("\n", 1)[-1]
+        try:
+            yield ast.parse(text)
+        except SyntaxError:
+            continue
+
+
+def _unpassed():
+    modules = _modules()
+    calls = [c for tree in [*modules.values(), *_outside(), *_code_spans()] for c in _calls(tree)]
+    missing = []
+    for path, tree in modules.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            passes = [_passed(call) for stmt, name, call in calls
+                      if name == fn.name and stmt is not fn]
+            for index, param in _defaulted(fn):
+                if not any(every or param in names or index in positions
+                           for positions, names, every in passes):
+                    missing.append(f"{path.stem}.{fn.name}({param}=)")
+    return missing
+
+
 def test_every_public_runtime_name_is_used_outside_the_tests():
     assert _unreferenced() == []
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    assert _unpassed() == []
 
 
 def test_the_guard_sees_a_test_only_name(tmp_path, monkeypatch):
@@ -82,3 +166,26 @@ def test_the_guard_sees_a_test_only_name(tmp_path, monkeypatch):
     )
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     assert _unreferenced() == ["m.test_only", "m.LIMIT"]
+
+
+def test_the_guard_sees_a_parameter_no_caller_sets(tmp_path, monkeypatch):
+    # passed by keyword, at its position, in a README span or through **:
+    # set; passed only by a test or by the function's own recursion: reported
+    src = tmp_path / "src" / "epe"
+    src.mkdir(parents=True)
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_acceptance.py").write_text(
+        "from epe import m\nm.f(1, 2, c=3)\nm.g(1, **{})\n"
+    )
+    (tmp_path / "tests" / "test_m.py").write_text("from epe import m\nm.h(0, step=2)\n")
+    (tmp_path / "README.md").write_text("`m.h(1, kind='x')` and\n```python\nm.k(1, 2)\n```\n")
+    (src / "m.py").write_text(
+        "def f(a, b=1, *, c=2, d=3):\n    return a\n\n\n"
+        "def g(a, b=1):\n    return a\n\n\n"
+        "def h(n, step=1, kind=None):\n    return h(n - step, step=step) if n else kind\n\n\n"
+        "def k(a, b=1, c=2):\n    return a\n\n\n"
+        "def _private(a, b=1):\n    return a\n"
+    )
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    assert _unpassed() == ["m.f(d=)", "m.h(step=)", "m.k(c=)"]

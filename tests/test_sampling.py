@@ -41,15 +41,25 @@ class TestConfig:
             sampling.qubit_normals(1, 2**40 - 2, 2)
 
     def test_seed_and_count_are_integers(self):
-        # a float seed sampled the truncated seed's stream; a float count
-        # raised TypeError inside sample_states
+        # a float seed sampled the truncated seed's stream; a float count or
+        # rank filter raised TypeError inside sample_states
         for kwargs in ({"seed": 1.5, "count": 2}, {"seed": 1, "count": 2.5},
-                       {"seed": "1", "count": 2}, {"seed": 1, "count": 2.0}):
+                       {"seed": "1", "count": 2}, {"seed": 1, "count": 2.0},
+                       {"seed": 1, "count": 2, "rank_filter": 2.0}):
             with pytest.raises(ConfigurationError, match="must be an integer"):
                 sampling.SamplerConfig(**kwargs)
-        cfg = sampling.SamplerConfig(seed=np.uint64(7), count=np.int64(3))
-        assert (type(cfg.seed), type(cfg.count)) == (int, int)
+        cfg = sampling.SamplerConfig(seed=np.uint64(7), count=np.int64(3), rank_filter=np.int8(2))
+        assert (type(cfg.seed), type(cfg.count), type(cfg.rank_filter)) == (int, int, int)
         assert len(list(sampling.sample_states(cfg))) == 3
+
+    @pytest.mark.parametrize("window", [("0", 2), (0, 1, 2), (1.0,), 2.0])
+    def test_energy_window_is_two_real_numbers(self, window):
+        # the first two raised TypeError and ValueError
+        with pytest.raises(ConfigurationError, match="two real numbers"):
+            sampling.SamplerConfig(seed=1, count=5, system="gaussian", energy_window=window)
+        cfg = sampling.SamplerConfig(seed=1, count=5, system="gaussian",
+                                     energy_window=(np.float32(0.5), 2))
+        assert cfg.energy_window == (0.5, 2)
 
     def test_rank_filter_is_qubit_only(self):
         with pytest.raises(ConfigurationError, match="qubit only"):
@@ -158,16 +168,15 @@ class TestGaussianSampler:
         cfg = sampling.SamplerConfig(seed=3, count=300, system="gaussian", energy_window=window)
         energies = np.array([rec.energy for _, rec in sampling.sample_states(cfg)])
         assert np.all((lo - 1e-12 <= energies) & (energies <= hi + 1e-12))
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            sf = gaussian.reduce_to_standard_form(sampling.random_covariance(rng, window))
+        sigmas, _ = sampling._accepted_candidates(7, 0, 50, window)
+        for sigma in sigmas:
+            sf = gaussian.reduce_to_standard_form(sigma)
             assert lo - 1e-12 <= gaussian.energy(sf) <= hi + 1e-12
 
     def test_narrow_window_raises_configuration_error(self):
         # a sliver at the top of the window is essentially never hit
-        rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError):
-            sampling.random_covariance(rng, energy_window=(2.0 - 1e-7, 2.0), max_attempts=200)
+            sampling._accepted_candidates(0, 0, 1, (2.0 - 1e-7, 2.0))
 
 
 WINDOWS = [(0.0, 2.0), (1.0, 2.0), (3.0, 3.5), (0.0, 0.05)]
