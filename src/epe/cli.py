@@ -515,7 +515,7 @@ def cmd_boundary(args) -> int:
     curves = sampling.QUBIT_CURVES if args.system == "qubit" else sampling.GAUSSIAN_CURVES
     if args.curve not in curves:
         raise ConfigurationError(f"unknown curve {args.curve!r} for system {args.system}")
-    takes_energy = args.curve in ("gmems", "glems")
+    takes_energy = args.curve in sampling.ENERGY_CURVES
     if takes_energy and args.energy is None:
         raise ConfigurationError(f"curve {args.curve!r} requires --energy")
     if not takes_energy and args.energy is not None:

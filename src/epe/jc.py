@@ -273,11 +273,10 @@ def field_support(spec: InputFieldSpec, n_max=None) -> FieldSupport:
         amps += np.concatenate([ca, ca[1:]])
         amps[0] += ca[0]
         amps /= np.sqrt(2.0 * (1.0 + np.exp(-abs(spec.alpha) ** 2)))
-    elif isinstance(spec, TwoModeSqueezed):
+    else:
+        # resolve_n_max has refused any other spec: TwoModeSqueezed
         n1 = n2 = np.arange(n_max + 1)
         amps = (np.sqrt(1.0 - spec.gamma**2) * spec.gamma**n1).astype(complex)
-    else:
-        raise DomainError(f"unknown input specification {spec!r}")
     amps /= np.linalg.norm(amps)
     nonzero = amps != 0.0
     return FieldSupport(n_max=n_max, n1=n1[nonzero], n2=n2[nonzero], amps=amps[nonzero])
@@ -520,9 +519,8 @@ def analytic_qubit_state(spec: InputFieldSpec, lambda_t, n_max=None) -> np.ndarr
     if isinstance(spec, EntangledCoherent):
         ca = _coherent_amplitudes(spec.alpha, n_max)
         return _coherent_series_matrix(spec.alpha, ca, lambda_t)
-    if isinstance(spec, TwoModeSqueezed):
-        return squeezed_series_matrix(spec.gamma, lambda_t, n_max)
-    raise DomainError(f"unknown input specification {spec!r}")
+    # resolve_n_max has refused any other spec: TwoModeSqueezed
+    return squeezed_series_matrix(spec.gamma, lambda_t, n_max)
 
 
 def squeezed_convention_deviation(gamma, times):

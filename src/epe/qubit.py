@@ -36,7 +36,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # mean excitation number operator, basis |00>,|01>,|10>,|11>
 EXCITATION_NUMBER = np.diag([0.0, 1.0, 1.0, 2.0])
 
-_YY = np.kron(SIGMA_Y, SIGMA_Y)
 _EXCITATIONS = np.diag(EXCITATION_NUMBER).astype(complex)
 
 # entrywise gap allowed between A A^dag and rho when concurrence checks a factor
@@ -236,53 +235,50 @@ def _check_factor(rho, A):
 
 
 def concurrence(rho, check=True, factor=None):
-    """Concurrence C(rho) = max(0, mu_1 - mu_2 - mu_3 - mu_4).
+    """Concurrence C(rho) = max(0, mu_1 - mu_2 - mu_3 - mu_4), clamped to [0, 1].
 
-    The mu_j are the decreasingly ordered square roots of the
-    eigenvalues of R = rho (sy x sy) rho* (sy x sy).  Tiny negative
-    eigenvalues from roundoff are clamped to zero before the square
-    root, and the result is clamped to [0, 1].
-
-    `factor`, a (..., 4, k) array A with rho = A A^dag, gives the mu_j
-    instead as the singular values of the complex symmetric k x k
-    matrix T = A^T (sy x sy) A (Uhlmann, PRA 62, 032307 (2000)), with
-    no square root of an eigenvalue that is zero up to roundoff; for
-    k = 1 the concurrence is |T|.  The singular values come from a
-    batched one-sided Jacobi kernel over the whole stack, so each
-    matrix's concurrence is the same alone or in any stack.  For
-    k >= 3, states with det(rho^Gamma) > PPT_DET_MARGIN are first
-    settled at C = 0 without the kernel: rho^Gamma has at most one
-    negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)),
-    so such a state is PPT, hence separable (Horodecki, Horodecki &
-    Horodecki, PLA 223, 1 (1996)).  Their kernel value would clip to
-    exactly 0 as well, so the result is the same bit for bit.  Rank <= 2
-    Hilbert-Schmidt states are almost surely entangled, so k = 2 skips
-    the test.  `check` validates rho and, with a factor, that A A^dag
-    matches rho entrywise to FACTOR_TOL.
+    The mu_j are the decreasingly ordered singular values of the complex
+    symmetric k x k matrix T = A^T (sy x sy) A of a factor rho = A A^dag
+    (Uhlmann, PRA 62, 032307 (2000)): the square roots of the eigenvalues of
+    rho (sy x sy) rho* (sy x sy) (Wootters, PRL 80, 2245 (1998)), with no
+    square root of an eigenvalue that is zero up to roundoff.  `factor` is a
+    (..., 4, k) array A; without it, A = V diag(sqrt(max(lambda, 0))) from
+    eigh(rho) and k = 4.  For k = 1 the concurrence is |T|.  Otherwise the
+    singular values come from a batched one-sided Jacobi kernel over the
+    whole stack, so each matrix's concurrence is the same alone or in any
+    stack; its Python loop makes one matrix cost about 1 ms, so pass stacks.
+    For k >= 3, states with det(rho^Gamma) > PPT_DET_MARGIN are first
+    settled at C = 0 without the kernel: rho^Gamma has at most one negative
+    eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)), so such a
+    state is PPT, hence separable (Horodecki, Horodecki & Horodecki, PLA
+    223, 1 (1996)).  Their kernel value would clip to exactly 0 as well, so
+    the result is the same bit for bit.  Rank <= 2 Hilbert-Schmidt states
+    are almost surely entangled, so k = 2 skips the test.  `check` validates
+    rho and, for a given factor, that A A^dag matches rho entrywise to
+    FACTOR_TOL.
     """
     rho = validate_state(rho) if check else np.asarray(rho, dtype=complex)
-    if factor is not None:
+    if factor is None:
+        lam, V = np.linalg.eigh(rho)
+        A = V * np.sqrt(np.maximum(lam, 0.0))[..., None, :]
+    else:
         A = np.asarray(factor, dtype=complex)
         if check:
             _check_factor(rho, A)
-        lead, k = A.shape[:-2], A.shape[-1]
-        A = A.reshape(-1, 4, k)
-        if k == 1:
-            T = _wootters_columns(A)
-            return _float_or_array(np.clip(np.abs(T[0, 0]), 0.0, 1.0).reshape(lead))
-        C = np.zeros(len(A))
-        unsettled = slice(None)
-        if k >= 3:
-            # a NaN determinant leaves its state to the kernel
-            unsettled = np.flatnonzero(~(_ppt_determinant(rho) > PPT_DET_MARGIN))
-            A = A[unsettled]
-        mu = np.sort(_jacobi_singular_values(_wootters_columns(A)), axis=-1)[..., ::-1]
-        C[unsettled] = np.clip(mu[..., 0] - mu[..., 1:].sum(axis=-1), 0.0, 1.0)
-        return _float_or_array(C.reshape(lead))
-    R = rho @ _YY @ rho.conj() @ _YY
-    mu = np.sqrt(np.clip(np.linalg.eigvals(R).real, 0.0, None))
-    mu.sort(axis=-1)
-    return _float_or_array(np.clip(mu[..., 3] - mu[..., 2] - mu[..., 1] - mu[..., 0], 0.0, 1.0))
+    lead, k = A.shape[:-2], A.shape[-1]
+    A = A.reshape(-1, 4, k)
+    if k == 1:
+        T = _wootters_columns(A)
+        return _float_or_array(np.clip(np.abs(T[0, 0]), 0.0, 1.0).reshape(lead))
+    C = np.zeros(len(A))
+    unsettled = slice(None)
+    if k >= 3:
+        # a NaN determinant leaves its state to the kernel
+        unsettled = np.flatnonzero(~(_ppt_determinant(rho) > PPT_DET_MARGIN))
+        A = A[unsettled]
+    mu = np.sort(_jacobi_singular_values(_wootters_columns(A)), axis=-1)[..., ::-1]
+    C[unsettled] = np.clip(mu[..., 0] - mu[..., 1:].sum(axis=-1), 0.0, 1.0)
+    return _float_or_array(C.reshape(lead))
 
 
 def tangle(rho) -> float:

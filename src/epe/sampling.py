@@ -595,6 +595,8 @@ _CURVES = {
 }
 QUBIT_CURVES = tuple(_CURVES["qubit"])
 GAUSSIAN_CURVES = tuple(_CURVES["gaussian"])
+# the curves whose grid is purity at a fixed energy
+ENERGY_CURVES = ("gmems", "glems")
 
 
 def boundary_tables(system, grid, curve, energy=None):
@@ -609,7 +611,7 @@ def boundary_tables(system, grid, curve, energy=None):
     """
     if curve not in _CURVES.get(system, {}):
         raise DomainError(f"unknown {system} curve {curve!r}")
-    if curve in ("gmems", "glems") and energy is None:
+    if curve in ENERGY_CURVES and energy is None:
         raise DomainError(f"curve {curve!r} needs a fixed energy")
     header, columns = _CURVES[system][curve]
     grid = np.asarray(grid, dtype=float).reshape(-1)

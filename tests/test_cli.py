@@ -166,6 +166,11 @@ class TestBoundary:
     def test_domain_violation_exit_5(self, capsys):
         assert run_cli(["boundary", "--system", "qubit", "--curve", "separable",
                         "--grid", "0:3:1"]) == 5
+        assert run_cli(["boundary", "--system", "qubit", "--curve", "pure", "--grid", "3"]) == 5
+        capsys.readouterr()
+        assert run_cli(["boundary", "--system", "gaussian", "--curve", "glems",
+                        "--energy", "1", "--grid", "0:0.5:0.25"]) == 5
+        assert capsys.readouterr().err == "error: purity must lie in (0, 1]\n"
 
     def test_tmsv_curve_of_pure_states(self, capsys):
         # E = 2.224 once failed the nu_- >= 1 check by roundoff

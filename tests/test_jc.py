@@ -85,6 +85,12 @@ class TestInputs:
         with pytest.raises(DomainError):
             jc.TwoModeSqueezed(gamma=1.0)
 
+    def test_unknown_spec_raises(self):
+        with pytest.raises(DomainError):
+            jc.field_support(object())
+        with pytest.raises(DomainError):
+            jc.analytic_qubit_state(object(), 0.0)
+
 
 class TestEntropy:
     def test_squeezed_closed_form(self):
@@ -439,9 +445,7 @@ class TestShapedConcurrence:
             # the closed form and the Wootters value of the same state each
             # round once: at most about 2 ulp apart
             assert abs(c - wootters_oracle(rho)) <= 5e-16
-        # the eigvals route takes square roots of eigenvalues of R that are
-        # zero up to roundoff, so it can be off by about sqrt(eps)
-        assert np.abs(values - qubit.concurrence(rhos, check=False)).max() <= 1e-7
+        assert np.abs(values - qubit.concurrence(rhos, check=False)).max() <= 1e-14
 
     def test_separable_states_read_plus_zero(self):
         product = qubit.ket_to_dm([1, 0, 0, 0])
@@ -460,6 +464,14 @@ class TestShapedConcurrence:
 
 
 class TestMaxTransfer:
+    def test_default_grid(self):
+        spec = jc.EntangledCoherent(alpha=1.0)
+        default = jc.max_transfer(spec)
+        explicit = jc.max_transfer(spec, np.linspace(0.0, jc.DEFAULT_T_MAX, jc.DEFAULT_T_STEPS))
+        for name in ("lambda_t", "qubit_state", "concurrence", "purity", "input_energy",
+                     "input_entropy"):
+            assert np.array_equal(getattr(default, name), getattr(explicit, name))
+
     def test_single_photon(self):
         result = jc.max_transfer(jc.SinglePhoton(), np.linspace(0.0, 4.0 * np.pi, 500))
         assert result.concurrence == pytest.approx(1.0, abs=1e-10)
@@ -519,7 +531,7 @@ class TestMaxTransfer:
     ])
     def test_runs_on_the_closed_form(self, spec, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("max_transfer took the eigvals route")
+            raise AssertionError("max_transfer called qubit.concurrence")
 
         monkeypatch.setattr(qubit, "concurrence", refuse)
         result = jc.max_transfer(spec, np.linspace(0.0, 4.0 * np.pi, 300))

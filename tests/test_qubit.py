@@ -136,7 +136,7 @@ def mems_factor(C):
 
 
 class TestFactorConcurrence:
-    """The Takagi route of concurrence(rho, factor=A) against mpmath and the eigvals route."""
+    """concurrence(rho, factor=A) against mpmath, and against the factor taken from eigh."""
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_sampled_states_match_mpmath(self, rank):
@@ -146,9 +146,8 @@ class TestFactorConcurrence:
         want = np.array([takagi_oracle(A) for A in factors])
         got = qubit.concurrence(rhos, check=False, factor=factors)
         assert np.abs(got - want).max() <= 1e-15
-        if rank <= 2:
-            # the eigvals route takes square roots of eigenvalues that are 0 up to roundoff
-            assert np.abs(qubit.concurrence(rhos, check=False) - want).max() > 1e-9
+        # without A the factor comes from eigh of the rounded rho = A A^dag
+        assert np.abs(qubit.concurrence(rhos, check=False) - want).max() <= 1e-13
 
     @pytest.mark.parametrize("r", [0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0])
     def test_werner_matches_mpmath(self, r):
@@ -168,12 +167,12 @@ class TestFactorConcurrence:
         assert abs(got - takagi_oracle(A)) <= 1e-15
         assert got == pytest.approx(C, abs=1e-15)
 
-    @given(st.integers(0, 10_000), st.sampled_from([(), (5,), (64,), (2, 3)]))
+    @given(st.integers(0, 10_000), st.sampled_from([(), (5,), (64,), (2, 3)]),
+           st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
-    def test_factor_route_equals_eigvals_route(self, seed, lead):
-        # full-rank factors: at lower rank the eigvals route itself is off by ~1e-8
+    def test_drawn_factor_equals_eigh_factor(self, seed, lead, rank):
         rng = np.random.default_rng(seed)
-        G = rng.standard_normal(lead + (4, 4)) + 1j * rng.standard_normal(lead + (4, 4))
+        G = rng.standard_normal(lead + (4, rank)) + 1j * rng.standard_normal(lead + (4, rank))
         M = G @ G.conj().swapaxes(-1, -2)
         trace = np.trace(M, axis1=-2, axis2=-1).real[..., None, None]
         rhos, factors = M / trace, G / np.sqrt(trace)
@@ -183,7 +182,7 @@ class TestFactorConcurrence:
             assert type(got) is float
         else:
             assert got.shape == lead
-        assert np.allclose(got, want, rtol=0.0, atol=1e-9)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def kernel_singular_values(M):
@@ -519,6 +518,8 @@ class TestMems:
         for fn in (qubit.mems_purity, qubit.mems_energy_range):
             with pytest.raises(DomainError):
                 fn(np.array([0.5, 1.1]))
+        with pytest.raises(DomainError):
+            qubit.mems_concurrence_bound(1.5)
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
     @example([0.0, 2.0 / 3.0, np.nextafter(2.0 / 3.0, 1.0), 1.0])
@@ -536,11 +537,8 @@ class TestMems:
         # no random state at the MEMS purity may beat the MEMS concurrence
         rng = np.random.default_rng(2024)
         P = qubit.mems_purity(C)
-        worst = 0.0
-        for _ in range(10_000):
-            rho = oracles.random_state_with_purity(P, rng)
-            worst = max(worst, qubit.concurrence(rho, check=False))
-        assert worst <= C + 1e-9
+        rhos = np.stack([oracles.random_state_with_purity(P, rng) for _ in range(10_000)])
+        assert qubit.concurrence(rhos, check=False).max() <= C + 1e-9
 
 
 class TestWerner:
@@ -607,10 +605,12 @@ class TestBoundaries:
         a, b = oracles.schmidt_coefficients(psi)
         assert a**2 + b**2 == pytest.approx(1.0, abs=1e-12)
         assert a >= b >= 0.0
-        # the spin-flip route loses ~sqrt(eps) on the near-zero eigenvalues
-        assert oracles.pure_concurrence(psi) == pytest.approx(
-            qubit.concurrence(qubit.ket_to_dm(psi)), abs=1e-7
-        )
+        u, v = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        product = np.kron(u / np.linalg.norm(u), v / np.linalg.norm(v))
+        for ket in (psi, product):
+            assert oracles.pure_concurrence(ket) == pytest.approx(
+                qubit.concurrence(qubit.ket_to_dm(ket)), abs=1e-14
+            )
 
     def test_schmidt_spot_values(self):
         assert oracles.schmidt_coefficients(qubit.BELL_STATES["phi+"]) == pytest.approx(
