@@ -231,45 +231,6 @@ def csv_bytes(values, labels=None) -> bytes:
     return bytes(buffer.translate(None, b"\0"))
 
 
-# Free heap glibc keeps at the top of the heap (M_TOP_PAD) instead of
-# returning it to the kernel, sized from a chunk's working set.  A qubit
-# chunk of 4096 records frees about 5 MiB there (its largest arrays are
-# 1 MiB each), which glibc trimmed after every chunk and the next chunk
-# faulted back in, zero-filled: a 10-chunk run took about 12,100 more
-# minor faults than a 1-chunk run.  In-process over 100k qubit records
-# (glibc 2.36, numpy 2.4) the run took 34,344 faults with no pad, 31,538
-# with 4 MiB, and 2,270 with 8, 16 or 64 MiB; 16 MiB is twice the
-# smallest flat pad.
-HEAP_TOP_PAD = 16 << 20
-# glibc's mallopt parameter number (malloc.h)
-_M_TOP_PAD = -2
-
-
-def keep_freed_heap() -> None:
-    """Make glibc keep up to HEAP_TOP_PAD bytes of freed heap for reuse.
-
-    Setting any of M_TOP_PAD, M_TRIM_THRESHOLD or M_MMAP_THRESHOLD fixes
-    glibc's adaptive mmap and trim thresholds where they stand (128 KiB
-    at start).  With the pad that is harmless: the heap grows and is
-    trimmed with HEAP_TOP_PAD to spare, so a chunk's arrays fit in its
-    top and are not mmapped.  Setting one threshold alone leaves the
-    other at 128 KiB, and the faults rose instead (43,972 with only a
-    64 MiB trim threshold, 62,350 with only a 16 MiB mmap threshold).
-
-    Does nothing where the C library has no `mallopt` (macOS, Windows)
-    and never raises.  `main` and each pool worker call it for CSV
-    output only; importing epe does not.  JSON records are Python
-    objects in pymalloc's mmapped arenas, which cannot reuse the kept
-    heap, so there the pad only raised the peak.
-    """
-    try:
-        import ctypes
-
-        ctypes.CDLL(None).mallopt(_M_TOP_PAD, HEAP_TOP_PAD)
-    except (ImportError, OSError, AttributeError, TypeError):
-        pass
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the platform
     reports one (so `taskset -c 0 epe ...` counts 1), else the core count."""
@@ -438,7 +399,7 @@ MIN_CHUNKS_PER_WORKER = 2
 CHUNKS_AHEAD_PER_WORKER = 2
 
 
-def _record_chunks(cfg, keep_heap=True):
+def _record_chunks(cfg):
     """Yield the (values, flags) of each chunk of the run `cfg` in index order.
 
     The pool has min(worker_count(), chunks // MIN_CHUNKS_PER_WORKER)
@@ -446,8 +407,7 @@ def _record_chunks(cfg, keep_heap=True):
     pool module is imported.  At most CHUNKS_AHEAD_PER_WORKER x workers
     chunks are submitted ahead of the one being consumed, so results
     waiting in memory stay bounded.  Records depend on (seed, index)
-    only, so the bytes are the same either way.  With `keep_heap` each
-    worker starts with `keep_freed_heap`.
+    only, so the bytes are the same either way.
     """
     starts = range(0, cfg.count, sampling.CHUNK)
     sizes = [min(sampling.CHUNK, cfg.count - s) for s in starts]
@@ -459,11 +419,7 @@ def _record_chunks(cfg, keep_heap=True):
     # imported here: it pulls in multiprocessing and logging, which no other path needs
     import concurrent.futures
 
-    # the initializer gives spawned and forkserver workers the heap setting
-    # a forked worker inherits
-    initializer = keep_freed_heap if keep_heap else None
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
-                                                initializer=initializer) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         pending = collections.deque()
         for start, size in zip(starts, sizes):
             pending.append(pool.submit(sampling.records_chunk, cfg, start, size))
@@ -473,14 +429,14 @@ def _record_chunks(cfg, keep_heap=True):
             yield pending.popleft().result()
 
 
-def _checked_chunks(cfg, keep_heap):
+def _checked_chunks(cfg):
     """Yield (values, flags) of each chunk of `_record_chunks` in index order.
 
     Raises InvariantViolation, naming the global index, at the first
     sample whose containment flags do not all hold.
     """
     start = 0
-    for values, flags in _record_chunks(cfg, keep_heap):
+    for values, flags in _record_chunks(cfg):
         if not flags.all():
             bad = int(np.flatnonzero(~flags.all(axis=1))[0])
             raise InvariantViolation(
@@ -503,7 +459,7 @@ def cmd_sample(args) -> int:
     if args.energy_window is None:
         # manifests of either system record the default window
         args.energy_window = sampling.DEFAULT_ENERGY_WINDOW
-    chunks = _checked_chunks(cfg, keep_heap=args.format == "csv")
+    chunks = _checked_chunks(cfg)
     _write_output(args, ["energy", "entanglement", "purity", "flags"], chunks)
     return EXIT_OK
 
@@ -717,8 +673,6 @@ def main(argv=None) -> int:
     effective = list(argv) if argv is not None else sys.argv[1:]
     args = build_parser().parse_args(effective)
     args._argv = effective
-    if getattr(args, "format", None) == "csv":
-        keep_freed_heap()
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:

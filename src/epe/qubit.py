@@ -247,13 +247,14 @@ def concurrence(rho, check=True, factor=None):
     singular values come from a batched one-sided Jacobi kernel over the
     whole stack, so each matrix's concurrence is the same alone or in any
     stack; its Python loop makes one matrix cost about 1 ms, so pass stacks.
-    For k >= 3, states with det(rho^Gamma) > PPT_DET_MARGIN are first
+    For k = 4, states with det(rho^Gamma) > PPT_DET_MARGIN are first
     settled at C = 0 without the kernel: rho^Gamma has at most one negative
     eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)), so such a
     state is PPT, hence separable (Horodecki, Horodecki & Horodecki, PLA
     223, 1 (1996)).  Their kernel value would clip to exactly 0 as well, so
-    the result is the same bit for bit.  Rank <= 2 Hilbert-Schmidt states
-    are almost surely entangled, so k = 2 skips the test.  `check` validates
+    the result is the same bit for bit.  Smaller k skip the test: rank <= 2
+    Hilbert-Schmidt states are almost surely entangled, and the test settles
+    only about 7% of rank-3 states, too few to pay for itself.  `check` validates
     rho and, for a given factor, that A A^dag matches rho entrywise to
     FACTOR_TOL.
     """
@@ -272,7 +273,7 @@ def concurrence(rho, check=True, factor=None):
         return _float_or_array(np.clip(np.abs(T[0, 0]), 0.0, 1.0).reshape(lead))
     C = np.zeros(len(A))
     unsettled = slice(None)
-    if k >= 3:
+    if k == 4:
         # a NaN determinant leaves its state to the kernel
         unsettled = np.flatnonzero(~(_ppt_determinant(rho) > PPT_DET_MARGIN))
         A = A[unsettled]
@@ -305,7 +306,7 @@ def eof_from_concurrence(C) -> float:
     xp = (1.0 + root) / 2.0
     xm = (1.0 - root) / 2.0
     out = _xlog2x(xp) + _xlog2x(xm)
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)
 
 
 def entanglement_of_formation(rho) -> float:
@@ -411,7 +412,7 @@ def mems_concurrence_bound(P):
     out[mid] = np.sqrt(2.0 * (P[mid] - 1.0 / 3.0))
     high = P > 5.0 / 9.0
     out[high] = (1.0 + np.sqrt(2.0 * P[high] - 1.0)) / 2.0
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)
 
 
 def mems_energy_range(C):
@@ -451,7 +452,7 @@ def separable_min_purity(E):
     out[lo] = 1.5 * E[lo] ** 2 - 2.0 * E[lo] + 1.0
     out[mid] = 0.25 * (1.0 + 2.0 * (E[mid] - 1.0) ** 2)
     out[hi] = 1.5 * E[hi] ** 2 - 4.0 * E[hi] + 3.0
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)
 
 
 def pure_circle_concurrence(E):
@@ -460,7 +461,7 @@ def pure_circle_concurrence(E):
     if np.any(E < -1e-12) or np.any(E > 2.0 + 1e-12):
         raise DomainError("energy must lie in [0, 2]")
     out = np.sqrt(np.clip(1.0 - (E - 1.0) ** 2, 0.0, None))
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)
 
 
 def rotation(theta, axis) -> np.ndarray:

@@ -974,7 +974,7 @@ def inline_pool(monkeypatch):
         built = []
         submitted = []
 
-        def __init__(self, max_workers, initializer=None):
+        def __init__(self, max_workers):
             self.built.append(max_workers)
 
         def __enter__(self):
@@ -1054,35 +1054,31 @@ class TestStreamedSample:
         # a pool only where each of at least two workers gets two chunks
         assert inline_pool.built == ([workers] if workers >= 2 else [])
 
-    def test_pool_workers_keep_freed_heap(self, tmp_path, monkeypatch, qubit_oracle_lines):
-        # spawned and forkserver workers inherit no malloc setting, so the
-        # pool must hand them the helper; threads stand in for the workers
-        initializers = []
+    @pytest.fixture
+    def thread_pool(self, monkeypatch):
+        """Threads stand in for the pool's worker processes; records each
+        pool's max_workers."""
+        built = []
 
-        class Recorder(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers, initializer=None):
-                initializers.append(initializer)
-                super().__init__(max_workers, initializer=initializer)
+        class ThreadPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPool)
         monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        return built
+
+    def test_pool_csv_matches_the_oracle(self, tmp_path, monkeypatch, thread_pool,
+                                         qubit_oracle_lines):
         monkeypatch.setenv("EPE_THREADS", "2")
         count = 3 * sampling.CHUNK + 1
         out = tmp_path / "q.csv"
         assert run_cli([*_QUBIT, "--count", str(count), "--out", str(out)]) == 0
-        assert initializers == [cli.keep_freed_heap]
+        assert thread_pool == [2]
         assert out.read_text() == "".join(qubit_oracle_lines[: count + 1])
 
-    def test_json_pool_workers_get_no_heap_pad(self, tmp_path, monkeypatch):
-        initializers = []
-
-        class Recorder(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers, initializer=None):
-                initializers.append(initializer)
-                super().__init__(max_workers, initializer=initializer)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    def test_pool_json_matches_one_process(self, tmp_path, monkeypatch, thread_pool):
         argv = [*_QUBIT, "--count", str(3 * sampling.CHUNK + 1), "--format", "json"]
         # the body records argv, so both runs write the same relative --out
         for workers in ("2", "1"):
@@ -1090,7 +1086,7 @@ class TestStreamedSample:
             monkeypatch.chdir(tmp_path / workers)
             monkeypatch.setenv("EPE_THREADS", workers)
             assert run_cli([*argv, "--out", "q.json"]) == 0
-        assert initializers == [None]
+        assert thread_pool == [2]
         assert read(tmp_path / "2" / "q.json") == read(tmp_path / "1" / "q.json")
 
     @pytest.mark.parametrize("existing", [None, b"earlier bytes\n"])
@@ -1236,72 +1232,6 @@ def test_jc_runs_without_scipy(argv):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") == 2
-
-
-def _has_mallopt():
-    import ctypes
-
-    try:
-        return hasattr(ctypes.CDLL(None), "mallopt")
-    except (OSError, TypeError):
-        return False
-
-
-class TestFreedHeap:
-    @staticmethod
-    def _minor_faults(tmp_path, count):
-        """Minor page faults of a child `epe sample --system qubit --count count`."""
-        env = dict(_src_env(), EPE_THREADS="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        out = tmp_path / f"q{count}.csv"
-        proc = subprocess.Popen([sys.executable, "-m", "epe.cli", "sample", "--system", "qubit",
-                                 "--seed", "7", "--count", str(count), "--out", str(out)],
-                                env=env)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
-        return usage.ru_minflt
-
-    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
-    def test_faults_do_not_grow_with_chunks(self, tmp_path):
-        one, ten = (self._minor_faults(tmp_path, n) for n in (sampling.CHUNK, 10 * sampling.CHUNK))
-        # when glibc trimmed the freed heap after every chunk, 9 more chunks
-        # took about 12,100 more faults
-        assert ten - one < 1000, (one, ten)
-
-    def test_pad_for_csv_output_only(self, tmp_path, monkeypatch):
-        # JSON records live in pymalloc arenas that cannot reuse the kept heap
-        calls = []
-        monkeypatch.setattr(cli, "keep_freed_heap", lambda: calls.append(None))
-        monkeypatch.setenv("EPE_THREADS", "1")
-        runs = [([*_QUBIT, "--count", "5"], 1),
-                ([*_QUBIT, "--count", "5", "--format", "json"], 0),
-                (["boundary", "--system", "qubit", "--curve", "pure", "--grid", "0:2:1"], 1),
-                (["boundary", "--system", "qubit", "--curve", "pure", "--grid", "0:2:1",
-                  "--format", "json"], 0)]
-        for i, (argv, want) in enumerate(runs):
-            calls.clear()
-            assert run_cli([*argv, "--out", str(tmp_path / f"run{i}")]) == 0
-            assert len(calls) == want, argv
-        # a rerun pads as the run it replays does
-        for i, want in ((0, 1), (1, 0)):
-            calls.clear()
-            assert run_cli(["rerun", str(tmp_path / f"run{i}.manifest.json")]) == 0
-            assert len(calls) == want
-
-    def test_no_op_where_the_library_cannot_be_loaded(self, monkeypatch):
-        import ctypes
-
-        def unloadable(name):
-            raise OSError("no C library")
-
-        monkeypatch.setattr(ctypes, "CDLL", unloadable)
-        assert cli.keep_freed_heap() is None
-
-    def test_no_op_where_the_library_has_no_mallopt(self, monkeypatch):
-        import ctypes
-
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
-        assert cli.keep_freed_heap() is None
 
 
 class TestWorkers:

@@ -433,7 +433,7 @@ class TestShapedConcurrence:
     @pytest.mark.parametrize("name", sorted(_SPECS_BY_INPUT))
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_matches_mpmath_and_the_eigvals_route(self, name, data):
+    def test_matches_mpmath(self, name, data):
         spec = data.draw(_SPECS_BY_INPUT[name])
         times = data.draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=4))
         support = jc.field_support(spec)

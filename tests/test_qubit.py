@@ -302,6 +302,21 @@ class TestPptSettle:
             assert np.all(np.linalg.eigvalsh(pt[settled])[:, 0] > 0.0)
             assert np.array_equal(bits(want[settled]), bits(np.zeros(settled.sum())))
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_only_four_column_factors_take_the_test(self, monkeypatch, k):
+        # at k = 3 the test settles about 7% of states, too few to pay for it
+        calls = []
+        real = qubit._ppt_determinant
+
+        def counted(rho):
+            calls.append(len(rho))
+            return real(rho)
+
+        monkeypatch.setattr(qubit, "_ppt_determinant", counted)
+        rhos, A = sampling._qubit_states_chunk(7, 0, 64, k)
+        qubit.concurrence(rhos, check=False, factor=A)
+        assert calls == ([64] if k == 4 else [])
+
     BOUNDARY = {
         # (factor, state, settled)
         "pure product": (np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), GROUND, False),
