@@ -360,7 +360,7 @@ def _write_output(args, header, blocks):
         if args.format == "csv":
             spool.write((",".join(header) + "\n").encode())
             for values, flags in blocks:
-                labels = None if flags is None else sampling.flag_bytes(flags)
+                labels = None if flags is None else sampling.flag_labels(flags)
                 spool.write(csv_bytes(values, labels))
         else:
             body = {"manifest": _manifest(args, [args.out] if args.out else []),
@@ -373,7 +373,8 @@ def _write_output(args, header, blocks):
             for values, flags in blocks:
                 rows = values.tolist()
                 if flags is not None:
-                    rows = [row + [label] for row, label in zip(rows, sampling.flag_labels(flags))]
+                    labels = sampling.flag_labels(flags).astype(str).tolist()
+                    rows = [row + [label] for row, label in zip(rows, labels)]
                 if rows:
                     records = [dict(zip(header, row)) for row in rows]
                     text = json.dumps(records, indent=1, sort_keys=True)
@@ -517,12 +518,12 @@ def _jc_specs(args):
     if args.input == "coherent":
         return [(a, jc.EntangledCoherent(alpha=a)) for a in values]
     for g in values:
-        if not 0.0 <= g <= jc.GAMMA_CAP + 1e-12:
+        if not 0.0 <= g <= jc.GAMMA_CAP:
             raise ConfigurationError(
                 f"gamma={g} outside [0, {jc.GAMMA_CAP}]; larger values make the "
                 "Fock truncation dishonest"
             )
-    return [(g, jc.TwoModeSqueezed(gamma=min(g, jc.GAMMA_CAP))) for g in values]
+    return [(g, jc.TwoModeSqueezed(gamma=g)) for g in values]
 
 
 def _analytic_deviation(spec, grid, result, n_max):

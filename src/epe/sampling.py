@@ -8,11 +8,12 @@ is the seed in the low 64 bits and a system tag in the high 64 bits.
 The stream is cut into blocks of W uint64 words; attempt k of index i
 owns block k * 2**40 + i, i.e. words [block * W, (block + 1) * W).  A
 chunk of consecutive indices is therefore one contiguous `random_raw`
-call per attempt, and chunked or parallel generation emits byte-identical
-records in index order no matter how the work is split.  Words become
-uniforms in [0, 1) as (word >> 11) * 2**-53 and complex normals by
-Box-Muller, which consumes a fixed number of words, so every offset is
-exact.
+call per attempt, on a generator built from that key and counter (none
+is kept between calls), and chunked or parallel generation emits
+byte-identical records in index order no matter how the work is split.
+Words become uniforms in [0, 1) as (word >> 11) * 2**-53 and complex
+normals by Box-Muller, which consumes a fixed number of words, so every
+offset is exact.
 
 Two-qubit states (W = 32) are drawn from the Ginibre construction
 rho = G G^dag / Tr(G G^dag) with G a 4 x k standard complex normal
@@ -44,9 +45,7 @@ measures with check=False.
 
 from __future__ import annotations
 
-import functools
 import operator
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,40 +165,24 @@ class EPERecord:
 
     @property
     def flags(self) -> str:
-        return flag_labels([self.on_pure_circle, self.below_mems, self.in_separable_band])
+        return flag_labels([self.on_pure_circle, self.below_mems, self.in_separable_band]).decode()
 
 
 # the "110"-style label of each containment-flag triple, indexed by flags @ (4, 2, 1)
-_FLAG_LABELS = np.array([format(i, "03b") for i in range(8)], dtype=object)
-_FLAG_BYTES = _FLAG_LABELS.astype("S3")
+_FLAG_LABELS = np.array([format(i, "03b") for i in range(8)], dtype="S3")
 _FLAG_WEIGHTS = np.array([4, 2, 1])
 
 
 def flag_labels(flags):
-    """Labels such as "110" of a (..., 3) boolean array of containment flags.
+    """Labels such as b"110" of a (..., 3) boolean array of containment flags.
 
-    An (N, 3) array gives an (N,) object array of strings; a single triple gives a str.
+    An (N, 3) array gives an (N,) array of 3 ASCII bytes each, with no
+    Python object per label; a single triple gives one bytes label.
     """
     return _FLAG_LABELS[np.asarray(flags, dtype=bool) @ _FLAG_WEIGHTS]
 
 
-def flag_bytes(flags):
-    """`flag_labels` as an (N,) array of 3 ASCII bytes each, with no Python object per label."""
-    return _FLAG_BYTES[np.asarray(flags, dtype=bool) @ _FLAG_WEIGHTS]
-
-
 # --- the Philox stream ---
-
-# One generator per process, keyed and positioned by each `stream_words`
-# call: a generator built per call would seed a throwaway SeedSequence
-# from OS entropy.  The lock keeps a call's state and draw together.
-_PHILOX_LOCK = threading.Lock()
-
-
-@functools.cache
-def _philox():
-    """The process's generator, built on first use (so only sampling imports numpy.random)."""
-    return np.random.Philox(0)
 
 
 def stream_words(seed, system, start, count, width, attempt=0) -> np.ndarray:
@@ -208,21 +191,11 @@ def stream_words(seed, system, start, count, width, attempt=0) -> np.ndarray:
     block = attempt * INDEX_LIMIT + start
     # Philox steps its counter before each 4-word output, so block b
     # occupies counters b * width / 4 + 1 .. (b + 1) * width / 4
-    state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([block * width // 4, 0, 0, 0], dtype=np.uint64),
-            "key": np.array([seed, _SYSTEM_TAG[system]], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    with _PHILOX_LOCK:
-        bits = _philox()
-        bits.state = state
-        return bits.random_raw(count * width).reshape(count, width)
+    bits = np.random.Philox(
+        counter=np.array([block * width // 4, 0, 0, 0], dtype=np.uint64),
+        key=np.array([seed, _SYSTEM_TAG[system]], dtype=np.uint64),
+    )
+    return bits.random_raw(count * width).reshape(count, width)
 
 
 def uniforms(words) -> np.ndarray:
@@ -256,18 +229,11 @@ def qubit_normals(seed, start, count) -> np.ndarray:
 
 def _qubit_states_chunk(seed, start, count, rank):
     """(rhos, factors): the (count, 4, 4) states rho = M / Tr M, M = G G^dag,
-    and their (count, 4, rank) factors A = G / sqrt(Tr M), so rho = A A^dag.
-    Both are scaled through their real views by 1 / Tr M and 1 / sqrt(Tr M),
-    bit for bit the complex division."""
+    and their (count, 4, rank) factors A = G / sqrt(Tr M), so rho = A A^dag."""
     G = qubit_normals(seed, start, count).reshape(count, 4, 4)[:, :, :rank]
     M = G @ G.conj().transpose(0, 2, 1)
     trace = np.trace(M, axis1=1, axis2=2).real[:, None, None]
-    # numpy divides x + iy by t + 0i as ((x + y 0) (1/t), (y - x 0) (1/t)):
-    # the bits of scaling the real view by 1/t, except where a part is -0
-    # beside one of the other sign; the only zero parts, the imaginary
-    # parts of the diagonal, sit beside x > 0
-    M.view(float)[...] *= 1.0 / trace
-    return M, (G.view(float) * (1.0 / np.sqrt(trace))).view(complex)
+    return M / trace, G / np.sqrt(trace)
 
 
 def qubit_records(rhos, factors, measure="concurrence"):

@@ -659,8 +659,16 @@ class TestJc:
         assert capsys.readouterr().err == "error: --tsteps must be between 1 and 1000000\n"
         assert not out.exists()
 
-    def test_gamma_cap_enforced(self, capsys):
+    def test_gamma_cap_enforced(self, tmp_path, capsys):
         assert run_cli(["jc", "--input", "squeezed", "--gamma", "0.99"]) == 2
+        # a gamma a hair above the cap is refused, not evolved at the cap
+        out = tmp_path / "scan.csv"
+        argv = ["jc", "--input", "squeezed", "--gamma", "0.9500000000001", "--tsteps", "50"]
+        capsys.readouterr()
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma=0.9500000000001 outside") and err.count("\n") == 1
+        assert not out.exists() and not tmp_path.joinpath("scan.csv.manifest.json").exists()
 
     def test_missing_parameter_exit_2(self, capsys):
         assert run_cli(["jc", "--input", "n-photon"]) == 2
@@ -846,7 +854,7 @@ class TestCsvFormatter:
             [[0.0, -0.0, 1.0], [0.1, 1 / 3, 2.0**-1074], [np.inf, -np.inf, 1e300]],
         ])
         labels = sampling.flag_labels(rng.random((len(values), 3)) < 0.5)
-        rows = [(*v, label) for v, label in zip(values, labels)]
+        rows = [(*v, label.decode()) for v, label in zip(values, labels)]
         want = _oracle_csv(["x"], rows).split("\n", 1)[1]
         assert cli.csv_bytes(values, labels).decode("ascii") == want
         want = "".join(_fmt_row(v) + "\n" for v in values[:, :2])
@@ -870,11 +878,12 @@ class TestCsvFormatter:
     def test_flag_labels_match_flag_string(self):
         triples = np.array([[b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(8)], dtype=bool)
         strings = [_flag_string(t) for t in triples]
-        assert list(sampling.flag_labels(triples)) == strings
-        assert [label.decode() for label in sampling.flag_bytes(triples)] == strings
-        # a single triple, as EPERecord.flags passes it, gives one string
+        labels = sampling.flag_labels(triples)
+        assert labels.dtype == "S3"
+        assert [label.decode() for label in labels] == strings
+        # a single triple, as EPERecord.flags passes it, gives one label
         for t in triples:
-            assert sampling.flag_labels(t.tolist()) == _flag_string(t)
+            assert sampling.flag_labels(t.tolist()) == _flag_string(t).encode()
 
     @pytest.mark.parametrize("argv", [
         ["boundary", "--system", "gaussian", "--curve", "band", "--grid", "0:3:0.01"],

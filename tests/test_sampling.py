@@ -1,5 +1,9 @@
 """Sampler determinism, containment flags and boundary tables."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import mpmath
 import numpy as np
 import pytest
@@ -88,7 +92,7 @@ class TestQubitSampler:
         assert np.array_equal(vals, np.concatenate([lo, hi]))
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-    def test_states_scale_by_reciprocals_with_the_division_bits(self, rank):
+    def test_states_are_the_complex_division(self, rank):
         G = sampling.qubit_normals(7, 0, 2 * sampling.CHUNK).reshape(-1, 4, 4)[:, :, :rank]
         M = G @ G.conj().transpose(0, 2, 1)
         trace = np.trace(M, axis1=1, axis2=2).real[:, None, None]
@@ -551,20 +555,33 @@ class TestPhiloxStream:
         bits.advance((k * 2**40 + i) * width // 4)
         assert np.array_equal(sampling.uniforms(words).ravel(), np.random.Generator(bits).random(2 * width))
 
-    def test_draws_no_os_entropy(self, monkeypatch):
-        # a generator built per call seeds a throwaway SeedSequence from OS entropy
-        seed, i, k, width = 11, 6, 2, sampling.QUBIT_WORDS
-        bits = np.random.Philox(key=[seed, 1], counter=(k * 2**40 + i) * width // 4)
-        expected = bits.random_raw(3 * width).reshape(3, width)
+    def test_threads_draw_the_serial_words(self):
+        # each call builds its own generator, so concurrent calls share no state
+        rng = np.random.default_rng(5)
+        triples = [(int(rng.integers(0, 1 << 64, dtype=np.uint64)), int(rng.integers(1 << 20)),
+                    int(rng.integers(4))) for _ in range(32)]
 
-        def refuse(*args):
-            raise AssertionError("stream_words drew OS entropy")
+        def draw(seed, start, attempt):
+            return sampling.stream_words(seed, "qubit", start, 64, sampling.QUBIT_WORDS, attempt)
 
-        monkeypatch.setattr(np.random.bit_generator, "randbits", refuse)
-        # twice: a draw leaves nothing behind for the next call
-        for _ in range(2):
-            words = sampling.stream_words(seed, "qubit", i, 3, width, attempt=k)
-            assert np.array_equal(words, expected)
+        serial = [draw(*t) for t in triples]
+        shifts = (0, 8, 16, 24)
+        barrier = threading.Barrier(len(shifts))
+
+        def draw_rotated(shift):
+            barrier.wait(timeout=60)
+            return [draw(*t) for t in triples[shift:] + triples[:shift]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(shifts)) as pool:
+                results = list(pool.map(draw_rotated, shifts, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for shift, words in zip(shifts, results):
+            for got, want in zip(words, serial[shift:] + serial[:shift]):
+                assert np.array_equal(got, want)
 
     def test_systems_draw_distinct_streams(self):
         qubit_words = sampling.stream_words(3, "qubit", 0, 4, 16)
@@ -704,6 +721,6 @@ class TestRecord:
     def test_flag_string(self):
         rec = sampling.EPERecord(1.0, 0.5, 0.8, True, True, False)
         assert rec.flags == "110"
-        assert sampling.flag_labels(np.array([False, True, True])) == "011"
+        assert sampling.flag_labels(np.array([False, True, True])) == b"011"
         labels = sampling.flag_labels(np.array([[True, False, False], [False, False, True]]))
-        assert list(labels) == ["100", "001"]
+        assert list(labels) == [b"100", b"001"]
