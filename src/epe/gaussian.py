@@ -74,14 +74,6 @@ class StandardFormCM:
             raise DomainError("diagonal parameters a, b must be >= 1")
 
 
-@dataclass(frozen=True)
-class SymplecticSpectrum:
-    """Symplectic eigenvalues nu_- <= nu_+ of a two-mode covariance matrix."""
-
-    nu_minus: float
-    nu_plus: float
-
-
 def _standard_form(a, b, c_plus, c_minus) -> StandardFormCM:
     """A StandardFormCM of the broadcast fields: floats for scalar inputs."""
     fields = (np.array(x, dtype=float) for x in np.broadcast_arrays(a, b, c_plus, c_minus))
@@ -137,10 +129,11 @@ def _radicand(sf: StandardFormCM):
     return d * d + 4.0 * (a * cp + b * cm) * (a * cm + b * cp)
 
 
-def symplectic_eigenvalues(sf: StandardFormCM) -> SymplecticSpectrum:
-    """Symplectic eigenvalues from 2 nu_+-^2 = Delta -+ sqrt(Delta^2 - 4 Det sigma)."""
+def symplectic_eigenvalues(sf: StandardFormCM):
+    """The pair (nu_-, nu_+) from 2 nu_+-^2 = Delta -+ sqrt(Delta^2 - 4 Det sigma):
+    floats for one row, arrays for a stack."""
     nm, npl = nu_from_invariants(seralian(sf), det_sigma(sf), _radicand(sf))
-    return SymplecticSpectrum(nu_minus=_float_or_array(nm), nu_plus=_float_or_array(npl))
+    return _float_or_array(nm), _float_or_array(npl)
 
 
 def is_physical(sf: StandardFormCM):
@@ -162,8 +155,16 @@ def is_physical(sf: StandardFormCM):
 
 
 def require_physical(sf: StandardFormCM) -> StandardFormCM:
-    if not np.all(is_physical(sf)):
-        raise UnphysicalCovarianceError(f"covariance matrix {sf} violates nu_- >= 1")
+    """`sf`, or UnphysicalCovarianceError naming its first row that fails `is_physical`."""
+    ok = np.asarray(is_physical(sf))
+    if not ok.all():
+        i = int(np.argmin(ok))  # a flat index for stacks of more than one axis
+        rows = np.stack(np.broadcast_arrays(sf.a, sf.b, sf.c_plus, sf.c_minus), -1)
+        row = rows.reshape(-1, 4)[i]
+        raise UnphysicalCovarianceError(
+            f"standard-form row{f' {i}' if ok.ndim else ''} (a, b, c+, c-) = "
+            f"{tuple(row.tolist())} is not physical (needs a b >= c+-^2 and nu_- >= 1)"
+        )
     return sf
 
 
@@ -311,31 +312,14 @@ def band_width(E):
 # --- operations on raw 4x4 covariance matrices ---
 
 
-def _diagonal(cms):
-    return np.abs(np.diagonal(cms, axis1=-2, axis2=-1))
-
-
-def _beyond(error, absolute, scaled):
-    """Whether any error exceeds max(absolute, scaled()).
-
-    The scale-aware tolerance `scaled()` is evaluated only when some error
-    exceeds the absolute one, which at O(1) entries none does.
-    """
-    over = error > absolute
-    if not over.any():
-        return False
-    return bool(np.any(error[over] > np.broadcast_to(scaled(), error.shape)[over]))
-
-
 def _check_symmetric(cm):
     """Raise unless every |sigma_ij - sigma_ji| is at most
     max(1e-12, SYMMETRY_ROUNDOFF eps sqrt|sigma_ii sigma_jj|)."""
-
-    def scaled():
-        d = _diagonal(cm)
-        return SYMMETRY_ROUNDOFF * EPS * np.sqrt(d[..., :, None] * d[..., None, :])
-
-    if _beyond(np.abs(cm - cm.swapaxes(-1, -2)), 1e-12, scaled):
+    # each pair i < j once: a diagonal entry differs from itself by 0
+    i, j = np.triu_indices(4, 1)
+    d = np.abs(np.diagonal(cm, axis1=-2, axis2=-1))
+    tol = np.maximum(1e-12, SYMMETRY_ROUNDOFF * EPS * np.sqrt(d[..., i] * d[..., j]))
+    if np.any(np.abs(cm[..., i, j] - cm[..., j, i]) > tol):
         raise UnphysicalCovarianceError("covariance matrix is not symmetric")
     return cm
 
@@ -433,14 +417,14 @@ def reduce_to_standard_form(cm, *, spectrum=None):
     tolerance and the roundoff of a matrix of its diagonal's scale (the
     module constants above).
 
-    `spectrum`, the (N, 2) symplectic eigenvalues (nu_-, nu_+) the
-    matrices were built from (the sampler's candidates), replaces both
-    LAPACK steps, so no `np.linalg` call runs: the rows must give
-    Det sigma = (nu_- nu_+)^2 and Delta = nu_-^2 + nu_+^2 within the same
-    tolerances, and sigma >= 0 is left to the caller's row test
-    a b >= c+-^2 of `is_physical` (Sylvester's law of inertia, with the
-    local blocks positive definite), which `sampling.gaussian_records`
-    runs on every row.
+    `spectrum`, the pair (nu_-, nu_+) of symplectic eigenvalues the
+    matrices were built from (floats, or (N,) arrays for a stack: the
+    sampler's candidates), replaces both LAPACK steps, so no `np.linalg`
+    call runs: the rows must give Det sigma = (nu_- nu_+)^2 and
+    Delta = nu_-^2 + nu_+^2 within the same tolerances, and then pass
+    `require_physical`, whose row test a b >= c+-^2 stands in for
+    sigma >= 0 (Sylvester's law of inertia, with the local blocks
+    positive definite).
     """
     cms = np.asarray(cm, dtype=float)
     if cms.shape == (4, 4):
@@ -451,21 +435,10 @@ def reduce_to_standard_form(cm, *, spectrum=None):
             f"expected a 4x4 matrix or an (N, 4, 4) stack, got shape {cms.shape}"
         )
     _check_symmetric(cms)
-
-    # the invariants' roundoff, from the sums of their absolute terms
-    def delta_tol():
-        d = _diagonal(cms)
-        return INVARIANT_ROUNDINGS * EPS * 2.0 * (
-            np.sqrt(d[:, 0] * d[:, 1]) + np.sqrt(d[:, 2] * d[:, 3])
-        ) ** 2
-
-    def det_tol():
-        return INVARIANT_ROUNDINGS * EPS * 24.0 * _diagonal(cms).prod(-1)
-
+    d = np.abs(np.diagonal(cms, axis1=-2, axis2=-1))
     if spectrum is None:
         eigen_floor = -np.linalg.eigvalsh(cms).min(axis=-1)
-        if _beyond(eigen_floor, PHYSICALITY_TOL,
-                   lambda: EIGEN_ROUNDOFF * EPS * _diagonal(cms).sum(-1)):
+        if np.any(eigen_floor > np.maximum(PHYSICALITY_TOL, EIGEN_ROUNDOFF * EPS * d.sum(-1))):
             raise UnphysicalCovarianceError("covariance matrix is not positive semidefinite")
     params = _standard_form_rows(cms)
     try:
@@ -473,19 +446,25 @@ def reduce_to_standard_form(cm, *, spectrum=None):
     except DomainError as exc:
         # nu_- <= min(a, b), so a local value below 1 puts nu_- below 1 too
         raise UnphysicalCovarianceError("covariance matrix violates nu_- >= 1") from exc
+    # the invariants' roundoff, from the sums of their absolute terms
+    delta_tol = INVARIANT_ROUNDINGS * EPS * 2.0 * (
+        np.sqrt(d[:, 0] * d[:, 1]) + np.sqrt(d[:, 2] * d[:, 3])
+    ) ** 2
+    det_tol = INVARIANT_ROUNDINGS * EPS * 24.0 * d.prod(-1)
     # nu_-^2 + nu_+^2 = Delta, which is known to delta_tol only
-    nu_minus = symplectic_eigenvalues(sf).nu_minus
-    if _beyond(1.0 - nu_minus, PHYSICALITY_TOL, lambda: delta_tol() / 2.0):
+    nu_minus, _ = symplectic_eigenvalues(sf)
+    if np.any(1.0 - nu_minus > np.maximum(PHYSICALITY_TOL, delta_tol / 2.0)):
         raise UnphysicalCovarianceError("covariance matrix violates nu_- >= 1")
 
     if spectrum is None:
         _, _, _, ds, delta = _block_invariants(cms)
     else:
-        nu_m, nu_p = np.asarray(spectrum, dtype=float).T
+        nu_m, nu_p = (np.asarray(x, dtype=float) for x in spectrum)
         ds = (nu_m * nu_p) ** 2
         delta = nu_m * nu_m + nu_p * nu_p
-    if _beyond(np.abs(det_sigma(sf) - ds), 1e-9 * np.maximum(1.0, np.abs(ds)), det_tol) or _beyond(
-        np.abs(seralian(sf) - delta), 1e-9 * np.maximum(1.0, np.abs(delta)), delta_tol
-    ):
-        raise InvariantViolation("standard-form reduction failed to preserve invariants")
+    for got, want, tol in ((det_sigma(sf), ds, det_tol), (seralian(sf), delta, delta_tol)):
+        if np.any(np.abs(got - want) > np.maximum(1e-9 * np.maximum(1.0, np.abs(want)), tol)):
+            raise InvariantViolation("standard-form reduction failed to preserve invariants")
+    if spectrum is not None:
+        require_physical(sf)
     return params

@@ -29,16 +29,15 @@ Records are computed a chunk at a time: `qubit_records` evaluates the
 stacked `qubit` measures on the (N, 4, 4) stack of states (concurrence
 from the drawn factors A = G / sqrt(Tr(G G^dag)); states whose
 det(rho^Gamma) shows them PPT get C = 0 without the Jacobi kernel, with
-the kernel's bits), and `gaussian_records`
-the stacked `gaussian` measures on the (N, 4) standard forms of one
+the kernel's bits), and `_gaussian_records` the stacked `gaussian`
+measures on the (N, 4) standard forms of one
 `gaussian.reduce_to_standard_form` call.  Both return an (N, 3) value
 array and an (N, 3) array of containment flags.  A Gaussian record's
 energy is, bit for bit, the `candidate_energy` its candidate was
 accepted on.  The reduction is handed the spectrum (nu_-, nu_+) each
 accepted candidate was drawn with and checks its rows' Det sigma and
-Delta against it, so a Gaussian chunk makes no LAPACK call;
-`gaussian_records` checks the rows' physicality once and evaluates the
-measures with check=False.
+Delta against it, then their physicality, so a Gaussian chunk makes no
+LAPACK call and its measures run with check=False.
 `records_chunk` is the one dispatch on a run's system, and
 `sample_states` yields its (state, EPERecord) pairs.
 """
@@ -321,8 +320,8 @@ def candidate_covariances(u, energy_window=DEFAULT_ENERGY_WINDOW):
     L_i^T nu L_i = nu Rot'^T D^2 Rot' (uniforms 2 and 5 drop out), and the
     local symplectic R changes no record (9-14); 15 is unused.  Accepted
     when the spectrum range is nonempty and the `candidate_energy`, the
-    energy the record reports, lies in the window.  Returns ((N, 4, 4) CMs,
-    (N,) bools).
+    energy the record reports, lies in the window.  Returns (sigma,
+    (nu_-, nu_+), ok): (N, 4, 4) CMs, the (N,) spectra and (N,) bools.
     """
     e_lo, e_hi = energy_window
     r_max = 0.5 * np.arccosh(e_hi + 1.0)
@@ -341,7 +340,7 @@ def candidate_covariances(u, energy_window=DEFAULT_ENERGY_WINDOW):
                       g11, g12, b11, b12,
                       g12, g22, b12, b22], -1).reshape(-1, 4, 4)
     energy = candidate_energy(sigma)
-    return sigma, (top > nu_m) & (e_lo <= energy) & (energy <= e_hi)
+    return sigma, (nu_m, nu_p), (top > nu_m) & (e_lo <= energy) & (energy <= e_hi)
 
 
 def candidate_energy(sigma):
@@ -370,23 +369,22 @@ def random_covariance(rng):
     `candidate_covariances` until one is accepted, in at most MAX_ATTEMPTS.
     """
     for _ in range(MAX_ATTEMPTS):
-        sigma, ok = candidate_covariances(rng.random((1, GAUSSIAN_WORDS)))
+        sigma, _, ok = candidate_covariances(rng.random((1, GAUSSIAN_WORDS)))
         if ok[0]:
             return sigma[0]
     raise _window_error(DEFAULT_ENERGY_WINDOW)
 
 
 def _accepted_candidates(seed, start, count, energy_window):
-    """(sigmas, spectra): the (count, 4, 4) accepted CMs for indices
-    [start, start + count) and the (count, 2) symplectic spectra
-    (nu_-, nu_+) they were built from.
+    """(sigmas, (nu_-, nu_+)): the (count, 4, 4) accepted CMs for indices
+    [start, start + count) and the (count,) spectra they were built from.
 
     Rejection runs in rounds: round k draws attempt k of every index still
     pending, so each index keeps its first accepted attempt (at most
     MAX_ATTEMPTS of them).
     """
     sigmas = np.empty((count, 4, 4))
-    spectra = np.empty((count, 2))
+    nu_minus, nu_plus = np.empty((2, count))
     pending = np.arange(count)
     for attempt in range(MAX_ATTEMPTS):
         if not pending.size:
@@ -396,30 +394,27 @@ def _accepted_candidates(seed, start, count, energy_window):
             seed, "gaussian", start + first, int(pending[-1]) + 1 - first, GAUSSIAN_WORDS, attempt
         )
         u = uniforms(words[pending - first])
-        sigma, ok = candidate_covariances(u, energy_window)
+        sigma, (nu_m, nu_p), ok = candidate_covariances(u, energy_window)
         done = pending[ok]
         sigmas[done] = sigma[ok]
-        nu_m, nu_p, _ = _drawn_spectrum(u[ok], energy_window[1])
-        spectra[done, 0] = nu_m
-        spectra[done, 1] = nu_p
+        nu_minus[done] = nu_m[ok]
+        nu_plus[done] = nu_p[ok]
         pending = pending[~ok]
     if pending.size:
         raise _window_error(energy_window)
-    return sigmas, spectra
+    return sigmas, (nu_minus, nu_plus)
 
 
-def gaussian_records(params, measure="logneg"):
-    """Vectorized records for an (N, 4) array of standard forms (a, b, c+, c-).
+def _gaussian_records(params, measure="logneg"):
+    """Vectorized records for (N, 4) standard forms (a, b, c+, c-) the reduction checked.
 
-    Returns (values, flags) like `qubit_records`.  The rows pass one
-    `gaussian.require_physical` (sigma >= 0 and nu_- >= 1 per row); every
-    column and flag bound is then a stacked `gaussian` call with
-    check=False: the flags compare the
-    log-negativity with that of `two_mode_squeezed_vacuum(E)` for pure
+    Returns (values, flags) like `qubit_records`.  Every column and flag
+    bound is a stacked `gaussian` call with check=False: the flags compare
+    the log-negativity with that of `two_mode_squeezed_vacuum(E)` for pure
     rows and of `gmems(E, P)` for all, and require P above the
     `separability_band` top 1/(2E + 1) for entangled rows.
     """
-    sf = gaussian.require_physical(gaussian.StandardFormCM(*params.T))
+    sf = gaussian.StandardFormCM(*params.T)
     en = gaussian.energy(sf, check=False)
     pur = gaussian.purity(sf, check=False)
     logneg = gaussian.log_negativity(sf, check=False)
@@ -454,11 +449,11 @@ def gaussian_records_chunk(seed, start, count, energy_window=DEFAULT_ENERGY_WIND
 
     `params` is the (count, 4) array of standard forms (a, b, c+, c-),
     reduced in one stacked call checked against the drawn spectra; values
-    and flags are their `gaussian_records`.
+    and flags are their `_gaussian_records`.
     """
-    sigmas, spectra = _accepted_candidates(seed, start, count, energy_window)
-    params = gaussian.reduce_to_standard_form(sigmas, spectrum=spectra)
-    return (params, *gaussian_records(params, measure))
+    sigmas, spectrum = _accepted_candidates(seed, start, count, energy_window)
+    params = gaussian.reduce_to_standard_form(sigmas, spectrum=spectrum)
+    return (params, *_gaussian_records(params, measure))
 
 
 # --- one sampling path for both systems ---
@@ -573,7 +568,8 @@ def boundary_tables(system, grid, curve, energy=None):
     "tmsv") or purity ("gmems", "glems" at a fixed `energy`), evaluated by
     one stacked `qubit` or `gaussian` call.  Returns (header, table), an
     (N, k) float array whose first column is the grid.  Grid points
-    outside the curve's domain raise DomainError.
+    outside the curve's domain, or whose row is not finite in floating
+    point, raise DomainError.
     """
     if curve not in _CURVES.get(system, {}):
         raise DomainError(f"unknown {system} curve {curve!r}")
@@ -581,4 +577,9 @@ def boundary_tables(system, grid, curve, energy=None):
         raise DomainError(f"curve {curve!r} needs a fixed energy")
     header, columns = _CURVES[system][curve]
     grid = np.asarray(grid, dtype=float).reshape(-1)
-    return header, np.column_stack([grid, *columns(grid, energy)])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table = np.column_stack([grid, *columns(grid, energy)])
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise DomainError(f"curve {curve!r} is not finite at grid point {float(grid[bad][0])!r}")
+    return header, table

@@ -25,7 +25,6 @@ from epe.errors import ConfigurationError, DomainError, InvalidStateError, Unphy
 from epe.gaussian import (
     PHYSICALITY_TOL,
     StandardFormCM,
-    SymplecticSpectrum,
     _block_invariants,
     _bool_or_array,
     _check_symmetric,
@@ -112,13 +111,13 @@ def cm_validate(cm) -> np.ndarray:
     return _check_symmetric(cm)
 
 
-def cm_symplectic_eigenvalues(cm) -> SymplecticSpectrum:
-    """Symplectic eigenvalues of a general covariance matrix, |eig(i Omega sigma)|."""
+def cm_symplectic_eigenvalues(cm):
+    """The pair (nu_-, nu_+) of a general covariance matrix, from |eig(i Omega sigma)|."""
     cm = cm_validate(cm)
     ev = np.abs(np.linalg.eigvals(1j * OMEGA @ cm).real)
     ev.sort()
     # eigenvalues come in +- pairs
-    return SymplecticSpectrum(nu_minus=float(ev[0]), nu_plus=float(ev[2]))
+    return float(ev[0]), float(ev[2])
 
 
 def cm_is_physical(cm, tol=PHYSICALITY_TOL) -> bool:
@@ -131,7 +130,7 @@ def cm_is_physical(cm, tol=PHYSICALITY_TOL) -> bool:
     cm = cm_validate(cm)
     if np.linalg.eigvalsh(cm).min() < -tol:
         return False
-    return cm_symplectic_eigenvalues(cm).nu_minus >= 1.0 - tol
+    return cm_symplectic_eigenvalues(cm)[0] >= 1.0 - tol
 
 
 def cm_energy(cm) -> float:
@@ -146,7 +145,7 @@ def cm_purity(cm) -> float:
 def cm_ppt_nu_minus(cm) -> float:
     """Smallest PPT symplectic eigenvalue, via the mirror reflection p2 -> -p2."""
     T = np.diag([1.0, 1.0, 1.0, -1.0])
-    return cm_symplectic_eigenvalues(T @ cm_validate(cm) @ T).nu_minus
+    return cm_symplectic_eigenvalues(T @ cm_validate(cm) @ T)[0]
 
 
 def cm_block_invariants(cm):

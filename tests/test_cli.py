@@ -202,6 +202,23 @@ class TestBoundary:
         assert E == float(energy)
         assert logneg == pytest.approx(np.arccosh(E + 1.0), rel=0.0, abs=1e-7)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        # arccosh(9e7 + 1) = 19.0085, but a b - c+-^2 rounds to 0 and the value to inf
+        ["--curve", "tmsv", "--grid", "9e7"],
+        # c c rounds to a b, so Det sigma = 0
+        ["--curve", "gmems", "--energy", "1e8", "--grid", "1"],
+        # the products of a row overflow
+        ["--curve", "tmsv", "--grid", "1e154"],
+    ])
+    def test_non_finite_curve_exit_5(self, tmp_path, capsys, argv):
+        out = tmp_path / "b.csv"
+        assert run_cli(["boundary", "--system", "gaussian", *argv, "--out", str(out)]) == 5
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
+
     def test_glems_up_to_purity_one(self, capsys):
         # c+ and c- from a vanishing discriminant once made these states unphysical
         assert run_cli(["boundary", "--system", "gaussian", "--curve", "glems",
@@ -391,9 +408,8 @@ class TestSample:
         real = sampling._accepted_candidates
 
         def shifted_spectrum(*args):
-            sigmas, spectra = real(*args)
-            spectra[:, 1] += 1.0
-            return sigmas, spectra
+            sigmas, (nu_m, nu_p) = real(*args)
+            return sigmas, (nu_m, nu_p + 1.0)
 
         monkeypatch.setenv("EPE_THREADS", "1")
         monkeypatch.setattr(sampling, "_accepted_candidates", shifted_spectrum)
@@ -411,9 +427,9 @@ class TestSample:
         real = sampling.candidate_covariances
 
         def skewed(u, energy_window):
-            sigma, ok = real(u, energy_window)
+            sigma, spectrum, ok = real(u, energy_window)
             sigma[:, 0, 1] += 1e-9 * np.abs(np.diagonal(sigma, axis1=1, axis2=2)).sum(-1)
-            return sigma, ok
+            return sigma, spectrum, ok
 
         monkeypatch.setenv("EPE_THREADS", "1")
         monkeypatch.setattr(sampling, "candidate_covariances", skewed)

@@ -65,11 +65,9 @@ class TestInvariants:
     @settings(max_examples=100, deadline=None)
     def test_spectrum_identities(self, seed):
         sf = random_sf(seed)
-        spec = gaussian.symplectic_eigenvalues(sf)
-        assert spec.nu_minus * spec.nu_plus == pytest.approx(
-            np.sqrt(gaussian.det_sigma(sf)), abs=1e-10
-        )
-        assert spec.nu_minus**2 + spec.nu_plus**2 == pytest.approx(
+        nu_m, nu_p = gaussian.symplectic_eigenvalues(sf)
+        assert nu_m * nu_p == pytest.approx(np.sqrt(gaussian.det_sigma(sf)), abs=1e-10)
+        assert nu_m**2 + nu_p**2 == pytest.approx(
             gaussian.seralian(sf), abs=1e-10
         )
         # uncertainty relation in invariant form
@@ -78,11 +76,10 @@ class TestInvariants:
 
 class TestSymplecticSpectrum:
     def test_spot_values(self):
-        assert gaussian.symplectic_eigenvalues(VACUUM) == gaussian.SymplecticSpectrum(1.0, 1.0)
-        spec = gaussian.symplectic_eigenvalues(THERMAL3)
-        assert (spec.nu_minus, spec.nu_plus) == pytest.approx((3.0, 3.0))
-        spec = gaussian.symplectic_eigenvalues(TMSV3)
-        assert (spec.nu_minus, spec.nu_plus) == pytest.approx((1.0, 1.0), abs=1e-12)
+        spec = gaussian.symplectic_eigenvalues(VACUUM)
+        assert spec == (1.0, 1.0) and all(type(nu) is float for nu in spec)
+        assert gaussian.symplectic_eigenvalues(THERMAL3) == pytest.approx((3.0, 3.0))
+        assert gaussian.symplectic_eigenvalues(TMSV3) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_invariants_with_no_real_spectrum_raise(self):
         # Delta^2 - 4 Det sigma = 1 - 4 < 0
@@ -96,8 +93,7 @@ class TestSymplecticSpectrum:
         sf = random_sf(seed)
         spec = gaussian.symplectic_eigenvalues(sf)
         ref = oracles.cm_symplectic_eigenvalues(oracles.expand(sf))
-        assert spec.nu_minus == pytest.approx(ref.nu_minus, abs=1e-9)
-        assert spec.nu_plus == pytest.approx(ref.nu_plus, abs=1e-9)
+        assert spec == pytest.approx(ref, abs=1e-9)
 
     def test_pure_states_have_unit_nu_minus(self):
         # Delta^2 - 4 Det sigma cancels to roundoff for pure states; E = 2.224
@@ -106,13 +102,27 @@ class TestSymplecticSpectrum:
         for E in energies:
             sf = gaussian.two_mode_squeezed_vacuum(E)
             assert gaussian.is_physical(sf)
-            assert abs(gaussian.symplectic_eigenvalues(sf).nu_minus - 1.0) <= 1e-10
+            assert abs(gaussian.symplectic_eigenvalues(sf)[0] - 1.0) <= 1e-10
 
     def test_unphysical_rejected(self):
         sf = gaussian.StandardFormCM(1.0, 1.0, 0.9, 0.9)  # sigma >= 0 but nu_- < 1
         assert not gaussian.is_physical(sf)
         with pytest.raises(UnphysicalCovarianceError):
             gaussian.purity(sf)
+
+    def test_require_physical_names_the_first_failing_row(self):
+        # (2, 2, 3, 3) fails a b >= c+-^2 with nu_- = 1, so the message names both conditions
+        rows = np.tile([2.0, 2.0, 0.0, 0.0], (4096, 1))
+        rows[[17, 40]] = [[2.0, 2.0, 3.0, 3.0], [1.0, 1.0, 0.5, 0.5]]
+        with pytest.raises(UnphysicalCovarianceError) as err:
+            gaussian.require_physical(_stacked(rows))
+        assert str(err.value) == (
+            "standard-form row 17 (a, b, c+, c-) = (2.0, 2.0, 3.0, 3.0) is not physical "
+            "(needs a b >= c+-^2 and nu_- >= 1)"
+        )
+        with pytest.raises(UnphysicalCovarianceError, match=r"^standard-form row \(a, b, c"):
+            gaussian.require_physical(gaussian.StandardFormCM(1.0, 1.0, 0.9, 0.9))
+        assert gaussian.require_physical(TMSV3) is TMSV3
 
 
 class TestPurityEnergy:
@@ -229,9 +239,7 @@ class TestFamilies:
         assert gaussian.purity(back) == pytest.approx(gaussian.purity(sf), abs=1e-9)
         assert gaussian.ppt_nu_minus(back) == pytest.approx(gaussian.ppt_nu_minus(sf), abs=1e-9)
         spec0 = gaussian.symplectic_eigenvalues(sf)
-        spec1 = gaussian.symplectic_eigenvalues(back)
-        assert spec1.nu_minus == pytest.approx(spec0.nu_minus, abs=1e-9)
-        assert spec1.nu_plus == pytest.approx(spec0.nu_plus, abs=1e-9)
+        assert gaussian.symplectic_eigenvalues(back) == pytest.approx(spec0, abs=1e-9)
 
 
 class TestGmems:
@@ -302,9 +310,7 @@ class TestGlems:
     def test_spectrum_is_pinned(self):
         for E, P in [(0.5, 0.8), (1.0, 0.6), (2.0, 0.35)]:
             sf = gaussian.glems(E, P)
-            spec = gaussian.symplectic_eigenvalues(sf)
-            assert spec.nu_minus == pytest.approx(1.0, abs=1e-10)
-            assert spec.nu_plus == pytest.approx(1.0 / P, abs=1e-10)
+            assert gaussian.symplectic_eigenvalues(sf) == pytest.approx((1.0, 1.0 / P), abs=1e-10)
             assert gaussian.energy(sf) == pytest.approx(E, abs=1e-12)
             assert gaussian.ppt_seralian(sf) == pytest.approx(
                 4.0 * (E + 1.0) ** 2 - (1.0 + 1.0 / P**2), abs=1e-8
@@ -321,8 +327,7 @@ class TestGlems:
             for P in np.append(np.arange(np.ceil(lo * 100.0) / 100.0, 1.0, 0.01), 1.0):
                 sf = gaussian.glems(E, P)
                 spec = gaussian.symplectic_eigenvalues(sf)
-                assert spec.nu_minus == pytest.approx(1.0, abs=1e-10)
-                assert spec.nu_plus == pytest.approx(1.0 / P, abs=1e-10)
+                assert spec == pytest.approx((1.0, 1.0 / P), abs=1e-10)
         assert_sf_close(gaussian.glems(0.01, 1.0), gaussian.two_mode_squeezed_vacuum(0.01))
 
     def test_separable_band(self):
@@ -682,8 +687,8 @@ class TestDrawnSpectrumReference:
 
     @pytest.mark.parametrize("window", SPECTRUM_WINDOWS)
     def test_perturbed_c_minus_raises(self, monkeypatch, window):
-        sigmas, spectra = sampling._accepted_candidates(7, 0, 256, window)
-        params = gaussian.reduce_to_standard_form(sigmas, spectrum=spectra)
+        sigmas, spectrum = sampling._accepted_candidates(7, 0, 256, window)
+        params = gaussian.reduce_to_standard_form(sigmas, spectrum=spectrum)
         # the row with the largest |c-| / a, where moving c- moves Det sigma and Delta most
         row = np.argmax(np.abs(params[:, 3]) / params[:, 0])
         real = gaussian._standard_form_rows
@@ -695,30 +700,45 @@ class TestDrawnSpectrumReference:
 
         monkeypatch.setattr(gaussian, "_standard_form_rows", perturbed)
         with pytest.raises(InvariantViolation):
-            gaussian.reduce_to_standard_form(sigmas, spectrum=spectra)
+            gaussian.reduce_to_standard_form(sigmas, spectrum=spectrum)
 
     @pytest.mark.parametrize("window", SPECTRUM_WINDOWS)
     def test_swapped_nu_plus_raises(self, window):
-        sigmas, spectra = sampling._accepted_candidates(7, 0, 256, window)
-        i, j = np.argmin(spectra[:, 1]), np.argmax(spectra[:, 1])
-        swapped = spectra.copy()
-        swapped[[i, j], 1] = spectra[[j, i], 1]
+        sigmas, (nu_m, nu_p) = sampling._accepted_candidates(7, 0, 256, window)
+        i, j = np.argmin(nu_p), np.argmax(nu_p)
+        swapped = nu_p.copy()
+        swapped[[i, j]] = nu_p[[j, i]]
         with pytest.raises(InvariantViolation):
-            gaussian.reduce_to_standard_form(sigmas, spectrum=swapped)
+            gaussian.reduce_to_standard_form(sigmas, spectrum=(nu_m, swapped))
         # each matrix alone, with its own nu_+ swapped in
         with pytest.raises(InvariantViolation):
-            gaussian.reduce_to_standard_form(sigmas[i], spectrum=swapped[i])
+            gaussian.reduce_to_standard_form(sigmas[i], spectrum=(nu_m[i], swapped[i]))
+        assert isinstance(gaussian.reduce_to_standard_form(sigmas[i], spectrum=(nu_m[i], nu_p[i])),
+                          gaussian.StandardFormCM)
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 10**9), st.sampled_from(SPECTRUM_WINDOWS))
     @settings(max_examples=20, deadline=None)
     def test_drawn_invariants_match_the_lapack_ones(self, seed, start, window):
         # the drawn reference sits within the absolute-relative tolerance of the
         # LAPACK one, the tighter of the check's two allowances
-        sigmas, spectra = sampling._accepted_candidates(seed, start, 64, window)
-        for cm, (nu_m, nu_p) in zip(sigmas, spectra):
+        sigmas, spectrum = sampling._accepted_candidates(seed, start, 64, window)
+        for cm, nu_m, nu_p in zip(sigmas, *spectrum):
             _, _, _, ds, delta = oracles.cm_block_invariants(cm)
             assert abs((nu_m * nu_p) ** 2 - ds) <= 1e-9 * max(1.0, abs(ds))
             assert abs(nu_m * nu_m + nu_p * nu_p - delta) <= 1e-9 * max(1.0, abs(delta))
+
+    def test_indefinite_matrix_with_its_spectrum_raises(self):
+        # the matrix of the row (2, 2, 3, 3) has eigenvalues -1, -1, 5, 5, yet its
+        # invariants Det sigma = 25 and Delta = 26 are those of the spectrum (1, 5)
+        s = oracles.expand(gaussian.StandardFormCM(2.0, 2.0, 3.0, 3.0))
+        assert np.allclose(np.linalg.eigvalsh(s), [-1.0, -1.0, 5.0, 5.0])
+        with pytest.raises(UnphysicalCovarianceError, match="is not physical"):
+            gaussian.reduce_to_standard_form(s, spectrum=(1.0, 5.0))
+        with pytest.raises(UnphysicalCovarianceError, match="row 1 "):
+            gaussian.reduce_to_standard_form(np.stack([2.0 * np.eye(4), s]),
+                                             spectrum=(np.array([2.0, 1.0]), np.array([2.0, 5.0])))
+        with pytest.raises(UnphysicalCovarianceError, match="not positive semidefinite"):
+            gaussian.reduce_to_standard_form(s)
 
     def test_sampler_path_makes_no_lapack_call(self, monkeypatch):
         cfg = sampling.SamplerConfig(seed=5, count=300, system="gaussian")
@@ -828,8 +848,8 @@ class TestStackedLayer:
         "det_sigma": gaussian.det_sigma,
         "seralian": gaussian.seralian,
         "ppt_seralian": gaussian.ppt_seralian,
-        "nu_minus": lambda sf: gaussian.symplectic_eigenvalues(sf).nu_minus,
-        "nu_plus": lambda sf: gaussian.symplectic_eigenvalues(sf).nu_plus,
+        "nu_minus": lambda sf: gaussian.symplectic_eigenvalues(sf)[0],
+        "nu_plus": lambda sf: gaussian.symplectic_eigenvalues(sf)[1],
         "is_physical": gaussian.is_physical,
         "purity": gaussian.purity,
         "energy": gaussian.energy,

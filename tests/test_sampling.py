@@ -190,7 +190,7 @@ SEEDS = st.integers(0, 2**64 - 1)
 def scalar_record(sf, measure):
     """((E, entanglement, P), flags) of one standard form from the scalar measures.
 
-    The per-record logic that `sampling.gaussian_records` applies to a
+    The per-record logic that `sampling._gaussian_records` applies to a
     stack, through the same `gaussian` calls on one row.  It checks the
     stacked record against its rows, not the formulas: the oracles of the
     formulas are `test_values_match_block_invariants`, the mpmath tests
@@ -295,7 +295,7 @@ class TestGaussianRecords:
         if P >= 1.0 / (2.0 * E + 1.0):
             sfs.append(gaussian.glems(E, P))
         params = np.array([[sf.a, sf.b, sf.c_plus, sf.c_minus] for sf in sfs])
-        values, flags = sampling.gaussian_records(params, measure)
+        values, flags = sampling._gaussian_records(params, measure)
         for sf, got_values, got_flags in zip(sfs, values, flags):
             want_values, want_flags = scalar_record(sf, measure)
             assert tuple(got_flags) == want_flags
@@ -312,10 +312,14 @@ class TestGaussianRecords:
 
         monkeypatch.setattr(gaussian, "is_physical", counted)
         sampling.gaussian_records_chunk(3, 0, 100, measure=measure)
+        # the check the reduction runs on the rows it makes
         assert shapes == [(100,)]
-        # and it still refuses a chunk with one unphysical row (nu_- = 1/2)
+        # and the reduction refuses a chunk with one unphysical row (nu_- = 1/2)
+        cms = np.stack([oracles.expand(gaussian.StandardFormCM(*row))
+                        for row in [[2.0, 2.0, 0.0, 0.0], [1.0, 1.0, 0.5, 0.5]]])
         with pytest.raises(UnphysicalCovarianceError):
-            sampling.gaussian_records(np.array([[2.0, 2.0, 0.0, 0.0], [1.0, 1.0, 0.5, 0.5]]))
+            gaussian.reduce_to_standard_form(cms, spectrum=(np.array([2.0, 0.5]),
+                                                            np.array([2.0, 1.5])))
 
     @given(SEEDS, st.sampled_from([(0.0, 2.0), (1.0, 2.0), (20.0, 40.0), (50.0, 100.0)]))
     @settings(max_examples=12, deadline=None)
@@ -333,7 +337,7 @@ class TestGaussianRecords:
             sampling.gaussian_records_chunk(7, 0, 300, window)[0],
             sampling.gaussian_records_chunk(7, 2954, 1, window)[0],
         ])
-        values, _ = sampling.gaussian_records(params)
+        values, _ = sampling._gaussian_records(params)
         for row, logneg in zip(params.tolist(), values[:, 1]):
             with mpmath.workdps(60):
                 a, b, cp, cm = map(mpmath.mpf, row)
@@ -405,7 +409,7 @@ def accepted_uniforms(seed, count, window):
     while pending.size:
         words = sampling.stream_words(seed, "gaussian", 0, count, sampling.GAUSSIAN_WORDS, attempt)
         u = sampling.uniforms(words)[pending]
-        _, ok = sampling.candidate_covariances(u, window)
+        _, _, ok = sampling.candidate_covariances(u, window)
         u_acc[pending[ok]] = u[ok]
         pending = pending[~ok]
         attempt += 1
@@ -465,16 +469,25 @@ class TestCandidateKernel:
         cancelled = [2, 5, *range(9, 16)]
         mixed = u.copy()
         mixed[:, cancelled] = other[:, cancelled]
-        sigma, ok = sampling.candidate_covariances(u, window)
-        mixed_sigma, mixed_ok = sampling.candidate_covariances(mixed, window)
+        sigma, spectrum, ok = sampling.candidate_covariances(u, window)
+        mixed_sigma, mixed_spectrum, mixed_ok = sampling.candidate_covariances(mixed, window)
         assert np.array_equal(sigma, mixed_sigma)
+        assert np.array_equal(spectrum, mixed_spectrum)
         assert np.array_equal(ok, mixed_ok)
+
+    @pytest.mark.parametrize("window", KERNEL_WINDOWS)
+    def test_candidates_carry_their_drawn_spectrum(self, window):
+        u = sampling.uniforms(sampling.stream_words(7, "gaussian", 0, 2048,
+                                                    sampling.GAUSSIAN_WORDS))
+        _, (nu_m, nu_p), ok = sampling.candidate_covariances(u, window)
+        want_m, want_p, _ = sampling._drawn_spectrum(u[ok], window[1])
+        assert np.array_equal(nu_m[ok], want_m) and np.array_equal(nu_p[ok], want_p)
 
     @pytest.mark.parametrize("window", KERNEL_WINDOWS)
     def test_candidates_are_exactly_symmetric(self, window):
         u = sampling.uniforms(sampling.stream_words(7, "gaussian", 0, 2048,
                                                     sampling.GAUSSIAN_WORDS))
-        sigma, _ = sampling.candidate_covariances(u, window)
+        sigma, _, _ = sampling.candidate_covariances(u, window)
         assert np.array_equal(sigma, sigma.transpose(0, 2, 1))
         sigma = sampling._accepted_candidates(7, 0, 256, window)[0]
         assert np.array_equal(sigma, sigma.transpose(0, 2, 1))
@@ -497,12 +510,12 @@ class TestCandidateKernel:
         u = sampling.uniforms(sampling.stream_words(seed, "gaussian", 0, 512,
                                                     sampling.GAUSSIAN_WORDS))
         old, old_ok = lbsr_candidates(u, window)
-        sigma, ok = sampling.candidate_covariances(u, window)
+        sigma, _, ok = sampling.candidate_covariances(u, window)
         assert np.array_equal(ok, old_ok)
         old_rows = gaussian.reduce_to_standard_form(old[ok])
         rows = gaussian.reduce_to_standard_form(sigma[ok])
-        assert np.array_equal(sampling.gaussian_records(rows)[1],
-                              sampling.gaussian_records(old_rows)[1])
+        assert np.array_equal(sampling._gaussian_records(rows)[1],
+                              sampling._gaussian_records(old_rows)[1])
         # each entry of the 4x4 products carries roundoff of order eps tr(sigma),
         # which sqrt(Det alpha), sqrt(Det beta) and the local symplectics
         # scale by tr(sigma) / min(a, b)
@@ -617,7 +630,7 @@ class TestPhiloxStream:
                 u = sampling.uniforms(
                     sampling.stream_words(8, "gaussian", 100 + i, 1, sampling.GAUSSIAN_WORDS, k)
                 )
-                candidate, ok = sampling.candidate_covariances(u, window)
+                candidate, _, ok = sampling.candidate_covariances(u, window)
                 if ok[0]:
                     break
             assert np.array_equal(sigma, candidate[0])
@@ -715,6 +728,15 @@ class TestBoundaryTables:
             sampling.boundary_tables("qubit", [0.5, 1.5], "mems")
         with pytest.raises(DomainError):
             sampling.boundary_tables("gaussian", [0.5, 0.3], "glems", energy=1.0)
+
+    def test_non_finite_rows_raise(self):
+        with pytest.raises(DomainError, match="'tmsv' is not finite at grid point 90000000.0$"):
+            sampling.boundary_tables("gaussian", [1.0, 9e7], "tmsv")
+        with pytest.raises(DomainError, match="'gmems' is not finite at grid point 1.0$"):
+            sampling.boundary_tables("gaussian", [0.5, 1.0], "gmems", energy=1e8)
+        # the finite rows below the overflow are tabulated
+        _, table = sampling.boundary_tables("gaussian", [1.0, 1e6], "tmsv")
+        assert np.isfinite(table).all()
 
 
 class TestRecord:
