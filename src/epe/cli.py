@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import gc
 import json
 import os
 import shutil
@@ -671,6 +672,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run `argv` (default `sys.argv[1:]`) and return the exit code, which `EXIT_CODES`
+    maps from each error; with no `argv`, as the `epe` program, it first freezes the heap."""
+    if argv is None:
+        gc.freeze()  # collections, in forked workers too, and exit then skip the imports' objects
     effective = list(argv) if argv is not None else sys.argv[1:]
     args = build_parser().parse_args(effective)
     args._argv = effective

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, manifests and output determinism."""
 
 import concurrent.futures
+import gc
 import json
 import math
 import os
@@ -19,8 +20,6 @@ from hypothesis import strategies as st
 
 from epe import __version__, cli, sampling
 import oracles
-
-pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 
 def run_cli(argv):
@@ -1257,6 +1256,56 @@ def test_jc_runs_without_scipy(argv):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") == 2
+
+
+# Runs `epe` as the program does, `main()` on sys.argv, then writes the
+# number of frozen objects and whether a process pool was imported to stderr.
+_PROGRAM = """
+import gc, sys
+from epe import cli
+code = cli.main()
+print(gc.get_freeze_count(), "multiprocessing" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _run_program(argv, **env):
+    """(stdout bytes, frozen object count, pool imported) of `_PROGRAM` on argv."""
+    proc = subprocess.run([sys.executable, "-c", _PROGRAM, *argv], env=dict(_src_env(), **env),
+                          capture_output=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    frozen, pooled = proc.stderr.split()[-2:]
+    return proc.stdout, int(frozen), pooled == b"True"
+
+
+class TestProgramEntry:
+    @pytest.mark.parametrize("argv", [
+        ["boundary", "--system", "qubit", "--curve", "mems", "--grid", "0:1:0.05"],
+        ["jc", "--input", "coherent", "--alpha", "0.5:1:0.5", "--tsteps", "200"],
+    ])
+    def test_program_freezes_the_heap_and_writes_the_same_bytes(self, capsys, argv):
+        out, frozen, _ = _run_program(argv)
+        assert frozen > 0
+        before = gc.get_freeze_count()
+        assert run_cli(argv) == 0
+        # a caller passing argv keeps its collector as it was
+        assert gc.get_freeze_count() == before
+        assert capsys.readouterr().out.encode() == out
+        assert out.count(b"\n") > 1
+
+    @pytest.mark.skipif(cli.usable_cpus() < 2, reason="a pool needs two usable CPUs")
+    def test_pool_forked_from_the_frozen_program_writes_the_same_bytes(self, tmp_path):
+        # 16385 records are 5 chunks, so EPE_THREADS=2 starts a 2-worker pool
+        argv = ["sample", "--system", "qubit", "--count", "16385", "--seed", "11"]
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"q{workers}.csv"
+            _, frozen, pooled = _run_program([*argv, "--out", str(out)], EPE_THREADS=workers)
+            assert frozen > 0
+            assert pooled == (workers == "2")
+            outputs.append(read(out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 16386
 
 
 class TestWorkers:
