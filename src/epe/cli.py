@@ -8,13 +8,13 @@ jc        Jaynes-Cummings transfer scans over input parameters
 rerun     re-execute the command stored in a manifest
 
 Exit codes: 0 success, 2 bad flags, 3 I/O failure, 4 invariant
-violation detected in sampler output (a containment flag, or an
-unphysical sampled covariance matrix), 5 grid outside a curve domain,
-6 insufficient Fock truncation.  Commands raise; `main` alone prints the
-`error:` line and picks the code (`EXIT_CODES`).  A flag that does not
-apply (`boundary --energy` off gmems/glems, a `jc` parameter flag of
-another input) exits 2, and so does a grid that expands to no points
-(`boundary --grid`, `jc --alpha`/`--gamma`).
+violation detected in command output (a containment flag, or a check
+inside a measure), 5 grid outside a curve domain, 6 insufficient Fock
+truncation.  Commands raise; `main` alone prints the `error:` line and
+picks the code (`EXIT_CODES`).  A flag that does not apply or is out of
+range (`boundary --energy` off gmems/glems or not positive and finite, a
+`jc` parameter flag of another input) exits 2, and so does a grid that
+expands to no points (`boundary --grid`, `jc --alpha`/`--gamma`).
 
 Every file written is paired with a sidecar `<out>.manifest.json`
 recording the command line, configuration, seed, version, timestamp and
@@ -480,6 +480,8 @@ def cmd_boundary(args) -> int:
         raise ConfigurationError(f"curve {args.curve!r} takes no --energy")
     if takes_energy and not np.isfinite(args.energy):
         raise ConfigurationError(f"--energy must be finite, got {args.energy}")
+    if takes_energy and not args.energy > 0.0:
+        raise ConfigurationError(f"--energy must be positive, got {args.energy}")
     grid = parse_grid(args.grid)
     if not grid:
         raise ConfigurationError(f"--grid {args.grid!r} expands to no points")

@@ -186,33 +186,51 @@ def energy(sf: StandardFormCM, check=True):
     return _float_or_array((sf.a + sf.b) / 2.0 - 1.0)
 
 
+def ppt_nu_minus_from(ppt_delta, det, root=None):
+    """nu~_- = sqrt(Det sigma) / nu~_+ of a partial transpose with seralian
+    Delta~, 2 nu~_+^2 = Delta~ + root: none of the cancellation of nu~_-^2 =
+    (Delta~ - root) / 2.  A caller with both Delta~ -+ 2 sqrt(Det sigma) as
+    sums of non-negative terms passes root as the product of their square
+    roots; by default `nu_from_invariants` takes root = sqrt(Delta~^2 -
+    4 Det sigma), raising where the radicand is below -RADICAND_TOL."""
+    if root is None:
+        _, nu_plus = nu_from_invariants(ppt_delta, det)
+    else:
+        nu_plus = np.sqrt((ppt_delta + root) / 2.0)
+    return np.sqrt(det) / nu_plus
+
+
 def ppt_nu_minus(sf: StandardFormCM, check=True):
     """Smallest symplectic eigenvalue nu~_- of the partially transposed state.
 
-    Values below 1 signal entanglement; the partial transpose preserves
-    Det sigma while sending Delta to Delta~ = a^2 + b^2 - 2 c+ c-.  The
-    product nu~_- = sqrt(Det sigma) / nu~_+ has none of the cancellation of
-    nu~_-^2 = (Delta~ - sqrt(Delta~^2 - 4 Det sigma)) / 2.  `check=False`
-    skips `require_physical`, as for `energy`, `purity` and the
-    negativities, for rows whose caller has already checked them.
+    Values below 1 signal entanglement; the partial transpose keeps Det
+    sigma and sends Delta to Delta~ = a^2 + b^2 - 2 c+ c-, the pair
+    `ppt_nu_minus_from` takes.  `check=False` skips `require_physical`, as
+    for `energy`, `purity` and the negativities, for checked rows.
     """
     if check:
         require_physical(sf)
-    det = det_sigma(sf)
-    _, nu_plus = nu_from_invariants(ppt_seralian(sf), det)
-    return _float_or_array(np.sqrt(det) / nu_plus)
+    return _float_or_array(ppt_nu_minus_from(ppt_seralian(sf), det_sigma(sf)))
+
+
+def log_negativity_from(nu):
+    """E_N = max(0, -ln nu~_-) of PPT eigenvalues; adding +0.0 makes nu~_- = 1 give +0.0."""
+    return np.maximum(0.0, -np.log(nu)) + 0.0
+
+
+def negativity_from(nu):
+    """N = max(0, (1 - nu~_-)/(2 nu~_-)) of PPT eigenvalues nu~_-."""
+    return np.maximum(0.0, (1.0 - nu) / (2.0 * nu))
 
 
 def log_negativity(sf: StandardFormCM, check=True):
     """Logarithmic negativity E_N = max(0, -ln nu~_-), +0.0 where nu~_- = 1."""
-    # adding +0.0 turns the -0.0 of -ln 1 into +0.0
-    return _float_or_array(np.maximum(0.0, -np.log(ppt_nu_minus(sf, check))) + 0.0)
+    return _float_or_array(log_negativity_from(ppt_nu_minus(sf, check)))
 
 
 def negativity(sf: StandardFormCM, check=True):
     """Negativity N = max(0, (1 - nu~_-)/(2 nu~_-))."""
-    nu = ppt_nu_minus(sf, check)
-    return _float_or_array(np.maximum(0.0, (1.0 - nu) / (2.0 * nu)))
+    return _float_or_array(negativity_from(ppt_nu_minus(sf, check)))
 
 
 def two_mode_squeezed_vacuum(E) -> StandardFormCM:
@@ -331,16 +349,6 @@ def _block_invariants(cm):
     return da, db, dg, np.linalg.det(cm), da + db + 2.0 * dg
 
 
-def block_det(x, y, w, z):
-    """Determinants x z - y w of 2x2 blocks [[x, y], [w, z]], elementwise.
-
-    The one determinant of a local block: the sampler's acceptance energy
-    and the reduction's a, b both take it, so a record reports, bit for
-    bit, the energy its candidate was accepted on.
-    """
-    return x * z - y * w
-
-
 def _single_mode_williamson(x, y, w, z):
     """Symplectics S with S block S^T = sqrt(det block) I, for local blocks
     [[x, y], [w, z]] given entrywise, and the values sqrt(det block).
@@ -351,7 +359,7 @@ def _single_mode_williamson(x, y, w, z):
     positive terms.  Returns the entries (s11, s12, s22) of the symmetric
     S and a.
     """
-    d = block_det(x, y, w, z)
+    d = x * z - y * w
     if np.any(d <= 0.0) or np.any(x <= 0.0):
         raise UnphysicalCovarianceError("local covariance block is not positive definite")
     a = np.sqrt(d)
@@ -381,7 +389,7 @@ def _standard_form_rows(cms):
     # singular values of X: (h1 + h2) / 2 and |h1 - h2| / 2; proper rotations
     # diagonalize it to (sv_1, sign(det X) sv_2), so c- = det X / c+
     c_plus = (np.hypot(x11 + x22, x21 - x12) + np.hypot(x11 - x22, x21 + x12)) / 2.0
-    c_minus = np.divide(block_det(x11, x12, x21, x22), c_plus,
+    c_minus = np.divide(x11 * x22 - x12 * x21, c_plus,
                         out=np.zeros_like(c_plus), where=c_plus != 0.0)
     # a pi/2 rotation on both modes swaps the two entries
     swap = np.abs(c_minus) > np.abs(c_plus)
@@ -391,7 +399,7 @@ def _standard_form_rows(cms):
     return np.stack([a, b, sign * c_plus, sign * c_minus], axis=-1)
 
 
-def reduce_to_standard_form(cm, *, spectrum=None):
+def reduce_to_standard_form(cm):
     """Bring physical covariance matrices to standard form by local symplectics.
 
     Each local block is Williamson-diagonalized to a multiple of the
@@ -401,7 +409,7 @@ def reduce_to_standard_form(cm, *, spectrum=None):
     rotations, which preserve the diagonal blocks.  Every 2x2 step is in
     closed form, elementwise over the stack (Duan et al., PRL 84, 2722
     (2000); Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)):
-    a = sqrt(Det alpha) and b = sqrt(Det beta) by `block_det`, the local
+    a = sqrt(Det alpha) and b = sqrt(Det beta), the local
     symplectics of `_single_mode_williamson`, and c+-, the singular
     values of X = S1 gamma S2^T, with c- carrying the sign of Det X.
 
@@ -416,19 +424,10 @@ def reduce_to_standard_form(cm, *, spectrum=None):
     InvariantViolation.  Each check allows the larger of its absolute
     tolerance and the roundoff of a matrix of its diagonal's scale (the
     module constants above).
-
-    `spectrum`, the pair (nu_-, nu_+) of symplectic eigenvalues the
-    matrices were built from (floats, or (N,) arrays for a stack: the
-    sampler's candidates), replaces both LAPACK steps, so no `np.linalg`
-    call runs: the rows must give Det sigma = (nu_- nu_+)^2 and
-    Delta = nu_-^2 + nu_+^2 within the same tolerances, and then pass
-    `require_physical`, whose row test a b >= c+-^2 stands in for
-    sigma >= 0 (Sylvester's law of inertia, with the local blocks
-    positive definite).
     """
     cms = np.asarray(cm, dtype=float)
     if cms.shape == (4, 4):
-        a, b, c_plus, c_minus = reduce_to_standard_form(cms[None], spectrum=spectrum)[0].tolist()
+        a, b, c_plus, c_minus = reduce_to_standard_form(cms[None])[0].tolist()
         return StandardFormCM(a=a, b=b, c_plus=c_plus, c_minus=c_minus)
     if cms.ndim != 3 or cms.shape[1:] != (4, 4):
         raise UnphysicalCovarianceError(
@@ -436,10 +435,9 @@ def reduce_to_standard_form(cm, *, spectrum=None):
         )
     _check_symmetric(cms)
     d = np.abs(np.diagonal(cms, axis1=-2, axis2=-1))
-    if spectrum is None:
-        eigen_floor = -np.linalg.eigvalsh(cms).min(axis=-1)
-        if np.any(eigen_floor > np.maximum(PHYSICALITY_TOL, EIGEN_ROUNDOFF * EPS * d.sum(-1))):
-            raise UnphysicalCovarianceError("covariance matrix is not positive semidefinite")
+    eigen_floor = -np.linalg.eigvalsh(cms).min(axis=-1)
+    if np.any(eigen_floor > np.maximum(PHYSICALITY_TOL, EIGEN_ROUNDOFF * EPS * d.sum(-1))):
+        raise UnphysicalCovarianceError("covariance matrix is not positive semidefinite")
     params = _standard_form_rows(cms)
     try:
         sf = StandardFormCM(*params.T)
@@ -456,15 +454,8 @@ def reduce_to_standard_form(cm, *, spectrum=None):
     if np.any(1.0 - nu_minus > np.maximum(PHYSICALITY_TOL, delta_tol / 2.0)):
         raise UnphysicalCovarianceError("covariance matrix violates nu_- >= 1")
 
-    if spectrum is None:
-        _, _, _, ds, delta = _block_invariants(cms)
-    else:
-        nu_m, nu_p = (np.asarray(x, dtype=float) for x in spectrum)
-        ds = (nu_m * nu_p) ** 2
-        delta = nu_m * nu_m + nu_p * nu_p
+    _, _, _, ds, delta = _block_invariants(cms)
     for got, want, tol in ((det_sigma(sf), ds, det_tol), (seralian(sf), delta, delta_tol)):
         if np.any(np.abs(got - want) > np.maximum(1e-9 * np.maximum(1.0, np.abs(want)), tol)):
             raise InvariantViolation("standard-form reduction failed to preserve invariants")
-    if spectrum is not None:
-        require_physical(sf)
     return params

@@ -19,27 +19,20 @@ Two-qubit states (W = 32) are drawn from the Ginibre construction
 rho = G G^dag / Tr(G G^dag) with G a 4 x k standard complex normal
 matrix (k = rank filter, default 4: the first k columns of a 4 x 4
 draw), i.e. the Hilbert-Schmidt measure at full rank.  Gaussian states
-(W = 16) are BS^T (nu_- M1 (+) nu_+ M2) BS in closed form: a symplectic
-spectrum, a squeezed and rotated block per mode and a beam-splitter mix,
-from uniforms 0, 1, 3, 4, 6, 7 and 8; the others would only add local
-symplectics that cancel (`candidate_covariances`).  A candidate is
-accepted when its standard-form energy lies in the energy window.
+(W = 16) are BS^T (nu_- M1 (+) nu_+ M2) BS, drawn as seven parameters of
+uniforms 0, 1, 3, 4, 6, 7 and 8 (`_drawn_parameters`) and accepted when
+their standard-form energy lies in the energy window.
 
 Records are computed a chunk at a time: `qubit_records` evaluates the
 stacked `qubit` measures on the (N, 4, 4) stack of states (concurrence
 from the drawn factors A = G / sqrt(Tr(G G^dag)); states whose
 det(rho^Gamma) shows them PPT get C = 0 without the Jacobi kernel, with
-the kernel's bits), and `_gaussian_records` the stacked `gaussian`
-measures on the (N, 4) standard forms of one
-`gaussian.reduce_to_standard_form` call.  Both return an (N, 3) value
-array and an (N, 3) array of containment flags.  A Gaussian record's
-energy is, bit for bit, the `candidate_energy` its candidate was
-accepted on.  The reduction is handed the spectrum (nu_-, nu_+) each
-accepted candidate was drawn with and checks its rows' Det sigma and
-Delta against it, then their physicality, so a Gaussian chunk makes no
-LAPACK call and its measures run with check=False.
-`records_chunk` is the one dispatch on a run's system, and
-`sample_states` yields its (state, EPERecord) pairs.
+the kernel's bits), and `_gaussian_records` closed forms in the accepted
+candidates' parameters, with no covariance matrix.  Both return (N, 3)
+values and (N, 3) containment flags.  `records_chunk` is the one
+dispatch on a run's system, and `sample_states` yields its (state,
+EPERecord) pairs, reducing the Gaussian candidates' matrices
+(`candidate_covariances`) to standard form.
 """
 
 from __future__ import annotations
@@ -278,60 +271,88 @@ def qubit_records_chunk(seed, start, count, rank=4, measure="concurrence"):
 # --- two-mode Gaussian sampling ---
 
 
-def _mode_block(u, r_max):
-    """Entries (m11, m12, m22) of Rot(phi)^T diag(e^2r, e^-2r) Rot(phi), the
-    block L^T L of one mode's local symplectic L, from (N, 2) uniforms:
-    squeeze r in [-r_max, r_max), angle phi = 2 pi u.  Both diagonal
-    entries are sums of positive terms."""
-    r = r_max * (2.0 * u[:, 0] - 1.0)
-    e, f = np.exp(2.0 * r), np.exp(-2.0 * r)
-    c, s = np.cos(2.0 * np.pi * u[:, 1]), np.sin(2.0 * np.pi * u[:, 1])
-    return e * c * c + f * s * s, c * s * (e - f), e * s * s + f * c * c
-
-
 def _inverse_square(u, lo, hi):
-    # density proportional to 1/nu^2 on [lo, hi]
-    return 1.0 / (1.0 / lo - u * (1.0 / lo - 1.0 / hi))
+    # density ~ 1/nu^2 on [lo, hi]: 1/nu uniform on [1/hi, 1/lo], with no cancellation
+    return 1.0 / ((1.0 - u) / lo + u / hi)
 
 
 # symplectic eigenvalues are capped so sampled purities stay above ~1e-3
 _NU_PRODUCT_CAP = 1.0e3
 
 
-def _drawn_spectrum(u, e_hi):
-    """(nu_-, nu_+, top) of (N, 16) uniforms for a window with upper energy
-    e_hi: nu_+ is drawn on [nu_-, top), and the range is nonempty when
-    top > nu_-."""
+def _drawn_parameters(u, e_hi):
+    """(nu_-, nu_+, r_max, x1, t1, x2, t2, t, nonempty) of the candidates of
+    (N, 16) uniforms for a window with upper energy e_hi: nu_- on [1, nu_hi]
+    and nu_+ on [nu_-, top] (nonempty if top > nu_-) with density ~ 1/nu^2,
+    mode i squeezed by r_max x_i at angle 2 pi t_i, and the beam-splitter
+    angle theta = 2 pi t.  In these units x1 -+ x2 and t1 - t2 are exact."""
     nu_hi = min(2.0 * (e_hi + 1.0) - 1.0, _NU_PRODUCT_CAP)
     nu_m = _inverse_square(u[:, 0], 1.0, nu_hi)
     top = np.minimum(2.0 * (e_hi + 1.0) - nu_m, _NU_PRODUCT_CAP / nu_m)
-    return nu_m, _inverse_square(u[:, 1], nu_m, top), top
+    nu_p = _inverse_square(u[:, 1], nu_m, top)
+    r_max = 0.5 * np.arccosh(e_hi + 1.0)
+    x1, x2 = 2.0 * u[:, 3] - 1.0, 2.0 * u[:, 6] - 1.0
+    return nu_m, nu_p, r_max, x1, u[:, 4], x2, u[:, 7], u[:, 8], top > nu_m
+
+
+def _cos_sin_squared(t):
+    """(cos^2 2 pi t, sin^2 2 pi t) to a few ulp of each, also near zeros:
+    t = k/4 + f exactly (t a multiple of 2**-53, |f| <= 1/8), and they are
+    cos^2 and sin^2 of 2 pi f, swapped for odd k."""
+    k = np.rint(4.0 * t)
+    f = 2.0 * np.pi * (t - 0.25 * k)
+    c2, s2 = np.cos(f) ** 2, np.sin(f) ** 2
+    odd = k % 2.0 == 1.0
+    return np.where(odd, s2, c2), np.where(odd, c2, s2)
+
+
+def _candidate_energy(params):
+    """(E, tau - 2) of the candidates sigma = BS^T (nu_- M1 (+) nu_+ M2) BS
+    of `_drawn_parameters`, M_i = Rot(phi_i)^T diag(e^2r_i, e^-2r_i) Rot(phi_i).
+
+    E = (sqrt(Det alpha) + sqrt(Det beta))/2 - 1 with Det alpha = c^4 nu_-^2
+    + s^4 nu_+^2 + c^2 s^2 nu_- nu_+ tau, Det beta the same with c and s of
+    theta swapped, and tau = Tr(M1 adj M2).  tau - 2 = 4 sinh^2(r1 -+ r2) +
+    4 |sh| sin^2 (cos^2)(phi1 - phi2) where sh = sinh 2r1 sinh 2r2 >= 0
+    (< 0): every one a sum of non-negative terms.
+    """
+    nu_m, nu_p, r_max, x1, t1, x2, t2, t, _ = params
+    sh = np.sinh(2.0 * r_max * x1) * np.sinh(2.0 * r_max * x2)
+    same = sh >= 0.0
+    cos2, sin2 = _cos_sin_squared(t1 - t2)
+    tau_2 = 4.0 * (np.sinh(r_max * np.where(same, x1 - x2, x1 + x2)) ** 2
+                   + np.abs(sh) * np.where(same, sin2, cos2))
+    cc, ss = _cos_sin_squared(t)
+    mixed = cc * ss * nu_m * nu_p * (tau_2 + 2.0)
+    det_alpha = cc * cc * nu_m * nu_m + ss * ss * nu_p * nu_p + mixed
+    det_beta = ss * ss * nu_m * nu_m + cc * cc * nu_p * nu_p + mixed
+    return (np.sqrt(det_alpha) + np.sqrt(det_beta)) / 2.0 - 1.0, tau_2
+
+
+def _accepted(u, energy_window):
+    """Which candidates of (N, 16) uniforms have a nonempty range and E in the window."""
+    e_lo, e_hi = energy_window
+    params = _drawn_parameters(u, e_hi)
+    energy, _ = _candidate_energy(params)
+    return params[-1] & (e_lo <= energy) & (energy <= e_hi)
 
 
 def candidate_covariances(u, energy_window=DEFAULT_ENERGY_WINDOW):
-    """Candidate covariance matrices from (N, 16) uniforms, and which are accepted.
-
-    sigma = BS^T (nu_- M1 (+) nu_+ M2) BS, elementwise over the stack and
-    exactly symmetric.  Uniforms 0 and 1 draw nu_- and nu_+ with density
-    ~ 1/nu^2 (favoring nearly pure spectra) within ranges compatible with
-    the window, (3, 4) and (6, 7) the `_mode_block`s M1 and M2, and 8 the
-    beam-splitter angle 2 pi u_8.  This is S^T diag(nu-, nu-, nu+, nu+) S
-    with S = L BS R less what cancels: each mode's L_i = Rot D Rot' gives
-    L_i^T nu L_i = nu Rot'^T D^2 Rot' (uniforms 2 and 5 drop out), and the
-    local symplectic R changes no record (9-14); 15 is unused.  Accepted
-    when the spectrum range is nonempty and the `candidate_energy`, the
-    energy the record reports, lies in the window.  Returns (sigma,
-    (nu_-, nu_+), ok): (N, 4, 4) CMs, the (N,) spectra and (N,) bools.
-    """
-    e_lo, e_hi = energy_window
-    r_max = 0.5 * np.arccosh(e_hi + 1.0)
-    nu_m, nu_p, top = _drawn_spectrum(u, e_hi)
-    A = [nu_m * m for m in _mode_block(u[:, 3:5], r_max)]
-    B = [nu_p * m for m in _mode_block(u[:, 6:8], r_max)]
-    theta = 2.0 * np.pi * u[:, 8]
-    c, s = np.cos(theta), np.sin(theta)
+    """(sigma, ok): the (N, 4, 4) candidate matrices of (N, 16) uniforms of
+    `_candidate_energy`, elementwise and exactly symmetric, and which are
+    `_accepted`.  This is S^T diag(nu-, nu-, nu+, nu+) S with S = L BS R
+    less what cancels: each mode's L_i = Rot D Rot' gives L_i^T nu L_i =
+    nu Rot'^T D^2 Rot', and the local symplectic R changes no record."""
+    nu_m, nu_p, r_max, x1, t1, x2, t2, t, _ = _drawn_parameters(u, energy_window[1])
+    blocks = []
+    for nu, x, t_i in ((nu_m, x1, t1), (nu_p, x2, t2)):
+        e, f = np.exp(2.0 * r_max * x), np.exp(-2.0 * r_max * x)
+        c, s = np.cos(2.0 * np.pi * t_i), np.sin(2.0 * np.pi * t_i)
+        blocks.append([nu * m for m in (e * c * c + f * s * s, c * s * (e - f),
+                                        e * s * s + f * c * c)])
+    A, B = blocks
+    c, s = np.cos(2.0 * np.pi * t), np.sin(2.0 * np.pi * t)
     cc, ss, cs = c * c, s * s, c * s
-    # the beam splitter mixes the blocks: alpha, beta and the symmetric gamma
     a11, a12, a22 = (cc * x + ss * y for x, y in zip(A, B))
     b11, b12, b22 = (ss * x + cc * y for x, y in zip(A, B))
     g11, g12, g22 = (cs * (x - y) for x, y in zip(A, B))
@@ -339,20 +360,7 @@ def candidate_covariances(u, energy_window=DEFAULT_ENERGY_WINDOW):
                       a12, a22, g12, g22,
                       g11, g12, b11, b12,
                       g12, g22, b12, b22], -1).reshape(-1, 4, 4)
-    energy = candidate_energy(sigma)
-    return sigma, (nu_m, nu_p), (top > nu_m) & (e_lo <= energy) & (energy <= e_hi)
-
-
-def candidate_energy(sigma):
-    """Standard-form energies (sqrt(Det alpha) + sqrt(Det beta))/2 - 1 of (N, 4, 4) CMs.
-
-    The energy a candidate is accepted on; `gaussian.reduce_to_standard_form`
-    takes a and b from the same `gaussian.block_det`, so a record reports it
-    bit for bit.
-    """
-    det_alpha = gaussian.block_det(sigma[:, 0, 0], sigma[:, 0, 1], sigma[:, 1, 0], sigma[:, 1, 1])
-    det_beta = gaussian.block_det(sigma[:, 2, 2], sigma[:, 2, 3], sigma[:, 3, 2], sigma[:, 3, 3])
-    return (np.sqrt(det_alpha) + np.sqrt(det_beta)) / 2.0 - 1.0
+    return sigma, _accepted(u, energy_window)
 
 
 def _window_error(energy_window):
@@ -369,22 +377,21 @@ def random_covariance(rng):
     `candidate_covariances` until one is accepted, in at most MAX_ATTEMPTS.
     """
     for _ in range(MAX_ATTEMPTS):
-        sigma, _, ok = candidate_covariances(rng.random((1, GAUSSIAN_WORDS)))
+        sigma, ok = candidate_covariances(rng.random((1, GAUSSIAN_WORDS)))
         if ok[0]:
             return sigma[0]
     raise _window_error(DEFAULT_ENERGY_WINDOW)
 
 
 def _accepted_candidates(seed, start, count, energy_window):
-    """(sigmas, (nu_-, nu_+)): the (count, 4, 4) accepted CMs for indices
-    [start, start + count) and the (count,) spectra they were built from.
+    """The (count, 16) uniforms of the candidate each index in
+    [start, start + count) accepts.
 
     Rejection runs in rounds: round k draws attempt k of every index still
     pending, so each index keeps its first accepted attempt (at most
     MAX_ATTEMPTS of them).
     """
-    sigmas = np.empty((count, 4, 4))
-    nu_minus, nu_plus = np.empty((2, count))
+    accepted = np.empty((count, GAUSSIAN_WORDS))
     pending = np.arange(count)
     for attempt in range(MAX_ATTEMPTS):
         if not pending.size:
@@ -394,39 +401,20 @@ def _accepted_candidates(seed, start, count, energy_window):
             seed, "gaussian", start + first, int(pending[-1]) + 1 - first, GAUSSIAN_WORDS, attempt
         )
         u = uniforms(words[pending - first])
-        sigma, (nu_m, nu_p), ok = candidate_covariances(u, energy_window)
-        done = pending[ok]
-        sigmas[done] = sigma[ok]
-        nu_minus[done] = nu_m[ok]
-        nu_plus[done] = nu_p[ok]
+        ok = _accepted(u, energy_window)
+        accepted[pending[ok]] = u[ok]
         pending = pending[~ok]
     if pending.size:
         raise _window_error(energy_window)
-    return sigmas, (nu_minus, nu_plus)
+    return accepted
 
 
-def _gaussian_records(params, measure="logneg"):
-    """Vectorized records for (N, 4) standard forms (a, b, c+, c-) the reduction checked.
-
-    Returns (values, flags) like `qubit_records`.  Every column and flag
-    bound is a stacked `gaussian` call with check=False: the flags compare
-    the log-negativity with that of `two_mode_squeezed_vacuum(E)` for pure
-    rows and of `gmems(E, P)` for all, and require P above the
-    `separability_band` top 1/(2E + 1) for entangled rows.
-    """
-    sf = gaussian.StandardFormCM(*params.T)
-    en = gaussian.energy(sf, check=False)
-    pur = gaussian.purity(sf, check=False)
-    logneg = gaussian.log_negativity(sf, check=False)
-    if measure == "logneg":
-        ent = logneg
-    elif measure == "negativity":
-        ent = gaussian.negativity(sf, check=False)
-    else:
-        raise ConfigurationError(f"measure {measure!r} not valid for gaussian sampling")
-
-    # clamp into the families' domains; reduction roundoff can sit a hair
-    # below the energy floor 0 or the purity floor 1/(E+1)^2
+def _gaussian_flags(en, logneg, pur):
+    """(N, 3) containment flags of records (E, E_N, P) by stacked `gaussian`
+    calls: E_N against `two_mode_squeezed_vacuum(E)` (pure records) and
+    `gmems(E, P)`, and P above 1/(2E + 1) for entangled records."""
+    # clamp into the families' domains; roundoff can sit a hair below the
+    # energy floor 0 or the purity floor 1/(E+1)^2
     e_ref = np.maximum(en, 0.0)
     p_ref = np.clip(pur, 1.0 / (e_ref + 1.0) ** 2, 1.0)
     tmsv = gaussian.log_negativity(gaussian.two_mode_squeezed_vacuum(e_ref), check=False)
@@ -437,23 +425,42 @@ def _gaussian_records(params, measure="logneg"):
     below = logneg <= bound + FLAG_TOL
     _, band_top = gaussian.separability_band(e_ref)
     in_band = (logneg <= 0.0) | (pur > band_top - FLAG_TOL)
+    return np.column_stack([on_curve, below, in_band])
 
-    values = np.column_stack([en, ent, pur])
-    flags = np.column_stack([on_curve, below, in_band])
-    return values, flags
+
+def _gaussian_records(u, energy_window, measure="logneg"):
+    """(values, flags) like `qubit_records` of accepted candidates of (N, 16)
+    uniforms, with no covariance matrix (Serafini, Illuminati & De Siena,
+    J. Phys. B 37, L21 (2004)): E, bit for bit the energy accepted on,
+    P = 1/(nu_- nu_+), and E_N from Det sigma = (nu_- nu_+)^2 and Delta~ =
+    cos^2 2theta (nu_-^2 + nu_+^2) + sin^2 2theta nu_- nu_+ tau, whose
+    Delta~ - 2 nu_- nu_+ = cos^2 2theta (nu_+ - nu_-)^2 + sin^2 2theta
+    nu_- nu_+ (tau - 2) is a sum of non-negative terms."""
+    params = _drawn_parameters(u, energy_window[1])
+    nu_m, nu_p, *_, t, _ = params
+    en, tau_2 = _candidate_energy(params)
+    nn = nu_m * nu_p
+    pur = 1.0 / nn
+    cos2, sin2 = _cos_sin_squared(2.0 * t)
+    ppt_delta = cos2 * (nu_m * nu_m + nu_p * nu_p) + sin2 * nn * (tau_2 + 2.0)
+    gap = cos2 * (nu_p - nu_m) ** 2 + sin2 * nn * tau_2
+    nu = gaussian.ppt_nu_minus_from(ppt_delta, nn * nn,
+                                    np.sqrt(gap) * np.sqrt(ppt_delta + 2.0 * nn))
+    logneg = gaussian.log_negativity_from(nu)
+    if measure == "logneg":
+        ent = logneg
+    elif measure == "negativity":
+        ent = gaussian.negativity_from(nu)
+    else:
+        raise ConfigurationError(f"measure {measure!r} not valid for gaussian sampling")
+    return np.column_stack([en, ent, pur]), _gaussian_flags(en, logneg, pur)
 
 
 def gaussian_records_chunk(seed, start, count, energy_window=DEFAULT_ENERGY_WINDOW,
                            measure="logneg"):
-    """(params, values, flags) for indices [start, start + count).
-
-    `params` is the (count, 4) array of standard forms (a, b, c+, c-),
-    reduced in one stacked call checked against the drawn spectra; values
-    and flags are their `_gaussian_records`.
-    """
-    sigmas, spectrum = _accepted_candidates(seed, start, count, energy_window)
-    params = gaussian.reduce_to_standard_form(sigmas, spectrum=spectrum)
-    return (params, *_gaussian_records(params, measure))
+    """(values, flags) of `_gaussian_records` for indices [start, start + count)."""
+    return _gaussian_records(_accepted_candidates(seed, start, count, energy_window),
+                             energy_window, measure)
 
 
 # --- one sampling path for both systems ---
@@ -463,8 +470,7 @@ def records_chunk(cfg: SamplerConfig, start, count, with_states=False):
     """(values, flags) of the indices [start, start + count) of the run `cfg`.
 
     With `with_states`, (states, values, flags): the (count, 4, 4) qubit
-    stack or a list of `gaussian.StandardFormCM`.  Without, the Gaussian
-    standard forms are dropped here, so pool workers do not send them back.
+    stack or a list of `gaussian.StandardFormCM`, which only then are built.
     """
     if cfg.system == "qubit":
         rank = cfg.rank_filter or 4
@@ -472,12 +478,12 @@ def records_chunk(cfg: SamplerConfig, start, count, with_states=False):
             return qubit_records_chunk(cfg.seed, start, count, rank, cfg.measure)
         rhos, factors = _qubit_states_chunk(cfg.seed, start, count, rank)
         return (rhos, *qubit_records(rhos, factors, cfg.measure))
-    params, values, flags = gaussian_records_chunk(
-        cfg.seed, start, count, cfg.energy_window, cfg.measure
-    )
     if not with_states:
-        return values, flags
-    return [gaussian.StandardFormCM(*row) for row in params.tolist()], values, flags
+        return gaussian_records_chunk(cfg.seed, start, count, cfg.energy_window, cfg.measure)
+    u = _accepted_candidates(cfg.seed, start, count, cfg.energy_window)
+    rows = gaussian.reduce_to_standard_form(candidate_covariances(u, cfg.energy_window)[0])
+    states = [gaussian.StandardFormCM(*row) for row in rows.tolist()]
+    return (states, *_gaussian_records(u, cfg.energy_window, cfg.measure))
 
 
 def sample_states(cfg: SamplerConfig):

@@ -12,7 +12,8 @@ the EPE coordinates of one state at a time.  The `jc` oracles check
 the dense amplitude table: its sector norms, which evolution conserves,
 and the input entropy from its singular values.
 `random_state_with_purity` draws the conditioned states of the MEMS
-extremality checks.  Oracles
+extremality checks, and `sampled_covariances` the matrices of the
+sampler's accepted candidates.  Oracles
 may import private runtime helpers (`gaussian._check_symmetric`,
 `gaussian._block_invariants`), but none is built from the code it checks.
 """
@@ -41,6 +42,7 @@ from epe.qubit import (
     tangle,
     validate_state,
 )
+from epe.sampling import _accepted_candidates, candidate_covariances
 
 # --- gaussian: standard-form fixtures ---
 
@@ -53,6 +55,13 @@ OMEGA = np.array(
         [0.0, 0.0, -1.0, 0.0],
     ]
 )
+
+
+def sampled_covariances(seed, start, count, window):
+    """The (count, 4, 4) covariance matrices of the candidates the sampler
+    accepts for indices [start, start + count): the states `sample_states`
+    reduces and whose records the CLI computes without them."""
+    return candidate_covariances(_accepted_candidates(seed, start, count, window), window)[0]
 
 
 def expand(sf: StandardFormCM) -> np.ndarray:

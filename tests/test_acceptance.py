@@ -80,7 +80,7 @@ def test_criterion_2_closed_form_spot_checks():
 
 
 def test_criterion_3_gaussian_bounds():
-    _, values, _ = sampling.gaussian_records_chunk(2001, 0, 10_000)
+    values, _ = sampling.gaussian_records_chunk(2001, 0, 10_000)
     E, EN, P = values[:, 0], values[:, 1], values[:, 2]
     physical_ok = bool(np.all(P >= 1.0 / (E + 1.0) ** 2 - 1e-9))
     entangled = EN > 0.0

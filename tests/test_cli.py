@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epe import __version__, cli, sampling
+from epe import __version__, cli, gaussian, sampling
 import oracles
 
 
@@ -161,6 +161,17 @@ class TestBoundary:
                         f"--energy={energy}", "--grid", "0.5", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: --energy must be finite, got {energy}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("curve", ["gmems", "glems"])
+    @pytest.mark.parametrize("energy", ["0", "-1", "-0"])
+    def test_non_positive_energy_exit_2(self, tmp_path, capsys, curve, energy):
+        # no grid point is at fault, so this is a bad flag, not a domain error
+        out = tmp_path / "b.csv"
+        assert run_cli(["boundary", "--system", "gaussian", "--curve", curve,
+                        f"--energy={energy}", "--grid", "0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --energy must be positive, got {float(energy)}\n")
+        assert os.listdir(tmp_path) == []
 
     def test_domain_violation_exit_5(self, capsys):
         assert run_cli(["boundary", "--system", "qubit", "--curve", "separable",
@@ -402,44 +413,18 @@ class TestSample:
         assert run_cli([*argv, "--out", str(tmp_path / "kernel.csv")]) == 0
         assert read(tmp_path / "settled.csv") == read(tmp_path / "kernel.csv")
 
-    def test_standard_form_invariant_failure_exit_4(self, tmp_path, capsys, monkeypatch):
-        # the reduced rows no longer match the spectrum their candidates were drawn with
-        real = sampling._accepted_candidates
-
-        def shifted_spectrum(*args):
-            sigmas, (nu_m, nu_p) = real(*args)
-            return sigmas, (nu_m, nu_p + 1.0)
+    def test_gaussian_chunk_builds_no_matrix(self, tmp_path, monkeypatch):
+        # records come from the drawn parameters: no covariance matrix is built
+        # and none is reduced
+        def refused(*args, **kwargs):
+            raise AssertionError("a Gaussian sample chunk built or reduced a matrix")
 
         monkeypatch.setenv("EPE_THREADS", "1")
-        monkeypatch.setattr(sampling, "_accepted_candidates", shifted_spectrum)
-        assert run_cli(["sample", "--system", "gaussian", "--count", "16", "--seed", "7",
-                        "--out", str(tmp_path / "g.csv")]) == 4
-        assert capsys.readouterr().err == (
-            "error: standard-form reduction failed to preserve invariants\n"
-        )
-        assert os.listdir(tmp_path) == []
-
-    @pytest.mark.parametrize("window", [["20", "40"], ["50", "100"]])
-    def test_unphysical_sampled_covariance_exit_4(self, tmp_path, capsys, monkeypatch, window):
-        # a sampled covariance whose triangles differ by far more than the
-        # roundoff of its construction is refused
-        real = sampling.candidate_covariances
-
-        def skewed(u, energy_window):
-            sigma, spectrum, ok = real(u, energy_window)
-            sigma[:, 0, 1] += 1e-9 * np.abs(np.diagonal(sigma, axis1=1, axis2=2)).sum(-1)
-            return sigma, spectrum, ok
-
-        monkeypatch.setenv("EPE_THREADS", "1")
-        monkeypatch.setattr(sampling, "candidate_covariances", skewed)
-        argv = ["sample", "--system", "gaussian", "--count", "4096", "--seed", "7",
-                "--energy-window", *window]
-        out = tmp_path / "g.csv"
-        assert run_cli([*argv, "--out", str(out)]) == 4
-        assert capsys.readouterr().err == "error: covariance matrix is not symmetric\n"
-        assert os.listdir(tmp_path) == []
-        assert run_cli(argv) == 4
-        assert capsys.readouterr().out == ""
+        monkeypatch.setattr(sampling, "candidate_covariances", refused)
+        monkeypatch.setattr(gaussian, "reduce_to_standard_form", refused)
+        for extra in ([], ["--energy-window", "50", "100", "--format", "json"]):
+            assert run_cli(["sample", "--system", "gaussian", "--count", "4097", "--seed", "7",
+                            *extra, "--out", str(tmp_path / "g.out")]) == 0
 
     @pytest.mark.parametrize("window", [["20", "40"], ["50", "100"]])
     def test_wide_energy_windows_sample(self, tmp_path, monkeypatch, window):
@@ -453,7 +438,7 @@ class TestSample:
         assert len(rows) == 4096 and {row[3] for row in rows} == {"111"}
         lo, hi = map(float, window)
         assert all(lo <= float(row[0]) <= hi for row in rows)
-        sigmas = sampling._accepted_candidates(7, 0, 4096, (lo, hi))[0]
+        sigmas = oracles.sampled_covariances(7, 0, 4096, (lo, hi))
         assert all(oracles.cm_is_physical(sigma) for sigma in sigmas)
 
     def test_json_format(self, tmp_path):

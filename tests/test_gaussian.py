@@ -430,7 +430,7 @@ class TestStandardFormReduction:
             2.5 * np.eye(4),
             rotated @ oracles.expand(TMSV3) @ rotated.T,
         ]
-        sampled = sampling._accepted_candidates(seed, 0, count, window)[0]
+        sampled = oracles.sampled_covariances(seed, 0, count, window)
         # sampled candidates carry no right local symplectic; give them random local frames
         rng = np.random.default_rng(seed)
         squeezes = rng.uniform(-1.0, 1.0, (count, 2))
@@ -472,7 +472,7 @@ class TestStandardFormReduction:
     @given(st.integers(0, 9))
     @settings(max_examples=10, deadline=None)
     def test_stack_with_one_bad_matrix_raises(self, k):
-        cms = sampling._accepted_candidates(3, 0, 10, sampling.DEFAULT_ENERGY_WINDOW)[0]
+        cms = oracles.sampled_covariances(3, 0, 10, sampling.DEFAULT_ENERGY_WINDOW)
         unphysical = cms.copy()
         unphysical[k] = 0.5 * np.eye(4)
         asymmetric = cms.copy()
@@ -571,7 +571,7 @@ class TestClosedFormReduction:
             gaussian.reduce_to_standard_form(np.stack([np.eye(4), cm]))
 
     def test_no_lapack_call_on_a_two_by_two_block_outside_the_check(self, monkeypatch):
-        sampled, _ = sampling._accepted_candidates(5, 0, 32, sampling.DEFAULT_ENERGY_WINDOW)
+        sampled = oracles.sampled_covariances(5, 0, 32, sampling.DEFAULT_ENERGY_WINDOW)
         cms = np.concatenate([sampled, np.stack([cm for cm, _ in ADVERSARIAL])])
         want = gaussian.reduce_to_standard_form(cms)
         calls = set()
@@ -591,7 +591,7 @@ class TestClosedFormReduction:
 
     def test_invariant_failure_on_the_public_path(self, monkeypatch):
         # the public reduction checks its rows against LAPACK's Det sigma and Delta
-        cms = sampling._accepted_candidates(7, 0, 16, sampling.DEFAULT_ENERGY_WINDOW)[0]
+        cms = oracles.sampled_covariances(7, 0, 16, sampling.DEFAULT_ENERGY_WINDOW)
         real = gaussian._block_invariants
 
         def shifted_delta(cm):
@@ -636,7 +636,7 @@ class TestScaleAwareChecks:
 
     @pytest.mark.parametrize("window", [(20.0, 40.0), (50.0, 100.0)])
     def test_wide_window_samples_reduce(self, window):
-        cms = sampling._accepted_candidates(7, 0, 512, window)[0]
+        cms = oracles.sampled_covariances(7, 0, 512, window)
         params = gaussian.reduce_to_standard_form(cms)
         assert all(oracles.cm_is_physical(cm) for cm in cms)
         energy = (params[:, 0] + params[:, 1]) / 2.0 - 1.0
@@ -670,7 +670,7 @@ class TestScaleAwareChecks:
     @given(st.integers(0, 2**64 - 1), st.sampled_from([(0.0, 2.0), (20.0, 40.0), (50.0, 100.0)]))
     @settings(max_examples=15, deadline=None)
     def test_reduced_rows_pass_the_layer_measures(self, seed, window):
-        cms = sampling._accepted_candidates(seed, 0, 256, window)[0]
+        cms = oracles.sampled_covariances(seed, 0, 256, window)
         params = gaussian.reduce_to_standard_form(cms)
         sf = gaussian.StandardFormCM(*params.T)
         assert gaussian.is_physical(sf).all()
@@ -683,12 +683,12 @@ SPECTRUM_WINDOWS = [(0.0, 2.0), (1.0, 2.0), (20.0, 40.0), (50.0, 100.0)]
 
 
 class TestDrawnSpectrumReference:
-    """The sampler's reduction checks its rows against the drawn (nu_-, nu_+)."""
+    """The reduction of sampled matrices, checked against LAPACK's invariants."""
 
     @pytest.mark.parametrize("window", SPECTRUM_WINDOWS)
     def test_perturbed_c_minus_raises(self, monkeypatch, window):
-        sigmas, spectrum = sampling._accepted_candidates(7, 0, 256, window)
-        params = gaussian.reduce_to_standard_form(sigmas, spectrum=spectrum)
+        sigmas = oracles.sampled_covariances(7, 0, 256, window)
+        params = gaussian.reduce_to_standard_form(sigmas)
         # the row with the largest |c-| / a, where moving c- moves Det sigma and Delta most
         row = np.argmax(np.abs(params[:, 3]) / params[:, 0])
         real = gaussian._standard_form_rows
@@ -700,29 +700,44 @@ class TestDrawnSpectrumReference:
 
         monkeypatch.setattr(gaussian, "_standard_form_rows", perturbed)
         with pytest.raises(InvariantViolation):
-            gaussian.reduce_to_standard_form(sigmas, spectrum=spectrum)
+            gaussian.reduce_to_standard_form(sigmas)
 
     @pytest.mark.parametrize("window", SPECTRUM_WINDOWS)
-    def test_swapped_nu_plus_raises(self, window):
-        sigmas, (nu_m, nu_p) = sampling._accepted_candidates(7, 0, 256, window)
+    def test_swapped_nu_plus_raises(self, monkeypatch, window):
+        # the invariants of the matrices with the least and the largest drawn
+        # nu_+, swapped, are refused at each window's scale
+        u = sampling._accepted_candidates(7, 0, 256, window)
+        sigmas, _ = sampling.candidate_covariances(u, window)
+        nu_p = sampling._drawn_parameters(u, window[1])[1]
         i, j = np.argmin(nu_p), np.argmax(nu_p)
-        swapped = nu_p.copy()
-        swapped[[i, j]] = nu_p[[j, i]]
+        real = gaussian._block_invariants
+
+        def swapped(cms):
+            *dets, ds, delta = real(cms)
+            if len(cms) == 1:
+                ds, delta = (x.copy() for x in real(sigmas[[j]])[3:])
+            else:
+                ds[[i, j]], delta[[i, j]] = ds[[j, i]], delta[[j, i]]
+            return (*dets, ds, delta)
+
+        want = gaussian.reduce_to_standard_form(sigmas[i])
+        monkeypatch.setattr(gaussian, "_block_invariants", swapped)
         with pytest.raises(InvariantViolation):
-            gaussian.reduce_to_standard_form(sigmas, spectrum=(nu_m, swapped))
-        # each matrix alone, with its own nu_+ swapped in
+            gaussian.reduce_to_standard_form(sigmas)
+        # each matrix alone, with the other's invariants
         with pytest.raises(InvariantViolation):
-            gaussian.reduce_to_standard_form(sigmas[i], spectrum=(nu_m[i], swapped[i]))
-        assert isinstance(gaussian.reduce_to_standard_form(sigmas[i], spectrum=(nu_m[i], nu_p[i])),
-                          gaussian.StandardFormCM)
+            gaussian.reduce_to_standard_form(sigmas[i])
+        assert isinstance(want, gaussian.StandardFormCM)
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 10**9), st.sampled_from(SPECTRUM_WINDOWS))
     @settings(max_examples=20, deadline=None)
     def test_drawn_invariants_match_the_lapack_ones(self, seed, start, window):
-        # the drawn reference sits within the absolute-relative tolerance of the
-        # LAPACK one, the tighter of the check's two allowances
-        sigmas, spectrum = sampling._accepted_candidates(seed, start, 64, window)
-        for cm, nu_m, nu_p in zip(sigmas, *spectrum):
+        # the drawn spectrum, which gives the records' purity, sits within the
+        # absolute-relative tolerance of the LAPACK invariants of the matrices
+        u = sampling._accepted_candidates(seed, start, 64, window)
+        sigmas, _ = sampling.candidate_covariances(u, window)
+        nu_minus, nu_plus = sampling._drawn_parameters(u, window[1])[:2]
+        for cm, nu_m, nu_p in zip(sigmas, nu_minus, nu_plus):
             _, _, _, ds, delta = oracles.cm_block_invariants(cm)
             assert abs((nu_m * nu_p) ** 2 - ds) <= 1e-9 * max(1.0, abs(ds))
             assert abs(nu_m * nu_m + nu_p * nu_p - delta) <= 1e-9 * max(1.0, abs(delta))
@@ -732,18 +747,15 @@ class TestDrawnSpectrumReference:
         # invariants Det sigma = 25 and Delta = 26 are those of the spectrum (1, 5)
         s = oracles.expand(gaussian.StandardFormCM(2.0, 2.0, 3.0, 3.0))
         assert np.allclose(np.linalg.eigvalsh(s), [-1.0, -1.0, 5.0, 5.0])
-        with pytest.raises(UnphysicalCovarianceError, match="is not physical"):
-            gaussian.reduce_to_standard_form(s, spectrum=(1.0, 5.0))
-        with pytest.raises(UnphysicalCovarianceError, match="row 1 "):
-            gaussian.reduce_to_standard_form(np.stack([2.0 * np.eye(4), s]),
-                                             spectrum=(np.array([2.0, 1.0]), np.array([2.0, 5.0])))
         with pytest.raises(UnphysicalCovarianceError, match="not positive semidefinite"):
             gaussian.reduce_to_standard_form(s)
+        with pytest.raises(UnphysicalCovarianceError, match="not positive semidefinite"):
+            gaussian.reduce_to_standard_form(np.stack([2.0 * np.eye(4), s]))
 
     def test_sampler_path_makes_no_lapack_call(self, monkeypatch):
         cfg = sampling.SamplerConfig(seed=5, count=300, system="gaussian")
         want = sampling.records_chunk(cfg, 0, 300)
-        cms = sampling._accepted_candidates(5, 0, 300, sampling.DEFAULT_ENERGY_WINDOW)[0]
+        cms = oracles.sampled_covariances(5, 0, 300, sampling.DEFAULT_ENERGY_WINDOW)
         calls = set()
         for name in np.linalg.__all__:
             real = getattr(np.linalg, name)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epe import gaussian, qubit, sampling
-from epe.errors import ConfigurationError, DomainError, UnphysicalCovarianceError
+from epe.errors import ConfigurationError, DomainError
 import oracles
 
 
@@ -158,7 +158,7 @@ class TestGaussianSampler:
             assert rec.flags == "111"
 
     def test_containment_bounds(self):
-        _, values, flags = sampling.gaussian_records_chunk(12, 0, 2000)
+        values, flags = sampling.gaussian_records_chunk(12, 0, 2000)
         assert flags.all()
         E, EN, P = values[:, 0], values[:, 1], values[:, 2]
         assert np.all(P >= 1.0 / (E + 1.0) ** 2 - 1e-9)
@@ -172,8 +172,7 @@ class TestGaussianSampler:
         cfg = sampling.SamplerConfig(seed=3, count=300, system="gaussian", energy_window=window)
         energies = np.array([rec.energy for _, rec in sampling.sample_states(cfg)])
         assert np.all((lo - 1e-12 <= energies) & (energies <= hi + 1e-12))
-        sigmas, _ = sampling._accepted_candidates(7, 0, 50, window)
-        for sigma in sigmas:
+        for sigma in oracles.sampled_covariances(7, 0, 50, window):
             sf = gaussian.reduce_to_standard_form(sigma)
             assert lo - 1e-12 <= gaussian.energy(sf) <= hi + 1e-12
 
@@ -188,18 +187,23 @@ SEEDS = st.integers(0, 2**64 - 1)
 
 
 def scalar_record(sf, measure):
-    """((E, entanglement, P), flags) of one standard form from the scalar measures.
-
-    The per-record logic that `sampling._gaussian_records` applies to a
-    stack, through the same `gaussian` calls on one row.  It checks the
-    stacked record against its rows, not the formulas: the oracles of the
-    formulas are `test_values_match_block_invariants`, the mpmath tests
-    here and the frontier tests of `test_gaussian.py`.
-    """
+    """((E, entanglement, P), flags) of one standard form from the scalar measures."""
     en = gaussian.energy(sf)
     pur = gaussian.purity(sf)
     logneg = gaussian.log_negativity(sf)
     ent = logneg if measure == "logneg" else gaussian.negativity(sf)
+    return (en, ent, pur), scalar_flags(en, logneg, pur)
+
+
+def scalar_flags(en, logneg, pur):
+    """The containment flags of one record (E, E_N, P).
+
+    The per-record logic that `sampling._gaussian_flags` applies to a
+    stack, through the same `gaussian` calls on one record.  It checks the
+    stacked flags, not the formulas: the oracles of the formulas are
+    `test_values_match_block_invariants`, the mpmath tests here and the
+    frontier tests of `test_gaussian.py`.
+    """
     tmsv_ln = gaussian.log_negativity(gaussian.two_mode_squeezed_vacuum(max(en, 0.0)))
     on_curve = pur < 1.0 - sampling.PURE_TOL or abs(logneg - tmsv_ln) <= 1e-6
     if en > 0.0:
@@ -209,7 +213,7 @@ def scalar_record(sf, measure):
         bound = 0.0
     below = logneg <= bound + sampling.FLAG_TOL
     in_band = logneg <= 0.0 or pur > 1.0 / (2.0 * en + 1.0) - sampling.FLAG_TOL
-    return (en, ent, pur), (on_curve, below, in_band)
+    return on_curve, below, in_band
 
 
 class TestRecordsChunk:
@@ -231,12 +235,15 @@ class TestRecordsChunk:
         cfg = sampling.SamplerConfig(seed=seed, count=start + count, system="gaussian",
                                      energy_window=window, measure=measure)
         values, flags = sampling.records_chunk(cfg, start, count)
-        params, want_values, want_flags = sampling.gaussian_records_chunk(
+        want_values, want_flags = sampling.gaussian_records_chunk(
             seed, start, count, window, measure
         )
         assert np.array_equal(values, want_values)
         assert np.array_equal(flags, want_flags)
         states, values, flags = sampling.records_chunk(cfg, start, count, with_states=True)
+        # the states are the reductions of the accepted candidates' matrices
+        params = gaussian.reduce_to_standard_form(
+            oracles.sampled_covariances(seed, start, count, window))
         assert [tuple(row) for row in params.tolist()] == [
             (sf.a, sf.b, sf.c_plus, sf.c_minus) for sf in states
         ]
@@ -259,8 +266,8 @@ class TestGaussianRecords:
            st.sampled_from(sampling.GAUSSIAN_MEASURES))
     @settings(max_examples=25, deadline=None)
     def test_values_match_block_invariants(self, seed, window, measure):
-        cms = sampling._accepted_candidates(seed, 0, 64, window)[0]
-        _, values, _ = sampling.gaussian_records_chunk(seed, 0, 64, window, measure)
+        cms = oracles.sampled_covariances(seed, 0, 64, window)
+        values, _ = sampling.gaussian_records_chunk(seed, 0, 64, window, measure)
         for cm, (en, ent, pur) in zip(cms, values):
             da, db, dg, ds, _ = oracles.cm_block_invariants(cm)
             ppt_delta = da + db - 2.0 * dg
@@ -274,10 +281,15 @@ class TestGaussianRecords:
            st.sampled_from(sampling.GAUSSIAN_MEASURES))
     @settings(max_examples=25, deadline=None)
     def test_sampled_records_match_the_scalar_logic(self, seed, window, measure):
-        params, values, flags = sampling.gaussian_records_chunk(seed, 0, 64, window, measure)
-        for row, got_values, got_flags in zip(params.tolist(), values, flags):
-            want_values, want_flags = scalar_record(gaussian.StandardFormCM(*row), measure)
-            assert tuple(got_flags) == want_flags
+        # the records against the scalar measures of their states' rows, and
+        # the flags against the scalar flag logic on the records
+        values, flags = sampling.gaussian_records_chunk(seed, 0, 64, window, measure)
+        logneg = sampling.gaussian_records_chunk(seed, 0, 64, window)[0][:, 1]
+        params = gaussian.reduce_to_standard_form(oracles.sampled_covariances(seed, 0, 64, window))
+        for row, got_values, got_flags, ln in zip(params.tolist(), values, flags, logneg):
+            want_values, _ = scalar_record(gaussian.StandardFormCM(*row), measure)
+            en, _, pur = got_values
+            assert tuple(got_flags) == scalar_flags(en, ln, pur)
             assert np.allclose(got_values, want_values, rtol=0.0, atol=1e-12)
 
     @given(st.floats(0.01, 3.0), st.floats(0.0, 1.0), st.sampled_from(sampling.GAUSSIAN_MEASURES))
@@ -294,64 +306,115 @@ class TestGaussianRecords:
         ]
         if P >= 1.0 / (2.0 * E + 1.0):
             sfs.append(gaussian.glems(E, P))
-        params = np.array([[sf.a, sf.b, sf.c_plus, sf.c_minus] for sf in sfs])
-        values, flags = sampling._gaussian_records(params, measure)
-        for sf, got_values, got_flags in zip(sfs, values, flags):
-            want_values, want_flags = scalar_record(sf, measure)
-            assert tuple(got_flags) == want_flags
-            assert np.allclose(got_values, want_values, rtol=0.0, atol=1e-12)
+        sf = gaussian.StandardFormCM(*np.array([[x.a, x.b, x.c_plus, x.c_minus] for x in sfs]).T)
+        en, logneg, pur = (f(sf, check=False) for f in (gaussian.energy, gaussian.log_negativity,
+                                                         gaussian.purity))
+        flags = sampling._gaussian_flags(en, logneg, pur)
+        for one, got_flags in zip(sfs, flags):
+            assert tuple(got_flags) == scalar_record(one, measure)[1]
 
     @pytest.mark.parametrize("measure", sampling.GAUSSIAN_MEASURES)
-    def test_one_physicality_check_per_chunk(self, monkeypatch, measure):
-        real = gaussian.is_physical
-        shapes = []
+    def test_chunk_builds_no_matrix_and_checks_no_row(self, monkeypatch, measure):
+        cfg = sampling.SamplerConfig(seed=3, count=100, system="gaussian", measure=measure)
+        want = sampling.records_chunk(cfg, 0, 100)
+        called = []
+        for module, name in ((gaussian, "is_physical"), (gaussian, "reduce_to_standard_form"),
+                             (sampling, "candidate_covariances")):
+            def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+                called.append(_name)
+                return _real(*args, **kwargs)
 
-        def counted(sf, *args, **kwargs):
-            shapes.append(np.shape(sf.a))
-            return real(sf, *args, **kwargs)
-
-        monkeypatch.setattr(gaussian, "is_physical", counted)
-        sampling.gaussian_records_chunk(3, 0, 100, measure=measure)
-        # the check the reduction runs on the rows it makes
-        assert shapes == [(100,)]
-        # and the reduction refuses a chunk with one unphysical row (nu_- = 1/2)
-        cms = np.stack([oracles.expand(gaussian.StandardFormCM(*row))
-                        for row in [[2.0, 2.0, 0.0, 0.0], [1.0, 1.0, 0.5, 0.5]]])
-        with pytest.raises(UnphysicalCovarianceError):
-            gaussian.reduce_to_standard_form(cms, spectrum=(np.array([2.0, 0.5]),
-                                                            np.array([2.0, 1.5])))
+            monkeypatch.setattr(module, name, spy)
+        got = sampling.records_chunk(cfg, 0, 100)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert called == []
+        # the states of `sample_states` are reduced from the candidates' matrices
+        sampling.records_chunk(cfg, 0, 100, with_states=True)
+        assert called == ["candidate_covariances", "reduce_to_standard_form"]
 
     @given(SEEDS, st.sampled_from([(0.0, 2.0), (1.0, 2.0), (20.0, 40.0), (50.0, 100.0)]))
     @settings(max_examples=12, deadline=None)
     def test_energy_is_the_acceptance_energy_bit_for_bit(self, seed, window):
-        cms = sampling._accepted_candidates(seed, 0, 256, window)[0]
-        _, values, _ = sampling.gaussian_records_chunk(seed, 0, 256, window)
-        assert np.array_equal(values[:, 0], sampling.candidate_energy(cms))
+        u = sampling._accepted_candidates(seed, 0, 256, window)
+        values, _ = sampling.gaussian_records_chunk(seed, 0, 256, window)
+        params = sampling._drawn_parameters(u, window[1])
+        energy, _ = sampling._candidate_energy(params)
+        assert np.array_equal(values[:, 0], energy)
         assert np.all((window[0] <= values[:, 0]) & (values[:, 0] <= window[1]))
+        assert sampling._accepted(u, window).all()
 
     @pytest.mark.parametrize("window", [(0.0, 2.0), (20.0, 40.0), (50.0, 100.0)])
     def test_ppt_eigenvalue_against_mpmath(self, window):
         # record 2954 of seed 7 at 50-100 was 1.7e-8 off while nu~_- came from
         # sqrt((Delta~ - r) / 2)
-        params = np.concatenate([
-            sampling.gaussian_records_chunk(7, 0, 300, window)[0],
-            sampling.gaussian_records_chunk(7, 2954, 1, window)[0],
-        ])
-        values, _ = sampling._gaussian_records(params)
-        for row, logneg in zip(params.tolist(), values[:, 1]):
-            with mpmath.workdps(60):
-                a, b, cp, cm = map(mpmath.mpf, row)
-                det = (a * b - cp**2) * (a * b - cm**2)
-                ppt_delta = a**2 + b**2 - 2 * cp * cm
-                nu = mpmath.sqrt((ppt_delta - mpmath.sqrt(ppt_delta**2 - 4 * det)) / 2)
-                want = max(mpmath.mpf(0), -mpmath.log(nu))
-            # first-order roundoff of ln(sqrt(Det sigma) / nu~_+): each factor
-            # ab - c^2 relative to its absolute terms, and Delta~ likewise
-            a, b, cp, cm = row
-            ab = a * b
-            scale = ((ab + cp**2) / abs(ab - cp**2) + (ab + cm**2) / abs(ab - cm**2)
-                     + (a**2 + b**2 + 2.0 * abs(cp * cm)) / (a**2 + b**2 - 2.0 * cp * cm))
-            assert abs(float(logneg - want)) <= 2.0 * gaussian.EPS * scale
+        u = np.concatenate([sampling._accepted_candidates(7, 0, 300, window),
+                            sampling._accepted_candidates(7, 2954, 1, window)])
+        values, _ = sampling._gaussian_records(u, window)
+        for row, logneg in zip(u, values[:, 1]):
+            _, want, _ = mp_record(row, window)
+            assert abs(logneg - float(want)) <= record_roundoff(window) * (1.0 + float(want))
+
+    @pytest.mark.parametrize("window", [(0.0, 2.0), (50.0, 100.0), (0.0, 1e4), (0.0, 1e10)])
+    def test_records_against_mpmath(self, window):
+        # every 8th first-attempt candidate of seed 7 that is accepted; at
+        # 0 1e4 and 0 1e10 the CLI stops at a GMEMS flag (ROADMAP item 2), so
+        # the record function is called directly
+        u = sampling.uniforms(sampling.stream_words(7, "gaussian", 0, 4096, sampling.GAUSSIAN_WORDS))
+        u = u[sampling._accepted(u, window)][::8]
+        # the flags' TMSV row rounds to Det sigma = 0 above E ~ 1e8 (ROADMAP item 2)
+        with np.errstate(divide="ignore"):
+            values, _ = sampling._gaussian_records(u, window)
+        bound = record_roundoff(window)
+        for row, (en, logneg, pur) in zip(u, values):
+            want_en, want_logneg, want_pur = map(float, mp_record(row, window))
+            assert abs(en - want_en) <= bound * (1.0 + want_en)
+            assert abs(logneg - want_logneg) <= bound * (1.0 + want_logneg)
+            assert abs(pur - want_pur) <= 16.0 * gaussian.EPS * want_pur
+
+
+def record_roundoff(window):
+    """First-order roundoff of a Gaussian record from its uniforms, relative
+    to E + 1 for the energy and absolute per unit of 1 + E_N for E_N.
+
+    nu_- and nu_+ are reciprocals of sums of non-negative terms, nu_+'s
+    range inheriting nu_-'s error: at most 5 and 10 eps, so P = 1/(nu_-
+    nu_+) is within 16 eps.  Every other quantity is a sum of non-negative
+    products of at most about 20 roundings (sines and cosines of angles
+    reduced to [-pi/4, pi/4] among them), and so is within 24 eps, except
+    that each mode's sinh(2 r) passes on the relative error of r = r_max x
+    (arccosh, and one product: 4 eps) times |2 r| <= 2 r_max.
+    """
+    return (24.0 + 8.0 * 0.5 * np.arccosh(window[1] + 1.0)) * gaussian.EPS
+
+
+def mp_record(u, window):
+    """(E, E_N, P) of the candidate of one row of 16 uniforms, from its 4x4
+    blocks at 100 digits: alpha, beta and gamma of BS^T (nu_- M1 (+) nu_+ M2) BS."""
+    with mpmath.workdps(100):
+        u = [mpmath.mpf(float(x)) for x in u]
+        e_hi = mpmath.mpf(window[1])
+        cap = mpmath.mpf(sampling._NU_PRODUCT_CAP)
+
+        def inverse_square(x, lo, hi):
+            return 1 / (1 / lo - x * (1 / lo - 1 / hi))
+
+        def block(nu, k):
+            r = mpmath.acosh(e_hi + 1) / 2 * (2 * u[k] - 1)
+            c, s = mpmath.cos(2 * mpmath.pi * u[k + 1]), mpmath.sin(2 * mpmath.pi * u[k + 1])
+            rot = mpmath.matrix([[c, s], [-s, c]])
+            return nu * rot.T * mpmath.diag([mpmath.exp(2 * r), mpmath.exp(-2 * r)]) * rot
+
+        nu_m = inverse_square(u[0], 1, min(2 * (e_hi + 1) - 1, cap))
+        nu_p = inverse_square(u[1], nu_m, min(2 * (e_hi + 1) - nu_m, cap / nu_m))
+        A, B = block(nu_m, 3), block(nu_p, 6)
+        c, s = mpmath.cos(2 * mpmath.pi * u[8]), mpmath.sin(2 * mpmath.pi * u[8])
+        det_alpha = mpmath.det(c**2 * A + s**2 * B)
+        det_beta = mpmath.det(s**2 * A + c**2 * B)
+        ppt_delta = det_alpha + det_beta - 2 * mpmath.det(c * s * (A - B))
+        det = (nu_m * nu_p) ** 2
+        nu = mpmath.sqrt((ppt_delta - mpmath.sqrt(ppt_delta**2 - 4 * det)) / 2)
+        energy = (mpmath.sqrt(det_alpha) + mpmath.sqrt(det_beta)) / 2 - 1
+        return energy, max(mpmath.mpf(0), -mpmath.log(nu)), 1 / (nu_m * nu_p)
 
 
 # --- the construction the sampler used up to 0.8.0: S = L BS R ---
@@ -397,7 +460,8 @@ def lbsr_candidates(u, energy_window):
     S = local_beam_splitter_local(u[:, 2:15], 0.5 * np.arccosh(e_hi + 1.0))
     nu = np.stack([nu_m, nu_m, nu_p, nu_p], -1)
     sigma = S.transpose(0, 2, 1) @ (nu[:, :, None] * S)
-    energy = sampling.candidate_energy(sigma)
+    det_alpha, det_beta = np.linalg.det(sigma[:, :2, :2]), np.linalg.det(sigma[:, 2:, 2:])
+    energy = (np.sqrt(det_alpha) + np.sqrt(det_beta)) / 2.0 - 1.0
     return sigma, (top > nu_m) & (e_lo <= energy) & (energy <= e_hi)
 
 
@@ -409,7 +473,7 @@ def accepted_uniforms(seed, count, window):
     while pending.size:
         words = sampling.stream_words(seed, "gaussian", 0, count, sampling.GAUSSIAN_WORDS, attempt)
         u = sampling.uniforms(words)[pending]
-        _, _, ok = sampling.candidate_covariances(u, window)
+        _, ok = sampling.candidate_covariances(u, window)
         u_acc[pending[ok]] = u[ok]
         pending = pending[~ok]
         attempt += 1
@@ -469,36 +533,38 @@ class TestCandidateKernel:
         cancelled = [2, 5, *range(9, 16)]
         mixed = u.copy()
         mixed[:, cancelled] = other[:, cancelled]
-        sigma, spectrum, ok = sampling.candidate_covariances(u, window)
-        mixed_sigma, mixed_spectrum, mixed_ok = sampling.candidate_covariances(mixed, window)
+        sigma, ok = sampling.candidate_covariances(u, window)
+        mixed_sigma, mixed_ok = sampling.candidate_covariances(mixed, window)
         assert np.array_equal(sigma, mixed_sigma)
-        assert np.array_equal(spectrum, mixed_spectrum)
         assert np.array_equal(ok, mixed_ok)
+        assert np.array_equal(sampling._gaussian_records(u[ok], window)[0],
+                              sampling._gaussian_records(mixed[ok], window)[0])
 
     @pytest.mark.parametrize("window", KERNEL_WINDOWS)
     def test_candidates_carry_their_drawn_spectrum(self, window):
+        # the matrices have the symplectic eigenvalues the records take P from
         u = sampling.uniforms(sampling.stream_words(7, "gaussian", 0, 2048,
                                                     sampling.GAUSSIAN_WORDS))
-        _, (nu_m, nu_p), ok = sampling.candidate_covariances(u, window)
-        want_m, want_p, _ = sampling._drawn_spectrum(u[ok], window[1])
-        assert np.array_equal(nu_m[ok], want_m) and np.array_equal(nu_p[ok], want_p)
+        sigma, ok = sampling.candidate_covariances(u, window)
+        nu_m, nu_p = sampling._drawn_parameters(u[ok], window[1])[:2]
+        for cm, want in zip(sigma[ok], np.stack([nu_m, nu_p], -1)):
+            assert np.allclose(oracles.cm_symplectic_eigenvalues(cm), want, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("window", KERNEL_WINDOWS)
     def test_candidates_are_exactly_symmetric(self, window):
         u = sampling.uniforms(sampling.stream_words(7, "gaussian", 0, 2048,
                                                     sampling.GAUSSIAN_WORDS))
-        sigma, _, _ = sampling.candidate_covariances(u, window)
+        sigma, _ = sampling.candidate_covariances(u, window)
         assert np.array_equal(sigma, sigma.transpose(0, 2, 1))
-        sigma = sampling._accepted_candidates(7, 0, 256, window)[0]
+        sigma = oracles.sampled_covariances(7, 0, 256, window)
         assert np.array_equal(sigma, sigma.transpose(0, 2, 1))
 
     @pytest.mark.parametrize("window", [(20.0, 40.0), (50.0, 100.0)])
     def test_energy_and_purity_against_mpmath(self, window):
         count = 200
         u = accepted_uniforms(7, count, window)
-        assert np.array_equal(sampling.candidate_covariances(u, window)[0],
-                              sampling._accepted_candidates(7, 0, count, window)[0])
-        _, values, _ = sampling.gaussian_records_chunk(7, 0, count, window)
+        assert np.array_equal(u, sampling._accepted_candidates(7, 0, count, window))
+        values, _ = sampling.gaussian_records_chunk(7, 0, count, window)
         for row, (en, _, pur) in zip(u, values):
             want_en, want_pur = mp_energy_purity(row, window)
             assert abs(en - float(want_en)) <= 1e-10
@@ -510,12 +576,17 @@ class TestCandidateKernel:
         u = sampling.uniforms(sampling.stream_words(seed, "gaussian", 0, 512,
                                                     sampling.GAUSSIAN_WORDS))
         old, old_ok = lbsr_candidates(u, window)
-        sigma, _, ok = sampling.candidate_covariances(u, window)
+        sigma, ok = sampling.candidate_covariances(u, window)
         assert np.array_equal(ok, old_ok)
         old_rows = gaussian.reduce_to_standard_form(old[ok])
         rows = gaussian.reduce_to_standard_form(sigma[ok])
-        assert np.array_equal(sampling._gaussian_records(rows)[1],
-                              sampling._gaussian_records(old_rows)[1])
+
+        def flags(params):
+            sf = gaussian.StandardFormCM(*params.T)
+            return sampling._gaussian_flags(*(f(sf, check=False) for f in (
+                gaussian.energy, gaussian.log_negativity, gaussian.purity)))
+
+        assert np.array_equal(flags(rows), flags(old_rows))
         # each entry of the 4x4 products carries roundoff of order eps tr(sigma),
         # which sqrt(Det alpha), sqrt(Det beta) and the local symplectics
         # scale by tr(sigma) / min(a, b)
@@ -547,10 +618,10 @@ class TestPhiloxStream:
     @settings(max_examples=20, deadline=None)
     def test_gaussian_chunking_is_bit_identical(self, seed, split):
         count, chunks = split
-        _, values, flags = sampling.gaussian_records_chunk(seed, 0, count)
+        values, flags = sampling.gaussian_records_chunk(seed, 0, count)
         parts = [sampling.gaussian_records_chunk(seed, start, n) for start, n in chunks]
-        assert np.array_equal(values, np.concatenate([v for _, v, _ in parts]))
-        assert np.array_equal(flags, np.concatenate([f for _, _, f in parts]))
+        assert np.array_equal(values, np.concatenate([v for v, _ in parts]))
+        assert np.array_equal(flags, np.concatenate([f for _, f in parts]))
 
     @pytest.mark.parametrize("start,count", [(0, 50), (7, 1), (3, 4096), (40, 11)])
     def test_normals_of_an_index_ignore_start_and_count(self, start, count):
@@ -624,16 +695,15 @@ class TestPhiloxStream:
 
     def test_rejection_rounds_keep_each_index_first_accepted_attempt(self):
         window = (1.0, 2.0)
-        sigmas = sampling._accepted_candidates(8, 100, 30, window)[0]
-        for i, sigma in enumerate(sigmas):
+        accepted = sampling._accepted_candidates(8, 100, 30, window)
+        for i, row in enumerate(accepted):
             for k in range(sampling.MAX_ATTEMPTS):
                 u = sampling.uniforms(
                     sampling.stream_words(8, "gaussian", 100 + i, 1, sampling.GAUSSIAN_WORDS, k)
                 )
-                candidate, _, ok = sampling.candidate_covariances(u, window)
-                if ok[0]:
+                if sampling.candidate_covariances(u, window)[1][0]:
                     break
-            assert np.array_equal(sigma, candidate[0])
+            assert np.array_equal(row, u[0])
 
     def test_qubit_states_are_drawn_once(self, monkeypatch):
         drawn = []
