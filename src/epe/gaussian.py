@@ -19,8 +19,6 @@ an array, each element bit-identical to the call on that element alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, UnphysicalCovarianceError
@@ -60,18 +58,23 @@ INVARIANT_ROUNDINGS = 16.0
 ROW_ROUNDOFF = 5.0
 
 
-@dataclass(frozen=True)
 class StandardFormCM:
     """Standard-form parameters (a, b, c+, c-): floats, or equal-shape arrays."""
 
-    a: float
-    b: float
-    c_plus: float
-    c_minus: float
-
-    def __post_init__(self):
-        if np.any(self.a < 1.0 - PHYSICALITY_TOL) or np.any(self.b < 1.0 - PHYSICALITY_TOL):
+    def __init__(self, a, b, c_plus, c_minus):
+        if np.any(a < 1.0 - PHYSICALITY_TOL) or np.any(b < 1.0 - PHYSICALITY_TOL):
             raise DomainError("diagonal parameters a, b must be >= 1")
+        self.a, self.b, self.c_plus, self.c_minus = a, b, c_plus, c_minus
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.a, self.b, self.c_plus, self.c_minus) == (
+            other.a, other.b, other.c_plus, other.c_minus)
+
+    def __repr__(self):
+        return (f"StandardFormCM(a={self.a!r}, b={self.b!r}, c_plus={self.c_plus!r}, "
+                f"c_minus={self.c_minus!r})")
 
 
 def _standard_form(a, b, c_plus, c_minus) -> StandardFormCM:

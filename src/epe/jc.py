@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -50,47 +49,47 @@ REFINE_POINTS = 9
 REFINE_WIDTH = 2e-8
 
 
-@dataclass(frozen=True)
 class NPhoton:
     """n photons in one mode or the other, (|0,n> + |n,0>)/sqrt(2)."""
 
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise DomainError("photon number must be a positive integer")
+        self.n = n
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n!r})"
 
 
-@dataclass(frozen=True)
 class SinglePhoton(NPhoton):
     """One photon shared between the modes, (|01> + |10>)/sqrt(2): NPhoton with n = 1."""
 
-    n: int = field(default=1, init=False)
+    def __init__(self):
+        super().__init__(1)
 
 
-@dataclass(frozen=True)
-class EntangledCoherent:
+class EntangledCoherent(NamedTuple):
     """Superposition of a coherent state in either mode, (|0,alpha> + |alpha,0>) normalized."""
 
     alpha: complex
 
 
-@dataclass(frozen=True)
 class TwoModeSqueezed:
     """Two-mode squeezed vacuum sqrt(1 - gamma^2) sum_n gamma^n |n,n> with gamma = tanh r."""
 
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
+    def __init__(self, gamma: float):
+        if not 0.0 <= gamma < 1.0:
             raise DomainError("squeezing parameter gamma must lie in [0, 1)")
+        self.gamma = gamma
+
+    def __repr__(self):
+        return f"TwoModeSqueezed(gamma={self.gamma!r})"
 
 
 InputFieldSpec = Union[NPhoton, EntangledCoherent, TwoModeSqueezed]
 
 
-@dataclass
-class JointAtomFieldState:
+class JointAtomFieldState(NamedTuple):
     """Amplitude table over (n1, n2, atom1, atom2) in a truncated Fock space."""
 
     amps: np.ndarray
@@ -100,7 +99,6 @@ class JointAtomFieldState:
         return self.amps.shape[0] - 1
 
 
-@dataclass(frozen=True, eq=False)
 class FieldSupport:
     """The nonzero field entries of an input with both atoms in the ground level.
 
@@ -117,23 +115,16 @@ class FieldSupport:
     evaluates its time factors, and the weights.
     """
 
-    n_max: int
-    n1: np.ndarray
-    n2: np.ndarray
-    amps: np.ndarray
-    levels: np.ndarray = field(init=False, repr=False)
-    blocks: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n1, n2 = np.asarray(self.n1, dtype=int), np.asarray(self.n2, dtype=int)
-        amps = np.asarray(self.amps, dtype=complex)
+    def __init__(self, n_max: int, n1, n2, amps):
+        n1, n2 = np.asarray(n1, dtype=int), np.asarray(n2, dtype=int)
+        amps = np.asarray(amps, dtype=complex)
         if n1.size == 0:
             raise DomainError("a field support needs at least one entry")
         # one column of padding, so a partner beyond the truncation has a
         # key of its own and matches no entry
-        width = self.n_max + 2
+        width = n_max + 2
         key = n1 * width + n2
-        if (n1.min() < 0 or n2.min() < 0 or max(n1.max(), n2.max()) > self.n_max
+        if (n1.min() < 0 or n2.min() < 0 or max(n1.max(), n2.max()) > n_max
                 or np.any(np.diff(key) <= 0)):
             raise DomainError("support entries must be distinct, row-major and within n_max")
         found = []
@@ -149,19 +140,20 @@ class FieldSupport:
             if keep.any():
                 found.append(((a, b, c, d), m1[hit][keep], m2[hit][keep], w[keep]))
         # no np.unique: its first call imports numpy.ma, about 16 ms per process
-        present = np.zeros(self.n_max + 1, dtype=bool)
+        present = np.zeros(n_max + 1, dtype=bool)
         for _, m1, m2, _ in found:
             present[m1] = present[m2] = True
-        levels = np.flatnonzero(present)
+        self.n_max, self.n1, self.n2, self.amps = n_max, n1, n2, amps
+        self.levels = np.flatnonzero(present)
         position = np.cumsum(present) - 1
-        blocks = tuple((abcd, position[m1], position[m2], w) for abcd, m1, m2, w in found)
-        for name, value in (("n1", n1), ("n2", n2), ("amps", amps), ("levels", levels),
-                            ("blocks", blocks)):
-            object.__setattr__(self, name, value)
+        self.blocks = tuple((abcd, position[m1], position[m2], w) for abcd, m1, m2, w in found)
+
+    def __repr__(self):
+        return (f"FieldSupport(n_max={self.n_max!r}, n1={self.n1!r}, n2={self.n2!r}, "
+                f"amps={self.amps!r})")
 
 
-@dataclass(frozen=True)
-class TransferResult:
+class TransferResult(NamedTuple):
     """Outcome of a transfer maximization over dimensionless time.
 
     `qubit_state` is reduced_states(input_state, [lambda_t])[0] and

@@ -19,8 +19,6 @@ with N = diag(0, 1, 1, 2), so E ranges from 0 for |00> to 2 for |11>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, InvalidStateError, InvariantViolation
@@ -65,7 +63,6 @@ BELL_STATES = {
 }
 
 
-@dataclass(frozen=True)
 class LocalUnitaryParams:
     """Rotation angles and unit axes for a product unitary U1 x U2.
 
@@ -73,16 +70,16 @@ class LocalUnitaryParams:
     unit vectors to within 1e-12.
     """
 
-    theta1: float
-    theta2: float
-    axis1: tuple
-    axis2: tuple
-
-    def __post_init__(self):
-        for name, axis in (("axis1", self.axis1), ("axis2", self.axis2)):
+    def __init__(self, theta1, theta2, axis1, axis2):
+        for name, axis in (("axis1", axis1), ("axis2", axis2)):
             v = np.asarray(axis, dtype=float)
             if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-12:
                 raise DomainError(f"{name} must be a unit 3-vector")
+        self.theta1, self.theta2, self.axis1, self.axis2 = theta1, theta2, axis1, axis2
+
+    def __repr__(self):
+        return (f"LocalUnitaryParams(theta1={self.theta1!r}, theta2={self.theta2!r}, "
+                f"axis1={self.axis1!r}, axis2={self.axis2!r})")
 
 
 def validate_state(rho) -> np.ndarray:

@@ -38,7 +38,7 @@ EPERecord) pairs, reducing the Gaussian candidates' matrices
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +72,6 @@ def _check_stream_range(seed, stop):
         raise ConfigurationError("count must be below 2**40")
 
 
-@dataclass(frozen=True)
 class SamplerConfig:
     """Configuration of one sampling run.
 
@@ -80,59 +79,57 @@ class SamplerConfig:
     `operator.index` takes, stored as int).  `rank_filter` applies to the
     qubit system only and `energy_window`, two real numbers (lo, hi), to the
     gaussian system only; a window of None means DEFAULT_ENERGY_WINDOW there.
+    The measure defaults to concurrence for qubits and logneg for modes.
     """
 
-    seed: int
-    count: int
-    system: str = "qubit"
-    rank_filter: int | None = None
-    energy_window: tuple | None = None
-    measure: str | None = None
-
-    def __post_init__(self):
-        for name in ("seed", "count", "rank_filter"):
-            value = getattr(self, name)
-            if value is None and name == "rank_filter":
-                continue
+    def __init__(self, seed, count, system="qubit", rank_filter=None, energy_window=None,
+                 measure=None):
+        def integer(name, value):
             try:
-                object.__setattr__(self, name, operator.index(value))
+                return operator.index(value)
             except TypeError:
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
-        if self.count < 1:
+
+        seed, count = integer("seed", seed), integer("count", count)
+        if rank_filter is not None:
+            rank_filter = integer("rank_filter", rank_filter)
+        if count < 1:
             raise ConfigurationError("count must be a positive integer")
-        _check_stream_range(self.seed, self.count)
-        if self.system not in ("qubit", "gaussian"):
-            raise ConfigurationError(f"unknown system {self.system!r}")
-        if self.rank_filter is not None:
-            if self.system != "qubit":
+        _check_stream_range(seed, count)
+        if system not in ("qubit", "gaussian"):
+            raise ConfigurationError(f"unknown system {system!r}")
+        if rank_filter is not None:
+            if system != "qubit":
                 raise ConfigurationError("the rank filter applies to system qubit only")
-            if self.rank_filter not in (1, 2, 3, 4):
+            if rank_filter not in (1, 2, 3, 4):
                 raise ConfigurationError("rank filter must be in 1..4")
-        if self.energy_window is None:
-            if self.system == "gaussian":
-                object.__setattr__(self, "energy_window", DEFAULT_ENERGY_WINDOW)
-        elif self.system == "qubit":
+        if energy_window is None:
+            if system == "gaussian":
+                energy_window = DEFAULT_ENERGY_WINDOW
+        elif system == "qubit":
             raise ConfigurationError("the energy window applies to system gaussian only")
         else:
             try:
-                lo, hi = self.energy_window
+                lo, hi = energy_window
                 in_range = 0.0 <= lo < hi < np.inf
             except (TypeError, ValueError):
                 raise ConfigurationError("energy window must be two real numbers (lo, hi)") from None
             if not in_range:
                 raise ConfigurationError("energy window must satisfy 0 <= lo < hi < inf")
-        measure = self.measure or self.default_measure()
-        allowed = QUBIT_MEASURES if self.system == "qubit" else GAUSSIAN_MEASURES
+        measure = measure or ("concurrence" if system == "qubit" else "logneg")
+        allowed = QUBIT_MEASURES if system == "qubit" else GAUSSIAN_MEASURES
         if measure not in allowed:
-            raise ConfigurationError(f"measure {measure!r} not valid for {self.system}")
-        object.__setattr__(self, "measure", measure)
+            raise ConfigurationError(f"measure {measure!r} not valid for {system}")
+        self.seed, self.count, self.system = seed, count, system
+        self.rank_filter, self.energy_window, self.measure = rank_filter, energy_window, measure
 
-    def default_measure(self) -> str:
-        return "concurrence" if self.system == "qubit" else "logneg"
+    def __repr__(self):
+        return (f"SamplerConfig(seed={self.seed!r}, count={self.count!r}, system={self.system!r}, "
+                f"rank_filter={self.rank_filter!r}, energy_window={self.energy_window!r}, "
+                f"measure={self.measure!r})")
 
 
-@dataclass(frozen=True)
-class EPERecord:
+class EPERecord(NamedTuple):
     """EPE coordinates of one sample plus its containment flags.
 
     The flags are implications that must hold for every valid sample:
@@ -417,13 +414,17 @@ def _gaussian_flags(en, logneg, pur):
     # energy floor 0 or the purity floor 1/(E+1)^2
     e_ref = np.maximum(en, 0.0)
     p_ref = np.clip(pur, 1.0 / (e_ref + 1.0) ** 2, 1.0)
-    tmsv = gaussian.log_negativity(gaussian.two_mode_squeezed_vacuum(e_ref), check=False)
-    on_curve = (pur < 1.0 - PURE_TOL) | (np.abs(logneg - tmsv) <= 1e-6)
     bound = np.zeros_like(en)
     hot = en > 0.0  # the GMEMS family starts above the vacuum
-    bound[hot] = gaussian.log_negativity(gaussian.gmems(en[hot], p_ref[hot]), check=False)
+    # from E ~ 1e8 up the family rows round (Det sigma to 0, products past
+    # the float range) to inf or nan bounds; numpy's warnings about them
+    # would print ahead of the run's one error line
+    with np.errstate(all="ignore"):
+        tmsv = gaussian.log_negativity(gaussian.two_mode_squeezed_vacuum(e_ref), check=False)
+        bound[hot] = gaussian.log_negativity(gaussian.gmems(en[hot], p_ref[hot]), check=False)
+        _, band_top = gaussian.separability_band(e_ref)
+    on_curve = (pur < 1.0 - PURE_TOL) | (np.abs(logneg - tmsv) <= 1e-6)
     below = logneg <= bound + FLAG_TOL
-    _, band_top = gaussian.separability_band(e_ref)
     in_band = (logneg <= 0.0) | (pur > band_top - FLAG_TOL)
     return np.column_stack([on_curve, below, in_band])
 

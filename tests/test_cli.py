@@ -441,6 +441,18 @@ class TestSample:
         sigmas = oracles.sampled_covariances(7, 0, 4096, (lo, hi))
         assert all(oracles.cm_is_physical(sigma) for sigma in sigmas)
 
+    @pytest.mark.parametrize("hi", ["1e8", "1e21"])
+    def test_wide_window_prints_no_numpy_warning(self, tmp_path, hi):
+        # the flags' family rows round at these energies (Det sigma to 0);
+        # whatever the exit code, stderr holds at most the one error line
+        proc = subprocess.run(
+            [sys.executable, "-m", "epe.cli", "sample", "--system", "gaussian", "--count",
+             "4096", "--seed", "7", "--energy-window", "0", hi, "--out", str(tmp_path / "g.csv")],
+            env=dict(_src_env(), EPE_THREADS="1"), capture_output=True, text=True,
+        )
+        assert "RuntimeWarning" not in proc.stderr
+        assert len(proc.stderr.splitlines()) <= 1, proc.stderr
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "q.json"
         assert run_cli(["sample", "--system", "qubit", "--count", "10", "--seed", "7",
@@ -1205,6 +1217,32 @@ def test_cli_import_loads_no_scipy():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Loads numpy, then runs `epe` as the program does on argv[1:] and writes the
+# modules that epe added to stderr.
+_STARTUP = """
+import sys
+import numpy
+before = set(sys.modules)
+from epe import cli
+code = cli.main()
+print(" ".join(sorted(set(sys.modules) - before)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_program_start_loads_no_costly_module():
+    # each costs milliseconds per process: numpy.random 10-14 ms and
+    # numpy.ma about 16 ms to import, dataclasses generated code per class
+    proc = subprocess.run([sys.executable, "-c", _STARTUP, "jc", "--input", "single-photon"],
+                          env=_src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stderr.split()
+    assert "epe.cli" in added
+    costly = ("dataclasses", "numpy.random", "numpy.ma", "scipy", "concurrent.futures",
+              "multiprocessing")
+    assert [m for m in added if m.startswith(tuple(c + "." for c in costly)) or m in costly] == []
 
 
 # Imports every epe module and runs `epe` on argv[2:]; with argv[1] == "block"
