@@ -19,9 +19,10 @@ expands to no points (`boundary --grid`, `jc --alpha`/`--gamma`).
 Every file written is paired with a sidecar `<out>.manifest.json`
 recording the command line, configuration, seed, version, timestamp and
 the run's CPU time, peak RSS and minor page faults (`resources`);
-`sample` manifests also name the RNG stream (`sampling.STREAM`), and
-`rerun` refuses a `sample` manifest written with another stream, and any
-manifest whose argv is not a non-empty list of strings or is a rerun.  A
+`sample` manifests also name their system's RNG stream
+(`sampling.STREAMS`), and `rerun` refuses a `sample` manifest written
+with another stream than this epe's for its system, and any manifest
+whose argv is not a non-empty list of strings or is a rerun.  A
 rerun reproduces bytes only under the same version; `rerun` of a
 manifest from another version notes both versions on stderr and replays.
 Data files themselves contain no timestamps, so identical invocations
@@ -298,7 +299,7 @@ def _manifest(args, outputs):
         "outputs": [str(p) for p in outputs],
     }
     if args.command == "sample":
-        manifest["stream"] = sampling.STREAM
+        manifest["stream"] = sampling.STREAMS[args.system]
     return manifest
 
 
@@ -606,12 +607,14 @@ def cmd_rerun(args) -> int:
     # no command writes a manifest of a rerun, and replaying one could recurse
     if argv[0] == "rerun":
         raise ConfigurationError("manifest argv is itself a rerun, which cannot be replayed")
-    recorded = manifest.get("stream")
-    if argv[0] == "sample" and recorded != sampling.STREAM:
-        raise ConfigurationError(
-            f"the manifest's RNG stream is {recorded!r}, this epe's is "
-            f"{sampling.STREAM!r}; a rerun would not reproduce its outputs"
-        )
+    if argv[0] == "sample":
+        system = build_parser().parse_args(argv).system
+        recorded, current = manifest.get("stream"), sampling.STREAMS[system]
+        if recorded != current:
+            raise ConfigurationError(
+                f"the manifest's RNG stream is {recorded!r}, this epe's {system} stream is "
+                f"{current!r}; a rerun would not reproduce its outputs"
+            )
     if manifest.get("version") != __version__:
         print(
             f"note: the manifest was written by epe {manifest.get('version')}, this is epe "

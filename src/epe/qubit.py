@@ -49,7 +49,7 @@ FACTOR_TOL = 1e-12
 PPT_DET_MARGIN = 1e-12
 
 # A matrix whose Jacobi sweeps still rotate after this many raises
-# InvariantViolation; sampled states need at most 7.
+# InvariantViolation; sampled states need at most 6.
 JACOBI_MAX_SWEEPS = 30
 _TINY = np.nextafter(0.0, 1.0)
 # above this |zeta| the root sqrt(1 + zeta^2) rounds to |zeta| itself

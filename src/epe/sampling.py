@@ -3,36 +3,46 @@
 Determinism contract: every sample is a pure function of (seed, index).
 All randomness comes from one counter-based Philox4x64 stream per system
 (Salmon et al., SC'11, "Parallel random numbers: as easy as 1, 2, 3"),
-named STREAM and stamped into every sample manifest.  Its 128-bit key
-is the seed in the low 64 bits and a system tag in the high 64 bits.
+named in STREAMS and stamped into every sample manifest.  Its 128-bit
+key is the seed in the low 64 bits and a system tag in the high 64 bits.
 The stream is cut into blocks of W uint64 words; attempt k of index i
 owns block k * 2**40 + i, i.e. words [block * W, (block + 1) * W).  A
 chunk of consecutive indices is therefore one contiguous `random_raw`
 call per attempt, on a generator built from that key and counter (none
 is kept between calls), and chunked or parallel generation emits
 byte-identical records in index order no matter how the work is split.
-Words become uniforms in [0, 1) as (word >> 11) * 2**-53 and complex
-normals by Box-Muller, which consumes a fixed number of words, so every
-offset is exact.
+Words become uniforms in [0, 1) as (word >> 11) * 2**-53, and each draw
+reads fixed words of its block, so every offset is exact.
 
-Two-qubit states (W = 32) are drawn from the Ginibre construction
-rho = G G^dag / Tr(G G^dag) with G a 4 x k standard complex normal
-matrix (k = rank filter, default 4: the first k columns of a 4 x 4
-draw), i.e. the Hilbert-Schmidt measure at full rank.  Gaussian states
-(W = 16) are BS^T (nu_- M1 (+) nu_+ M2) BS, drawn as seven parameters of
-uniforms 0, 1, 3, 4, 6, 7 and 8 (`_drawn_parameters`) and accepted when
-their standard-form energy lies in the energy window.
+Two-qubit states (W = 32) follow the Hilbert-Schmidt measure of rank k
+(the rank filter, default 4): rho = G G^dag / Tr(G G^dag) with G a 4 x k
+standard complex normal matrix (Zyczkowski & Sommers, J. Phys. A 34,
+7111 (2001)).  rho does not change under G -> G U for unitary U, so G is
+replaced by the lower-trapezoidal L of G = L Q, normalized: A = L / ||L||_F
+and rho = A A^dag.  By the Bartlett decomposition (Goodman, Ann. Math.
+Statist. 34, 152 (1963)) the entries of L are independent, |L_jj|^2 is
+Gamma(k - j) and each of the 4k - k(k + 1)/2 entries below the diagonal
+is a standard complex normal, so the squared moduli of A are a Dirichlet
+vector with those shapes, which sum to 4k, and each entry below the
+diagonal has an independent uniform phase.  `_qubit_states_chunk` takes
+the moduli as grouped spacings of the 4k - 1 sorted uniforms of words
+[0, 4k - 1), exact as differences of multiples of 2**-53, and the phases
+as 2 pi u of words 16, 17, ...: sort, subtraction, sqrt, cos and sin,
+and no log, trace or division.  Gaussian states (W = 16) are BS^T (nu_-
+M1 (+) nu_+ M2) BS, drawn as seven parameters of uniforms 0, 1, 3, 4, 6,
+7 and 8 (`_drawn_parameters`) and accepted when their standard-form
+energy lies in the energy window.
 
 Records are computed a chunk at a time: `qubit_records` evaluates the
 stacked `qubit` measures on the (N, 4, 4) stack of states (concurrence
-from the drawn factors A = G / sqrt(Tr(G G^dag)); states whose
-det(rho^Gamma) shows them PPT get C = 0 without the Jacobi kernel, with
-the kernel's bits), and `_gaussian_records` closed forms in the accepted
-candidates' parameters, with no covariance matrix.  Both return (N, 3)
-values and (N, 3) containment flags.  `records_chunk` is the one
-dispatch on a run's system, and `sample_states` yields its (state,
-EPERecord) pairs, reducing the Gaussian candidates' matrices
-(`candidate_covariances`) to standard form.
+from the drawn factors A; states whose det(rho^Gamma) shows them PPT get
+C = 0 without the Jacobi kernel, with the kernel's bits), and
+`_gaussian_records` closed forms in the accepted candidates' parameters,
+with no covariance matrix.  Both return (N, 3) values and (N, 3)
+containment flags.  `records_chunk` is the one dispatch on a run's
+system, and `sample_states` yields its (state, EPERecord) pairs,
+reducing the Gaussian candidates' matrices (`candidate_covariances`) to
+standard form.
 """
 
 from __future__ import annotations
@@ -54,7 +64,8 @@ QUBIT_MEASURES = ("concurrence", "negativity", "logneg", "eof")
 GAUSSIAN_MEASURES = ("logneg", "negativity")
 DEFAULT_ENERGY_WINDOW = (0.0, 2.0)
 
-STREAM = "philox-v1"
+# the stream each system's records are drawn from; a new name for each change of bytes
+STREAMS = {"qubit": "philox-v2", "gaussian": "philox-v1"}
 # high 64 bits of the Philox key, so each system draws its own stream
 _SYSTEM_TAG = {"qubit": 1, "gaussian": 2}
 # indices per stream; attempt k of index i owns block k * INDEX_LIMIT + i
@@ -192,37 +203,35 @@ def uniforms(words) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0**-53
 
 
-def box_muller(u) -> np.ndarray:
-    """Complex standard normals, one per pair of uniforms along the (even) last axis.
-
-    The first half of the uniforms sets the radii, the second half the
-    angles; normal j is r_j cos(theta_j) + i r_j sin(theta_j), so its real
-    and imaginary parts are two independent real standard normals.
-    """
-    m = u.shape[-1] // 2
-    r = np.sqrt(-2.0 * np.log1p(-u[..., :m]))
-    theta = 2.0 * np.pi * u[..., m:]
-    z = np.empty(r.shape, dtype=complex)
-    np.multiply(r, np.cos(theta), out=z.real)
-    np.multiply(r, np.sin(theta), out=z.imag)
-    return z
-
-
 # --- two-qubit sampling ---
 
 
-def qubit_normals(seed, start, count) -> np.ndarray:
-    """The (count, 16) complex standard normals of each index in [start, start + count)."""
-    return box_muller(uniforms(stream_words(seed, "qubit", start, count, QUBIT_WORDS)))
-
-
 def _qubit_states_chunk(seed, start, count, rank):
-    """(rhos, factors): the (count, 4, 4) states rho = M / Tr M, M = G G^dag,
-    and their (count, 4, rank) factors A = G / sqrt(Tr M), so rho = A A^dag."""
-    G = qubit_normals(seed, start, count).reshape(count, 4, 4)[:, :, :rank]
-    M = G @ G.conj().transpose(0, 2, 1)
-    trace = np.trace(M, axis1=1, axis2=2).real[:, None, None]
-    return M / trace, G / np.sqrt(trace)
+    """(rhos, factors): the (count, 4, rank) normalized lower-trapezoidal
+    factors A of indices [start, start + count) and their states rho = A A^dag.
+
+    The squared moduli of A, diagonal entries first and then the entries
+    below the diagonal row by row, are the spacings of 0, the sorted
+    uniforms of words [0, 4 rank - 1) and 1, in groups of rank, rank - 1,
+    ..., 1 and then ones.  Entry e below the diagonal has the phase
+    2 pi u of word 16 + e.
+    """
+    k = rank
+    words = stream_words(seed, "qubit", start, count, QUBIT_WORDS)
+    points = np.empty((count, 4 * k + 1))
+    points[:, 0], points[:, -1] = 0.0, 1.0
+    points[:, 1:-1] = uniforms(np.sort(words[:, :4 * k - 1], axis=1))
+    diagonal_ends = np.cumsum(np.arange(k, 0, -1))
+    moduli = np.sqrt(np.diff(points[:, [0, *diagonal_ends]], axis=1))
+    below = [i * k + j for i in range(1, 4) for j in range(min(i, k))]
+    radii = np.sqrt(np.diff(points[:, diagonal_ends[-1]:], axis=1))
+    theta = 2.0 * np.pi * uniforms(words[:, 16:16 + len(below)])
+    A = np.zeros((count, 4 * k), dtype=complex)
+    A.real[:, np.arange(k) * (k + 1)] = moduli
+    A.real[:, below] = radii * np.cos(theta)
+    A.imag[:, below] = radii * np.sin(theta)
+    A = A.reshape(count, 4, k)
+    return A @ A.conj().transpose(0, 2, 1), A
 
 
 def qubit_records(rhos, factors, measure="concurrence"):

@@ -12,8 +12,10 @@ the EPE coordinates of one state at a time.  The `jc` oracles check
 the dense amplitude table: its sector norms, which evolution conserves,
 and the input entropy from its singular values.
 `random_state_with_purity` draws the conditioned states of the MEMS
-extremality checks, and `sampled_covariances` the matrices of the
-sampler's accepted candidates.  Oracles
+extremality checks, `sampled_covariances` the matrices of the
+sampler's accepted candidates, and `ginibre_states` the Hilbert-Schmidt
+states of the full Ginibre matrix that the sampler's triangular factors
+must match in distribution.  Oracles
 may import private runtime helpers (`gaussian._check_symmetric`,
 `gaussian._block_invariants`), but none is built from the code it checks.
 """
@@ -42,7 +44,13 @@ from epe.qubit import (
     tangle,
     validate_state,
 )
-from epe.sampling import _accepted_candidates, candidate_covariances
+from epe.sampling import (
+    QUBIT_WORDS,
+    _accepted_candidates,
+    candidate_covariances,
+    stream_words,
+    uniforms,
+)
 
 # --- gaussian: standard-form fixtures ---
 
@@ -254,7 +262,23 @@ def epe_point(rho, measure="concurrence") -> EPEPoint:
     )
 
 
-# --- sampling: states conditioned on their purity ---
+# --- sampling: the Ginibre draw and states conditioned on their purity ---
+
+
+def ginibre_states(seed, start, count, rank):
+    """The (count, 4, 4) states rho = G G^dag / Tr(G G^dag) of indices
+    [start, start + count) of the qubit stream, with G the first `rank`
+    columns of a 4 x 4 matrix of complex standard normals by Box-Muller:
+    radii sqrt(-2 log(1 - u)) of words 0-15 and angles 2 pi u of words
+    16-31, so its real and imaginary parts are independent standard normals."""
+    u = uniforms(stream_words(seed, "qubit", start, count, QUBIT_WORDS))
+    r = np.sqrt(-2.0 * np.log1p(-u[:, :16]))
+    theta = 2.0 * np.pi * u[:, 16:]
+    G = (r * np.cos(theta) + 1j * r * np.sin(theta)).reshape(count, 4, 4)[:, :, :rank]
+    M = G @ G.conj().transpose(0, 2, 1)
+    return M / np.trace(M, axis1=1, axis2=2).real[:, None, None]
+
+
 
 
 def random_state_with_purity(P, rng, max_attempts=10_000) -> np.ndarray:

