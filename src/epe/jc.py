@@ -17,10 +17,11 @@ sectors it reaches, as the independent check at one time.  Since the
 atoms start in the ground level, the truncated evolution is exact up to
 the input tail beyond n_max.
 
-The dense amplitude table of shape (n_max + 1, n_max + 1, 2, 2), indexed
-by (n1, n2, atom1, atom2) with atom level 0 = ground, 1 = excited, is the
-reference: `build_input` scatters a support into it, and `evolve` with
-`reduce_to_qubits` is the oracle the tests hold the support routes to.
+The dense amplitude table, a plain complex array of shape
+(n_max + 1, n_max + 1, 2, 2) indexed by (n1, n2, atom1, atom2) with atom
+level 0 = ground, 1 = excited, is the reference: `build_input` scatters
+a support into it, and `evolve` with `reduce_to_qubits`, which take and
+return such arrays, is the oracle the tests hold the support routes to.
 """
 
 from __future__ import annotations
@@ -87,16 +88,6 @@ class TwoModeSqueezed:
 
 
 InputFieldSpec = Union[NPhoton, EntangledCoherent, TwoModeSqueezed]
-
-
-class JointAtomFieldState(NamedTuple):
-    """Amplitude table over (n1, n2, atom1, atom2) in a truncated Fock space."""
-
-    amps: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return self.amps.shape[0] - 1
 
 
 class FieldSupport:
@@ -274,18 +265,18 @@ def field_support(spec: InputFieldSpec, n_max=None) -> FieldSupport:
     return FieldSupport(n_max=n_max, n1=n1[nonzero], n2=n2[nonzero], amps=amps[nonzero])
 
 
-def build_input(spec: InputFieldSpec, n_max=None) -> JointAtomFieldState:
+def build_input(spec: InputFieldSpec, n_max=None) -> np.ndarray:
     """The dense reference table of `field_support(spec, n_max)`, both atoms
     in the ground level."""
     support = field_support(spec, n_max)
     dim = support.n_max + 1
     amps = np.zeros((dim, dim, 2, 2), dtype=complex)
     amps[support.n1, support.n2, 0, 0] = support.amps
-    return JointAtomFieldState(amps=amps)
+    return amps
 
 
-def evolve(state: JointAtomFieldState, lambda_t) -> JointAtomFieldState:
-    """Exact sector-wise evolution to dimensionless time lambda*t.
+def evolve(amps, lambda_t) -> np.ndarray:
+    """Exact sector-wise evolution of a dense table to dimensionless time lambda*t.
 
     In each atom-mode pair the sector {|g, n>, |e, n-1>} rotates with
     amplitude cos(sqrt(n) lambda t) and coupling -i sin(sqrt(n) lambda t),
@@ -293,7 +284,6 @@ def evolve(state: JointAtomFieldState, lambda_t) -> JointAtomFieldState:
     would couple outside the truncation and is held fixed; it is never
     populated by inputs that start in the atomic ground state.
     """
-    amps = state.amps
     dim = amps.shape[0]
     n = np.arange(1, dim)
     c = np.cos(np.sqrt(n) * lambda_t)
@@ -309,15 +299,16 @@ def evolve(state: JointAtomFieldState, lambda_t) -> JointAtomFieldState:
     g, e = amps[:, :, :, 0], amps[:, :, :, 1]
     out[:, 1:, :, 0] = c[None, :, None] * g[:, 1:] - 1j * s[None, :, None] * e[:, :-1]
     out[:, :-1, :, 1] = c[None, :, None] * e[:, :-1] - 1j * s[None, :, None] * g[:, 1:]
-    return JointAtomFieldState(amps=out)
+    return out
 
 
-def reduce_to_qubits(state: JointAtomFieldState) -> np.ndarray:
-    """Partial trace over both field modes, as a 4x4 atomic density matrix.
+def reduce_to_qubits(amps) -> np.ndarray:
+    """Partial trace of a dense table over both field modes, as a 4x4 atomic
+    density matrix.
 
     Atom levels map to qubit basis states g -> 0 and e -> 1.
     """
-    rho = np.einsum("nmab,nmcd->abcd", state.amps, state.amps.conj()).reshape(4, 4)
+    rho = np.einsum("nmab,nmcd->abcd", amps, amps.conj()).reshape(4, 4)
     return (rho + rho.conj().T) / 2.0
 
 
@@ -462,29 +453,23 @@ def _coherent_series_matrix(alpha, ca, lambda_t):
     return rho
 
 
-def squeezed_series_matrix(gamma, lambda_t, n_max, convention="double") -> np.ndarray:
+def squeezed_series_matrix(gamma, lambda_t, n_max) -> np.ndarray:
     """X-state series for the squeezed input, summed to the truncation.
 
-    With A = 1 - gamma^2 and the double-angle convention the diagonal
-    weights are A/4 sum gamma^(2n) (cos(2 sqrt(n) lt) +- 1)^2 and
+    With A = 1 - gamma^2 the diagonal weights are
+    A/4 sum gamma^(2n) (cos(2 sqrt(n) lt) +- 1)^2 and
     A/4 sum gamma^(2n) sin^2(2 sqrt(n) lt), with the corner coherence
 
         x = A/4 sum gamma^(2n+1) (cos(2 sqrt(n+1) lt) - 1)(cos(2 sqrt(n) lt) + 1).
 
-    The "half" convention replaces every 2 sqrt(n) lt by sqrt(n) lt; it
-    exists only to quantify how badly the halved phases disagree with
-    the numerical evolution (see squeezed_convention_deviation).  An
-    array of times gives one matrix per time.
+    An array of times gives one matrix per time.
     """
-    if convention not in ("double", "half"):
-        raise DomainError(f"unknown trig convention {convention!r}")
-    scale = 2.0 if convention == "double" else 1.0
     A = 1.0 - gamma**2
     n = np.arange(n_max + 1)
     w = gamma ** (2 * n)
     t = _times(lambda_t)
-    cn = np.cos(scale * np.sqrt(n) * t)
-    sn = np.sin(scale * np.sqrt(n) * t)
+    cn = np.cos(2.0 * np.sqrt(n) * t)
+    sn = np.sin(2.0 * np.sqrt(n) * t)
     a = (A / 4.0) * (w * (cn + 1.0) ** 2).sum(-1)
     b = (A / 4.0) * (w * sn**2).sum(-1)
     d = (A / 4.0) * (w * (cn - 1.0) ** 2).sum(-1)
@@ -520,14 +505,15 @@ def squeezed_convention_deviation(gamma, times):
 
     Returns a dict {"double": dev, "half": dev} of entrywise maxima over
     the given times, at the default truncation.  The double-angle series
-    reproduces the numerics to roundoff; the halved one does not.
+    reproduces the numerics to roundoff; the halved one, the same series
+    at lambda*t / 2 (exact, so every phase is sqrt(n) lt), does not.
     """
     state0 = build_input(TwoModeSqueezed(gamma=gamma))
     devs = {"double": 0.0, "half": 0.0}
     for t in np.atleast_1d(times):
         rho_num = reduce_to_qubits(evolve(state0, t))
-        for conv in devs:
-            rho_an = squeezed_series_matrix(gamma, t, state0.n_max, convention=conv)
+        for conv, lt in (("double", t), ("half", t / 2.0)):
+            rho_an = squeezed_series_matrix(gamma, lt, state0.shape[0] - 1)
             devs[conv] = max(devs[conv], float(np.abs(rho_num - rho_an).max()))
     return devs
 

@@ -39,10 +39,12 @@ from the drawn factors A; states whose det(rho^Gamma) shows them PPT get
 C = 0 without the Jacobi kernel, with the kernel's bits), and
 `_gaussian_records` closed forms in the accepted candidates' parameters,
 with no covariance matrix.  Both return (N, 3) values and (N, 3)
-containment flags.  `records_chunk` is the one dispatch on a run's
-system, and `sample_states` yields its (state, EPERecord) pairs,
-reducing the Gaussian candidates' matrices (`candidate_covariances`) to
-standard form.
+containment flags.  `records_chunk` gives a run's records, with no
+state built; `sample_states` yields (state, EPERecord) pairs, building
+each chunk's states as well: the qubit stack, or the Gaussian
+candidates' matrices (`candidate_covariances`) reduced to standard form.
+`random_covariance` draws a stream seed from a numpy Generator and
+returns the matrix of the candidate index 0 accepts at that seed.
 """
 
 from __future__ import annotations
@@ -344,10 +346,10 @@ def _accepted(u, energy_window):
 
 
 def candidate_covariances(u, energy_window=DEFAULT_ENERGY_WINDOW):
-    """(sigma, ok): the (N, 4, 4) candidate matrices of (N, 16) uniforms of
-    `_candidate_energy`, elementwise and exactly symmetric, and which are
-    `_accepted`.  This is S^T diag(nu-, nu-, nu+, nu+) S with S = L BS R
-    less what cancels: each mode's L_i = Rot D Rot' gives L_i^T nu L_i =
+    """The (N, 4, 4) candidate matrices of (N, 16) uniforms of
+    `_candidate_energy`, elementwise and exactly symmetric, accepted or not.
+    This is S^T diag(nu-, nu-, nu+, nu+) S with S = L BS R less what
+    cancels: each mode's L_i = Rot D Rot' gives L_i^T nu L_i =
     nu Rot'^T D^2 Rot', and the local symplectic R changes no record."""
     nu_m, nu_p, r_max, x1, t1, x2, t2, t, _ = _drawn_parameters(u, energy_window[1])
     blocks = []
@@ -362,31 +364,10 @@ def candidate_covariances(u, energy_window=DEFAULT_ENERGY_WINDOW):
     a11, a12, a22 = (cc * x + ss * y for x, y in zip(A, B))
     b11, b12, b22 = (ss * x + cc * y for x, y in zip(A, B))
     g11, g12, g22 = (cs * (x - y) for x, y in zip(A, B))
-    sigma = np.stack([a11, a12, g11, g12,
-                      a12, a22, g12, g22,
-                      g11, g12, b11, b12,
-                      g12, g22, b12, b22], -1).reshape(-1, 4, 4)
-    return sigma, _accepted(u, energy_window)
-
-
-def _window_error(energy_window):
-    return ConfigurationError(
-        f"rejection rate above {100 * (1 - 1 / MAX_ATTEMPTS):.1f}% for window {energy_window}; "
-        "widen the energy window"
-    )
-
-
-def random_covariance(rng):
-    """One random physical covariance matrix inside DEFAULT_ENERGY_WINDOW.
-
-    Draws 16 uniforms from `rng` per attempt and rejects candidates of
-    `candidate_covariances` until one is accepted, in at most MAX_ATTEMPTS.
-    """
-    for _ in range(MAX_ATTEMPTS):
-        sigma, ok = candidate_covariances(rng.random((1, GAUSSIAN_WORDS)))
-        if ok[0]:
-            return sigma[0]
-    raise _window_error(DEFAULT_ENERGY_WINDOW)
+    return np.stack([a11, a12, g11, g12,
+                     a12, a22, g12, g22,
+                     g11, g12, b11, b12,
+                     g12, g22, b12, b22], -1).reshape(-1, 4, 4)
 
 
 def _accepted_candidates(seed, start, count, energy_window):
@@ -411,8 +392,19 @@ def _accepted_candidates(seed, start, count, energy_window):
         accepted[pending[ok]] = u[ok]
         pending = pending[~ok]
     if pending.size:
-        raise _window_error(energy_window)
+        raise ConfigurationError(
+            f"rejection rate above {100 * (1 - 1 / MAX_ATTEMPTS):.1f}% for window {energy_window}; "
+            "widen the energy window"
+        )
     return accepted
+
+
+def random_covariance(rng):
+    """One random physical covariance matrix inside DEFAULT_ENERGY_WINDOW: the
+    matrix of the candidate index 0 of the gaussian stream accepts, at a
+    seed drawn from `rng`."""
+    seed = int(rng.integers(1 << 64, dtype=np.uint64))
+    return candidate_covariances(_accepted_candidates(seed, 0, 1, DEFAULT_ENERGY_WINDOW))[0]
 
 
 def _gaussian_flags(en, logneg, pur):
@@ -476,33 +468,27 @@ def gaussian_records_chunk(seed, start, count, energy_window=DEFAULT_ENERGY_WIND
 # --- one sampling path for both systems ---
 
 
-def records_chunk(cfg: SamplerConfig, start, count, with_states=False):
-    """(values, flags) of the indices [start, start + count) of the run `cfg`.
-
-    With `with_states`, (states, values, flags): the (count, 4, 4) qubit
-    stack or a list of `gaussian.StandardFormCM`, which only then are built.
-    """
+def records_chunk(cfg: SamplerConfig, start, count):
+    """(values, flags) of the indices [start, start + count) of the run `cfg`."""
     if cfg.system == "qubit":
-        rank = cfg.rank_filter or 4
-        if not with_states:
-            return qubit_records_chunk(cfg.seed, start, count, rank, cfg.measure)
-        rhos, factors = _qubit_states_chunk(cfg.seed, start, count, rank)
-        return (rhos, *qubit_records(rhos, factors, cfg.measure))
-    if not with_states:
-        return gaussian_records_chunk(cfg.seed, start, count, cfg.energy_window, cfg.measure)
-    u = _accepted_candidates(cfg.seed, start, count, cfg.energy_window)
-    rows = gaussian.reduce_to_standard_form(candidate_covariances(u, cfg.energy_window)[0])
-    states = [gaussian.StandardFormCM(*row) for row in rows.tolist()]
-    return (states, *_gaussian_records(u, cfg.energy_window, cfg.measure))
+        return qubit_records_chunk(cfg.seed, start, count, cfg.rank_filter or 4, cfg.measure)
+    return gaussian_records_chunk(cfg.seed, start, count, cfg.energy_window, cfg.measure)
 
 
 def sample_states(cfg: SamplerConfig):
     """Yield (state, EPERecord) pairs in index order: 4x4 density matrices
-    for the qubit system, `gaussian.StandardFormCM`s for the gaussian one."""
+    for the qubit system, and for the gaussian one the `gaussian.StandardFormCM`
+    reductions of the accepted candidates' matrices, a chunk at a time."""
     for start in range(0, cfg.count, CHUNK):
-        states, values, flags = records_chunk(
-            cfg, start, min(CHUNK, cfg.count - start), with_states=True
-        )
+        count = min(CHUNK, cfg.count - start)
+        if cfg.system == "qubit":
+            states, factors = _qubit_states_chunk(cfg.seed, start, count, cfg.rank_filter or 4)
+            values, flags = qubit_records(states, factors, cfg.measure)
+        else:
+            u = _accepted_candidates(cfg.seed, start, count, cfg.energy_window)
+            rows = gaussian.reduce_to_standard_form(candidate_covariances(u, cfg.energy_window))
+            states = [gaussian.StandardFormCM(*row) for row in rows.tolist()]
+            values, flags = _gaussian_records(u, cfg.energy_window, cfg.measure)
         for state, (en, ent, pur), row in zip(states, values.tolist(), flags.tolist()):
             yield state, EPERecord(en, ent, pur, *row)
 

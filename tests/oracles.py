@@ -33,7 +33,6 @@ from epe.gaussian import (
     _check_symmetric,
     ppt_nu_minus,
 )
-from epe.jc import JointAtomFieldState
 from epe.qubit import (
     concurrence,
     energy,
@@ -69,7 +68,7 @@ def sampled_covariances(seed, start, count, window):
     """The (count, 4, 4) covariance matrices of the candidates the sampler
     accepts for indices [start, start + count): the states `sample_states`
     reduces and whose records the CLI computes without them."""
-    return candidate_covariances(_accepted_candidates(seed, start, count, window), window)[0]
+    return candidate_covariances(_accepted_candidates(seed, start, count, window), window)
 
 
 def expand(sf: StandardFormCM) -> np.ndarray:
@@ -173,28 +172,28 @@ def cm_block_invariants(cm):
 # --- jc: the dense amplitude table ---
 
 
-def sector_norms(state: JointAtomFieldState) -> np.ndarray:
+def sector_norms(amps) -> np.ndarray:
     """Probability in each total-excitation sector n1 + n2 + e1 + e2.
 
     The evolution is block diagonal over these sectors, so the vector
     is a constant of motion.
     """
-    dim = state.amps.shape[0]
+    dim = amps.shape[0]
     n1, n2, s1, s2 = np.ogrid[0:dim, 0:dim, 0:2, 0:2]
     total = (n1 + n2 + s1 + s2).ravel()
-    probs = np.abs(state.amps).ravel() ** 2
+    probs = np.abs(amps).ravel() ** 2
     out = np.zeros(2 * dim + 1)
     np.add.at(out, total, probs)
     return out
 
 
-def schmidt_entropy(state: JointAtomFieldState) -> float:
+def schmidt_entropy(amps) -> float:
     """Entropy of one mode of a pure field-only state, via singular values.
 
     Numerical cross-check for input_entropy; valid while the atoms are
     still in the ground level.
     """
-    field = state.amps[:, :, 0, 0]
+    field = amps[:, :, 0, 0]
     sv = np.linalg.svd(field, compute_uv=False)
     p = sv**2
     p = p[p > 1e-300]

@@ -707,7 +707,7 @@ class TestDrawnSpectrumReference:
         # the invariants of the matrices with the least and the largest drawn
         # nu_+, swapped, are refused at each window's scale
         u = sampling._accepted_candidates(7, 0, 256, window)
-        sigmas, _ = sampling.candidate_covariances(u, window)
+        sigmas = sampling.candidate_covariances(u, window)
         nu_p = sampling._drawn_parameters(u, window[1])[1]
         i, j = np.argmin(nu_p), np.argmax(nu_p)
         real = gaussian._block_invariants
@@ -735,7 +735,7 @@ class TestDrawnSpectrumReference:
         # the drawn spectrum, which gives the records' purity, sits within the
         # absolute-relative tolerance of the LAPACK invariants of the matrices
         u = sampling._accepted_candidates(seed, start, 64, window)
-        sigmas, _ = sampling.candidate_covariances(u, window)
+        sigmas = sampling.candidate_covariances(u, window)
         nu_minus, nu_plus = sampling._drawn_parameters(u, window[1])[:2]
         for cm, nu_m, nu_p in zip(sigmas, nu_minus, nu_plus):
             _, _, _, ds, delta = oracles.cm_block_invariants(cm)

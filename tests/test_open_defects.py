@@ -6,6 +6,10 @@ reports it as xfailed while the defect stands and fails once it is
 mended, until that change removes the mark.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -28,6 +32,30 @@ def test_tmsv_curve_at_3e7(capsys):
     assert cli.main(["boundary", "--system", "gaussian", "--curve", "tmsv", "--grid", "3e7"]) == 0
     _, logneg = map(float, capsys.readouterr().out.splitlines()[1].split(","))
     assert logneg == pytest.approx(np.arccosh(3e7 + 1.0), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_gmems_flag_refuses_a_record_far_above_the_bound():
+    # the exact GMEMS bound ln(P (A + sqrt(A^2 - 1/P))) at E = 1e14, P = 0.5
+    # is about 32.24, but the family row's bound reads +inf, so E_N = 1000 passes
+    flags = sampling._gaussian_flags(np.array([1e14]), np.array([1e3]), np.array([0.5]))
+    assert not flags[0, 1]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_gaussian_window_up_to_1e160_prints_only_its_error_line(tmp_path):
+    # today it exits 4 after RuntimeWarnings of `_candidate_energy` and
+    # `_gaussian_records`: 15 stderr lines in all
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sampling.__file__)))
+    env = dict(os.environ, EPE_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "epe.cli", "sample", "--system", "gaussian", "--count", "4096",
+         "--seed", "7", "--energy-window", "0", "1e160", "--out", str(tmp_path / "g.csv")],
+        env=env, capture_output=True, text=True,
+    )
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")

@@ -18,7 +18,6 @@ RECORDS = [
     (jc.NPhoton, dict(n=2)),
     (jc.EntangledCoherent, dict(alpha=0.5 + 0.25j)),
     (jc.TwoModeSqueezed, dict(gamma=0.3)),
-    (jc.JointAtomFieldState, dict(amps=np.eye(4, dtype=complex).reshape(2, 2, 2, 2))),
     (jc.FieldSupport, _SUPPORT),
     (jc.TransferResult, dict(lambda_t=0.5, qubit_state=np.eye(4) / 4.0, concurrence=0.0,
                              purity=0.25, input_energy=1.0, input_entropy=0.0,

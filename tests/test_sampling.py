@@ -214,10 +214,25 @@ class TestGaussianSampler:
             sf = gaussian.reduce_to_standard_form(sigma)
             assert lo - 1e-12 <= gaussian.energy(sf) <= hi + 1e-12
 
-    def test_narrow_window_raises_configuration_error(self):
+    def test_narrow_window_raises_configuration_error(self, monkeypatch):
         # a sliver at the top of the window is essentially never hit
         with pytest.raises(ConfigurationError):
             sampling._accepted_candidates(0, 0, 1, (2.0 - 1e-7, 2.0))
+        monkeypatch.setattr(sampling, "DEFAULT_ENERGY_WINDOW", (2.0 - 1e-7, 2.0))
+        with pytest.raises(ConfigurationError, match="rejection rate above 99.9%"):
+            sampling.random_covariance(np.random.default_rng(0))
+
+    @pytest.mark.parametrize("s", [0, 1, 3100, 2**40 + 7])
+    def test_random_covariance_is_the_candidate_index_0_accepts(self, s):
+        # at the stream seed an identically seeded rng draws
+        seed = int(np.random.default_rng(s).integers(1 << 64, dtype=np.uint64))
+        cm = sampling.random_covariance(np.random.default_rng(s))
+        want = oracles.sampled_covariances(seed, 0, 1, sampling.DEFAULT_ENERGY_WINDOW)[0]
+        assert np.array_equal(cm, want)
+        assert np.array_equal(sampling.random_covariance(np.random.default_rng(s)), cm)
+        # the window holds the exact energy; the determinants add roundoff
+        da, db, *_ = oracles.cm_block_invariants(cm)
+        assert -1e-12 <= (np.sqrt(da) + np.sqrt(db)) / 2.0 - 1.0 <= 2.0 + 1e-12
 
 
 WINDOWS = [(0.0, 2.0), (1.0, 2.0), (3.0, 3.5), (0.0, 0.05)]
@@ -278,14 +293,18 @@ class TestRecordsChunk:
         )
         assert np.array_equal(values, want_values)
         assert np.array_equal(flags, want_flags)
-        states, values, flags = sampling.records_chunk(cfg, start, count, with_states=True)
-        # the states are the reductions of the accepted candidates' matrices
-        params = gaussian.reduce_to_standard_form(
-            oracles.sampled_covariances(seed, start, count, window))
+        # `sample_states` yields the same records, with the reductions of the
+        # accepted candidates' matrices as states
+        cfg = sampling.SamplerConfig(seed=seed, count=count, system="gaussian",
+                                     energy_window=window, measure=measure)
+        states, records = zip(*sampling.sample_states(cfg))
+        params = gaussian.reduce_to_standard_form(oracles.sampled_covariances(seed, 0, count, window))
         assert [tuple(row) for row in params.tolist()] == [
             (sf.a, sf.b, sf.c_plus, sf.c_minus) for sf in states
         ]
-        assert np.array_equal(values, want_values)
+        want_values, want_flags = sampling.gaussian_records_chunk(seed, 0, count, window, measure)
+        assert [tuple(rec[:3]) for rec in records] == [tuple(v) for v in want_values.tolist()]
+        assert [tuple(rec[3:]) for rec in records] == [tuple(f) for f in want_flags.tolist()]
 
     def test_sample_states_walks_the_chunks(self):
         cfg = sampling.SamplerConfig(seed=6, count=sampling.CHUNK + 3, rank_filter=3,
@@ -353,7 +372,8 @@ class TestGaussianRecords:
 
     @pytest.mark.parametrize("measure", sampling.GAUSSIAN_MEASURES)
     def test_chunk_builds_no_matrix_and_checks_no_row(self, monkeypatch, measure):
-        cfg = sampling.SamplerConfig(seed=3, count=100, system="gaussian", measure=measure)
+        cfg = sampling.SamplerConfig(seed=3, count=sampling.CHUNK + 3, system="gaussian",
+                                     measure=measure)
         want = sampling.records_chunk(cfg, 0, 100)
         called = []
         for module, name in ((gaussian, "is_physical"), (gaussian, "reduce_to_standard_form"),
@@ -366,9 +386,9 @@ class TestGaussianRecords:
         got = sampling.records_chunk(cfg, 0, 100)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert called == []
-        # the states of `sample_states` are reduced from the candidates' matrices
-        sampling.records_chunk(cfg, 0, 100, with_states=True)
-        assert called == ["candidate_covariances", "reduce_to_standard_form"]
+        # `sample_states` reduces each chunk's candidate matrices in one call
+        assert sum(1 for _ in sampling.sample_states(cfg)) == cfg.count
+        assert called == ["candidate_covariances", "reduce_to_standard_form"] * 2
 
     @given(SEEDS, st.sampled_from([(0.0, 2.0), (1.0, 2.0), (20.0, 40.0), (50.0, 100.0)]))
     @settings(max_examples=12, deadline=None)
@@ -511,7 +531,7 @@ def accepted_uniforms(seed, count, window):
     while pending.size:
         words = sampling.stream_words(seed, "gaussian", 0, count, sampling.GAUSSIAN_WORDS, attempt)
         u = sampling.uniforms(words)[pending]
-        _, ok = sampling.candidate_covariances(u, window)
+        ok = sampling._accepted(u, window)
         u_acc[pending[ok]] = u[ok]
         pending = pending[~ok]
         attempt += 1
@@ -571,8 +591,9 @@ class TestCandidateKernel:
         cancelled = [2, 5, *range(9, 16)]
         mixed = u.copy()
         mixed[:, cancelled] = other[:, cancelled]
-        sigma, ok = sampling.candidate_covariances(u, window)
-        mixed_sigma, mixed_ok = sampling.candidate_covariances(mixed, window)
+        sigma, ok = sampling.candidate_covariances(u, window), sampling._accepted(u, window)
+        mixed_sigma = sampling.candidate_covariances(mixed, window)
+        mixed_ok = sampling._accepted(mixed, window)
         assert np.array_equal(sigma, mixed_sigma)
         assert np.array_equal(ok, mixed_ok)
         assert np.array_equal(sampling._gaussian_records(u[ok], window)[0],
@@ -583,7 +604,7 @@ class TestCandidateKernel:
         # the matrices have the symplectic eigenvalues the records take P from
         u = sampling.uniforms(sampling.stream_words(7, "gaussian", 0, 2048,
                                                     sampling.GAUSSIAN_WORDS))
-        sigma, ok = sampling.candidate_covariances(u, window)
+        sigma, ok = sampling.candidate_covariances(u, window), sampling._accepted(u, window)
         nu_m, nu_p = sampling._drawn_parameters(u[ok], window[1])[:2]
         for cm, want in zip(sigma[ok], np.stack([nu_m, nu_p], -1)):
             assert np.allclose(oracles.cm_symplectic_eigenvalues(cm), want, rtol=1e-9, atol=0.0)
@@ -592,7 +613,7 @@ class TestCandidateKernel:
     def test_candidates_are_exactly_symmetric(self, window):
         u = sampling.uniforms(sampling.stream_words(7, "gaussian", 0, 2048,
                                                     sampling.GAUSSIAN_WORDS))
-        sigma, _ = sampling.candidate_covariances(u, window)
+        sigma = sampling.candidate_covariances(u, window)
         assert np.array_equal(sigma, sigma.transpose(0, 2, 1))
         sigma = oracles.sampled_covariances(7, 0, 256, window)
         assert np.array_equal(sigma, sigma.transpose(0, 2, 1))
@@ -614,7 +635,7 @@ class TestCandidateKernel:
         u = sampling.uniforms(sampling.stream_words(seed, "gaussian", 0, 512,
                                                     sampling.GAUSSIAN_WORDS))
         old, old_ok = lbsr_candidates(u, window)
-        sigma, ok = sampling.candidate_covariances(u, window)
+        sigma, ok = sampling.candidate_covariances(u, window), sampling._accepted(u, window)
         assert np.array_equal(ok, old_ok)
         old_rows = gaussian.reduce_to_standard_form(old[ok])
         rows = gaussian.reduce_to_standard_form(sigma[ok])
@@ -751,7 +772,7 @@ class TestPhiloxStream:
                 u = sampling.uniforms(
                     sampling.stream_words(8, "gaussian", 100 + i, 1, sampling.GAUSSIAN_WORDS, k)
                 )
-                if sampling.candidate_covariances(u, window)[1][0]:
+                if sampling._accepted(u, window)[0]:
                     break
             assert np.array_equal(row, u[0])
 
