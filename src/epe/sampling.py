@@ -39,18 +39,16 @@ from the drawn factors A; states whose det(rho^Gamma) shows them PPT get
 C = 0 without the Jacobi kernel, with the kernel's bits), and
 `_gaussian_records` closed forms in the accepted candidates' parameters,
 with no covariance matrix.  Both return (N, 3) values and (N, 3)
-containment flags.  `records_chunk` gives a run's records, with no
-state built; `sample_states` yields (state, EPERecord) pairs, building
-each chunk's states as well: the qubit stack, or the Gaussian
-candidates' matrices (`candidate_covariances`) reduced to standard form.
-`random_covariance` draws a stream seed from a numpy Generator and
-returns the matrix of the candidate index 0 accepts at that seed.
+containment flags.  `records_chunk` gives a run's records, the one
+sampling path, with no state kept.  `candidate_covariances` builds the
+candidates' matrices; `random_covariance` draws a stream seed from a
+numpy Generator and returns the matrix of the candidate index 0 accepts
+at that seed.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple
 
 import numpy as np
 
@@ -142,34 +140,6 @@ class SamplerConfig:
                 f"measure={self.measure!r})")
 
 
-class EPERecord(NamedTuple):
-    """EPE coordinates of one sample plus its containment flags.
-
-    The flags are implications that must hold for every valid sample:
-
-    on_pure_circle    pure samples lie on the pure-state boundary
-                      (inside the (E-1)^2 + C^2 <= 1 disc for qubits, on
-                      the squeezed-vacuum log-negativity curve for modes);
-                      vacuously true for mixed samples.
-    below_mems        entanglement does not exceed the maximal-entanglement
-                      frontier at the sample's purity (and energy, for modes).
-    in_separable_band separable-purity bounds hold: separable qubit samples
-                      satisfy P >= P_min(E), entangled Gaussian samples
-                      satisfy P > 1/(2E+1); vacuously true otherwise.
-    """
-
-    energy: float
-    entanglement: float
-    purity: float
-    on_pure_circle: bool
-    below_mems: bool
-    in_separable_band: bool
-
-    @property
-    def flags(self) -> str:
-        return flag_labels([self.on_pure_circle, self.below_mems, self.in_separable_band]).decode()
-
-
 # the "110"-style label of each containment-flag triple, indexed by flags @ (4, 2, 1)
 _FLAG_LABELS = np.array([format(i, "03b") for i in range(8)], dtype="S3")
 _FLAG_WEIGHTS = np.array([4, 2, 1])
@@ -178,6 +148,11 @@ _FLAG_WEIGHTS = np.array([4, 2, 1])
 def flag_labels(flags):
     """Labels such as b"110" of a (..., 3) boolean array of containment flags.
 
+    The flags hold for every valid record, vacuously where they do not
+    apply: a pure record lies on the pure-state boundary (the (E-1)^2 + C^2
+    <= 1 disc for qubits, the squeezed-vacuum curve for modes); the
+    entanglement is below the maximal-entanglement frontier; and separable
+    qubit records have P >= P_min(E), entangled Gaussian ones P > 1/(2E+1).
     An (N, 3) array gives an (N,) array of 3 ASCII bytes each, with no
     Python object per label; a single triple gives one bytes label.
     """
@@ -345,7 +320,7 @@ def _accepted(u, energy_window):
     return params[-1] & (e_lo <= energy) & (energy <= e_hi)
 
 
-def candidate_covariances(u, energy_window=DEFAULT_ENERGY_WINDOW):
+def candidate_covariances(u, energy_window):
     """The (N, 4, 4) candidate matrices of (N, 16) uniforms of
     `_candidate_energy`, elementwise and exactly symmetric, accepted or not.
     This is S^T diag(nu-, nu-, nu+, nu+) S with S = L BS R less what
@@ -404,7 +379,8 @@ def random_covariance(rng):
     matrix of the candidate index 0 of the gaussian stream accepts, at a
     seed drawn from `rng`."""
     seed = int(rng.integers(1 << 64, dtype=np.uint64))
-    return candidate_covariances(_accepted_candidates(seed, 0, 1, DEFAULT_ENERGY_WINDOW))[0]
+    u = _accepted_candidates(seed, 0, 1, DEFAULT_ENERGY_WINDOW)
+    return candidate_covariances(u, DEFAULT_ENERGY_WINDOW)[0]
 
 
 def _gaussian_flags(en, logneg, pur):
@@ -473,24 +449,6 @@ def records_chunk(cfg: SamplerConfig, start, count):
     if cfg.system == "qubit":
         return qubit_records_chunk(cfg.seed, start, count, cfg.rank_filter or 4, cfg.measure)
     return gaussian_records_chunk(cfg.seed, start, count, cfg.energy_window, cfg.measure)
-
-
-def sample_states(cfg: SamplerConfig):
-    """Yield (state, EPERecord) pairs in index order: 4x4 density matrices
-    for the qubit system, and for the gaussian one the `gaussian.StandardFormCM`
-    reductions of the accepted candidates' matrices, a chunk at a time."""
-    for start in range(0, cfg.count, CHUNK):
-        count = min(CHUNK, cfg.count - start)
-        if cfg.system == "qubit":
-            states, factors = _qubit_states_chunk(cfg.seed, start, count, cfg.rank_filter or 4)
-            values, flags = qubit_records(states, factors, cfg.measure)
-        else:
-            u = _accepted_candidates(cfg.seed, start, count, cfg.energy_window)
-            rows = gaussian.reduce_to_standard_form(candidate_covariances(u, cfg.energy_window))
-            states = [gaussian.StandardFormCM(*row) for row in rows.tolist()]
-            values, flags = _gaussian_records(u, cfg.energy_window, cfg.measure)
-        for state, (en, ent, pur), row in zip(states, values.tolist(), flags.tolist()):
-            yield state, EPERecord(en, ent, pur, *row)
 
 
 # --- conditioned samplers used by the extremality suites ---

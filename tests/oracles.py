@@ -66,8 +66,8 @@ OMEGA = np.array(
 
 def sampled_covariances(seed, start, count, window):
     """The (count, 4, 4) covariance matrices of the candidates the sampler
-    accepts for indices [start, start + count): the states `sample_states`
-    reduces and whose records the CLI computes without them."""
+    accepts for indices [start, start + count): the states whose records
+    `records_chunk` computes without them."""
     return candidate_covariances(_accepted_candidates(seed, start, count, window), window)
 
 

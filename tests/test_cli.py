@@ -906,7 +906,7 @@ class TestCsvFormatter:
         labels = sampling.flag_labels(triples)
         assert labels.dtype == "S3"
         assert [label.decode() for label in labels] == strings
-        # a single triple, as EPERecord.flags passes it, gives one label
+        # a single triple, as a list, gives one label
         for t in triples:
             assert sampling.flag_labels(t.tolist()) == _flag_string(t).encode()
 

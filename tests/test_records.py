@@ -26,8 +26,6 @@ RECORDS = [
                                     axis2=(0.0, 0.0, 1.0))),
     (sampling.SamplerConfig, dict(seed=7, count=10, system="gaussian", rank_filter=None,
                                   energy_window=(1.0, 3.0), measure="negativity")),
-    (sampling.EPERecord, dict(energy=1.0, entanglement=0.5, purity=0.8, on_pure_circle=True,
-                              below_mems=True, in_separable_band=False)),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
 
@@ -82,14 +80,6 @@ def test_standard_form_field_equality():
     assert sf == gaussian.StandardFormCM(a=2, b=3, c_plus=1, c_minus=-0.5)
     assert sf != gaussian.StandardFormCM(2.0, 3.0, 1.0, 0.5)
     assert sf != (2.0, 3.0, 1.0, -0.5)
-
-
-def test_record_field_equality():
-    rec = sampling.EPERecord(1.0, 0.5, 0.8, True, True, False)
-    assert rec == sampling.EPERecord(energy=1.0, entanglement=0.5, purity=0.8,
-                                     on_pure_circle=True, below_mems=True,
-                                     in_separable_band=False)
-    assert rec != sampling.EPERecord(1.0, 0.5, 0.8, True, True, True)
 
 
 @pytest.mark.parametrize("fields", [

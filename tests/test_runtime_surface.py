@@ -7,9 +7,12 @@ only the other tests call is an oracle or a test helper and belongs in
 tests/oracles.py.  Likewise each defaulted parameter of a public
 module-level function must be passed by some call in those sources,
 other than the function's own: a value no caller sets is a constant.
+The other way round, each dotted name of a runtime module in a README
+code span or ```python block must name an attribute of that module.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -56,6 +59,23 @@ def _outside():
 
 def _readme_spans():
     return CODE_SPAN.findall((ROOT / "README.md").read_text(encoding="utf-8"))
+
+
+# a dotted name of a runtime module, such as `sampling.records_chunk`
+DOTTED = re.compile(r"\b(qubit|gaussian|jc|sampling|cli|errors)\.(\w+)")
+
+
+def _dangling():
+    """The dotted names in README code that are no attribute of their module;
+    shell blocks, whose `qubit.csv` is a file, are skipped."""
+    missing = []
+    for span in _readme_spans():
+        if span.startswith("```") and not span.startswith("```python"):
+            continue
+        for module, name in DOTTED.findall(span):
+            if not hasattr(importlib.import_module(f"epe.{module}"), name):
+                missing.append(f"{module}.{name}")
+    return missing
 
 
 def _unreferenced():
@@ -147,6 +167,20 @@ def test_every_public_runtime_name_is_used_outside_the_tests():
 
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
     assert _unpassed() == []
+
+
+def test_every_readme_name_exists():
+    assert _dangling() == []
+
+
+def test_the_guard_sees_a_dangling_readme_name(tmp_path, monkeypatch):
+    (tmp_path / "README.md").write_text(
+        "`sampling.records_chunk(cfg, 0, n)` and `sampling.sample_states(cfg)`\n"
+        "```sh\nepe sample --system qubit > qubit.csv\n```\n"
+        "```python\nfrom epe import jc\njc.max_transfer(jc.NoSuchInput())\n```\n"
+    )
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    assert _dangling() == ["sampling.sample_states", "jc.NoSuchInput"]
 
 
 def test_the_guard_sees_a_test_only_name(tmp_path, monkeypatch):

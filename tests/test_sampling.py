@@ -47,7 +47,7 @@ class TestConfig:
 
     def test_seed_and_count_are_integers(self):
         # a float seed sampled the truncated seed's stream; a float count or
-        # rank filter raised TypeError inside sample_states
+        # rank filter raised TypeError inside the sampler
         for kwargs in ({"seed": 1.5, "count": 2}, {"seed": 1, "count": 2.5},
                        {"seed": "1", "count": 2}, {"seed": 1, "count": 2.0},
                        {"seed": 1, "count": 2, "rank_filter": 2.0}):
@@ -55,7 +55,10 @@ class TestConfig:
                 sampling.SamplerConfig(**kwargs)
         cfg = sampling.SamplerConfig(seed=np.uint64(7), count=np.int64(3), rank_filter=np.int8(2))
         assert (type(cfg.seed), type(cfg.count), type(cfg.rank_filter)) == (int, int, int)
-        assert len(list(sampling.sample_states(cfg))) == 3
+        values, flags = sampling.records_chunk(cfg, 0, cfg.count)
+        assert values.shape == flags.shape == (3, 3)
+        want = sampling.qubit_records_chunk(7, 0, 3, 2)
+        assert all(np.array_equal(g, w) for g, w in zip((values, flags), want))
 
     @pytest.mark.parametrize("window", [("0", 2), (0, 1, 2), (1.0,), 2.0])
     def test_energy_window_is_two_real_numbers(self, window):
@@ -82,10 +85,10 @@ class TestConfig:
 class TestQubitSampler:
     def test_deterministic_across_runs_and_chunking(self):
         cfg = sampling.SamplerConfig(seed=42, count=10)
-        runs = [list(sampling.sample_states(cfg)) for _ in range(2)]
-        for (rho_a, rec_a), (rho_b, rec_b) in zip(*runs):
-            assert np.array_equal(rho_a, rho_b)
-            assert rec_a == rec_b
+        runs = [sampling.records_chunk(cfg, 0, cfg.count) for _ in range(2)]
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+        states = [sampling._qubit_states_chunk(42, 0, 10, 4)[0] for _ in range(2)]
+        assert np.array_equal(*states)
         # chunk-by-chunk computation agrees with per-index construction
         vals, _ = sampling.qubit_records_chunk(42, 0, 10)
         lo, _ = sampling.qubit_records_chunk(42, 0, 4)
@@ -141,15 +144,17 @@ class TestQubitSampler:
 
     def test_rank_filter_one_gives_pure_states(self):
         cfg = sampling.SamplerConfig(seed=3, count=200, rank_filter=1)
-        for rho, rec in sampling.sample_states(cfg):
-            assert rec.purity == pytest.approx(1.0, abs=1e-10)
+        values, _ = sampling.records_chunk(cfg, 0, cfg.count)
+        assert values[:, 2] == pytest.approx(np.ones(cfg.count), abs=1e-10)
 
     def test_records_match_direct_measures(self):
         cfg = sampling.SamplerConfig(seed=9, count=100)
-        for rho, rec in sampling.sample_states(cfg):
-            assert rec.energy == pytest.approx(qubit.energy(rho), abs=1e-12)
-            assert rec.purity == pytest.approx(qubit.purity(rho), abs=1e-12)
-            assert rec.entanglement == pytest.approx(qubit.concurrence(rho), abs=1e-9)
+        rhos, _ = sampling._qubit_states_chunk(9, 0, cfg.count, 4)
+        values, _ = sampling.records_chunk(cfg, 0, cfg.count)
+        for rho, (en, ent, pur) in zip(rhos, values):
+            assert en == pytest.approx(qubit.energy(rho), abs=1e-12)
+            assert pur == pytest.approx(qubit.purity(rho), abs=1e-12)
+            assert ent == pytest.approx(qubit.concurrence(rho), abs=1e-9)
 
     def test_flags_hold_on_all_samples(self):
         for rank in (1, 2, 3, 4):
@@ -158,10 +163,10 @@ class TestQubitSampler:
 
     def test_measure_column(self):
         cfg = sampling.SamplerConfig(seed=5, count=50, measure="eof")
-        for rho, rec in sampling.sample_states(cfg):
-            assert rec.entanglement == pytest.approx(
-                qubit.entanglement_of_formation(rho), abs=1e-9
-            )
+        rhos, _ = sampling._qubit_states_chunk(5, 0, cfg.count, 4)
+        values, _ = sampling.records_chunk(cfg, 0, cfg.count)
+        for rho, ent in zip(rhos, values[:, 1]):
+            assert ent == pytest.approx(qubit.entanglement_of_formation(rho), abs=1e-9)
 
     @pytest.mark.parametrize(
         "target,rank,slack",
@@ -184,16 +189,20 @@ class TestQubitSampler:
 class TestGaussianSampler:
     def test_deterministic(self):
         cfg = sampling.SamplerConfig(seed=8, count=20, system="gaussian")
-        a = list(sampling.sample_states(cfg))
-        b = list(sampling.sample_states(cfg))
-        assert a == b
+        a, b = (sampling.records_chunk(cfg, 0, cfg.count) for _ in range(2))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        a, b = (oracles.sampled_covariances(8, 0, 20, cfg.energy_window) for _ in range(2))
+        assert np.array_equal(a, b)
 
     def test_samples_physical_and_in_window(self):
         cfg = sampling.SamplerConfig(seed=1, count=300, system="gaussian")
-        for sf, rec in sampling.sample_states(cfg):
-            assert gaussian.is_physical(sf)
-            assert 0.0 - 1e-12 <= rec.energy <= 2.0 + 1e-12
-            assert rec.flags == "111"
+        rows = gaussian.reduce_to_standard_form(
+            oracles.sampled_covariances(1, 0, cfg.count, cfg.energy_window))
+        values, flags = sampling.records_chunk(cfg, 0, cfg.count)
+        for row, en, label in zip(rows.tolist(), values[:, 0], sampling.flag_labels(flags)):
+            assert gaussian.is_physical(gaussian.StandardFormCM(*row))
+            assert 0.0 - 1e-12 <= en <= 2.0 + 1e-12
+            assert label == b"111"
 
     def test_containment_bounds(self):
         values, flags = sampling.gaussian_records_chunk(12, 0, 2000)
@@ -208,7 +217,7 @@ class TestGaussianSampler:
     def test_records_honour_a_window_above_zero(self, window):
         lo, hi = window
         cfg = sampling.SamplerConfig(seed=3, count=300, system="gaussian", energy_window=window)
-        energies = np.array([rec.energy for _, rec in sampling.sample_states(cfg)])
+        energies = sampling.records_chunk(cfg, 0, cfg.count)[0][:, 0]
         assert np.all((lo - 1e-12 <= energies) & (energies <= hi + 1e-12))
         for sigma in oracles.sampled_covariances(7, 0, 50, window):
             sf = gaussian.reduce_to_standard_form(sigma)
@@ -293,29 +302,25 @@ class TestRecordsChunk:
         )
         assert np.array_equal(values, want_values)
         assert np.array_equal(flags, want_flags)
-        # `sample_states` yields the same records, with the reductions of the
-        # accepted candidates' matrices as states
-        cfg = sampling.SamplerConfig(seed=seed, count=count, system="gaussian",
-                                     energy_window=window, measure=measure)
-        states, records = zip(*sampling.sample_states(cfg))
-        params = gaussian.reduce_to_standard_form(oracles.sampled_covariances(seed, 0, count, window))
-        assert [tuple(row) for row in params.tolist()] == [
-            (sf.a, sf.b, sf.c_plus, sf.c_minus) for sf in states
-        ]
-        want_values, want_flags = sampling.gaussian_records_chunk(seed, 0, count, window, measure)
-        assert [tuple(rec[:3]) for rec in records] == [tuple(v) for v in want_values.tolist()]
-        assert [tuple(rec[3:]) for rec in records] == [tuple(f) for f in want_flags.tolist()]
+        # the reductions of the accepted candidates' matrices give the same records
+        rows = gaussian.reduce_to_standard_form(
+            oracles.sampled_covariances(seed, start, count, window))
+        sf = gaussian.StandardFormCM(*rows.T)
+        ent = gaussian.log_negativity if measure == "logneg" else gaussian.negativity
+        want = np.column_stack([f(sf, check=False) for f in (gaussian.energy, ent,
+                                                             gaussian.purity)])
+        assert np.allclose(values, want, rtol=0.0, atol=1e-12)
 
-    def test_sample_states_walks_the_chunks(self):
+    def test_records_walk_the_chunks(self):
         cfg = sampling.SamplerConfig(seed=6, count=sampling.CHUNK + 3, rank_filter=3,
                                      measure="logneg")
-        pairs = list(sampling.sample_states(cfg))
-        assert len(pairs) == cfg.count
-        values, flags = sampling.qubit_records_chunk(6, 0, cfg.count, 3, "logneg")
-        for (rho, rec), v, f in zip(pairs, values.tolist(), flags.tolist()):
-            assert (rec.energy, rec.entanglement, rec.purity) == tuple(v)
-            assert rec.flags == "".join("1" if ok else "0" for ok in f)
-        assert qubit.log_negativity(pairs[-1][0]) == pairs[-1][1].entanglement
+        values, flags = sampling.records_chunk(cfg, 0, cfg.count)
+        chunks = [sampling.records_chunk(cfg, 0, sampling.CHUNK),
+                  sampling.records_chunk(cfg, sampling.CHUNK, 3)]
+        assert np.array_equal(values, np.concatenate([v for v, _ in chunks]))
+        assert np.array_equal(flags, np.concatenate([f for _, f in chunks]))
+        rhos, _ = sampling._qubit_states_chunk(6, sampling.CHUNK, 3, 3)
+        assert qubit.log_negativity(rhos[-1]) == values[-1, 1]
 
 
 class TestGaussianRecords:
@@ -386,9 +391,6 @@ class TestGaussianRecords:
         got = sampling.records_chunk(cfg, 0, 100)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert called == []
-        # `sample_states` reduces each chunk's candidate matrices in one call
-        assert sum(1 for _ in sampling.sample_states(cfg)) == cfg.count
-        assert called == ["candidate_covariances", "reduce_to_standard_form"] * 2
 
     @given(SEEDS, st.sampled_from([(0.0, 2.0), (1.0, 2.0), (20.0, 40.0), (50.0, 100.0)]))
     @settings(max_examples=12, deadline=None)
@@ -786,8 +788,10 @@ class TestPhiloxStream:
 
         monkeypatch.setattr(sampling, "stream_words", counting)
         cfg = sampling.SamplerConfig(seed=4, count=sampling.CHUNK + 5)
-        assert sum(1 for _ in sampling.sample_states(cfg)) == cfg.count
-        assert sum(drawn) == cfg.count
+        chunks = [sampling.records_chunk(cfg, start, min(sampling.CHUNK, cfg.count - start))
+                  for start in range(0, cfg.count, sampling.CHUNK)]
+        assert sum(len(values) for values, _ in chunks) == cfg.count
+        assert drawn == [sampling.CHUNK, 5]
 
 
 class TestConditionedSamplers:
@@ -882,8 +886,7 @@ class TestBoundaryTables:
 
 class TestRecord:
     def test_flag_string(self):
-        rec = sampling.EPERecord(1.0, 0.5, 0.8, True, True, False)
-        assert rec.flags == "110"
+        assert sampling.flag_labels([True, True, False]) == b"110"
         assert sampling.flag_labels(np.array([False, True, True])) == b"011"
         labels = sampling.flag_labels(np.array([[True, False, False], [False, False, True]]))
         assert list(labels) == [b"100", b"001"]
