@@ -8,13 +8,14 @@ jc        Jaynes-Cummings transfer scans over input parameters
 rerun     re-execute the command stored in a manifest
 
 Exit codes: 0 success, 2 bad flags, 3 I/O failure, 4 invariant
-violation detected in command output (a containment flag, or a check
-inside a measure), 5 grid outside a curve domain, 6 insufficient Fock
-truncation.  Commands raise; `main` alone prints the `error:` line and
-picks the code (`EXIT_CODES`).  A flag that does not apply or is out of
-range (`boundary --energy` off gmems/glems or not positive and finite, a
-`jc` parameter flag of another input) exits 2, and so does a grid that
-expands to no points (`boundary --grid`, `jc --alpha`/`--gamma`).
+violation detected in command output (a containment flag, a check
+inside a measure, a non-finite value), 5 grid outside a curve domain,
+6 insufficient Fock truncation.  Commands raise; `main` alone prints the
+`error:` line and picks the code (`EXIT_CODES`).  A flag that does not
+apply or is out of range (`boundary --energy` off gmems/glems or not
+positive and finite, a `jc` parameter flag of another input) exits 2,
+and so does a grid that expands to no points (`boundary --grid`, `jc
+--alpha`/`--gamma`).
 
 Every file written is paired with a sidecar `<out>.manifest.json`
 recording the command line, configuration, seed, version, timestamp and
@@ -25,15 +26,15 @@ with another stream than this epe's for its system, and any manifest
 whose argv is not a non-empty list of strings or is a rerun.  A
 rerun reproduces bytes only under the same version; `rerun` of a
 manifest from another version notes both versions on stderr and replays.
-Data files themselves contain no timestamps, so identical invocations
-are byte-identical regardless of EPE_THREADS.
+The manifest is in the sidecar only, so identical invocations write
+byte-identical data files regardless of --out, version or EPE_THREADS.
 
 `_write_output` is the one writer.  It takes blocks of rows (`sample`
 and `boundary` one per chunk of `sampling.CHUNK` rows, `jc` one block),
-formats each block (CSV with `csv_bytes`, JSON records with `json.dumps`)
-into an anonymous binary temporary file, and copies it to --out or stdout only
-after the last block, so memory stays bounded at any --count or grid
-size in either format and a failed command writes nothing.
+writes their digits with `csv_bytes` (a JSON record is its CSV row in
+brackets) to an anonymous binary temporary file, and copies it to --out
+or stdout after the last block, so memory stays bounded at any --count
+or grid size in either format and a failed command writes nothing.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def csv_bytes(values, labels=None) -> bytes:
     tail = line[:, _WORDS * k:].view(np.uint8)
     if labels is not None:
         tail[:, 0] = ord(",")
-        tail[:, 1:end - 1] = labels.view(np.uint8).reshape(n, -1)
+        tail[:, 1:end - 1] = labels.view(np.uint8).reshape(n, end - 2)
     tail[:, end - 1] = ord("\n")
     return bytes(buffer.translate(None, b"\0"))
 
@@ -288,7 +289,7 @@ def parse_grid(spec: str) -> list:
     return values.tolist()
 
 
-def _manifest(args, outputs):
+def _manifest(args):
     config = {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")}
     manifest = {
         "command": args.command,
@@ -296,7 +297,7 @@ def _manifest(args, outputs):
         "config": config,
         "seed": getattr(args, "seed", None),
         "version": __version__,
-        "outputs": [str(p) for p in outputs],
+        "outputs": [args.out],
     }
     if args.command == "sample":
         manifest["stream"] = sampling.STREAMS[args.system]
@@ -338,7 +339,7 @@ def _publish(args, data):
     # OSError propagates to main(), which maps it to EXIT_IO
     with open(args.out, "wb") as fh:
         shutil.copyfileobj(data, fh)
-    manifest = _manifest(args, [args.out])
+    manifest = _manifest(args)
     manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
     resources = _resources()
     if resources is not None:
@@ -353,36 +354,34 @@ def _write_output(args, header, blocks):
 
     A block is (values, flags): an (n, k) float array and None or the
     (n, 3) containment flags, written as a last column of labels such as
-    "110".  The text goes to a binary temporary file as bytes, each JSON
-    block encoded once.  Nothing is published until the last block has
-    been read, so an error raised while the blocks are produced writes
-    nothing.
+    "110".  A JSON record is its `csv_bytes` row in brackets, the label
+    quoted, so each JSON field is the text of its CSV field.  A value
+    that is not finite raises InvariantViolation naming its row.  Nothing
+    is published until the last block has been read, so an error raised
+    while the blocks are produced writes nothing.
     """
+    as_json = args.format == "json"
     with tempfile.TemporaryFile() as spool:
-        if args.format == "csv":
-            spool.write((",".join(header) + "\n").encode())
-            for values, flags in blocks:
-                labels = None if flags is None else sampling.flag_labels(flags)
-                spool.write(csv_bytes(values, labels))
+        if as_json:
+            spool.write(b'{"columns": %s, "records": [' % json.dumps(list(header)).encode())
         else:
-            body = {"manifest": _manifest(args, [args.out] if args.out else []),
-                    "columns": list(header), "records": []}
-            # "records" sorts last, so its "[]" is the text's last; each block's
-            # records go there, dumped as a list and indented one step deeper
-            head, tail = json.dumps(body, indent=1, sort_keys=True).rsplit("[]", 1)
-            spool.write(head.encode())
-            sep = "[\n"
-            for values, flags in blocks:
-                rows = values.tolist()
-                if flags is not None:
-                    labels = sampling.flag_labels(flags).astype(str).tolist()
-                    rows = [row + [label] for row, label in zip(rows, labels)]
-                if rows:
-                    records = [dict(zip(header, row)) for row in rows]
-                    text = json.dumps(records, indent=1, sort_keys=True)
-                    spool.write((sep + " " + text[2:-2].replace("\n", "\n ")).encode())
-                    sep = ",\n"
-            spool.write((("[]" if sep == "[\n" else "\n ]") + tail + "\n").encode())
+            spool.write((",".join(header) + "\n").encode())
+        row = 0
+        for values, flags in blocks:
+            finite = np.isfinite(values)
+            if not finite.all():
+                bad = int(np.flatnonzero(~finite.all(axis=1))[0])
+                raise InvariantViolation(f"non-finite value in row {row + bad}: {values[bad].tolist()}")
+            labels = None if flags is None else sampling.flag_labels(flags)
+            if as_json and labels is not None:
+                labels = np.char.add(np.char.add(b'"', labels), b'"')
+            text = csv_bytes(values, labels)
+            if as_json and text:
+                text = b"%s[%s]" % (b",\n" if row else b"\n", text[:-1].replace(b"\n", b"],\n["))
+            spool.write(text)
+            row += len(values)
+        if as_json:
+            spool.write(b"\n]}\n" if row else b"]}\n")
         _publish(args, spool)
 
 

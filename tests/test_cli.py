@@ -280,7 +280,7 @@ class TestSample:
         assert resources["cpu_s"] > 0 and resources["max_rss_mb"] > 0
         assert resources["minor_faults"] > 0
         # data files stay byte-identical from run to run
-        assert "resources" not in json.loads(out.read_text())["manifest"]
+        assert sorted(json.loads(out.read_text())) == ["columns", "records"]
 
     def test_containment_on_output(self, tmp_path):
         from epe import qubit
@@ -329,7 +329,6 @@ class TestSample:
                             "--format", "json", "--out", str(out)]) == 0
             manifest = json.loads((tmp_path / f"{system}.json.manifest.json").read_text())
             assert manifest["stream"] == sampling.STREAMS[system]
-            assert json.loads(out.read_text())["manifest"]["stream"] == sampling.STREAMS[system]
         out = tmp_path / "band.csv"
         assert run_cli(["boundary", "--system", "gaussian", "--curve", "band", "--grid", "1:1:1",
                         "--out", str(out)]) == 0
@@ -459,10 +458,34 @@ class TestSample:
         assert run_cli(["sample", "--system", "qubit", "--count", "10", "--seed", "7",
                         "--format", "json", "--out", str(out)]) == 0
         body = json.loads(out.read_text())
+        assert sorted(body) == ["columns", "records"]  # the manifest is in the sidecar only
         assert body["columns"] == ["energy", "entanglement", "purity", "flags"]
         assert len(body["records"]) == 10
-        assert body["manifest"]["seed"] == 7
-        assert "timestamp" not in body["manifest"]  # data files carry no timestamps
+        assert json.loads((tmp_path / "q.json.manifest.json").read_text())["seed"] == 7
+
+    def test_json_does_not_depend_on_out_or_version(self, tmp_path, monkeypatch):
+        argv = ["sample", "--system", "qubit", "--count", "10", "--seed", "7", "--format", "json"]
+        a, b = tmp_path / "a.json", tmp_path / "b" / "b.json"
+        b.parent.mkdir()
+        assert run_cli([*argv, "--out", str(a)]) == 0
+        monkeypatch.setattr(cli, "__version__", "0.0.0")
+        assert run_cli([*argv, "--out", str(b)]) == 0
+        assert read(a) == read(b)
+        assert json.loads((b.parent / "b.json.manifest.json").read_text())["version"] == "0.0.0"
+
+    # the draw warns of its overflows at such windows, ROADMAP item 3
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_record_exits_4(self, tmp_path, capsys, fmt):
+        # windows this far up overflow the entanglement of some records to inf
+        out = tmp_path / f"g.{fmt}"
+        assert run_cli(["sample", "--system", "gaussian", "--count", "20", "--seed", "7",
+                        "--energy-window", "1e150", "1e300", "--format", fmt,
+                        "--out", str(out)]) == 4
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: non-finite value in row 5: [5.2368"), line
+        assert ", inf, " in line
+        assert os.listdir(tmp_path) == []
 
     def test_identical_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -943,51 +966,47 @@ class TestCsvFormatter:
         assert labels is None and values.shape[1] == len(header)
         assert capsys.readouterr().out == _oracle_csv(header, values.tolist())
 
-    @pytest.mark.parametrize("argv", [
-        ["boundary", "--system", "gaussian", "--curve", "band", "--grid", "0:2:0.01"],
-        ["boundary", "--system", "gaussian", "--curve", "gmems", "--grid", "0.12:1:0.04",
-         "--energy", "2"],
-        ["boundary", "--system", "qubit", "--curve", "mems", "--grid", "0:1:0.05"],
-        ["jc", "--input", "coherent", "--alpha", "0.5:1:0.5", "--tsteps", "200"],
-        ["jc", "--input", "single-photon", "--tsteps", "200"],
+    @pytest.mark.parametrize("source", [
+        pytest.param(["boundary", "--system", "gaussian", "--curve", "band", "--grid", "0:2:0.01"],
+                     id="band"),
+        pytest.param(["boundary", "--system", "gaussian", "--curve", "gmems",
+                      "--grid", "0.12:1:0.04", "--energy", "2"], id="gmems"),
+        pytest.param(["boundary", "--system", "qubit", "--curve", "mems", "--grid", "0:1:0.05"],
+                     id="mems"),
+        pytest.param(["jc", "--input", "coherent", "--alpha", "0.5:1:0.5", "--tsteps", "200"],
+                     id="jc-coherent"),
+        pytest.param(["jc", "--input", "single-photon", "--tsteps", "200"], id="jc-single-photon"),
+        # block sizes, labelled or not, handed to the writer
+        *[pytest.param((sizes, labelled), id=f"sizes{i}-{'labelled' if labelled else 'bare'}")
+          for labelled in (False, True)
+          for i, sizes in enumerate(([], [0], [1], [3, 0, 2], [5, 4096, 1]))],
     ])
-    def test_json_matches_the_in_memory_formatting(self, capsys, argv):
-        # the body the writer once built in memory, from the rows of the CSV output
-        assert run_cli(argv) == 0
-        header, *lines = capsys.readouterr().out.splitlines()
-        columns = header.split(",")
-        rows = [[float(x) for x in line.split(",")] for line in lines]
-        argv = [*argv, "--format", "json"]
-        args = cli.build_parser().parse_args(argv)
-        args._argv = argv
-        body = {
-            "manifest": cli._manifest(args, []),
-            "columns": columns,
-            "records": [
-                {k: (v if isinstance(v, str) else float(v)) for k, v in zip(columns, r)}
-                for r in rows
-            ],
-        }
-        assert run_cli(argv) == 0
-        assert capsys.readouterr().out == json.dumps(body, indent=1, sort_keys=True) + "\n"
+    def test_json_fields_are_their_csv_fields(self, capsys, source):
+        text = {}
+        for fmt in ("csv", "json"):
+            if isinstance(source[0], str):
+                assert run_cli([*source, "--format", fmt]) == 0
+            else:
+                sizes, labelled = source
+                rng = np.random.default_rng(len(sizes))
+                blocks = [(rng.normal(size=(n, 3)), rng.random((n, 3)) < 0.5 if labelled else None)
+                          for n in sizes]
+                columns = ["energy", "entanglement", "purity"] + ["flags"] * labelled
+                args = cli.build_parser().parse_args(
+                    ["sample", "--system", "qubit", "--count", "1", "--format", fmt])
+                cli._write_output(args, columns, iter(blocks))
+            text[fmt] = capsys.readouterr().out
+        header, *rows = [line.split(",") for line in text["csv"].splitlines()]
 
-    @pytest.mark.parametrize("sizes", [[], [0], [1], [3, 0, 2], [5, 4096, 1]])
-    @pytest.mark.parametrize("labelled", [False, True])
-    def test_json_blocks_match_one_dump_of_the_body(self, capsys, sizes, labelled):
-        rng = np.random.default_rng(len(sizes))
-        blocks = [(rng.normal(size=(n, 3)), rng.random((n, 3)) < 0.5 if labelled else None)
-                  for n in sizes]
-        header = ["energy", "entanglement", "purity"] + ["flags"] * labelled
-        argv = ["sample", "--system", "qubit", "--seed", "1", "--count", "1", "--format", "json"]
-        args = cli.build_parser().parse_args(argv)
-        cli._write_output(args, header, iter(blocks))
-        records = []
-        for values, flags in blocks:
-            for i, row in enumerate(values.tolist()):
-                label = [_flag_string(flags[i])] if labelled else []
-                records.append(dict(zip(header, row + label)))
-        body = {"manifest": cli._manifest(args, []), "columns": header, "records": records}
-        assert capsys.readouterr().out == json.dumps(body, indent=1, sort_keys=True) + "\n"
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        body = json.loads(text["json"], parse_float=str, parse_int=str, parse_constant=refuse)
+        assert body["columns"] == header
+        assert body["records"] == rows
+        # the flags are JSON strings, the other fields JSON numbers
+        for record in json.loads(text["json"])["records"]:
+            assert [isinstance(v, str) for v in record] == [name == "flags" for name in header]
 
 
 _QUBIT = ["sample", "--system", "qubit", "--seed", "13"]
@@ -1114,14 +1133,11 @@ class TestStreamedSample:
 
     def test_pool_json_matches_one_process(self, tmp_path, monkeypatch, thread_pool):
         argv = [*_QUBIT, "--count", str(3 * sampling.CHUNK + 1), "--format", "json"]
-        # the body records argv, so both runs write the same relative --out
         for workers in ("2", "1"):
-            (tmp_path / workers).mkdir()
-            monkeypatch.chdir(tmp_path / workers)
             monkeypatch.setenv("EPE_THREADS", workers)
-            assert run_cli([*argv, "--out", "q.json"]) == 0
+            assert run_cli([*argv, "--out", str(tmp_path / f"q{workers}.json")]) == 0
         assert thread_pool == [2]
-        assert read(tmp_path / "2" / "q.json") == read(tmp_path / "1" / "q.json")
+        assert read(tmp_path / "q2.json") == read(tmp_path / "q1.json")
 
     @pytest.mark.parametrize("existing", [None, b"earlier bytes\n"])
     def test_violation_in_a_later_chunk_writes_nothing(self, tmp_path, capsys, monkeypatch,
