@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -54,6 +55,10 @@ class NPhoton:
     """n photons in one mode or the other, (|0,n> + |n,0>)/sqrt(2)."""
 
     def __init__(self, n: int):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise DomainError(f"photon number must be a positive integer, got {n!r}") from None
         if n < 1:
             raise DomainError("photon number must be a positive integer")
         self.n = n
@@ -67,6 +72,9 @@ class SinglePhoton(NPhoton):
 
     def __init__(self):
         super().__init__(1)
+
+    def __repr__(self):
+        return "SinglePhoton()"
 
 
 class EntangledCoherent(NamedTuple):
@@ -188,7 +196,11 @@ def required_n_max(spec: InputFieldSpec) -> int:
         # geometric tail: sum_{n > m} (1 - g^2) g^{2n} = g^{2(m+1)}
         m = 1 if g == 0.0 else max(1, int(np.ceil(np.log(TAIL_TOL) / (2.0 * np.log(g)) - 1.0)))
     elif isinstance(spec, EntangledCoherent):
-        mean = abs(spec.alpha) ** 2
+        r = abs(spec.alpha)
+        if not math.isfinite(r):
+            raise DomainError(f"coherent amplitude alpha must be finite, got {spec.alpha!r}")
+        # |alpha| before its square, which overflows above about 1.34e154
+        mean = r**2 if r <= MAX_N_MAX else math.inf
         if mean > MAX_N_MAX:
             # the answer is above the mean, so above the cap too: no table
             m = MAX_N_MAX + 1
@@ -500,24 +512,6 @@ def analytic_qubit_state(spec: InputFieldSpec, lambda_t, n_max=None) -> np.ndarr
     return squeezed_series_matrix(spec.gamma, lambda_t, n_max)
 
 
-def squeezed_convention_deviation(gamma, times):
-    """Max deviation of both trig conventions from the numerical evolution.
-
-    Returns a dict {"double": dev, "half": dev} of entrywise maxima over
-    the given times, at the default truncation.  The double-angle series
-    reproduces the numerics to roundoff; the halved one, the same series
-    at lambda*t / 2 (exact, so every phase is sqrt(n) lt), does not.
-    """
-    state0 = build_input(TwoModeSqueezed(gamma=gamma))
-    devs = {"double": 0.0, "half": 0.0}
-    for t in np.atleast_1d(times):
-        rho_num = reduce_to_qubits(evolve(state0, t))
-        for conv, lt in (("double", t), ("half", t / 2.0)):
-            rho_an = squeezed_series_matrix(gamma, lt, state0.shape[0] - 1)
-            devs[conv] = max(devs[conv], float(np.abs(rho_num - rho_an).max()))
-    return devs
-
-
 def require_shaped(support: FieldSupport) -> None:
     """Raise InvariantViolation unless `shaped_concurrence` holds: every block
     pairs levels of equal excitation parity (an X state) or none touches |ee>."""
@@ -543,14 +537,17 @@ def _refine_peaks(concurrences, lo, hi):
     """The best time and value of `concurrences` in each bracket [lo, hi]: each
     pass evaluates REFINE_POINTS evenly spaced times in every bracket, in one
     call, and keeps the two intervals around the first best time, until every
-    bracket is under REFINE_WIDTH, or under 8 ulp where t is large."""
+    bracket is under REFINE_WIDTH, or under 16 ulp of its larger end where t is
+    large."""
     while True:
         ts = np.linspace(lo, hi, REFINE_POINTS, axis=-1)
         cs = concurrences(ts.ravel()).reshape(ts.shape)
         k, rows = cs.argmax(axis=-1), np.arange(ts.shape[0])
         lo = ts[rows, np.maximum(k - 1, 0)]
         hi = ts[rows, np.minimum(k + 1, REFINE_POINTS - 1)]
-        if np.all(hi - lo < np.maximum(REFINE_WIDTH, 8 * np.spacing(np.abs(lo) + np.abs(hi)))):
+        # 16 ulp of the larger end is 8 ulp of |lo| + |hi|, which overflows near 1e308
+        ulps = 16 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        if np.all(hi - lo < np.maximum(REFINE_WIDTH, ulps)):
             return ts[rows, k], cs[rows, k]
 
 

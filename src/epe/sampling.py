@@ -451,46 +451,6 @@ def records_chunk(cfg: SamplerConfig, start, count):
     return gaussian_records_chunk(cfg.seed, start, count, cfg.energy_window, cfg.measure)
 
 
-# --- conditioned samplers used by the extremality suites ---
-
-
-def random_standard_form_at(E, P, rng) -> gaussian.StandardFormCM:
-    """Random physical standard-form CM at exactly the given energy and purity.
-
-    With a = E+1+d, b = E+1-d the product u = c+ c- is drawn uniformly
-    between the real-solution bound 1/P - ab (where the PPT seralian
-    attains its fixed-(E, P) maximum) and the physicality bound from
-    nu_- >= 1, then (c+, c-) is recovered from the purity constraint.
-    """
-    E = float(E)
-    P = float(P)
-    if E <= 0.0 or not 1.0 / (E + 1.0) ** 2 <= P <= 1.0:
-        raise DomainError("need E > 0 and purity in [1/(E+1)^2, 1]")
-    inv_p2 = 1.0 / P**2
-    d_cap = min(E, (1.0 / P - 1.0) / 2.0)
-    for _ in range(500):
-        d = rng.uniform(0.0, d_cap)
-        a, b = E + 1.0 + d, E + 1.0 - d
-        ab = a * b
-        u_lo = 1.0 / P - ab
-        u_hi = min((1.0 + inv_p2 - a * a - b * b) / 2.0, ab - 1.0 / P)
-        if u_hi < u_lo:
-            continue
-        u = rng.uniform(u_lo, u_hi)
-        s = (ab * ab + u * u - inv_p2) / ab
-        disc = max(s * s - 4.0 * u * u, 0.0)
-        t_hi = (s + np.sqrt(disc)) / 2.0
-        t_lo = max((s - np.sqrt(disc)) / 2.0, 0.0)
-        c_plus = np.sqrt(t_hi)
-        c_minus = u / c_plus if c_plus > 0.0 else 0.0
-        if rng.uniform() < 0.5:
-            c_plus, c_minus = -c_plus, -c_minus
-        sf = gaussian.StandardFormCM(a=a, b=b, c_plus=c_plus, c_minus=c_minus)
-        if gaussian.is_physical(sf):
-            return sf
-    raise ConfigurationError(f"could not sample a CM at E={E}, P={P}")
-
-
 # --- closed-form boundary tables ---
 
 # (header, columns of the grid and the fixed energy) of each curve

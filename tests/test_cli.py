@@ -734,6 +734,8 @@ class TestJc:
     @pytest.mark.parametrize("argv", [
         ["--input", "n-photon", "--n", "20000"],
         ["--input", "coherent", "--alpha", "60"],
+        # |alpha|^2 would overflow a float
+        ["--input", "coherent", "--alpha", "1e155"],
         ["--input", "single-photon", "--nmax", "20000"],
         ["--input", "squeezed", "--gamma", "0.5", "--nmax", "1000000"],
     ])
@@ -794,6 +796,18 @@ class TestJc:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == "" and not out.exists()
 
+    def test_refinement_ends_at_the_largest_tmax(self, tmp_path):
+        # near 1e308 the sum of a bracket's ends overflows; run as a program,
+        # so a refinement that never ends fails on the timeout
+        out = tmp_path / "jc.csv"
+        proc = subprocess.run([sys.executable, "-m", "epe.cli", "jc", "--input", "single-photon",
+                               "--tmax", "1e308", "--out", str(out)],
+                              env=_src_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        header, row = out.read_text().splitlines()
+        lambda_t = float(row.split(",")[header.split(",").index("lambda_t_max")])
+        assert 0.0 < lambda_t <= 1e308
+
     def test_vacuum_coherent_input_has_no_negative_zero(self, capsys):
         assert run_cli(["jc", "--input", "coherent", "--alpha", "0", "--tsteps", "50"]) == 0
         header, row = capsys.readouterr().out.splitlines()
@@ -810,6 +824,7 @@ class TestJc:
                         "--tsteps", "250", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 4
+        assert [float(line.split(",")[0]) for line in lines[1:]] == pytest.approx([0.6, 0.9, 1.2])
         devs = [float(line.split(",")[6]) for line in lines[1:]]
         assert max(devs) < 1e-8
 

@@ -11,7 +11,7 @@ from scipy.optimize import minimize_scalar
 
 from epe import gaussian, sampling
 from epe.errors import DomainError, InvariantViolation, UnphysicalCovarianceError
-from epe.sampling import random_covariance, random_standard_form_at
+from epe.sampling import random_covariance
 import oracles
 from test_sampling import local_beam_splitter_local
 
@@ -276,7 +276,7 @@ class TestGmems:
         dt_bound = 4.0 * (E + 1.0) ** 2 - 2.0 / P
         rng = np.random.default_rng(77)
         for _ in range(2000):
-            sf = random_standard_form_at(E, P, rng)
+            sf = oracles.random_standard_form_at(E, P, rng)
             assert gaussian.energy(sf) == pytest.approx(E, abs=1e-9)
             assert gaussian.purity(sf) == pytest.approx(P, abs=1e-9)
             assert gaussian.ppt_seralian(sf) <= dt_bound + 1e-9

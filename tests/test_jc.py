@@ -85,6 +85,34 @@ class TestInputs:
         with pytest.raises(DomainError):
             jc.TwoModeSqueezed(gamma=1.0)
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, "2", None])
+    def test_photon_number_must_be_an_integer(self, n):
+        with pytest.raises(DomainError, match="positive integer"):
+            jc.NPhoton(n)
+
+    def test_photon_number_takes_any_integer_as_int(self):
+        spec = jc.NPhoton(np.int64(3))
+        assert type(spec.n) is int and spec.n == 3
+
+    @pytest.mark.parametrize("spec", [
+        jc.SinglePhoton(), jc.NPhoton(n=3), jc.EntangledCoherent(alpha=0.5),
+        jc.TwoModeSqueezed(gamma=0.25),
+    ])
+    def test_repr_is_a_call_that_rebuilds_the_spec(self, spec):
+        again = eval(repr(spec), {name: getattr(jc, name) for name in dir(jc)})
+        assert type(again) is type(spec) and repr(again) == repr(spec)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    def test_non_finite_coherent_amplitude_raises(self, alpha):
+        with pytest.raises(DomainError, match="must be finite"):
+            jc.max_transfer(jc.EntangledCoherent(alpha))
+
+    @pytest.mark.parametrize("alpha", [1e154, 1e155, 1e300, complex(1e200, 1e200)])
+    def test_huge_coherent_amplitude_is_above_the_cap(self, alpha):
+        # |alpha|^2 overflows above about 1.34e154; |alpha| is compared first
+        with pytest.raises(DomainError, match=f"cap n_max={jc.MAX_N_MAX}"):
+            jc.required_n_max(jc.EntangledCoherent(alpha))
+
     def test_unknown_spec_raises(self):
         with pytest.raises(DomainError):
             jc.field_support(object())
@@ -234,7 +262,7 @@ class TestAnalyticForms:
         assert qubit.concurrence(rho) == pytest.approx(peak, abs=1e-10)
 
     def test_squeezed_series_matches_numeric(self):
-        devs = jc.squeezed_convention_deviation(0.6, np.linspace(0.1, 6.0, 9))
+        devs = oracles.squeezed_convention_deviation(0.6, np.linspace(0.1, 6.0, 9))
         assert devs["double"] < 1e-10
         # the halved-phase variant is inconsistent with the evolution
         assert devs["half"] > 1e-2
@@ -590,6 +618,19 @@ class TestMaxTransfer:
     def test_non_finite_grid(self, grid):
         with pytest.raises(DomainError):
             jc.max_transfer(jc.SinglePhoton(), grid)
+
+    def test_refinement_ends_at_the_top_of_the_float_range(self):
+        # |lo| + |hi| overflows here; the stop test must still be reached
+        calls = []
+
+        def peaked(ts):
+            calls.append(ts.size)
+            assert len(calls) < 200, "the refinement did not end"
+            return -np.abs(ts / 1e308 - 0.995)
+
+        times, values = jc._refine_peaks(peaked, np.array([0.99e308]), np.array([1e308]))
+        assert 0.99e308 <= times[0] <= 1e308
+        assert times[0] / 1e308 == pytest.approx(0.995, rel=1e-13)
 
     def test_refinement_ends_where_float_spacing_exceeds_its_width(self):
         # near t = 1e10 neighbouring doubles are 1.9e-6 apart, above REFINE_WIDTH

@@ -55,7 +55,7 @@ def test_repr_names_the_class_and_its_fields(cls, fields):
 def test_single_photon_is_n_photon_one():
     spec = jc.SinglePhoton()
     assert isinstance(spec, jc.NPhoton) and spec.n == 1
-    assert repr(spec) == "SinglePhoton(n=1)"
+    assert repr(spec) == "SinglePhoton()"
     for args, kwargs in (((), {"n": 2}), ((2,), {})):
         with pytest.raises(TypeError):
             jc.SinglePhoton(*args, **kwargs)

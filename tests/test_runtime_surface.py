@@ -1,14 +1,18 @@
-"""The runtime modules define only what the program or its documented API uses.
+"""The runtime modules define only what the program or its listed API uses.
 
-A public module-level name in `src/epe` must be referenced somewhere
-other than its own definition: elsewhere in `src/epe`, in `scripts/`, in
-a code span of README.md, or in tests/test_acceptance.py.  A name that
-only the other tests call is an oracle or a test helper and belongs in
-tests/oracles.py.  Likewise each defaulted parameter of a public
-module-level function must be passed by some call in those sources,
-other than the function's own: a value no caller sets is a constant.
-The other way round, each dotted name of a runtime module in a README
-code span or ```python block must name an attribute of that module.
+The library reference of README.md (its `## Library reference` section)
+declares the public API: one table row per name, written `module.name`.
+A public module-level name in `src/epe` must be a row of that table or be
+referenced somewhere other than its own definition, elsewhere in
+`src/epe` or in `scripts/`.  README prose, other code spans and the tests
+do not count: a name that only tests call is an oracle or a test helper
+and belongs in tests/oracles.py.  Each row in turn must name a public
+name of its module that some test other than this guard references.
+Each defaulted parameter of a public module-level function must be passed
+by some call other than the function's own, in `src/epe`, `scripts/`, a
+README code span or tests/test_acceptance.py: a value no caller sets is a
+constant.  Each dotted name of a runtime module in a README code span or
+```python block must name an attribute of that module.
 """
 
 import ast
@@ -51,14 +55,31 @@ def _modules():
     return {path: _parse(path) for path in sorted((ROOT / "src" / "epe").glob("*.py"))}
 
 
+def _scripts():
+    return [_parse(path) for path in sorted((ROOT / "scripts").glob("*.py"))]
+
+
 def _outside():
     """The trees of the scripts and tests/test_acceptance.py."""
-    paths = [*sorted((ROOT / "scripts").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
-    return [_parse(path) for path in paths]
+    return [*_scripts(), _parse(ROOT / "tests" / "test_acceptance.py")]
+
+
+def _readme():
+    return (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _readme_spans():
-    return CODE_SPAN.findall((ROOT / "README.md").read_text(encoding="utf-8"))
+    return CODE_SPAN.findall(_readme())
+
+
+# a row of the library reference: its first cell is `module.name`
+ROW = re.compile(r"^\| `(\w+)\.(\w+)` \|", re.M)
+
+
+def _listed():
+    """(module, name) of each row of the README's library reference."""
+    section = re.search(r"^## Library reference\n(.*?)(?=^## |\Z)", _readme(), re.S | re.M)
+    return ROW.findall(section[1]) if section else []
 
 
 # a dotted name of a runtime module, such as `sampling.records_chunk`
@@ -79,21 +100,39 @@ def _dangling():
 
 
 def _unreferenced():
+    """The public names that are no table row and that no runtime module or
+    script references."""
     modules = _modules()
-    outside = set()
-    for tree in _outside():
-        outside |= _referenced(tree)
-    for span in _readme_spans():
-        outside |= set(re.findall(r"\w+", span))
+    listed = set(_listed())
+    scripts = set()
+    for tree in _scripts():
+        scripts |= _referenced(tree)
     per_statement = [(stmt, _referenced(stmt)) for tree in modules.values() for stmt in tree.body]
     missing = []
     for path, tree in modules.items():
         for name, own in _defined(tree):
-            if name in outside:
+            if (path.stem, name) in listed or name in scripts:
                 continue
             if not any(name in refs for stmt, refs in per_statement if stmt is not own):
                 missing.append(f"{path.stem}.{name}")
     return missing
+
+
+def _unbacked():
+    """The table rows that name no public name of their module, or a name
+    that no test other than this guard references."""
+    defined = {(path.stem, name) for path, tree in _modules().items() for name, _ in _defined(tree)}
+    tested = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        if path.name != Path(__file__).name:
+            tested |= _referenced(_parse(path))
+    faults = []
+    for module, name in _listed():
+        if (module, name) not in defined:
+            faults.append(f"{module}.{name}: not a public name of src/epe/{module}.py")
+        elif name not in tested:
+            faults.append(f"{module}.{name}: no test references it")
+    return faults
 
 
 def _defaulted(fn):
@@ -165,6 +204,10 @@ def test_every_public_runtime_name_is_used_outside_the_tests():
     assert _unreferenced() == []
 
 
+def test_every_listed_name_exists_and_is_tested():
+    assert _unbacked() == []
+
+
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
     assert _unpassed() == []
 
@@ -184,22 +227,43 @@ def test_the_guard_sees_a_dangling_readme_name(tmp_path, monkeypatch):
 
 
 def test_the_guard_sees_a_test_only_name(tmp_path, monkeypatch):
-    # a name referenced only by its own definition, or only in README prose, is reported
+    # a name referenced only by its own definition, by a test (the acceptance
+    # suite too), in README prose or in a README code span outside the table
+    # is reported; a table row keeps a name alive, and a row whose name is
+    # not defined or that no test references is reported
     src = tmp_path / "src" / "epe"
     src.mkdir(parents=True)
     (tmp_path / "scripts").mkdir()
     (tmp_path / "tests").mkdir()
-    (tmp_path / "tests" / "test_acceptance.py").write_text("from epe import m\nm.used()\n")
-    (tmp_path / "README.md").write_text("`m.documented` and test_only in prose\n")
+    (tmp_path / "scripts" / "make.py").write_text("from epe import m\nm.scripted()\n")
+    (tmp_path / "tests" / "test_acceptance.py").write_text("from epe import m\nm.accepted()\n")
+    (tmp_path / "tests" / "test_m.py").write_text("from epe import m\nm.listed()\nm.test_only(1)\n")
+    # the guard's own references back no row
+    (tmp_path / "tests" / Path(__file__).name).write_text("from epe import m\nm.untested()\n")
+    (tmp_path / "README.md").write_text(
+        "`m.documented` and test_only in prose\n\n"
+        "## Library reference\n\n"
+        "| Name | Test |\n|---|---|\n"
+        "| `m.listed` | `tests/test_m.py` |\n"
+        "| `m.untested` | none |\n"
+        "| `m.gone` | none |\n\n"
+        "## Experiment scripts\n\n"
+        "| `m.accepted` | a table in another section |\n"
+    )
     (src / "m.py").write_text(
-        "def used():\n    return helper()\n\n\n"
+        "def scripted():\n    return helper()\n\n\n"
         "def helper():\n    return 1\n\n\n"
-        "def documented():\n    return 2\n\n\n"
+        "def listed():\n    return 2\n\n\n"
+        "def untested():\n    return 3\n\n\n"
+        "def accepted():\n    return 4\n\n\n"
+        "def documented():\n    return 5\n\n\n"
         "def test_only(n):\n    return test_only(n - 1) if n else 0\n\n\n"
         "LIMIT = 3\n"
     )
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
-    assert _unreferenced() == ["m.test_only", "m.LIMIT"]
+    assert _unreferenced() == ["m.accepted", "m.documented", "m.test_only", "m.LIMIT"]
+    assert _unbacked() == ["m.untested: no test references it",
+                           "m.gone: not a public name of src/epe/m.py"]
 
 
 def test_the_guard_sees_a_parameter_no_caller_sets(tmp_path, monkeypatch):

@@ -807,7 +807,7 @@ class TestConditionedSamplers:
     def test_standard_form_at_fixed_coordinates(self):
         rng = np.random.default_rng(0)
         for E, P in ((1.0, 0.5), (2.0, 0.5), (2.0, 0.9), (0.7, 0.36)):
-            sf = sampling.random_standard_form_at(E, P, rng)
+            sf = oracles.random_standard_form_at(E, P, rng)
             assert gaussian.is_physical(sf)
             assert gaussian.energy(sf) == pytest.approx(E, abs=1e-9)
             assert gaussian.purity(sf) == pytest.approx(P, abs=1e-9)
