@@ -1,6 +1,6 @@
 """Entanglement-purity-energy toolkit for two qubits and two-mode Gaussian states."""
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 from . import errors, gaussian, jc, qubit, sampling  # noqa: E402,F401
 

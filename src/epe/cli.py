@@ -518,15 +518,8 @@ def _jc_specs(args):
     values = parse_grid(getattr(args, param))
     if not values:
         raise ConfigurationError(f"--{param} {getattr(args, param)!r} expands to no points")
-    if args.input == "coherent":
-        return [(a, jc.EntangledCoherent(alpha=a)) for a in values]
-    for g in values:
-        if not 0.0 <= g <= jc.GAMMA_CAP:
-            raise ConfigurationError(
-                f"gamma={g} outside [0, {jc.GAMMA_CAP}]; larger values make the "
-                "Fock truncation dishonest"
-            )
-    return [(g, jc.TwoModeSqueezed(gamma=g)) for g in values]
+    spec = jc.EntangledCoherent if args.input == "coherent" else jc.TwoModeSqueezed
+    return [(v, spec(v)) for v in values]
 
 
 def _analytic_deviation(spec, grid, result, n_max):
@@ -554,8 +547,8 @@ def cmd_jc(args) -> int:
     if args.nmax is not None and args.nmax < 1:
         raise ConfigurationError("--nmax must be at least 1")
     try:
-        # resolve_n_max raises DomainError for a truncation above jc.MAX_N_MAX,
-        # before any input is built
+        # a spec raises DomainError for a parameter out of its domain, and
+        # resolve_n_max for a truncation above jc.MAX_N_MAX, before any input is built
         specs = [(p, spec, jc.resolve_n_max(spec, args.nmax)) for p, spec in _jc_specs(args)]
     except DomainError as exc:
         raise ConfigurationError(str(exc)) from exc

@@ -26,8 +26,10 @@ return such arrays, is the oracle the tests hold the support routes to.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import numbers
 import operator
 from typing import NamedTuple, Union
 
@@ -37,7 +39,6 @@ from . import qubit
 from .errors import DomainError, InvariantViolation, TruncationError
 
 TAIL_TOL = 1e-12
-GAMMA_CAP = 0.95
 DEFAULT_T_MAX = 4.0 * np.pi
 DEFAULT_T_STEPS = 2000
 # largest per-mode truncation, chosen or requested; the dense reference
@@ -77,17 +78,25 @@ class SinglePhoton(NPhoton):
         return "SinglePhoton()"
 
 
-class EntangledCoherent(NamedTuple):
+class EntangledCoherent:
     """Superposition of a coherent state in either mode, (|0,alpha> + |alpha,0>) normalized."""
 
-    alpha: complex
+    def __init__(self, alpha: complex):
+        if not isinstance(alpha, numbers.Complex):
+            raise DomainError(f"coherent amplitude alpha must be a number, got {alpha!r}")
+        if not cmath.isfinite(alpha):
+            raise DomainError(f"coherent amplitude alpha must be finite, got {alpha!r}")
+        self.alpha = alpha
+
+    def __repr__(self):
+        return f"EntangledCoherent(alpha={self.alpha!r})"
 
 
 class TwoModeSqueezed:
     """Two-mode squeezed vacuum sqrt(1 - gamma^2) sum_n gamma^n |n,n> with gamma = tanh r."""
 
     def __init__(self, gamma: float):
-        if not 0.0 <= gamma < 1.0:
+        if not (isinstance(gamma, numbers.Real) and 0.0 <= gamma < 1.0):
             raise DomainError("squeezing parameter gamma must lie in [0, 1)")
         self.gamma = gamma
 
@@ -196,11 +205,8 @@ def required_n_max(spec: InputFieldSpec) -> int:
         # geometric tail: sum_{n > m} (1 - g^2) g^{2n} = g^{2(m+1)}
         m = 1 if g == 0.0 else max(1, int(np.ceil(np.log(TAIL_TOL) / (2.0 * np.log(g)) - 1.0)))
     elif isinstance(spec, EntangledCoherent):
-        r = abs(spec.alpha)
-        if not math.isfinite(r):
-            raise DomainError(f"coherent amplitude alpha must be finite, got {spec.alpha!r}")
-        # |alpha| before its square, which overflows above about 1.34e154
-        mean = r**2 if r <= MAX_N_MAX else math.inf
+        # a product, which reads inf where the power would raise OverflowError
+        mean = abs(spec.alpha) * abs(spec.alpha)
         if mean > MAX_N_MAX:
             # the answer is above the mean, so above the cap too: no table
             m = MAX_N_MAX + 1
@@ -250,29 +256,27 @@ def _coherent_amplitudes(alpha, n_max):
 def field_support(spec: InputFieldSpec, n_max=None) -> FieldSupport:
     """The input's field support at truncation `n_max` (default: the required one).
 
-    The entries are built straight from the spec and renormalized to unit
-    norm over the support, which perturbs the state by at most the tail
-    tolerance.  Entries that underflow to zero are dropped.
+    The entries are built from the spec without its normalizing constant
+    and normalized once over the support, which perturbs the state by at
+    most the tail tolerance.  Entries that underflow to zero are dropped.
     """
     n_max = resolve_n_max(spec, n_max)
     if isinstance(spec, NPhoton):
         n1, n2 = np.array([0, spec.n]), np.array([spec.n, 0])
-        amps = np.full(2, 1.0 / np.sqrt(2.0), dtype=complex)
+        amps = np.ones(2, dtype=complex)
     elif isinstance(spec, EntangledCoherent):
         # row 0, then column 0 below it; the vacuum entry gets both branches
         ca = _coherent_amplitudes(spec.alpha, n_max)
-        k = np.arange(1, n_max + 1)
-        n1 = np.concatenate([np.zeros(n_max + 1, dtype=int), k])
+        n1 = np.concatenate([np.zeros(n_max + 1, dtype=int), np.arange(1, n_max + 1)])
         n2 = np.concatenate([np.arange(n_max + 1), np.zeros(n_max, dtype=int)])
-        amps = np.zeros(2 * n_max + 1, dtype=complex)
-        amps += np.concatenate([ca, ca[1:]])
-        amps[0] += ca[0]
-        amps /= np.sqrt(2.0 * (1.0 + np.exp(-abs(spec.alpha) ** 2)))
+        amps = np.concatenate([ca, ca[1:]])
+        amps[0] *= 2.0
     else:
         # resolve_n_max has refused any other spec: TwoModeSqueezed
         n1 = n2 = np.arange(n_max + 1)
-        amps = (np.sqrt(1.0 - spec.gamma**2) * spec.gamma**n1).astype(complex)
-    amps /= np.linalg.norm(amps)
+        amps = (spec.gamma**n1).astype(complex)
+    # a numpy sum, not a BLAS norm, so the bytes do not depend on the BLAS kernel
+    amps /= np.sqrt(np.sum(amps.real**2 + amps.imag**2))
     nonzero = amps != 0.0
     return FieldSupport(n_max=n_max, n1=n1[nonzero], n2=n2[nonzero], amps=amps[nonzero])
 
@@ -346,7 +350,8 @@ def reduced_states(support: FieldSupport, times) -> np.ndarray:
     xx = {(a, c): x[a] * x[c].conj() for a in (0, 1) for c in (0, 1)}
     rho = np.zeros((t.size, 4, 4), dtype=complex)
     for (a, b, c, d), i1, i2, w in support.blocks:
-        rho[:, 2 * a + b, 2 * c + d] = (xx[a, c][:, i1] * xx[b, d][:, i2]) @ w
+        # a numpy sum, not a BLAS product, as in field_support
+        rho[:, 2 * a + b, 2 * c + d] = (xx[a, c][:, i1] * xx[b, d][:, i2] * w).sum(axis=1)
     return (rho + rho.conj().swapaxes(1, 2)) / 2.0
 
 
@@ -384,7 +389,7 @@ def input_energy(spec: InputFieldSpec) -> float:
     if isinstance(spec, NPhoton):
         return float(spec.n)
     if isinstance(spec, EntangledCoherent):
-        m = abs(spec.alpha) ** 2
+        m = abs(spec.alpha) * abs(spec.alpha)
         return m / (1.0 + np.exp(-m))
     if isinstance(spec, TwoModeSqueezed):
         g2 = spec.gamma**2
@@ -403,7 +408,7 @@ def input_entropy(spec: InputFieldSpec) -> float:
     if isinstance(spec, NPhoton):
         return float(np.log(2.0))
     if isinstance(spec, EntangledCoherent):
-        t = np.exp(-abs(spec.alpha) ** 2 / 2.0)  # overlap <0|alpha>
+        t = np.exp(-abs(spec.alpha) * abs(spec.alpha) / 2.0)  # overlap <0|alpha>
         lam = np.array([(1.0 + t) ** 2, (1.0 - t) ** 2]) / (2.0 * (1.0 + t**2))
         lam = lam[lam > 0.0]
         # + 0.0: at alpha = 0 the sum is -(1 ln 1) = -0.0

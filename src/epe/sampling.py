@@ -65,7 +65,7 @@ GAUSSIAN_MEASURES = ("logneg", "negativity")
 DEFAULT_ENERGY_WINDOW = (0.0, 2.0)
 
 # the stream each system's records are drawn from; a new name for each change of bytes
-STREAMS = {"qubit": "philox-v2", "gaussian": "philox-v1"}
+STREAMS = {"qubit": "philox-v3", "gaussian": "philox-v1"}
 # high 64 bits of the Philox key, so each system draws its own stream
 _SYSTEM_TAG = {"qubit": 1, "gaussian": 2}
 # indices per stream; attempt k of index i owns block k * INDEX_LIMIT + i
@@ -208,7 +208,8 @@ def _qubit_states_chunk(seed, start, count, rank):
     A.real[:, below] = radii * np.cos(theta)
     A.imag[:, below] = radii * np.sin(theta)
     A = A.reshape(count, 4, k)
-    return A @ A.conj().transpose(0, 2, 1), A
+    # einsum, not a batched BLAS product, so the bytes do not depend on the BLAS kernel
+    return np.einsum("naj,nbj->nab", A, A.conj()), A
 
 
 def qubit_records(rhos, factors, measure="concurrence"):

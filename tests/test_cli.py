@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, manifests and output determinism."""
 
 import concurrent.futures
+import functools
 import gc
 import json
 import math
@@ -321,8 +322,9 @@ class TestSample:
     def test_sample_manifests_name_the_stream(self, tmp_path):
         from epe import sampling
 
-        # the qubit draw changed its bytes from philox-v1; the Gaussian one did not
-        assert sampling.STREAMS == {"qubit": "philox-v2", "gaussian": "philox-v1"}
+        # the qubit records changed their bytes from philox-v1 and from philox-v2;
+        # the Gaussian ones did not
+        assert sampling.STREAMS == {"qubit": "philox-v3", "gaussian": "philox-v1"}
         for system in ("qubit", "gaussian"):
             out = tmp_path / f"{system}.json"
             assert run_cli(["sample", "--system", system, "--count", "3", "--seed", "1",
@@ -504,7 +506,7 @@ class TestSample:
         assert read(out) == first
 
 
-    @pytest.mark.parametrize("stream", [None, "seedsequence", "philox-v1"])
+    @pytest.mark.parametrize("stream", [None, "seedsequence", "philox-v1", "philox-v2"])
     def test_rerun_refuses_another_stream(self, tmp_path, capsys, stream):
         out = tmp_path / "q.csv"
         run_cli(["sample", "--system", "qubit", "--count", "50", "--seed", "2",
@@ -520,7 +522,7 @@ class TestSample:
         capsys.readouterr()
         assert run_cli(["rerun", str(manifest_path)]) == 2
         err = capsys.readouterr().err
-        assert repr(stream) in err and "'philox-v2'" in err
+        assert repr(stream) in err and "'philox-v3'" in err
         assert not out.exists()
 
     def test_rerun_of_a_gaussian_philox_v1_manifest_replays(self, tmp_path):
@@ -707,16 +709,30 @@ class TestJc:
         assert capsys.readouterr().err == "error: --tsteps must be between 1 and 1000000\n"
         assert not out.exists()
 
-    def test_gamma_cap_enforced(self, tmp_path, capsys):
-        assert run_cli(["jc", "--input", "squeezed", "--gamma", "0.99"]) == 2
-        # a gamma a hair above the cap is refused, not evolved at the cap
+    def test_gamma_above_the_truncation_cap_exit_2(self, tmp_path, capsys):
+        # the squeezed tail needs n_max above jc.MAX_N_MAX from gamma = 0.9908 on
         out = tmp_path / "scan.csv"
-        argv = ["jc", "--input", "squeezed", "--gamma", "0.9500000000001", "--tsteps", "50"]
-        capsys.readouterr()
-        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert run_cli(["jc", "--input", "squeezed", "--gamma", "0.995", "--tsteps", "50",
+                        "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: gamma=0.9500000000001 outside") and err.count("\n") == 1
+        assert err == "error: the input needs a Fock truncation above the cap n_max=1500\n"
         assert not out.exists() and not tmp_path.joinpath("scan.csv.manifest.json").exists()
+
+    def test_gamma_near_one_scans_under_the_truncation_cap(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run_cli(["jc", "--input", "squeezed", "--gamma", "0.97", "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        cols = dict(zip(header.split(","), (float(x) for x in row.split(","))))
+        assert cols["param"] == 0.97 and 0.0 < cols["concurrence_max"] <= 1.0
+        assert cols["analytic_max_dev"] <= 1e-9
+
+    @pytest.mark.parametrize("gamma", ["-0.1", "1", "1.5"])
+    def test_gamma_outside_the_unit_interval_exit_2(self, tmp_path, capsys, gamma):
+        out = tmp_path / "scan.csv"
+        assert run_cli(["jc", "--input", "squeezed", "--gamma", gamma, "--tsteps", "50",
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: squeezing parameter gamma must lie in [0, 1)\n"
+        assert not out.exists()
 
     def test_missing_parameter_exit_2(self, capsys):
         assert run_cli(["jc", "--input", "n-photon"]) == 2
@@ -1253,6 +1269,41 @@ def _src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+@functools.cache
+def _openblas_core(coretype=None):
+    """The "Core:" line OpenBLAS prints on import, with OPENBLAS_CORETYPE set
+    to `coretype` if given, or None."""
+    env = dict(os.environ, OPENBLAS_VERBOSE="2")
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    proc = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return next((line for line in proc.stderr.splitlines() if line.startswith("Core:")), None)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--system", "qubit", "--count", "4096", "--seed", "7", "--rank", "2"],
+    ["sample", "--system", "qubit", "--count", "4096", "--seed", "7"],
+    ["jc", "--input", "coherent", "--alpha", "0.5:1.5:0.5", "--tsteps", "400"],
+    ["jc", "--input", "squeezed", "--gamma", "0.4:0.8:0.2", "--tsteps", "400"],
+])
+def test_bytes_at_the_baseline_openblas_kernel(tmp_path, argv):
+    # OpenBLAS picks its kernels per CPU; OPENBLAS_CORETYPE=Prescott forces
+    # its baseline ones, which round sums in another order
+    default = _openblas_core()
+    if default is None or default == _openblas_core("Prescott"):
+        pytest.skip("numpy's BLAS does not switch kernels with OPENBLAS_CORETYPE")
+    outputs = []
+    for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        out = tmp_path / f"{len(outputs)}.csv"
+        proc = subprocess.run([sys.executable, "-m", "epe.cli", *argv, "--out", str(out)],
+                              env=dict(_src_env(), EPE_THREADS="1", **extra),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_import_loads_no_scipy():

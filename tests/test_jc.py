@@ -85,6 +85,22 @@ class TestInputs:
         with pytest.raises(DomainError):
             jc.TwoModeSqueezed(gamma=1.0)
 
+    @pytest.mark.parametrize("gamma", ["0.5", 0.5 + 0j, None, float("nan"), -0.1])
+    def test_squeezing_parameter_must_be_real_and_in_the_unit_interval(self, gamma):
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\)"):
+            jc.TwoModeSqueezed(gamma)
+
+    @pytest.mark.parametrize("alpha", ["1", None, [1.0]])
+    def test_coherent_amplitude_must_be_a_number(self, alpha):
+        with pytest.raises(DomainError, match="must be a number"):
+            jc.max_transfer(jc.EntangledCoherent(alpha))
+
+    def test_specs_take_numpy_and_integer_parameters(self):
+        assert jc.required_n_max(jc.TwoModeSqueezed(np.float64(0.6))) == 27
+        assert jc.required_n_max(jc.TwoModeSqueezed(0)) == 1
+        assert jc.required_n_max(jc.EntangledCoherent(np.complex128(0.6 + 0.8j))) == 14
+        assert jc.required_n_max(jc.EntangledCoherent(1)) == 14
+
     @pytest.mark.parametrize("n", [1.5, 2.0, "2", None])
     def test_photon_number_must_be_an_integer(self, n):
         with pytest.raises(DomainError, match="positive integer"):
@@ -154,6 +170,14 @@ class TestEntropy:
     def test_vacuum_coherent_input_reads_plus_zero(self):
         entropy = jc.input_entropy(jc.EntangledCoherent(alpha=0.0))
         assert entropy == 0.0 and not np.signbit(entropy)
+
+    @pytest.mark.parametrize("alpha", [1e155, 1e300, complex(1e200, 1e200)])
+    def test_huge_coherent_amplitude_reads_the_limits(self, alpha):
+        # |alpha|^2 overflows a float: the energy reads inf and the two
+        # branches are orthogonal, so the entropy reads ln 2
+        spec = jc.EntangledCoherent(alpha)
+        assert jc.input_energy(spec) == np.inf
+        assert jc.input_entropy(spec) == pytest.approx(np.log(2.0), rel=1e-15)
 
     def test_entropy_range_of_coherent_input(self):
         assert jc.input_entropy(jc.EntangledCoherent(alpha=1e-6)) == pytest.approx(0.0, abs=1e-9)

@@ -63,13 +63,15 @@ def test_single_photon_is_n_photon_one():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: jc.NPhoton(0), "photon number must be a positive integer"),
+    (lambda: jc.EntangledCoherent("1"), "coherent amplitude alpha must be a number, got '1'"),
     (lambda: jc.TwoModeSqueezed(1.0), "squeezing parameter gamma must lie in [0, 1)"),
     (lambda: qubit.LocalUnitaryParams(0.0, 0.0, (1, 0, 0), (0, 0, 1.1)),
      "axis2 must be a unit 3-vector"),
     (lambda: gaussian.StandardFormCM(0.5, 1, 0, 0), "diagonal parameters a, b must be >= 1"),
     (lambda: jc.FieldSupport(2, [2, 0], [0, 2], [0.6, 0.8]),
      "support entries must be distinct, row-major and within n_max"),
-], ids=["NPhoton", "TwoModeSqueezed", "LocalUnitaryParams", "StandardFormCM", "FieldSupport"])
+], ids=["NPhoton", "EntangledCoherent", "TwoModeSqueezed", "LocalUnitaryParams",
+        "StandardFormCM", "FieldSupport"])
 def test_invalid_fields_raise_domain_error(build, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         build()

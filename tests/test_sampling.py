@@ -101,7 +101,15 @@ class TestQubitSampler:
         rhos, A = sampling._qubit_states_chunk(7, 0, n, rank)
         assert rhos.shape == (n, 4, 4) and A.shape == (n, 4, rank)
         assert rhos.flags.c_contiguous and A.flags.c_contiguous
-        want = A @ A.conj().swapaxes(-1, -2)
+        # rho_ab = sum_j A_aj A_bj^*, real and imaginary parts summed from 0
+        # over j in order, each product rounded on its own: no BLAS kernel
+        # and no fused multiply-add decides a bit
+        x, y = A.real, A.imag
+        want = np.zeros((n, 4, 4), dtype=complex)
+        for j in range(rank):
+            xa, ya, xb, yb = x[:, :, None, j], y[:, :, None, j], x[:, None, :, j], y[:, None, :, j]
+            want.real += xa * xb + ya * yb
+            want.imag += ya * xb - xa * yb
         assert np.array_equal(rhos.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
